@@ -30,6 +30,16 @@ here alongside the numeric integrator so each can check the other:
 Closed-form times are expressed in the R^2 = 4 normalization in which the
 reductions are derived; rescale by r_squared/4 for other radii.
 
+The numeric integrator is one Dormand-Prince 5(4) stepper on plain floats,
+with the stage arithmetic written out for the three coefficients and the
+usual RK45 controller: the RMS error norm over atol + rtol max(|y|, |y_new|),
+safety factor 0.9 with step factors bounded to [0.2, 10], the
+Hairer-Norsett-Wanner initial step, and failure once a step falls below ten
+units in the last place of t.  Every accepted step
+keeps the coefficients of its 4th-order (Shampine) interpolating quartic;
+Trajectory.sample_at evaluates them for many times at once.  The stop event
+(and the closed-form inversions) are located by one bracketed bisection.
+
 Integrations are single-threaded per trajectory; trajectories are
 independent values, so sweeps may run many integrations concurrently.
 """
@@ -38,11 +48,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.integrate import RK45, OdeSolution
-from scipy.optimize import brentq
 
 from .errors import CollapseReachedError, DomainError, IntegrationFailureError
 from .geometry import DEFAULT_R_SQUARED, MetricCoeffs, _require_positive
@@ -92,7 +101,10 @@ class Trajectory:
     coeffs: np.ndarray
     terminated: Termination
     collapse_time: float | None
-    _sol: OdeSolution | None = field(default=None, repr=False)
+    #: Dense output, shape (steps, 4, 3): inside step k the coefficients are
+    #: coeffs[k] + sum_j _quartic[k, j] x^(j+1), a quartic in the step
+    #: fraction x = (t - times[k]) / (times[k+1] - times[k]).
+    _quartic: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def samples(self) -> list[tuple[float, MetricCoeffs]]:
@@ -107,13 +119,18 @@ class Trajectory:
     def sample_at(self, t) -> np.ndarray:
         """Coefficients at arbitrary times inside the covered span (4th-order
         dense output of the integrator)."""
-        if self._sol is None:
+        if self._quartic is None:
             raise DomainError("trajectory carries no dense output")
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.times[0]) or np.any(t > self.times[-1]):
+        times = self.times
+        if np.any(t < times[0]) or np.any(t > times[-1]):
             raise DomainError("requested time outside the integrated span")
-        out = self._sol(t)
-        return out.T if out.ndim == 2 else out
+        # A time on a step boundary belongs to the step that ends there.
+        k = np.clip(np.searchsorted(times, t, side="left") - 1, 0, len(self._quartic) - 1)
+        x = ((t - times[k]) / (times[k + 1] - times[k]))[..., None]
+        c = self._quartic[k]
+        return self.coeffs[k] + x * (c[..., 0, :] + x * (c[..., 1, :]
+                                     + x * (c[..., 2, :] + x * c[..., 3, :])))
 
     def uniform_grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n equispaced samples spanning the trajectory."""
@@ -136,10 +153,6 @@ def _rhs_scalar(u, v, w, r_squared):
     return du, dv, dw
 
 
-def _rhs_array(y: np.ndarray, r_squared: float) -> np.ndarray:
-    return np.array(_rhs_scalar(y[0], y[1], y[2], r_squared))
-
-
 def rhs(m: MetricCoeffs, r_squared: float = DEFAULT_R_SQUARED) -> tuple[float, float, float]:
     """Time derivatives (du, dv, dw) of the metric coefficients.
 
@@ -151,51 +164,191 @@ def rhs(m: MetricCoeffs, r_squared: float = DEFAULT_R_SQUARED) -> tuple[float, f
     return _rhs_scalar(m.u, m.v, m.w, r_squared)
 
 
-def _advance(fun: Callable[[float, np.ndarray], np.ndarray],
-             y0: np.ndarray,
-             rel_tol: float,
-             abs_tol: float,
-             max_steps: int,
-             margin: Callable[[np.ndarray], float]):
-    """Step an RK45 solver from t=0 until margin(y) crosses zero.
+#: Shampine's dense output for the Dormand-Prince pair: row s weights stage
+#: k1, k3, k4, k5, k6, k7 (k2 has no weight), column j the power x^(j+1).
+_DENSE = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 
-    margin must be positive at y0; the crossing is localized with brentq on
-    the dense output of the crossing step.  Returns (times, states,
-    interpolants, status) with status in {"event", "max_steps", "failed"};
-    on failure the failing step's message is appended as a fifth element.
+#: Step-size controller: the next h is h * SAFETY * err^(-1/5), clipped to
+#: [MIN_FACTOR, MAX_FACTOR] and to at most 1 right after a rejection.
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
+
+
+def _bracket_crossing(f: Callable[[float], float], level: float,
+                      lo: float, hi: float, width: float) -> tuple[float, float]:
+    """Bisect [lo, hi], where f falls from above level at lo to at most level
+    at hi, until the bracket is at most width wide; return the bracket.
+
+    The package's one root-finder: the stop event of the stepper and the
+    closed-form inversions both use it.  f(lo) > level >= f(hi) holds for
+    the returned bracket whenever it held for the given one.
     """
-    y0 = np.asarray(y0, dtype=float)
-    if margin(y0) <= 0.0:
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if f(mid) > level:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _rms3(a: float, b: float, c: float) -> float:
+    return math.sqrt((a * a + b * b + c * c) / 3.0)
+
+
+def _initial_step(y, f, r_squared, rel_tol, abs_tol) -> float:
+    # Hairer, Norsett and Wanner, Solving ODEs I, II.4, for an error
+    # estimator of order 4 on an unbounded interval.
+    su, sv, sw = (abs_tol + abs(yi) * rel_tol for yi in y)
+    d0 = _rms3(y[0] / su, y[1] / sv, y[2] / sw)
+    d1 = _rms3(f[0] / su, f[1] / sv, f[2] / sw)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    f1 = _rhs_scalar(y[0] + h0 * f[0], y[1] + h0 * f[1], y[2] + h0 * f[2], r_squared)
+    d2 = _rms3((f1[0] - f[0]) / su, (f1[1] - f[1]) / sv, (f1[2] - f[2]) / sw) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100.0 * h0, h1)
+
+
+def _quartic_at(y_old, c, x: float) -> tuple[float, float, float]:
+    return tuple(y + x * (c1 + x * (c2 + x * (c3 + x * c4)))
+                 for y, c1, c2, c3, c4 in zip(y_old, *c))
+
+
+def _dormand_prince(y0: tuple[float, float, float], r_squared: float,
+                    rel_tol: float, abs_tol: float, max_steps: int,
+                    margin: Callable[[float, float, float], float]):
+    """Step the flow from t = 0 until margin(u, v, w) is no longer positive.
+
+    The flow is _rhs_scalar(u, v, w, r_squared); a negative r_squared runs
+    it backward in time, since the right-hand side is proportional to 1/R^2.
+    The crossing is localized on the crossing step's quartic to a few units
+    in the last place of t, and the last sample is taken on the nonpositive
+    side.  Returns (times, coeffs, quartic, status, message): times (n+1,),
+    coeffs (n+1, 3) and quartic (n, 4, 3) as Trajectory holds them (quartic
+    None when no step was accepted), status one of "event", "max_steps",
+    "failed", and the failure message or None.
+    """
+    if margin(*y0) <= 0.0:
         raise DomainError("stop margin must be positive at the initial state")
-    solver = RK45(fun, 0.0, y0, t_bound=math.inf, rtol=rel_tol, atol=abs_tol)
-    times = [0.0]
-    states = [np.array(y0, dtype=float)]
-    interps = []
+    rhs = _rhs_scalar
+    u, v, w = y0
+    k1u, k1v, k1w = rhs(u, v, w, r_squared)
+    h_abs = _initial_step(y0, (k1u, k1v, k1w), r_squared, rel_tol, abs_tol)
+    t = 0.0
+    times = [t]
+    states = [(u, v, w)]
+    stages = []
+    status, message = "max_steps", None
     for _ in range(max_steps):
-        message = solver.step()
-        if solver.status == "failed":
-            return times, states, interps, "failed", message
-        dense = solver.dense_output()
-        interps.append(dense)
-        if margin(solver.y) <= 0.0:
-            def crossing(t: float) -> float:
-                return margin(dense(t))
-            if crossing(solver.t) == 0.0:
-                t_event = solver.t
+        min_step = 10.0 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            t_new = t + h_abs
+            h = t_new - t
+            try:
+                k2u, k2v, k2w = rhs(u + h * (1 / 5 * k1u),
+                                    v + h * (1 / 5 * k1v),
+                                    w + h * (1 / 5 * k1w), r_squared)
+                k3u, k3v, k3w = rhs(u + h * (3 / 40 * k1u + 9 / 40 * k2u),
+                                    v + h * (3 / 40 * k1v + 9 / 40 * k2v),
+                                    w + h * (3 / 40 * k1w + 9 / 40 * k2w), r_squared)
+                k4u, k4v, k4w = rhs(
+                    u + h * (44 / 45 * k1u - 56 / 15 * k2u + 32 / 9 * k3u),
+                    v + h * (44 / 45 * k1v - 56 / 15 * k2v + 32 / 9 * k3v),
+                    w + h * (44 / 45 * k1w - 56 / 15 * k2w + 32 / 9 * k3w), r_squared)
+                k5u, k5v, k5w = rhs(
+                    u + h * (19372 / 6561 * k1u - 25360 / 2187 * k2u
+                             + 64448 / 6561 * k3u - 212 / 729 * k4u),
+                    v + h * (19372 / 6561 * k1v - 25360 / 2187 * k2v
+                             + 64448 / 6561 * k3v - 212 / 729 * k4v),
+                    w + h * (19372 / 6561 * k1w - 25360 / 2187 * k2w
+                             + 64448 / 6561 * k3w - 212 / 729 * k4w), r_squared)
+                k6u, k6v, k6w = rhs(
+                    u + h * (9017 / 3168 * k1u - 355 / 33 * k2u + 46732 / 5247 * k3u
+                             + 49 / 176 * k4u - 5103 / 18656 * k5u),
+                    v + h * (9017 / 3168 * k1v - 355 / 33 * k2v + 46732 / 5247 * k3v
+                             + 49 / 176 * k4v - 5103 / 18656 * k5v),
+                    w + h * (9017 / 3168 * k1w - 355 / 33 * k2w + 46732 / 5247 * k3w
+                             + 49 / 176 * k4w - 5103 / 18656 * k5w), r_squared)
+                un = u + h * (35 / 384 * k1u + 500 / 1113 * k3u + 125 / 192 * k4u
+                              - 2187 / 6784 * k5u + 11 / 84 * k6u)
+                vn = v + h * (35 / 384 * k1v + 500 / 1113 * k3v + 125 / 192 * k4v
+                              - 2187 / 6784 * k5v + 11 / 84 * k6v)
+                wn = w + h * (35 / 384 * k1w + 500 / 1113 * k3w + 125 / 192 * k4w
+                              - 2187 / 6784 * k5w + 11 / 84 * k6w)
+                k7u, k7v, k7w = rhs(un, vn, wn, r_squared)
+            except ZeroDivisionError:  # a stage landed on a zero coefficient
+                error = math.inf
             else:
-                t_event = brentq(crossing, solver.t_old, solver.t)
-            times.append(float(t_event))
-            states.append(np.array(dense(t_event), dtype=float))
-            return times, states, interps, "event", None
-        times.append(float(solver.t))
-        states.append(solver.y.copy())
-    return times, states, interps, "max_steps", None
+                # Difference of the embedded 4th- and 5th-order solutions.
+                eu = h * (-71 / 57600 * k1u + 71 / 16695 * k3u - 71 / 1920 * k4u
+                          + 17253 / 339200 * k5u - 22 / 525 * k6u + 1 / 40 * k7u)
+                ev = h * (-71 / 57600 * k1v + 71 / 16695 * k3v - 71 / 1920 * k4v
+                          + 17253 / 339200 * k5v - 22 / 525 * k6v + 1 / 40 * k7v)
+                ew = h * (-71 / 57600 * k1w + 71 / 16695 * k3w - 71 / 1920 * k4w
+                          + 17253 / 339200 * k5w - 22 / 525 * k6w + 1 / 40 * k7w)
+                error = _rms3(eu / (abs_tol + max(abs(u), abs(un)) * rel_tol),
+                              ev / (abs_tol + max(abs(v), abs(vn)) * rel_tol),
+                              ew / (abs_tol + max(abs(w), abs(wn)) * rel_tol))
+            if error < 1.0:
+                factor = MAX_FACTOR if error == 0.0 else min(MAX_FACTOR, SAFETY * error ** -0.2)
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(MIN_FACTOR, SAFETY * error ** -0.2)
+            rejected = True
+            if h_abs < min_step:
+                status = "failed"
+                message = "Required step size is less than spacing between numbers."
+                break
+        if status == "failed":
+            break
+        stages.append((k1u, k1v, k1w, k3u, k3v, k3w, k4u, k4v, k4w,
+                       k5u, k5v, k5w, k6u, k6v, k6w, k7u, k7v, k7w))
+        t, u, v, w = t_new, un, vn, wn
+        k1u, k1v, k1w = k7u, k7v, k7w
+        times.append(t)
+        states.append((u, v, w))
+        if margin(u, v, w) <= 0.0:
+            status = "event"
+            break
 
+    times_arr = np.array(times)
+    coeffs = np.array(states)
+    if not stages:
+        return times_arr, coeffs, None, status, message
+    steps = np.diff(times_arr)
+    quartic = np.matmul(_DENSE.T, np.array(stages).reshape(-1, 6, 3)) * steps[:, None, None]
+    if status == "event":
+        t_old, t_new = times[-2], times[-1]
+        h = t_new - t_old
+        y_old, c = states[-2], quartic[-1].tolist()
 
-def _build_solution(times: list[float], interps) -> OdeSolution | None:
-    if not interps:
-        return None
-    return OdeSolution(np.array(times), interps)
+        def crossing(t: float) -> float:
+            return margin(*_quartic_at(y_old, c, (t - t_old) / h))
+
+        _, t_event = _bracket_crossing(crossing, 0.0, t_old, t_new, 2.0 * math.ulp(t_new))
+        if t_event < t_new:
+            r = (t_event - t_old) / h
+            times_arr[-1] = t_event
+            coeffs[-1] = _quartic_at(y_old, c, r)
+            quartic[-1] *= (r ** np.arange(1, 5))[:, None]
+    return times_arr, coeffs, quartic, status, message
 
 
 def _extrapolate_collapse(times: np.ndarray, coeffs: np.ndarray) -> float:
@@ -212,7 +365,7 @@ def _extrapolate_collapse(times: np.ndarray, coeffs: np.ndarray) -> float:
 def integrate(m0: MetricCoeffs, params: FlowParams | None = None) -> Trajectory:
     """Integrate the flow from m0 until collapse or max_steps.
 
-    Adaptive embedded Runge-Kutta 4(5); stops when min(u, v, w) reaches
+    Dormand-Prince 5(4) with adaptive steps; stops when min(u, v, w) reaches
     params.collapse_eps, then estimates the collapse time by linear
     extrapolation of the smallest coefficient.  Raises
     IntegrationFailureError (carrying the partial trajectory) on step-size
@@ -220,32 +373,26 @@ def integrate(m0: MetricCoeffs, params: FlowParams | None = None) -> Trajectory:
     """
     if params is None:
         params = FlowParams()
-    y0 = np.array(m0.as_tuple(), dtype=float)
-    if params.collapse_eps >= y0.min():
+    y0 = m0.as_tuple()
+    if params.collapse_eps >= min(y0):
         raise DomainError(
             f"collapse_eps ({params.collapse_eps}) must be below the initial "
-            f"minimum coefficient ({y0.min()})")
+            f"minimum coefficient ({min(y0)})")
+    eps = params.collapse_eps
 
-    def fun(t: float, y: np.ndarray) -> np.ndarray:
-        return _rhs_array(y, params.r_squared)
+    def margin(u: float, v: float, w: float) -> float:
+        return min(u, v, w) - eps
 
-    def margin(y: np.ndarray) -> float:
-        return float(np.min(y)) - params.collapse_eps
-
-    times, states, interps, status, *rest = _advance(
-        fun, y0, params.rel_tol, params.abs_tol, params.max_steps, margin)
-    times_arr = np.array(times)
-    coeffs_arr = np.array(states)
-    sol = _build_solution(times, interps)
-
+    times, coeffs, quartic, status, message = _dormand_prince(
+        y0, params.r_squared, params.rel_tol, params.abs_tol, params.max_steps, margin)
     if status == "failed":
-        partial = Trajectory(times_arr, coeffs_arr, Termination.FAILED, None, sol)
+        partial_traj = Trajectory(times, coeffs, Termination.FAILED, None, quartic)
         raise IntegrationFailureError(
-            f"integration failed: {rest[0]}", trajectory=partial)
+            f"integration failed: {message}", trajectory=partial_traj)
     if status == "max_steps":
-        return Trajectory(times_arr, coeffs_arr, Termination.MAX_STEPS, None, sol)
-    collapse_time = _extrapolate_collapse(times_arr, coeffs_arr)
-    return Trajectory(times_arr, coeffs_arr, Termination.COLLAPSED, collapse_time, sol)
+        return Trajectory(times, coeffs, Termination.MAX_STEPS, None, quartic)
+    collapse_time = _extrapolate_collapse(times, coeffs)
+    return Trajectory(times, coeffs, Termination.COLLAPSED, collapse_time, quartic)
 
 
 def isotropic_lambda(t: float, r_squared: float = DEFAULT_R_SQUARED) -> float:
@@ -390,13 +537,8 @@ def snake_lambda_of_time(s: SnakeSolution, t: float, tol: float = 1e-12) -> floa
     T = s.collapse_T
     if not 0.0 <= t <= T:
         raise DomainError(f"time must lie in [0, {T}], got {t}")
-    lo, hi = 0.0, 1.0  # t(lo) = T >= t, t(hi) = 0 <= t
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if snake_time_of_lambda(s, mid) > t:
-            lo = mid
-        else:
-            hi = mid
+    # t(0) = T >= t and t(1) = 0 <= t.
+    lo, hi = _bracket_crossing(partial(snake_time_of_lambda, s), t, 0.0, 1.0, tol)
     return 0.5 * (lo + hi)
 
 
@@ -441,13 +583,7 @@ def turtle_mu_of_time(s: TurtleSolution, t: float, tol: float = 1e-12) -> float:
     T = s.collapse_T
     if not 0.0 <= t <= T:
         raise DomainError(f"time must lie in [0, {T}], got {t}")
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if turtle_time_of_mu(s, mid) > t:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bracket_crossing(partial(turtle_time_of_mu, s), t, 0.0, 1.0, tol)
     return 0.5 * (lo + hi)
 
 

@@ -228,8 +228,8 @@ def classify(f: StretchFactors, eq_tol: float = DEFAULT_EQ_TOL) -> Classificatio
     Signs use a deadband of eq_tol * max|kappa| so that the measure-zero
     vanishing loci are reported as zeros when hit by construction.
     """
-    if eq_tol < 0.0:
-        raise DomainError(f"eq_tol must be nonnegative, got {eq_tol!r}")
+    if not math.isfinite(eq_tol) or eq_tol < 0.0:
+        raise DomainError(f"eq_tol must be a nonnegative finite number, got {eq_tol!r}")
     lo, mid, hi = sorted((f.a, f.b, f.c))
 
     if lo <= eq_tol * hi:

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateShapeError, DomainError, SingularMapError, SingularSlopeError
-from .flow import FlowParams, _advance, _rhs_array, _rhs_scalar, integrate
+from .errors import (DegenerateShapeError, DomainError, IntegrationFailureError,
+                     SingularMapError, SingularSlopeError)
+from .flow import FlowParams, Termination, _dormand_prince, _rhs_scalar, integrate
 from .geometry import (DEFAULT_R_SQUARED, StretchFactors, metric_coeffs,
                        principal_curvatures)
 
@@ -136,26 +137,21 @@ def _project_xy(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (u + v) / w, (v - u) / w
 
 
-def _trace_backward(y0: np.ndarray, params: FlowParams,
+def _trace_backward(y0: tuple[float, float, float], params: FlowParams,
                     growth_cap: float) -> tuple[np.ndarray, np.ndarray]:
     """Reverse-time samples (times ascending toward 0, rows of (u,v,w)).
 
     Backward the metric expands: the largest coefficient blows up while the
     two smaller ones shrink, so the stop margin watches both ends.
     """
-    def fun(t: float, y: np.ndarray) -> np.ndarray:
-        return -_rhs_array(y, params.r_squared)
+    def margin(u: float, v: float, w: float) -> float:
+        return min(growth_cap - max(u, v, w), min(u, v, w) - BACKWARD_FLOOR)
 
-    def margin(y: np.ndarray) -> float:
-        return min(growth_cap - float(np.max(y)),
-                   float(np.min(y)) - BACKWARD_FLOOR)
-
-    times, states, _interps, _status, *_ = _advance(
-        fun, y0, params.rel_tol, params.abs_tol, params.max_steps, margin)
+    # Negating R^2 negates the right-hand side: the flow in reverse time.
+    times, states, _quartic, _status, _message = _dormand_prince(
+        y0, -params.r_squared, params.rel_tol, params.abs_tol, params.max_steps, margin)
     # Reverse-time s maps to flow time t = -s; drop the duplicated start.
-    ts = -np.array(times[1:])[::-1]
-    ys = np.array(states[1:])[::-1]
-    return ts, ys
+    return -times[1:][::-1], states[1:][::-1]
 
 
 def _xy_rates(u: float, v: float, w: float, r_squared: float) -> tuple[float, float]:
@@ -220,19 +216,24 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
     (u, v, w) flow is integrated forward to collapse (and backward toward
     the origin until the metric blows past growth_cap), and the samples are
     projected back to (x, y).  Scale invariance makes the polyline
-    independent of c0.  Forward collapse drives every line into (2, 0).
+    independent of c0.  Forward collapse drives every line into (2, 0);
+    a forward branch that stops short of collapse (params.max_steps) raises
+    IntegrationFailureError carrying the forward trajectory.
     """
     if params is None:
         params = FlowParams()
     f = from_xy(start, c0)
     m0 = metric_coeffs(f)
     forward = integrate(m0, params)
+    if forward.terminated is not Termination.COLLAPSED:
+        raise IntegrationFailureError(
+            f"forward branch from ({start.x}, {start.y}) ended without collapse "
+            f"after {len(forward) - 1} steps", trajectory=forward)
 
     times = forward.times
     coeffs = forward.coeffs
     if include_backward:
-        back_ts, back_ys = _trace_backward(
-            np.array(m0.as_tuple(), dtype=float), params, growth_cap)
+        back_ts, back_ys = _trace_backward(m0.as_tuple(), params, growth_cap)
         if len(back_ts):
             times = np.concatenate([back_ts, times])
             coeffs = np.vstack([back_ys, coeffs])

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -254,6 +258,11 @@ def test_negative_inputs_are_domain_errors(run_cli):
     code, _, err = run_cli("curvature", "--a", "-1", "--b", "1", "--c", "1")
     assert code == 3
     assert json.loads(err)["error"] == "domain"
+    for bad in ("nan", "inf"):
+        code, _, err = run_cli("classify", "--a", "1", "--b", "1", "--c", "1",
+                               "--eq-tol", bad)
+        assert code == 3
+        assert json.loads(err)["error"] == "domain"
 
 
 def test_simulate_max_steps_reports_null_collapse(run_cli):
@@ -267,7 +276,8 @@ def test_simulate_max_steps_reports_null_collapse(run_cli):
 
 def test_integration_failure_exit_code(run_cli, monkeypatch):
     import danteflow.flow as flow_mod
-    monkeypatch.setattr(flow_mod, "_rhs_array", lambda y, r2: 1e3 * y * y)
+    monkeypatch.setattr(flow_mod, "_rhs_scalar",
+                        lambda u, v, w, r2: (1e3 * u * u, 1e3 * v * v, 1e3 * w * w))
     code, _, err = run_cli("simulate", "--a", "1", "--b", "1", "--c", "1",
                            "--max-steps", "100000")
     assert code == 4
@@ -289,3 +299,14 @@ def test_float_formatting_round_trips():
         _fmt(float("inf"))
     with pytest.raises(DomainError):
         _fmt(float("nan"))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # The package integrates without scipy; importing the CLI must not pull
+    # it in (it costs most of the start-up time of a quick command).
+    code = ("import sys, danteflow.cli; "
+            "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

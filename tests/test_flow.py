@@ -121,7 +121,8 @@ def test_integrate_max_steps():
 
 def test_integration_failure_carries_partial_trajectory(monkeypatch):
     # A quadratic blow-up field forces step-size underflow before any event.
-    monkeypatch.setattr(flow_mod, "_rhs_array", lambda y, r2: 1e3 * y * y)
+    monkeypatch.setattr(flow_mod, "_rhs_scalar",
+                        lambda u, v, w, r2: (1e3 * u * u, 1e3 * v * v, 1e3 * w * w))
     with pytest.raises(IntegrationFailureError) as excinfo:
         integrate(MetricCoeffs(1, 1, 1), FlowParams(max_steps=100_000))
     partial = excinfo.value.trajectory
@@ -212,13 +213,13 @@ def test_x_rate_matches_projected_derivative():
 
 
 def test_dragon_collapse_time_against_independent_solver():
-    # Dragons have no closed form; cross-check the event localization with
-    # scipy's own terminal-event machinery on a different method.
+    # Dragons have no closed form; cross-check the event localization and
+    # the dense output with scipy's DOP853 on the bracket form of the flow.
     from scipy.integrate import solve_ivp
-    from danteflow.flow import _rhs_array
 
     m0 = MetricCoeffs(0.3, 0.6, 1.2)
-    mine = integrate(m0).collapse_time
+    traj = integrate(m0)
+    mine = traj.collapse_time
 
     eps = 1e-9
 
@@ -227,16 +228,41 @@ def test_dragon_collapse_time_against_independent_solver():
 
     event.terminal = True
     event.direction = -1
-    ref = solve_ivp(lambda t, y: _rhs_array(y, 4.0), (0.0, 1e3),
+    ref = solve_ivp(lambda t, y: np.array(rhs_bracket(*y, 4.0)), (0.0, 1e3),
                     np.array(m0.as_tuple()), method="DOP853",
                     rtol=1e-12, atol=1e-14, events=event, dense_output=True)
     assert ref.t_events[0].size == 1
     t_event = float(ref.t_events[0][0])
     y_event = ref.y_events[0][0]
     i = int(np.argmin(y_event))
-    slope_est = _rhs_array(y_event, 4.0)[i]
+    slope_est = rhs_bracket(*y_event, 4.0)[i]
     t_ref = t_event - y_event[i] / slope_est
     assert mine == pytest.approx(t_ref, abs=1e-8)
+
+    # The 4th-order dense output, relative to the initial largest coefficient
+    # (every coefficient tends to zero at the end of the grid).
+    ts = np.linspace(0.0, traj.times[-1], 50)
+    assert_allclose(traj.sample_at(ts), ref.sol(ts).T, rtol=0.0,
+                    atol=1e-9 * max(m0.as_tuple()))
+
+
+def test_steps_follow_the_rk45_controller():
+    # The stepper keeps the tableau, error norm and step-size rules of
+    # scipy's RK45, so it takes the same steps up to rounding in the error
+    # estimate; the last step is the collapse event.
+    from scipy.integrate import RK45
+
+    m0 = MetricCoeffs(0.1, 0.5, 1.0)
+    traj = integrate(m0)
+    solver = RK45(lambda t, y: np.array(flow_mod._rhs_scalar(*y, 4.0)), 0.0,
+                  np.array(m0.as_tuple()), np.inf, rtol=1e-10, atol=1e-12)
+    ref = [0.0]
+    while np.min(solver.y) > 1e-9:
+        solver.step()
+        ref.append(solver.t)
+    assert len(traj) == len(ref)
+    assert_allclose(traj.times[:-1], ref[:-1], rtol=1e-7)
+    assert ref[-2] < traj.times[-1] <= ref[-1]
 
 
 def test_flow_params_validation():

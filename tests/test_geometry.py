@@ -189,8 +189,9 @@ def test_classify_tolerance_behavior():
     assert classify(StretchFactors(1.0, 1.0 + 4e-9, 2.0)).shape is ShapeKind.DRAGON
     assert classify(StretchFactors(1e-12, 1.0, 2.0)).shape is ShapeKind.DEGENERATE
     assert classify(StretchFactors(0.9, 1.0, 1.1)).shape is ShapeKind.DRAGON
-    with pytest.raises(DomainError):
-        classify(StretchFactors(1, 1, 1), eq_tol=-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            classify(StretchFactors(1, 1, 1), eq_tol=bad)
 
 
 def test_classification_is_value_type():

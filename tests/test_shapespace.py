@@ -5,8 +5,9 @@ import pytest
 
 from conftest import random_interior_point, random_ordered_stretch
 from danteflow.errors import (DegenerateShapeError, DomainError,
-                              SingularMapError, SingularSlopeError)
-from danteflow.flow import rhs
+                              IntegrationFailureError, SingularMapError,
+                              SingularSlopeError)
+from danteflow.flow import FlowParams, Termination, Trajectory, rhs
 from danteflow.geometry import (MetricCoeffs, StretchFactors,
                                 principal_curvatures, ricci_eigenvalues)
 from danteflow.shapespace import (KAPPA_MIN_ZERO, RICCI_DEGENERATE,
@@ -168,6 +169,17 @@ def test_flowline_scale_independence():
     mask = (b.xs >= lo) & (b.xs <= hi)
     assert np.count_nonzero(mask) > 100
     assert np.max(np.abs(resample(b.xs[mask]) - b.ys[mask])) < 1e-6
+
+
+def test_flowline_truncated_forward_branch_raises():
+    # 40 steps stop the forward branch near x = 1.05, far from collapse at
+    # (2, 0); the tracer must not report the last sample as an apex.
+    with pytest.raises(IntegrationFailureError) as excinfo:
+        trace_flowline(ShapePoint(0.5, 0.25), params=FlowParams(max_steps=40))
+    forward = excinfo.value.trajectory
+    assert isinstance(forward, Trajectory)
+    assert forward.terminated is Termination.MAX_STEPS
+    assert len(forward) == 41
 
 
 def test_flowline_rejects_degenerate_start():
