@@ -369,7 +369,8 @@ def integrate(m0: MetricCoeffs, params: FlowParams | None = None) -> Trajectory:
     params.collapse_eps, then estimates the collapse time by linear
     extrapolation of the smallest coefficient.  Raises
     IntegrationFailureError (carrying the partial trajectory) on step-size
-    underflow.
+    underflow, and when the collapse event lands on a nonpositive
+    coefficient (a collapse_eps too small for the scale of m0).
     """
     if params is None:
         params = FlowParams()
@@ -391,6 +392,15 @@ def integrate(m0: MetricCoeffs, params: FlowParams | None = None) -> Trajectory:
             f"integration failed: {message}", trajectory=partial_traj)
     if status == "max_steps":
         return Trajectory(times, coeffs, Termination.MAX_STEPS, None, quartic)
+    if coeffs[-1].min() <= 0.0:
+        # collapse_eps lies below what the steps resolve at this scale: the
+        # event sample overshot zero.  Keep only the positive samples.
+        partial_traj = Trajectory(times[:-1], coeffs[:-1], Termination.FAILED, None,
+                                  quartic[:-1] if len(quartic) > 1 else None)
+        raise IntegrationFailureError(
+            f"integration failed: the collapse event at t = {times[-1]!r} has a "
+            f"nonpositive coefficient {coeffs[-1].min()!r}; collapse_eps "
+            f"({eps!r}) is below the integrator's resolution", trajectory=partial_traj)
     collapse_time = _extrapolate_collapse(times, coeffs)
     return Trajectory(times, coeffs, Termination.COLLAPSED, collapse_time, quartic)
 

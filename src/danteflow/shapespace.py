@@ -19,6 +19,10 @@ denominator; the slope formula is kept as a cross-validation oracle.
 The Ricci-eigenvalue ratio chart uses
 
     rho = R22/R33 = (x - 1)/(1 - y),   tau = R11/R33 = (x - 1)/(1 + y).
+
+The classification boundaries are exact parabolas: the Ricci scalar
+vanishes on y^2 = 2x - 1 and the smallest principal curvature on
+y^2 = 3 - 2x; both meet the degenerate-Ricci segment x = 1 at (1, 1).
 """
 from __future__ import annotations
 
@@ -30,8 +34,7 @@ import numpy as np
 from .errors import (DegenerateShapeError, DomainError, IntegrationFailureError,
                      SingularMapError, SingularSlopeError)
 from .flow import FlowParams, Termination, _dormand_prince, _rhs_scalar, integrate
-from .geometry import (DEFAULT_R_SQUARED, StretchFactors, metric_coeffs,
-                       principal_curvatures)
+from .geometry import DEFAULT_R_SQUARED, StretchFactors, metric_coeffs
 
 #: Backward tracing stops once the largest coefficient reaches this cap.
 GROWTH_CAP = 1e6
@@ -64,13 +67,18 @@ class FlowLine:
     ``times`` are flow times relative to the requested start (negative on
     the backward-traced portion).  For interior starts the apex lies on
     x^2 + y^2 = 2 within tracer tolerance; edge lines have no interior
-    maximum and report their highest sample instead.
+    maximum and report their highest sample instead.  ``backward_end`` says
+    how the backward branch stopped: "growth_cap" (the largest coefficient
+    reached the cap), "floor" (the smallest fell to BACKWARD_FLOOR),
+    "failed" (step-size underflow), "max_steps", or None when no backward
+    branch was traced.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     times: np.ndarray
     apex: ShapePoint
+    backward_end: str | None = None
 
     @property
     def points(self) -> list[ShapePoint]:
@@ -138,8 +146,9 @@ def _project_xy(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _trace_backward(y0: tuple[float, float, float], params: FlowParams,
-                    growth_cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse-time samples (times ascending toward 0, rows of (u,v,w)).
+                    growth_cap: float) -> tuple[np.ndarray, np.ndarray, str]:
+    """Reverse-time samples (times ascending toward 0, rows of (u,v,w)) and
+    how the branch ended (FlowLine.backward_end).
 
     Backward the metric expands: the largest coefficient blows up while the
     two smaller ones shrink, so the stop margin watches both ends.
@@ -148,10 +157,12 @@ def _trace_backward(y0: tuple[float, float, float], params: FlowParams,
         return min(growth_cap - max(u, v, w), min(u, v, w) - BACKWARD_FLOOR)
 
     # Negating R^2 negates the right-hand side: the flow in reverse time.
-    times, states, _quartic, _status, _message = _dormand_prince(
+    times, states, _quartic, status, _message = _dormand_prince(
         y0, -params.r_squared, params.rel_tol, params.abs_tol, params.max_steps, margin)
+    if status == "event":
+        status = "growth_cap" if states[-1].max() >= growth_cap else "floor"
     # Reverse-time s maps to flow time t = -s; drop the duplicated start.
-    return -times[1:][::-1], states[1:][::-1]
+    return -times[1:][::-1], states[1:][::-1], status
 
 
 def _xy_rates(u: float, v: float, w: float, r_squared: float) -> tuple[float, float]:
@@ -214,7 +225,9 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
 
     The start is lifted to stretch factors with largest factor c0, the full
     (u, v, w) flow is integrated forward to collapse (and backward toward
-    the origin until the metric blows past growth_cap), and the samples are
+    the origin until the largest coefficient reaches growth_cap, the
+    smallest falls to BACKWARD_FLOOR, the stepper fails or max_steps run
+    out; FlowLine.backward_end records which), and the samples are
     projected back to (x, y).  Scale invariance makes the polyline
     independent of c0.  Forward collapse drives every line into (2, 0);
     a forward branch that stops short of collapse (params.max_steps) raises
@@ -232,8 +245,9 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
 
     times = forward.times
     coeffs = forward.coeffs
+    backward_end = None
     if include_backward:
-        back_ts, back_ys = _trace_backward(m0.as_tuple(), params, growth_cap)
+        back_ts, back_ys, backward_end = _trace_backward(m0.as_tuple(), params, growth_cap)
         if len(back_ts):
             times = np.concatenate([back_ts, times])
             coeffs = np.vstack([back_ys, coeffs])
@@ -261,38 +275,7 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
         apex = _refine_apex(times, coeffs, xs, ys, i_max, params.r_squared)
     else:
         apex = ShapePoint(float(xs[i_max]), float(ys[i_max]))
-    return FlowLine(xs=xs, ys=ys, times=times, apex=apex)
-
-
-def _normalized_kappa_min(p: ShapePoint) -> float:
-    kappas = principal_curvatures(from_xy(p))
-    return min(kappas) / max(abs(k) for k in kappas)
-
-
-def _normalized_scalar(p: ShapePoint) -> float:
-    kappas = principal_curvatures(from_xy(p))
-    return 2.0 * math.fsum(kappas) / (6.0 * max(abs(k) for k in kappas))
-
-
-def _bisect(fn, lo: float, hi: float, width: float = 1e-14) -> float:
-    f_lo = fn(lo)
-    if f_lo == 0.0:
-        return lo
-    f_hi = fn(hi)
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        raise DomainError("bisection bracket does not change sign")
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        f_mid = fn(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return FlowLine(xs=xs, ys=ys, times=times, apex=apex, backward_end=backward_end)
 
 
 def region_boundaries(resolution: int = 64) -> dict[str, np.ndarray]:
@@ -301,42 +284,31 @@ def region_boundaries(resolution: int = 64) -> dict[str, np.ndarray]:
     Returns a mapping with keys SCALAR_ZERO (the Ricci-scalar zero locus),
     KAPPA_MIN_ZERO (smallest principal curvature zero), and
     RICCI_DEGENERATE (the x = 1 segment where the two smallest Ricci
-    eigenvalues vanish).  The curved loci are found by per-x bisection in y
-    on the sign of the normalized quantity; every returned point satisfies
-    |quantity| < 1e-10 in units of the largest |kappa|.
+    eigenvalues vanish).
+
+    The curved loci are exact parabolas.  Lift with c = 1, so a = (x - y)/2,
+    b = (x + y)/2 and the semiperimeter is s = (x + 1)/2; then s - a =
+    (1 + y)/2, s - b = (1 - y)/2, s - c = (x - 1)/2, and in units of 4/R^2
+
+        kappa1 + kappa2 + kappa3 = (2x - y^2 - 1)/4,
+        kappa3 = c(s - c) - (s - a)(s - b) = (2x + y^2 - 3)/4.
+
+    The scalar vanishes on y^2 = 2x - 1, from (1/2, 0) up to (1, 1), and
+    the smallest principal curvature kappa3 on y^2 = 3 - 2x, from (1, 1)
+    down to (3/2, 0).  Each is sampled at resolution equispaced x, the
+    open end at the top corner left out, so the x-axis intercepts are
+    exactly 1/2 and 3/2.
     """
     if resolution < 16:
         raise DomainError(f"resolution must be at least 16, got {resolution}")
 
-    edge_inset = 1e-12  # keeps lifts off the degenerate edge y = x
-
-    # Smallest principal curvature: negative at (1+, 0), positive at (2-, 0);
-    # its locus runs from the top corner (1, 1) down to the x-axis.
-    x_f = _bisect(lambda x: _normalized_kappa_min(ShapePoint(x, 0.0)),
-                  1.0 + 1e-9, 2.0 - 1e-9)
-    kappa_points = []
-    for x in np.linspace(1.0, x_f, resolution + 1)[1:-1]:
-        y = _bisect(lambda yy: _normalized_kappa_min(ShapePoint(x, yy)),
-                    0.0, 2.0 - x)
-        kappa_points.append((x, y))
-    kappa_points.append((x_f, 0.0))
-
-    # Ricci scalar: negative toward the thin-snake end of the axis and near
-    # the degenerate edge, positive around the round corner.
-    x_e = _bisect(lambda x: _normalized_scalar(ShapePoint(x, 0.0)),
-                  1e-9, 1.0 - 1e-9)
-    scalar_points = [(x_e, 0.0)]
-    for x in np.linspace(x_e, 1.0, resolution + 1)[1:-1]:
-        y_top = min(x * (1.0 - edge_inset), 2.0 - x)
-        y = _bisect(lambda yy: _normalized_scalar(ShapePoint(x, yy)),
-                    0.0, y_top)
-        scalar_points.append((x, y))
-
+    x_scalar = np.linspace(0.5, 1.0, resolution + 1)[:-1]
+    x_kappa = np.linspace(1.0, 1.5, resolution + 1)[1:]
     cd = np.column_stack([np.ones(resolution + 1),
                           np.linspace(0.0, 1.0, resolution + 1)])
 
     return {
-        SCALAR_ZERO: np.array(scalar_points),
-        KAPPA_MIN_ZERO: np.array(kappa_points),
+        SCALAR_ZERO: np.column_stack([x_scalar, np.sqrt(2.0 * x_scalar - 1.0)]),
+        KAPPA_MIN_ZERO: np.column_stack([x_kappa, np.sqrt(3.0 - 2.0 * x_kappa)]),
         RICCI_DEGENERATE: cd,
     }

@@ -284,6 +284,14 @@ def test_integration_failure_exit_code(run_cli, monkeypatch):
     assert json.loads(err)["error"] == "integration_failure"
 
 
+def test_simulate_collapse_eps_below_resolution_exits_4(run_cli):
+    code, out, err = run_cli("simulate", "--a", "1", "--b", "1", "--c", "1",
+                             "--collapse-eps", "1e-300")
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["error"] == "integration_failure"
+
+
 def test_help_exits_cleanly(run_cli):
     code, out, _ = run_cli("--help")
     assert code == 0

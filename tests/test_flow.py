@@ -131,6 +131,19 @@ def test_integration_failure_carries_partial_trajectory(monkeypatch):
     assert len(partial) >= 1
 
 
+def test_collapse_eps_below_resolution_raises():
+    # With collapse_eps far below the step's resolution the event sample
+    # overshoots zero; that must fail loudly instead of returning COLLAPSED.
+    for m0, eps in ((MetricCoeffs(1, 1, 1), 1e-300),
+                    (MetricCoeffs(0.5, 0.5, 1.0), 1e-16)):
+        with pytest.raises(IntegrationFailureError) as excinfo:
+            integrate(m0, FlowParams(collapse_eps=eps))
+        partial = excinfo.value.trajectory
+        assert partial.terminated is Termination.FAILED
+        assert np.all(partial.coeffs > 0.0)
+        assert np.all(np.diff(partial.times) > 0.0)
+
+
 def test_ordering_preservation():
     rng = np.random.default_rng(31)
     for _ in range(20):

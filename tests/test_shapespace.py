@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_interior_point, random_ordered_stretch
 from danteflow.errors import (DegenerateShapeError, DomainError,
@@ -193,6 +195,15 @@ def test_flowline_turtle_edge_backward_heads_to_corner():
     assert line.ys[0] == pytest.approx(2.0 - line.xs[0], abs=1e-9)
 
 
+def test_flowline_backward_end():
+    # Below the circle near the origin the backward branch runs the largest
+    # coefficient up to the cap; from (0.5, 0.25) the stepper gives out first.
+    assert trace_flowline(ShapePoint(0.3, 0.1)).backward_end == "growth_cap"
+    assert trace_flowline(ShapePoint(0.5, 0.25)).backward_end == "failed"
+    forward_only = trace_flowline(ShapePoint(0.3, 0.1), include_backward=False)
+    assert forward_only.backward_end is None
+
+
 def normalized_kappa_min(x: float, y: float) -> float:
     kappas = principal_curvatures(from_xy(ShapePoint(x, y)))
     return min(kappas) / max(abs(k) for k in kappas)
@@ -224,9 +235,9 @@ def test_region_boundary_intercepts():
     # scalar ~ c - c^2/4 vanishes at c = 4 (x = 1/2); the smallest principal
     # curvature ~ c(1 - 3c/4) vanishes at c = 4/3 (x = 3/2).
     bounds = region_boundaries(16)
-    assert bounds[SCALAR_ZERO][0, 0] == pytest.approx(0.5, abs=1e-9)
+    assert bounds[SCALAR_ZERO][0, 0] == 0.5
     assert bounds[SCALAR_ZERO][0, 1] == 0.0
-    assert bounds[KAPPA_MIN_ZERO][-1, 0] == pytest.approx(1.5, abs=1e-9)
+    assert bounds[KAPPA_MIN_ZERO][-1, 0] == 1.5
     assert bounds[KAPPA_MIN_ZERO][-1, 1] == 0.0
 
 
@@ -256,3 +267,18 @@ def test_region_boundaries_deterministic():
     b = region_boundaries(16)
     for key in (SCALAR_ZERO, KAPPA_MIN_ZERO, RICCI_DEGENERATE):
         assert np.array_equal(a[key], b[key])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=16, max_value=2048))
+def test_region_boundaries_property(resolution):
+    bounds = region_boundaries(resolution)
+    assert [len(bounds[k]) for k in (SCALAR_ZERO, KAPPA_MIN_ZERO, RICCI_DEGENERATE)] \
+        == [resolution, resolution, resolution + 1]
+    for key, oracle in ((SCALAR_ZERO, normalized_scalar),
+                        (KAPPA_MIN_ZERO, normalized_kappa_min)):
+        xs, ys = bounds[key][:, 0], bounds[key][:, 1]
+        assert np.all(np.diff(xs) > 0.0)
+        assert np.all((0.0 <= ys) & (ys <= xs) & (ys <= 2.0 - xs))
+        for x, y in zip(xs, ys):
+            assert abs(oracle(float(x), float(y))) < 1e-10
