@@ -358,7 +358,8 @@ def _interior_grid(spec: str) -> list[ShapePoint]:
 @click.option("--grid", "grid_spec", type=str, default=None,
               help='Interior start grid, e.g. "5x5".')
 @click.option("--c0", type=float, default=1.0, show_default=True,
-              help="Largest stretch factor used to lift starts (immaterial by scale invariance).")
+              help="Largest stretch factor used to lift starts; scales t by 1/c0^2, "
+                   "leaves x and y unchanged.")
 @click.option("--forward-only", is_flag=True,
               help="Skip the backward extension toward the origin.")
 @_r2_option

@@ -30,15 +30,17 @@ here alongside the numeric integrator so each can check the other:
 Closed-form times are expressed in the R^2 = 4 normalization in which the
 reductions are derived; rescale by r_squared/4 for other radii.
 
-The numeric integrator is one Dormand-Prince 5(4) stepper on plain floats,
-with the stage arithmetic written out for the three coefficients and the
-usual RK45 controller: the RMS error norm over atol + rtol max(|y|, |y_new|),
-safety factor 0.9 with step factors bounded to [0.2, 10], the
-Hairer-Norsett-Wanner initial step, and failure once a step falls below ten
-units in the last place of t.  Every accepted step
-keeps the coefficients of its 4th-order (Shampine) interpolating quartic;
-Trajectory.sample_at evaluates them for many times at once.  The stop event
-(and the closed-form inversions) are located by one bracketed bisection.
+The numeric integrator is one Dormand-Prince 5(4) stepper on plain floats.
+It takes its field as an argument (the flow above for integrate, the
+flow-line field of shapespace for trace_flowline), with the stage
+arithmetic written out for three components and the usual RK45 controller:
+the RMS error norm over atol + rtol max(|y|, |y_new|), safety factor 0.9
+with step factors bounded to [0.2, 10], the Hairer-Norsett-Wanner initial
+step, and failure once a step falls below ten units in the last place of
+t.  Every accepted step keeps the coefficients of its 4th-order (Shampine)
+interpolating quartic; Trajectory.sample_at evaluates them for many times
+at once.  The stop event (and the closed-form inversions) are located by
+one bracketed bisection.
 
 Integrations are single-threaded per trajectory; trajectories are
 independent values, so sweeps may run many integrations concurrently.
@@ -208,14 +210,14 @@ def _rms3(a: float, b: float, c: float) -> float:
     return math.sqrt((a * a + b * b + c * c) / 3.0)
 
 
-def _initial_step(y, f, r_squared, rel_tol, abs_tol) -> float:
+def _initial_step(y, f, rhs, r_squared, rel_tol, abs_tol) -> float:
     # Hairer, Norsett and Wanner, Solving ODEs I, II.4, for an error
     # estimator of order 4 on an unbounded interval.
     su, sv, sw = (abs_tol + abs(yi) * rel_tol for yi in y)
     d0 = _rms3(y[0] / su, y[1] / sv, y[2] / sw)
     d1 = _rms3(f[0] / su, f[1] / sv, f[2] / sw)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    f1 = _rhs_scalar(y[0] + h0 * f[0], y[1] + h0 * f[1], y[2] + h0 * f[2], r_squared)
+    f1 = rhs(y[0] + h0 * f[0], y[1] + h0 * f[1], y[2] + h0 * f[2], r_squared)
     d2 = _rms3((f1[0] - f[0]) / su, (f1[1] - f[1]) / sv, (f1[2] - f[2]) / sw) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -229,26 +231,28 @@ def _quartic_at(y_old, c, x: float) -> tuple[float, float, float]:
                  for y, c1, c2, c3, c4 in zip(y_old, *c))
 
 
-def _dormand_prince(y0: tuple[float, float, float], r_squared: float,
-                    rel_tol: float, abs_tol: float, max_steps: int,
+def _dormand_prince(y0: tuple[float, float, float],
+                    rhs: Callable[[float, float, float, float], tuple[float, float, float]],
+                    r_squared: float, rel_tol: float, abs_tol: float, max_steps: int,
                     margin: Callable[[float, float, float], float]):
-    """Step the flow from t = 0 until margin(u, v, w) is no longer positive.
+    """Step the field y' = rhs(*y, r_squared) from t = 0 until margin(*y) is
+    no longer positive.
 
-    The flow is _rhs_scalar(u, v, w, r_squared); a negative r_squared runs
-    it backward in time, since the right-hand side is proportional to 1/R^2.
-    The crossing is localized on the crossing step's quartic to a few units
-    in the last place of t, and the last sample is taken on the nonpositive
-    side.  Returns (times, coeffs, quartic, status, message): times (n+1,),
-    coeffs (n+1, 3) and quartic (n, 4, 3) as Trajectory holds them (quartic
-    None when no step was accepted), status one of "event", "max_steps",
-    "failed", and the failure message or None.
+    Both fields the package steps (the (u, v, w) flow here and the
+    flow-line field of shapespace) are proportional to 1/R^2, so a negative
+    r_squared runs them backward.  The crossing is localized on the
+    crossing step's quartic to a few units in the last place of t, and the
+    last sample is taken on the nonpositive side.  Returns (times, coeffs,
+    quartic, status, message): times (n+1,), coeffs (n+1, 3) and quartic
+    (n, 4, 3) as Trajectory holds them (quartic None when no step was
+    accepted), status one of "event", "max_steps", "failed", and the failure
+    message or None.
     """
     if margin(*y0) <= 0.0:
         raise DomainError("stop margin must be positive at the initial state")
-    rhs = _rhs_scalar
     u, v, w = y0
     k1u, k1v, k1w = rhs(u, v, w, r_squared)
-    h_abs = _initial_step(y0, (k1u, k1v, k1w), r_squared, rel_tol, abs_tol)
+    h_abs = _initial_step(y0, (k1u, k1v, k1w), rhs, r_squared, rel_tol, abs_tol)
     t = 0.0
     times = [t]
     states = [(u, v, w)]
@@ -385,7 +389,8 @@ def integrate(m0: MetricCoeffs, params: FlowParams | None = None) -> Trajectory:
         return min(u, v, w) - eps
 
     times, coeffs, quartic, status, message = _dormand_prince(
-        y0, params.r_squared, params.rel_tol, params.abs_tol, params.max_steps, margin)
+        y0, _rhs_scalar, params.r_squared, params.rel_tol, params.abs_tol,
+        params.max_steps, margin)
     if status == "failed":
         partial_traj = Trajectory(times, coeffs, Termination.FAILED, None, quartic)
         raise IntegrationFailureError(

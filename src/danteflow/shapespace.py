@@ -12,9 +12,20 @@ sphere every flow line collapses toward.  Flow lines obey the slope ODE
     dy/dx = y (x^2 + y^2 - 2) / (y^2 (2x - 1) + x (x - 2)),
 
 whose numerator vanishes on the circle x^2 + y^2 = 2 where every interior
-line attains its maximum height.  Lines are traced by integrating the full
-(u, v, w) system and projecting, which dodges the slope ODE's singular
-denominator; the slope formula is kept as a cross-validation oracle.
+line attains its maximum height.  Lines are traced in p = u/w = a/c and
+q = v/w = b/c (so x = p + q, y = q - p) with the time dsigma = dt w/(u v),
+in which the field is a polynomial; with L = ln(w/w0),
+
+    dp/dsigma = (8/R^2) p (1 - p)(1 - y),
+    dq/dsigma = (8/R^2) q (1 - q)(1 + y),
+    dL/dsigma = -(4/R^2)(1 - y^2),
+    dt/dsigma = w0 e^L p q.
+
+All three edges are invariant (p = q snakes, q = 1 turtles, p = 0 the
+degenerate line) and the vertices are fixed points reached only as
+sigma -> +-inf, so each branch stops within VERTEX_DELTA of a vertex.  Flow
+time comes back by quadrature of dt/dsigma; the slope formula, which
+equals (dq - dp)/(dq + dp), is kept as a cross-validation oracle.
 
 The Ricci-eigenvalue ratio chart uses
 
@@ -33,14 +44,12 @@ import numpy as np
 
 from .errors import (DegenerateShapeError, DomainError, IntegrationFailureError,
                      SingularMapError, SingularSlopeError)
-from .flow import FlowParams, Termination, _dormand_prince, _rhs_scalar, integrate
+from .flow import (FlowParams, Termination, Trajectory, _bracket_crossing,
+                   _dormand_prince, _quartic_at)
 from .geometry import DEFAULT_R_SQUARED, StretchFactors, metric_coeffs
 
-#: Backward tracing stops once the largest coefficient reaches this cap.
-GROWTH_CAP = 1e6
-
-#: Backward tracing also stops if the smallest coefficient falls this low.
-BACKWARD_FLOOR = 1e-12
+#: A flow-line branch stops once the line is this close to a vertex.
+VERTEX_DELTA = 1e-9
 
 #: Labels for the classification boundaries emitted by region_boundaries().
 SCALAR_ZERO = "scalar_zero"
@@ -64,21 +73,19 @@ class RicciRatios:
 class FlowLine:
     """A traced flow line: strictly increasing x, with the apex at max y.
 
-    ``times`` are flow times relative to the requested start (negative on
-    the backward-traced portion).  For interior starts the apex lies on
-    x^2 + y^2 = 2 within tracer tolerance; edge lines have no interior
-    maximum and report their highest sample instead.  ``backward_end`` says
-    how the backward branch stopped: "growth_cap" (the largest coefficient
-    reached the cap), "floor" (the smallest fell to BACKWARD_FLOOR),
-    "failed" (step-size underflow), "max_steps", or None when no backward
-    branch was traced.
+    Both ends lie within VERTEX_DELTA (1e-9) of a vertex of the triangle (the
+    forward end at (2, 0)).  ``times`` are flow times relative to the start,
+    the one sample at t = 0 (negative on the backward branch).  They never
+    decrease, but backward the shape degenerates at a finite time, so the
+    first few samples near the origin can share one value.  For interior
+    starts the apex lies on x^2 + y^2 = 2 within tracer tolerance; edge
+    lines have no interior maximum and report their highest sample instead.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     times: np.ndarray
     apex: ShapePoint
-    backward_end: str | None = None
 
     @property
     def points(self) -> list[ShapePoint]:
@@ -140,142 +147,112 @@ def to_rho_tau(p: ShapePoint) -> RicciRatios:
     return RicciRatios((p.x - 1.0) / one_minus, (p.x - 1.0) / one_plus)
 
 
-def _project_xy(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u, v, w = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
-    return (u + v) / w, (v - u) / w
+def _field(p: float, q: float, L: float, r_squared: float) -> tuple[float, float, float]:
+    """The flow-line field d(p, q, L)/dsigma of the module docstring."""
+    k = 8.0 / r_squared
+    y = q - p
+    return (k * p * (1.0 - p) * (1.0 - y),
+            k * q * (1.0 - q) * (1.0 + y),
+            -0.5 * k * (1.0 - y) * (1.0 + y))
 
 
-def _trace_backward(y0: tuple[float, float, float], params: FlowParams,
-                    growth_cap: float) -> tuple[np.ndarray, np.ndarray, str]:
-    """Reverse-time samples (times ascending toward 0, rows of (u,v,w)) and
-    how the branch ended (FlowLine.backward_end).
+def _vertex_margin(p: float, q: float, L: float) -> float:
+    x, y = p + q, q - p
+    return min(math.hypot(x - 2.0, y), math.hypot(x, y),
+               math.hypot(x - 1.0, y - 1.0)) - VERTEX_DELTA
 
-    Backward the metric expands: the largest coefficient blows up while the
-    two smaller ones shrink, so the stop margin watches both ends.
+
+#: Three-point Gauss-Legendre rule on [0, 1] for the time quadrature: the
+#: powers 1..4 of its nodes (for the step quartics) and its weights.  Its
+#: times agree with an 8-point rule to 2e-11 relative.
+_GL_POWERS = (0.5 + np.array([[-0.1], [0.0], [0.1]]) * math.sqrt(15.0)) ** np.arange(1, 5)
+_GL_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
+
+
+def _trace_branch(start: ShapePoint, w0: float, r_squared: float, params: FlowParams):
+    """One branch of a flow line, from start to within VERTEX_DELTA of a
+    vertex; a negative r_squared traces it backward.
+
+    Returns (states, quartic, times): rows (p, q, L) in the branch's own
+    order, their dense output (no rows for a start already within
+    VERTEX_DELTA), and the flow time of each row relative to the start.
+    Raises IntegrationFailureError when the branch stops short of a vertex.
     """
-    def margin(u: float, v: float, w: float) -> float:
-        return min(growth_cap - max(u, v, w), min(u, v, w) - BACKWARD_FLOOR)
+    y0 = ((start.x - start.y) / 2.0, (start.x + start.y) / 2.0, 0.0)
+    if _vertex_margin(*y0) <= 0.0:
+        return np.array([y0]), np.zeros((0, 4, 3)), np.zeros(1)
+    sigma, states, quartic, status, message = _dormand_prince(
+        y0, _field, r_squared, params.rel_tol, params.abs_tol, params.max_steps,
+        _vertex_margin)
+    # dt/dsigma = w0 e^L p q, integrated over each step's quartic.
+    at = states[:-1, None, :] + np.einsum("mj,njc->nmc", _GL_POWERS, quartic)
+    rate = np.exp(at[..., 2]) * at[..., 0] * at[..., 1]
+    times = np.concatenate([[0.0], np.cumsum(np.diff(sigma) * (rate @ _GL_WEIGHTS))])
+    times *= w0 if r_squared > 0.0 else -w0
+    if status != "event":
+        coeffs = w0 * np.exp(states[:, 2:]) * np.column_stack(
+            [states[:, :2], np.ones(len(states))])
+        if r_squared < 0.0:  # a Trajectory runs forward in time
+            times, coeffs = times[::-1], coeffs[::-1]
+        terminated = Termination.MAX_STEPS if status == "max_steps" else Termination.FAILED
+        raise IntegrationFailureError(
+            f"{'forward' if r_squared > 0.0 else 'backward'} branch from "
+            f"({start.x}, {start.y}) stopped short of a vertex after "
+            f"{len(sigma) - 1} steps: {message or status}",
+            trajectory=Trajectory(times, coeffs, terminated, None))
+    return states, quartic, times
 
-    # Negating R^2 negates the right-hand side: the flow in reverse time.
-    times, states, _quartic, status, _message = _dormand_prince(
-        y0, -params.r_squared, params.rel_tol, params.abs_tol, params.max_steps, margin)
-    if status == "event":
-        status = "growth_cap" if states[-1].max() >= growth_cap else "floor"
-    # Reverse-time s maps to flow time t = -s; drop the duplicated start.
-    return -times[1:][::-1], states[1:][::-1], status
 
-
-def _xy_rates(u: float, v: float, w: float, r_squared: float) -> tuple[float, float]:
-    """Exact time derivatives of the projected coordinates at a flow state."""
-    du, dv, dw = _rhs_scalar(u, v, w, r_squared)
-    xd = (du + dv) / w - (u + v) * dw / (w * w)
-    yd = (dv - du) / w - (v - u) * dw / (w * w)
-    return xd, yd
-
-
-def _hermite_value(f0, f1, d0, d1, h, s):
-    c2 = (3.0 * (f1 - f0) / h - 2.0 * d0 - d1) / h
-    c3 = (2.0 * (f0 - f1) / h + d0 + d1) / (h * h)
-    return f0 + s * (d0 + s * (c2 + s * c3))
-
-
-def _refine_apex(times: np.ndarray, coeffs: np.ndarray,
-                 xs: np.ndarray, ys: np.ndarray, i: int,
-                 r_squared: float) -> ShapePoint:
-    """Refine the max-y sample using cubic Hermite interpolation in time.
-
-    The flow equations give exact (dx/dt, dy/dt) at every sample, so the
-    bracketing interval around the sign change of dy/dt admits an O(h^4)
-    Hermite model; its interior critical point is the apex.
-    """
-    rates = {k: _xy_rates(*coeffs[k], r_squared) for k in (i - 1, i, i + 1)}
-    for k in (i - 1, i):
-        d0, d1 = rates[k][1], rates[k + 1][1]
-        if not (d0 >= 0.0 >= d1) or (d0 == 0.0 and d1 == 0.0):
-            continue
-        h = times[k + 1] - times[k]
-        y0, y1 = ys[k], ys[k + 1]
-        c2 = (3.0 * (y1 - y0) / h - 2.0 * d0 - d1) / h
-        c3 = (2.0 * (y0 - y1) / h + d0 + d1) / (h * h)
-        # Critical points of the cubic: d0 + 2 c2 s + 3 c3 s^2 = 0.
-        if c3 == 0.0:
-            if c2 == 0.0:
-                continue
-            candidates = [-d0 / (2.0 * c2)]
-        else:
-            disc = c2 * c2 - 3.0 * c3 * d0
-            if disc < 0.0:
-                continue
-            root = math.sqrt(disc)
-            candidates = [(-c2 + root) / (3.0 * c3), (-c2 - root) / (3.0 * c3)]
-        for s in candidates:
-            if 0.0 <= s <= h:
-                yv = _hermite_value(y0, y1, d0, d1, h, s)
-                xv = _hermite_value(xs[k], xs[k + 1],
-                                    rates[k][0], rates[k + 1][0], h, s)
-                return ShapePoint(float(xv), float(yv))
-    return ShapePoint(float(xs[i]), float(ys[i]))
+def _maxima(states: np.ndarray, quartic: np.ndarray) -> list[ShapePoint]:
+    """The points of a branch where dy/dsigma of its quartics falls through 0."""
+    c = quartic[:, :, 1] - quartic[:, :, 0]
+    points = []
+    for k in np.flatnonzero((c[:, 0] > 0.0) & (c @ np.arange(1.0, 5.0) <= 0.0)):
+        c1, c2, c3, c4 = c[k].tolist()
+        lo, hi = _bracket_crossing(
+            lambda s: c1 + s * (2.0 * c2 + s * (3.0 * c3 + s * 4.0 * c4)),
+            0.0, 0.0, 1.0, 4.0 * math.ulp(1.0))
+        p, q, _ = _quartic_at(states[k].tolist(), quartic[k].tolist(), 0.5 * (lo + hi))
+        points.append(ShapePoint(p + q, q - p))
+    return points
 
 
 def trace_flowline(start: ShapePoint, c0: float = 1.0,
                    params: FlowParams | None = None,
-                   include_backward: bool = True,
-                   growth_cap: float = GROWTH_CAP) -> FlowLine:
+                   include_backward: bool = True) -> FlowLine:
     """Trace the flow line through a triangle point.
 
-    The start is lifted to stretch factors with largest factor c0, the full
-    (u, v, w) flow is integrated forward to collapse (and backward toward
-    the origin until the largest coefficient reaches growth_cap, the
-    smallest falls to BACKWARD_FLOOR, the stepper fails or max_steps run
-    out; FlowLine.backward_end records which), and the samples are
-    projected back to (x, y).  Scale invariance makes the polyline
-    independent of c0.  Forward collapse drives every line into (2, 0);
-    a forward branch that stops short of collapse (params.max_steps) raises
-    IntegrationFailureError carrying the forward trajectory.
+    The flow-line field of the module docstring is stepped from
+    (p, q, L) = ((x - y)/2, (x + y)/2, 0) forward, and backward with R^2
+    negated, each until the line is within VERTEX_DELTA of a vertex: the
+    forward branch ends at the round corner (2, 0), the backward one at the
+    origin (or at (1, 1) along the turtle edge).  A branch that stops short
+    (params.max_steps, step-size underflow) raises IntegrationFailureError
+    carrying the branch as a Trajectory of (u, v, w) = w0 e^L (p, q, 1).
+    c0 lifts the start to a metric with largest coefficient w0 = w(0); it
+    scales the times by 1/c0^2 and leaves xs, ys and the apex unchanged.
+    The apex is located on the dense output, where dy/dsigma falls through
+    zero; a line without an interior maximum reports its highest sample.
     """
     if params is None:
         params = FlowParams()
-    f = from_xy(start, c0)
-    m0 = metric_coeffs(f)
-    forward = integrate(m0, params)
-    if forward.terminated is not Termination.COLLAPSED:
-        raise IntegrationFailureError(
-            f"forward branch from ({start.x}, {start.y}) ended without collapse "
-            f"after {len(forward) - 1} steps", trajectory=forward)
-
-    times = forward.times
-    coeffs = forward.coeffs
-    backward_end = None
+    w0 = metric_coeffs(from_xy(start, c0)).w
+    f_states, f_quartic, f_times = _trace_branch(start, w0, params.r_squared, params)
+    states, times = f_states, f_times
+    maxima = _maxima(f_states, f_quartic)
     if include_backward:
-        back_ts, back_ys, backward_end = _trace_backward(m0.as_tuple(), params, growth_cap)
-        if len(back_ts):
-            times = np.concatenate([back_ts, times])
-            coeffs = np.vstack([back_ys, coeffs])
-
-    # Projected coordinates carry noise ~ abs_tol/min(u,v,w); trim the
-    # forward tail below sqrt(abs_tol) so that noise stays ~sqrt(abs_tol)
-    # while the true distance to the terminal corner (2, 0) is long gone.
-    floor = math.sqrt(params.abs_tol)
-    end = len(times)
-    while end > 1 and times[end - 1] > 0.0 and coeffs[end - 1].min() < floor:
-        end -= 1
-    times, coeffs = times[:end], coeffs[:end]
-
-    xs, ys = _project_xy(coeffs)
-
-    # Keep x strictly increasing; collapse-end samples can saturate in x.
-    keep = [0]
-    for i in range(1, len(xs)):
-        if xs[i] > xs[keep[-1]]:
-            keep.append(i)
-    xs, ys, times, coeffs = xs[keep], ys[keep], times[keep], coeffs[keep]
-
-    i_max = int(np.argmax(ys))
-    if 0 < i_max < len(xs) - 1:
-        apex = _refine_apex(times, coeffs, xs, ys, i_max, params.r_squared)
+        b_states, b_quartic, b_times = _trace_branch(start, w0, -params.r_squared, params)
+        states = np.vstack([b_states[:0:-1], f_states])
+        times = np.concatenate([b_times[:0:-1], f_times])
+        maxima += _maxima(b_states, b_quartic)
+    xs = states[:, 0] + states[:, 1]
+    ys = states[:, 1] - states[:, 0]
+    if maxima:
+        apex = max(maxima, key=lambda point: point.y)
     else:
-        apex = ShapePoint(float(xs[i_max]), float(ys[i_max]))
-    return FlowLine(xs=xs, ys=ys, times=times, apex=apex, backward_end=backward_end)
+        i = int(np.argmax(ys))
+        apex = ShapePoint(float(xs[i]), float(ys[i]))
+    return FlowLine(xs=xs, ys=ys, times=times, apex=apex)
 
 
 def region_boundaries(resolution: int = 64) -> dict[str, np.ndarray]:

@@ -169,6 +169,17 @@ def test_flowlines_starts_file(run_cli, tmp_path):
     assert json.loads(out)["num_lines"] == 2
 
 
+def test_flowlines_c0_leaves_the_lines_unchanged(run_cli, tmp_path):
+    columns = {}
+    for c0 in ("1", "1000", "0.001"):
+        path = tmp_path / f"lines_{c0}.csv"
+        code, _, _ = run_cli("flowlines", "--grid", "2x2", "--c0", c0, "--output", str(path))
+        assert code == 0
+        _, rows = parse_csv(path.read_text(encoding="utf-8"))
+        columns[c0] = [row[:3] for row in rows]
+    assert columns["1000"] == columns["1"] == columns["0.001"]
+
+
 def test_flowlines_requires_exactly_one_source(run_cli, tmp_path):
     code, _, err = run_cli("flowlines")
     assert code == 2

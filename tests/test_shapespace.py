@@ -9,13 +9,20 @@ from conftest import random_interior_point, random_ordered_stretch
 from danteflow.errors import (DegenerateShapeError, DomainError,
                               IntegrationFailureError, SingularMapError,
                               SingularSlopeError)
-from danteflow.flow import FlowParams, Termination, Trajectory, rhs
-from danteflow.geometry import (MetricCoeffs, StretchFactors,
+from danteflow.flow import FlowParams, Termination, Trajectory, integrate, rhs
+from danteflow.geometry import (MetricCoeffs, StretchFactors, metric_coeffs,
                                 principal_curvatures, ricci_eigenvalues)
 from danteflow.shapespace import (KAPPA_MIN_ZERO, RICCI_DEGENERATE,
-                                  SCALAR_ZERO, ShapePoint, from_xy,
-                                  region_boundaries, slope, to_rho_tau, to_xy,
-                                  trace_flowline)
+                                  SCALAR_ZERO, VERTEX_DELTA, ShapePoint, _field,
+                                  from_xy, region_boundaries, slope, to_rho_tau,
+                                  to_xy, trace_flowline)
+
+#: Interior starts: x in [0.02, 1.98], y a fraction in [0.02, 0.98] of the
+#: triangle's height min(x, 2 - x) there.
+interior_starts = st.builds(
+    lambda x, s: ShapePoint(x, s * min(x, 2.0 - x)),
+    st.floats(min_value=0.02, max_value=1.98),
+    st.floats(min_value=0.02, max_value=0.98))
 
 
 def projected_rates(p: ShapePoint, r_squared: float = 4.0):
@@ -96,6 +103,9 @@ def test_slope_matches_projected_flow():
         xd, yd = projected_rates(p)
         ratio = yd / xd
         assert abs(s - ratio) <= 1e-9 * max(abs(s), abs(ratio), 1e-12)
+        # The tracer's polynomial field: dy/dx = (dq - dp)/(dq + dp).
+        dp, dq, _ = _field((p.x - p.y) / 2.0, (p.x + p.y) / 2.0, 0.0, 4.0)
+        assert abs(s - (dq - dp) / (dq + dp)) <= 1e-10 * max(abs(s), 1e-12)
         checked += 1
     assert checked > 990
 
@@ -160,17 +170,58 @@ def test_flowline_start_past_circle_needs_backward_branch():
 
 
 def test_flowline_scale_independence():
-    # The two traces sample the same curve; resample one at the other's
-    # abscissas with a cubic spline (linear interpolation error would mask
-    # the comparison) and stay clear of the x = 2 saturation.
-    from scipy.interpolate import CubicSpline
     a = trace_flowline(ShapePoint(0.7, 0.2), c0=1.0)
     b = trace_flowline(ShapePoint(0.7, 0.2), c0=3.0)
-    resample = CubicSpline(a.xs, a.ys)
-    lo, hi = max(a.xs[0], b.xs[0]), 2.0 - 1e-4
-    mask = (b.xs >= lo) & (b.xs <= hi)
-    assert np.count_nonzero(mask) > 100
-    assert np.max(np.abs(resample(b.xs[mask]) - b.ys[mask])) < 1e-6
+    assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
+    assert a.apex == b.apex
+
+
+@settings(max_examples=25, deadline=None)
+@given(interior_starts, st.floats(min_value=1e-3, max_value=1e3))
+def test_flowline_scale_invariance_property(start, c0):
+    # c0 enters only through w0 = w(0), which scales time as 1/c0^2.
+    base = trace_flowline(start)
+    line = trace_flowline(start, c0=c0)
+    assert np.array_equal(line.xs, base.xs) and np.array_equal(line.ys, base.ys)
+    assert line.apex == base.apex
+    assert np.allclose(line.times, base.times / c0 ** 2, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(interior_starts)
+def test_flowline_properties(start):
+    line = trace_flowline(start)
+    vertices = ((2.0, 0.0), (0.0, 0.0), (1.0, 1.0))
+    assert math.hypot(line.xs[-1] - 2.0, line.ys[-1]) <= VERTEX_DELTA
+    assert min(math.hypot(line.xs[0] - vx, line.ys[0] - vy)
+               for vx, vy in vertices) <= VERTEX_DELTA
+    assert np.all(np.diff(line.xs) > 0.0)
+    assert np.all(np.diff(line.times) >= 0.0)
+    at_zero = np.flatnonzero(line.times == 0.0)
+    assert len(at_zero) == 1
+    i = int(at_zero[0])
+    assert abs(line.xs[i] - start.x) <= 1e-15 and abs(line.ys[i] - start.y) <= 1e-15
+    assert abs(line.apex.x ** 2 + line.apex.y ** 2 - 2.0) <= 1e-7
+
+
+def test_flowline_times_match_integrate():
+    # The quadrature times put the (u, v, w) integration on the traced line.
+    for start in (ShapePoint(0.5, 0.25), ShapePoint(1.7, 0.2), ShapePoint(0.8, 0.0),
+                  ShapePoint(1.5, 0.5), ShapePoint(0.3, 0.1)):
+        line = trace_flowline(start)
+        forward = line.times >= 0.0
+        coeffs = integrate(metric_coeffs(from_xy(start))).sample_at(line.times[forward])
+        u, v, w = coeffs.T
+        assert np.max(np.abs((u + v) / w - line.xs[forward])) <= 1e-7
+        assert np.max(np.abs((v - u) / w - line.ys[forward])) <= 1e-7
+
+
+def test_flowline_from_round_corner_is_one_point():
+    # A start within VERTEX_DELTA of a vertex takes no step on either branch.
+    line = trace_flowline(ShapePoint(2.0, 0.0))
+    assert line.xs.tolist() == [2.0] and line.ys.tolist() == [0.0]
+    assert line.times.tolist() == [0.0]
+    assert line.apex == ShapePoint(2.0, 0.0)
 
 
 def test_flowline_truncated_forward_branch_raises():
@@ -195,13 +246,21 @@ def test_flowline_turtle_edge_backward_heads_to_corner():
     assert line.ys[0] == pytest.approx(2.0 - line.xs[0], abs=1e-9)
 
 
-def test_flowline_backward_end():
-    # Below the circle near the origin the backward branch runs the largest
-    # coefficient up to the cap; from (0.5, 0.25) the stepper gives out first.
-    assert trace_flowline(ShapePoint(0.3, 0.1)).backward_end == "growth_cap"
-    assert trace_flowline(ShapePoint(0.5, 0.25)).backward_end == "failed"
-    forward_only = trace_flowline(ShapePoint(0.3, 0.1), include_backward=False)
-    assert forward_only.backward_end is None
+def test_flowline_truncated_backward_branch_raises():
+    # Along the turtle edge the forward branch reaches (2, 0) in about 100
+    # steps, the backward one needs about 570 to reach (1, 1).
+    start = ShapePoint(1.5, 0.5)
+    assert len(trace_flowline(start, include_backward=False)) < 300
+    with pytest.raises(IntegrationFailureError) as excinfo:
+        trace_flowline(start, params=FlowParams(max_steps=300))
+    backward = excinfo.value.trajectory
+    assert isinstance(backward, Trajectory)
+    assert backward.terminated is Termination.MAX_STEPS
+    assert len(backward) == 301
+    # Forward in time, ending at the start.
+    assert np.all(np.diff(backward.times) > 0.0) and backward.times[-1] == 0.0
+    m0 = metric_coeffs(from_xy(start))
+    assert np.allclose(backward.coeffs[-1], m0.as_tuple(), rtol=1e-15, atol=0.0)
 
 
 def normalized_kappa_min(x: float, y: float) -> float:
