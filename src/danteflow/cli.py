@@ -27,7 +27,7 @@ import click
 import numpy as np
 
 from .errors import DomainError, IntegrationFailureError, SingularMapError
-from .flow import (FlowParams, SnakeSolution, TurtleSolution, integrate,
+from .flow import (MAX_REL_TOL, FlowParams, SnakeSolution, TurtleSolution, integrate,
                    snake_profile, snake_time_of_lambda, turtle_profile,
                    turtle_time_of_mu)
 from .geometry import (DEFAULT_EQ_TOL, DEFAULT_R_SQUARED, MetricCoeffs,
@@ -193,7 +193,8 @@ def _flow_params(r2, rel_tol, abs_tol, collapse_eps, max_steps) -> FlowParams:
 @_r2_option
 @click.option("--grid", type=click.IntRange(min=0), default=200, show_default=True,
               help="Uniform time samples merged with the adaptive steps (0 disables).")
-@click.option("--rel-tol", type=float, default=1e-10, show_default=True)
+@click.option("--rel-tol", type=float, default=1e-10, show_default=True,
+              help=f"Relative tolerance, at most {MAX_REL_TOL}.")
 @click.option("--abs-tol", type=float, default=1e-12, show_default=True)
 @click.option("--collapse-eps", type=float, default=1e-9, show_default=True)
 @click.option("--max-steps", type=click.IntRange(min=1), default=10_000, show_default=True)
@@ -231,88 +232,72 @@ def simulate(a, b, c, r2, grid, rel_tol, abs_tol, collapse_eps, max_steps, outpu
     _emit_with_summary(_csv_text(SIMULATE_HEADER, rows), output, summary)
 
 
+def _closed_form_options(param: str):
+    """The options that snake and turtle share, after their own two."""
+    def decorate(f):
+        f = _output_option(f)
+        f = _r2_option(f)
+        f = click.option("--check", is_flag=True,
+                         help="Also integrate numerically and report the max time deviation.")(f)
+        return click.option("--grid", type=click.IntRange(min=2), default=200,
+                            show_default=True,
+                            help=f"Number of {param} intervals in the table.")(f)
+    return decorate
+
+
+def _closed_form(sol, r2v, grid, check, output, header, time_of, profile, column,
+                 initial) -> None:
+    """Emit the closed-form table of a snake or turtle, its parameter running
+    from 1 down to 0 at collapse, and the summary.  With check, also
+    integrate the flow and report the largest gap between a step's time and
+    the closed-form time at that step's coefficient `column`, taken relative
+    to its start."""
+    scale = r2v / 4.0  # closed-form times use the R^2 = 4 normalization
+
+    rows = []
+    for s in np.linspace(1.0, 0.0, grid + 1):
+        s = float(s)
+        t = scale * time_of(sol, s)
+        a, b = profile(sol, s) if s > 0.0 else (0.0, 0.0)
+        rows.append([s, t, a, b])
+
+    summary = {"collapse_time": scale * sol.collapse_T, **initial, "r_squared": r2v}
+    if check:
+        start = sol.initial_coeffs.as_tuple()[column]
+        traj = integrate(sol.initial_coeffs, FlowParams(r_squared=r2v))
+        deviation = 0.0
+        for t, coeff in zip(traj.times, traj.coeffs):
+            s = min(float(coeff[column]) / start, 1.0)
+            deviation = max(deviation, abs(scale * time_of(sol, s) - float(t)))
+        summary["numeric_collapse_time"] = traj.collapse_time
+        summary["max_time_deviation"] = deviation
+    _emit_with_summary(_csv_text(header, rows), output, summary)
+
+
 @cli.command()
 @click.option("--W", "big_w", required=True, type=float, help="Initial w coefficient.")
 @click.option("--alpha", required=True, type=float, help="Non-sphericity, alpha^2 = W/V - 1.")
-@click.option("--grid", type=click.IntRange(min=2), default=200, show_default=True,
-              help="Number of lambda intervals in the table.")
-@click.option("--check", is_flag=True,
-              help="Also integrate numerically and report the max time deviation.")
-@_r2_option
-@_output_option
+@_closed_form_options("lambda")
 def snake(big_w, alpha, grid, check, r2, output):
     """Closed-form snake flow (a = b): table of lambda, t, w, v plus the
     collapse time."""
     r2v = _resolve_r2(r2)
     sol = SnakeSolution(W=big_w, alpha=alpha)
-    scale = r2v / 4.0  # closed-form times use the R^2 = 4 normalization
-
-    rows = []
-    for lam in np.linspace(1.0, 0.0, grid + 1):
-        lam = float(lam)
-        t = scale * snake_time_of_lambda(sol, lam)
-        w, v = snake_profile(sol, lam) if lam > 0.0 else (0.0, 0.0)
-        rows.append([lam, t, w, v])
-
-    summary = {
-        "collapse_time": scale * sol.collapse_T,
-        "w_initial": sol.W,
-        "v_initial": sol.V,
-        "alpha": sol.alpha,
-        "r_squared": r2v,
-    }
-    if check:
-        traj = integrate(sol.initial_coeffs, FlowParams(r_squared=r2v))
-        deviation = 0.0
-        for t, coeff in zip(traj.times, traj.coeffs):
-            lam = min(float(coeff[2]) / sol.W, 1.0)
-            deviation = max(deviation,
-                            abs(scale * snake_time_of_lambda(sol, lam) - float(t)))
-        summary["numeric_collapse_time"] = traj.collapse_time
-        summary["max_time_deviation"] = deviation
-    _emit_with_summary(_csv_text("lambda,t,w,v", rows), output, summary)
+    _closed_form(sol, r2v, grid, check, output, "lambda,t,w,v", snake_time_of_lambda,
+                 snake_profile, 2, {"w_initial": sol.W, "v_initial": sol.V, "alpha": sol.alpha})
 
 
 @cli.command()
 @click.option("--U", "big_u", required=True, type=float, help="Initial u coefficient.")
 @click.option("--beta", required=True, type=float, help="Non-sphericity, beta^2 = 1 - U/V.")
-@click.option("--grid", type=click.IntRange(min=2), default=200, show_default=True,
-              help="Number of mu intervals in the table.")
-@click.option("--check", is_flag=True,
-              help="Also integrate numerically and report the max time deviation.")
-@_r2_option
-@_output_option
+@_closed_form_options("mu")
 def turtle(big_u, beta, grid, check, r2, output):
     """Closed-form turtle flow (b = c): table of mu, t, u, v plus the
     collapse time."""
     r2v = _resolve_r2(r2)
     sol = TurtleSolution(U=big_u, beta=beta)
-    scale = r2v / 4.0
-
-    rows = []
-    for mu in np.linspace(1.0, 0.0, grid + 1):
-        mu = float(mu)
-        t = scale * turtle_time_of_mu(sol, mu)
-        u, v = turtle_profile(sol, mu) if mu > 0.0 else (0.0, 0.0)
-        rows.append([mu, t, u, v])
-
-    summary = {
-        "collapse_time": scale * sol.collapse_T,
-        "u_initial": sol.U,
-        "v_initial": sol.V,
-        "beta": sol.beta,
-        "r_squared": r2v,
-    }
-    if check:
-        traj = integrate(sol.initial_coeffs, FlowParams(r_squared=r2v))
-        deviation = 0.0
-        for t, coeff in zip(traj.times, traj.coeffs):
-            mu = min(float(coeff[0]) / sol.U, 1.0)
-            deviation = max(deviation,
-                            abs(scale * turtle_time_of_mu(sol, mu) - float(t)))
-        summary["numeric_collapse_time"] = traj.collapse_time
-        summary["max_time_deviation"] = deviation
-    _emit_with_summary(_csv_text("mu,t,u,v", rows), output, summary)
+    _closed_form(sol, r2v, grid, check, output, "mu,t,u,v", turtle_time_of_mu,
+                 turtle_profile, 0, {"u_initial": sol.U, "v_initial": sol.V, "beta": sol.beta})
 
 
 def _parse_starts_file(path: str) -> list[ShapePoint]:

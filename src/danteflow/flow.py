@@ -65,9 +65,23 @@ SERIES_SWITCH = 1e-6
 BETA_CAP = 1.0 - 1e-12
 
 
+#: Largest accepted rel_tol.  Looser settings let the step controller take
+#: steps that no longer approximate the flow: at rel_tol = 1 the dragon
+#: (0.3, 0.6, 1.2) "collapses" at t = 0.125 after one step instead of
+#: 0.6387, and at 0.1 the thin dragon (0.01, 0.5, 1) is 98% off.  At 1e-3
+#: both collapse times are within 2e-3 of the converged ones, the very thin
+#: (0.001, 0.002, 1) within 2e-2.
+MAX_REL_TOL = 1e-3
+
+
 @dataclass(frozen=True)
 class FlowParams:
-    """Integration controls.  collapse_eps must stay below min(u0, v0, w0)."""
+    """Integration controls.  collapse_eps must stay below min(u0, v0, w0).
+
+    rel_tol must lie in (0, MAX_REL_TOL].  abs_tol only has to be positive:
+    it is an absolute floor in the units of the state, so its sensible size
+    scales with the metric.
+    """
 
     r_squared: float = DEFAULT_R_SQUARED
     rel_tol: float = 1e-10
@@ -78,6 +92,9 @@ class FlowParams:
     def __post_init__(self) -> None:
         _require_positive("r_squared", self.r_squared)
         _require_positive("rel_tol", self.rel_tol)
+        if self.rel_tol > MAX_REL_TOL:
+            raise DomainError(
+                f"rel_tol must be at most {MAX_REL_TOL}, got {self.rel_tol!r}")
         _require_positive("abs_tol", self.abs_tol)
         _require_positive("collapse_eps", self.collapse_eps)
         if self.max_steps < 1:
@@ -210,20 +227,32 @@ def _rms3(a: float, b: float, c: float) -> float:
     return math.sqrt((a * a + b * b + c * c) / 3.0)
 
 
+def _scaled_rms(values, scales) -> float:
+    # The stepper's norm of values/scales.  A component at infinity (infinite
+    # scale) counts as zero, as it does in the stepper, and squares that
+    # overflow are avoided through hypot.
+    a, b, c = (0.0 if math.isinf(s) else v / s for v, s in zip(values, scales))
+    norm = _rms3(a, b, c)
+    return norm if norm < math.inf else math.hypot(a, b, c) / math.sqrt(3.0)
+
+
 def _initial_step(y, f, rhs, r_squared, rel_tol, abs_tol) -> float:
     # Hairer, Norsett and Wanner, Solving ODEs I, II.4, for an error
     # estimator of order 4 on an unbounded interval.
-    su, sv, sw = (abs_tol + abs(yi) * rel_tol for yi in y)
-    d0 = _rms3(y[0] / su, y[1] / sv, y[2] / sw)
-    d1 = _rms3(f[0] / su, f[1] / sv, f[2] / sw)
+    scales = [abs_tol + abs(yi) * rel_tol for yi in y]
+    d0 = _scaled_rms(y, scales)
+    d1 = _scaled_rms(f, scales)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if not 0.0 < h0 < math.inf:  # d1 overflowed even through hypot
+        h0 = 1e-6
     f1 = rhs(y[0] + h0 * f[0], y[1] + h0 * f[1], y[2] + h0 * f[2], r_squared)
-    d2 = _rms3((f1[0] - f[0]) / su, (f1[1] - f[1]) / sv, (f1[2] - f[2]) / sw) / h0
+    d2 = _scaled_rms([a - b for a, b in zip(f1, f)], scales) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1)
+    h = min(100.0 * h0, h1)
+    return h if h > 0.0 else h0  # h1 is 0 when a norm overflowed
 
 
 def _quartic_at(y_old, c, x: float) -> tuple[float, float, float]:

@@ -12,20 +12,26 @@ sphere every flow line collapses toward.  Flow lines obey the slope ODE
     dy/dx = y (x^2 + y^2 - 2) / (y^2 (2x - 1) + x (x - 2)),
 
 whose numerator vanishes on the circle x^2 + y^2 = 2 where every interior
-line attains its maximum height.  Lines are traced in p = u/w = a/c and
-q = v/w = b/c (so x = p + q, y = q - p) with the time dsigma = dt w/(u v),
-in which the field is a polynomial; with L = ln(w/w0),
+line attains its maximum height.  With p = u/w = a/c and q = v/w = b/c (so
+x = p + q, y = q - p), L = ln(w/w0) and the time dsigma = dt w/(u v), the
+field is the polynomial dp/dsigma = k p (1 - p)(1 - y), dq/dsigma =
+k q (1 - q)(1 + y), k = 8/R^2.  Lines are traced in its logits
+P = ln(p/(1 - p)) and Q = ln(q/(1 - q)), through dp = p (1 - p) dP:
 
-    dp/dsigma = (8/R^2) p (1 - p)(1 - y),
-    dq/dsigma = (8/R^2) q (1 - q)(1 + y),
-    dL/dsigma = -(4/R^2)(1 - y^2),
-    dt/dsigma = w0 e^L p q.
+    dP/dsigma = k (1 - y),   dQ/dsigma = k (1 + y),
+    dL/dsigma = -(k/2)(1 - y^2),   dt/dsigma = w0 e^L l(P) l(Q),
 
-All three edges are invariant (p = q snakes, q = 1 turtles, p = 0 the
-degenerate line) and the vertices are fixed points reached only as
-sigma -> +-inf, so each branch stops within VERTEX_DELTA of a vertex.  Flow
-time comes back by quadrature of dt/dsigma; the slope formula, which
-equals (dq - dp)/(dq + dp), is kept as a cross-validation oracle.
+with l the logistic function and y = l(Q) - l(P) = (tanh(Q/2) - tanh(P/2))/2.
+The vertices, fixed points of the polynomial field, lie at infinity, where
+this field stays bounded instead of stiffening, and 1 - p and 1 - q keep
+their relative accuracy.  dP + dQ = 2k dsigma makes P + Q an exact clock.
+The edges stay invariant: P = Q on the snakes, Q = +inf (stepped as it is)
+on the turtles, P = -inf on the degenerate line.  Each branch stops within
+VERTEX_DELTA of a vertex; flow time comes back by quadrature of dt/dsigma
+over the dense output.  The apex is where dy/dsigma falls through zero on
+the dense output of a re-step, at tighter tolerances, of the one step that
+brackets it, stopped by the clock at that step's end.  The slope formula,
+which equals (dq - dp)/(dq + dp), is kept as a cross-validation oracle.
 
 The Ricci-eigenvalue ratio chart uses
 
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,12 +81,15 @@ class FlowLine:
     """A traced flow line: strictly increasing x, with the apex at max y.
 
     Both ends lie within VERTEX_DELTA (1e-9) of a vertex of the triangle (the
-    forward end at (2, 0)).  ``times`` are flow times relative to the start,
-    the one sample at t = 0 (negative on the backward branch).  They never
-    decrease, but backward the shape degenerates at a finite time, so the
-    first few samples near the origin can share one value.  For interior
-    starts the apex lies on x^2 + y^2 = 2 within tracer tolerance; edge
-    lines have no interior maximum and report their highest sample instead.
+    forward end at (2, 0)), as the reported (x, y) round.  ``times`` are flow
+    times relative to the start, the one sample at t = 0 (negative on the
+    backward branch), which is the start exactly.  They never decrease, but
+    backward the shape degenerates at a finite time, so the first few
+    samples near the origin can share one value; backward along the turtle
+    edge the approach to (1, 1) takes unbounded time instead.  For interior
+    starts the apex lies on x^2 + y^2 = 2 within tracer tolerance (2e-8 at
+    the default tolerances); edge lines have no interior maximum and report
+    their highest sample instead.
     """
 
     xs: np.ndarray
@@ -126,9 +136,10 @@ def from_xy(p: ShapePoint, c: float = 1.0,
 def slope(p: ShapePoint) -> float:
     """Flow-line slope dy/dx at a triangle point.
 
-    Raises SingularSlopeError when the denominator is below 1e-14 in
-    magnitude (corner C and the fixed point B); callers fall back to full
-    ODE tracing there.
+    The tracer never calls it: it is the cross-validation oracle for the
+    traced field, which gives the same slope as (dq - dp)/(dq + dp).  Raises
+    SingularSlopeError when the denominator is below 1e-14 in magnitude
+    (corner C and the fixed point B).
     """
     numerator = p.y * (p.x * p.x + p.y * p.y - 2.0)
     denominator = p.y * p.y * (2.0 * p.x - 1.0) + p.x * (p.x - 2.0)
@@ -147,51 +158,123 @@ def to_rho_tau(p: ShapePoint) -> RicciRatios:
     return RicciRatios((p.x - 1.0) / one_minus, (p.x - 1.0) / one_plus)
 
 
-def _field(p: float, q: float, L: float, r_squared: float) -> tuple[float, float, float]:
-    """The flow-line field d(p, q, L)/dsigma of the module docstring."""
+def _field(P: float, Q: float, L: float, r_squared: float) -> tuple[float, float, float]:
+    """The flow-line field d(P, Q, L)/dsigma of the module docstring."""
     k = 8.0 / r_squared
-    y = q - p
-    return (k * p * (1.0 - p) * (1.0 - y),
-            k * q * (1.0 - q) * (1.0 + y),
-            -0.5 * k * (1.0 - y) * (1.0 + y))
+    y = 0.5 * (math.tanh(0.5 * Q) - math.tanh(0.5 * P))
+    return k * (1.0 - y), k * (1.0 + y), -0.5 * k * (1.0 - y) * (1.0 + y)
 
 
-def _vertex_margin(p: float, q: float, L: float) -> float:
-    x, y = p + q, q - p
+def _logistic_pair(z: float) -> tuple[float, float]:
+    """(l(z), l(-z)) = (p, 1 - p) for z = logit(p), each to full relative
+    accuracy and without overflow; z = +inf gives (1, 0)."""
+    e = math.exp(-abs(z))
+    near_one, near_zero = 1.0 / (1.0 + e), e / (1.0 + e)
+    return (near_one, near_zero) if z >= 0.0 else (near_zero, near_one)
+
+
+def _xy(P: float, Q: float) -> tuple[float, float]:
+    """Triangle coordinates (p + q, q - p) of a logit state.  y is taken
+    from 1 - p and 1 - q once q >= 1/2, which keeps it accurate near (2, 0)."""
+    p, p1 = _logistic_pair(P)
+    q, q1 = _logistic_pair(Q)
+    return p + q, (q - p if q < 0.5 else p1 - q1)
+
+
+def _vertex_margin(P: float, Q: float, L: float) -> float:
+    # Measured on the (x, y) that the line reports, rounding included.
+    x, y = _xy(P, Q)
     return min(math.hypot(x - 2.0, y), math.hypot(x, y),
                math.hypot(x - 1.0, y - 1.0)) - VERTEX_DELTA
 
 
-#: Three-point Gauss-Legendre rule on [0, 1] for the time quadrature: the
-#: powers 1..4 of its nodes (for the step quartics) and its weights.  Its
-#: times agree with an 8-point rule to 2e-11 relative.
-_GL_POWERS = (0.5 + np.array([[-0.1], [0.0], [0.1]]) * math.sqrt(15.0)) ** np.arange(1, 5)
+def _logit(p: float) -> float:
+    return math.inf if p == 1.0 else math.log(p / (1.0 - p))
+
+
+def _logistic(z: np.ndarray) -> np.ndarray:
+    return np.exp(-np.logaddexp(0.0, -z))
+
+
+def _log_rate(states: np.ndarray) -> np.ndarray:
+    """ln((dt/dsigma)/w0) = L + ln l(P) + ln l(Q) of rows (P, Q, L)."""
+    return (states[..., 2] - np.logaddexp(0.0, -states[..., 0])
+            - np.logaddexp(0.0, -states[..., 1]))
+
+
+#: Three-point Gauss-Legendre rule on [0, 1]: nodes and weights.
+_GL_NODES = 0.5 + np.array([-0.1, 0.0, 0.1]) * math.sqrt(15.0)
 _GL_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
+#: Powers of the step fraction in a dense-output quartic, which are also
+#: the weights that give its derivative at the step's end.
+_POWERS = np.arange(1.0, 5.0)
+
+#: The time quadrature splits a step into panels over which ln(dt/dsigma)
+#: changes by at most about this much.
+PANEL_LOG_RATE = 0.25
 
 
-def _trace_branch(start: ShapePoint, w0: float, r_squared: float, params: FlowParams):
+def _step_times(sigma: np.ndarray, states: np.ndarray, quartic: np.ndarray) -> np.ndarray:
+    """The integral of e^g, g = _log_rate, over each step's dense output.
+
+    Where the field is nearly constant (along the snake edge, say) steps
+    span up to 10 in sigma, and e^g rises and falls by e^9 within one.  So
+    each step is split into m equal panels with the three-point rule on
+    each, m = ceil(h max|g'| / PANEL_LOG_RATE) over the step's two ends;
+    with d ln l(z)/dz = l(-z), h g' = h (dL + l(-P) dP + l(-Q) dQ) there.
+    Against 3000 five-point panels per step the times agree to 8e-10
+    relative, at about two panels per step.
+    """
+    n = len(quartic)
+    tail = _logistic(-states[:, :2])
+    start_rate, end_rate = quartic[:, 0, :], _POWERS @ quartic
+    change = np.maximum(
+        np.abs(start_rate[:, 2] + (tail[:-1] * start_rate[:, :2]).sum(axis=1)),
+        np.abs(end_rate[:, 2] + (tail[1:] * end_rate[:, :2]).sum(axis=1)))
+    m = np.ceil(change / PANEL_LOG_RATE).clip(1).astype(int)
+    step = np.repeat(np.arange(n), m)
+    panel = np.arange(len(step)) - np.repeat(np.cumsum(m) - m, m)
+    frac = (panel[:, None] + _GL_NODES) / m[step, None]
+    at = states[step, None, :] + (frac[..., None] ** _POWERS) @ quartic[step]
+    per_panel = (np.exp(_log_rate(at)) @ _GL_WEIGHTS) / m[step]
+    return np.diff(sigma) * np.bincount(step, per_panel, minlength=n)
+
+
+#: The apex re-step runs at the branch's tolerances times this.
+APEX_TOL_FACTOR = 1e-3
+
+
+class _Branch(NamedTuple):
+    """One traced branch: sigma (n+1,), rows (P, Q, L) (n+1, 3), their
+    dense output (n, 4, 3) and the flow time of each row from the start."""
+
+    sigma: np.ndarray
+    states: np.ndarray
+    quartic: np.ndarray
+    times: np.ndarray
+
+
+def _trace_branch(start: ShapePoint, w0: float, r_squared: float,
+                  params: FlowParams) -> _Branch:
     """One branch of a flow line, from start to within VERTEX_DELTA of a
     vertex; a negative r_squared traces it backward.
 
-    Returns (states, quartic, times): rows (p, q, L) in the branch's own
-    order, their dense output (no rows for a start already within
-    VERTEX_DELTA), and the flow time of each row relative to the start.
-    Raises IntegrationFailureError when the branch stops short of a vertex.
+    The rows run in the branch's own order; a start already within
+    VERTEX_DELTA gives one row and no steps.  Raises IntegrationFailureError
+    when the branch stops short of a vertex.
     """
-    y0 = ((start.x - start.y) / 2.0, (start.x + start.y) / 2.0, 0.0)
+    y0 = (_logit((start.x - start.y) / 2.0), _logit((start.x + start.y) / 2.0), 0.0)
     if _vertex_margin(*y0) <= 0.0:
-        return np.array([y0]), np.zeros((0, 4, 3)), np.zeros(1)
+        return _Branch(np.zeros(1), np.array([y0]), np.zeros((0, 4, 3)), np.zeros(1))
     sigma, states, quartic, status, message = _dormand_prince(
         y0, _field, r_squared, params.rel_tol, params.abs_tol, params.max_steps,
         _vertex_margin)
-    # dt/dsigma = w0 e^L p q, integrated over each step's quartic.
-    at = states[:-1, None, :] + np.einsum("mj,njc->nmc", _GL_POWERS, quartic)
-    rate = np.exp(at[..., 2]) * at[..., 0] * at[..., 1]
-    times = np.concatenate([[0.0], np.cumsum(np.diff(sigma) * (rate @ _GL_WEIGHTS))])
+    # dt/dsigma = w0 e^L l(P) l(Q).
+    times = np.concatenate([[0.0], np.cumsum(_step_times(sigma, states, quartic))])
     times *= w0 if r_squared > 0.0 else -w0
     if status != "event":
         coeffs = w0 * np.exp(states[:, 2:]) * np.column_stack(
-            [states[:, :2], np.ones(len(states))])
+            [_logistic(states[:, 0]), _logistic(states[:, 1]), np.ones(len(states))])
         if r_squared < 0.0:  # a Trajectory runs forward in time
             times, coeffs = times[::-1], coeffs[::-1]
         terminated = Termination.MAX_STEPS if status == "max_steps" else Termination.FAILED
@@ -200,20 +283,55 @@ def _trace_branch(start: ShapePoint, w0: float, r_squared: float, params: FlowPa
             f"({start.x}, {start.y}) stopped short of a vertex after "
             f"{len(sigma) - 1} steps: {message or status}",
             trajectory=Trajectory(times, coeffs, terminated, None))
-    return states, quartic, times
+    return _Branch(sigma, states, quartic, times)
 
 
-def _maxima(states: np.ndarray, quartic: np.ndarray) -> list[ShapePoint]:
-    """The points of a branch where dy/dsigma of its quartics falls through 0."""
-    c = quartic[:, :, 1] - quartic[:, :, 0]
+def _y_rate(y_old, c):
+    """d/ds of y = l(Q) - l(P) on one step's quartic, as a function of the
+    step fraction s; l'(z) = l(z) l(-z) = e^-|z| / (1 + e^-|z|)^2."""
+    P0, Q0, _ = y_old
+    (a1, b1, _), (a2, b2, _), (a3, b3, _), (a4, b4, _) = c
+
+    def rate(s: float) -> float:
+        eP = math.exp(-abs(P0 + s * (a1 + s * (a2 + s * (a3 + s * a4)))))
+        eQ = math.exp(-abs(Q0 + s * (b1 + s * (b2 + s * (b3 + s * b4)))))
+        return (eQ / (1.0 + eQ) ** 2 * (b1 + s * (2.0 * b2 + s * (3.0 * b3 + s * 4.0 * b4)))
+                - eP / (1.0 + eP) ** 2 * (a1 + s * (2.0 * a2 + s * (3.0 * a3 + s * 4.0 * a4))))
+    return rate
+
+
+def _apexes(branch: _Branch, r_squared: float, params: FlowParams) -> list[ShapePoint]:
+    """The maxima of y on a branch.
+
+    A step holds one where dy/dsigma of its dense output falls through zero.
+    That step alone is stepped again at APEX_TOL_FACTOR times the tolerances,
+    from its start until the exact clock P + Q reaches its end, and the
+    maximum is located on the dense output of the finer steps.
+    """
+    states, quartic = branch.states, branch.quartic
+    e = np.exp(-np.abs(states[:, :2]))
+    weight = e / (1.0 + e) ** 2 * [-1.0, 1.0]  # dy = l'(Q) dQ - l'(P) dP
+    rises = (weight[:-1] * quartic[:, 0, :2]).sum(axis=1) > 0.0
+    falls = (weight[1:] * (_POWERS @ quartic)[:, :2]).sum(axis=1) <= 0.0
+    sign = math.copysign(1.0, r_squared)
     points = []
-    for k in np.flatnonzero((c[:, 0] > 0.0) & (c @ np.arange(1.0, 5.0) <= 0.0)):
-        c1, c2, c3, c4 = c[k].tolist()
-        lo, hi = _bracket_crossing(
-            lambda s: c1 + s * (2.0 * c2 + s * (3.0 * c3 + s * 4.0 * c4)),
-            0.0, 0.0, 1.0, 4.0 * math.ulp(1.0))
-        p, q, _ = _quartic_at(states[k].tolist(), quartic[k].tolist(), 0.5 * (lo + hi))
-        points.append(ShapePoint(p + q, q - p))
+    for k in np.flatnonzero(rises & falls):
+        clock = float(states[k + 1, 0] + states[k + 1, 1])
+        _, fine, fine_quartic, status, message = _dormand_prince(
+            tuple(states[k].tolist()), _field, r_squared,
+            APEX_TOL_FACTOR * params.rel_tol, APEX_TOL_FACTOR * params.abs_tol,
+            params.max_steps, lambda P, Q, L: sign * (clock - P - Q))
+        if status != "event":
+            raise IntegrationFailureError(
+                f"apex re-step stopped short after {len(fine) - 1} steps: "
+                f"{message or status}")
+        # The first fine step whose end still falls holds the maximum; if
+        # none does, it lies at the end of the last.
+        rates = [_y_rate(y_old, c) for y_old, c in zip(fine.tolist(), fine_quartic.tolist())]
+        j = next((j for j, rate in enumerate(rates) if rate(1.0) <= 0.0), len(rates) - 1)
+        lo, hi = _bracket_crossing(rates[j], 0.0, 0.0, 1.0, 4.0 * math.ulp(1.0))
+        P, Q, _ = _quartic_at(fine[j].tolist(), fine_quartic[j].tolist(), 0.5 * (lo + hi))
+        points.append(ShapePoint(*_xy(P, Q)))
     return points
 
 
@@ -222,33 +340,41 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
                    include_backward: bool = True) -> FlowLine:
     """Trace the flow line through a triangle point.
 
-    The flow-line field of the module docstring is stepped from
-    (p, q, L) = ((x - y)/2, (x + y)/2, 0) forward, and backward with R^2
-    negated, each until the line is within VERTEX_DELTA of a vertex: the
-    forward branch ends at the round corner (2, 0), the backward one at the
-    origin (or at (1, 1) along the turtle edge).  A branch that stops short
-    (params.max_steps, step-size underflow) raises IntegrationFailureError
-    carrying the branch as a Trajectory of (u, v, w) = w0 e^L (p, q, 1).
-    c0 lifts the start to a metric with largest coefficient w0 = w(0); it
-    scales the times by 1/c0^2 and leaves xs, ys and the apex unchanged.
-    The apex is located on the dense output, where dy/dsigma falls through
-    zero; a line without an interior maximum reports its highest sample.
+    The logit field of the module docstring is stepped from
+    (P, Q, L) = (logit((x - y)/2), logit((x + y)/2), 0) forward, and backward
+    with R^2 negated, each until the line is within VERTEX_DELTA of a
+    vertex: the forward branch ends at the round corner (2, 0), the backward
+    one at the origin (or at (1, 1) along the turtle edge, where Q = +inf
+    throughout).  A branch that stops short (params.max_steps, step-size
+    underflow) raises IntegrationFailureError carrying the branch as a
+    Trajectory of (u, v, w) = w0 e^L (p, q, 1).  c0 lifts the start to a
+    metric with largest coefficient w0 = w(0); it scales the times by 1/c0^2
+    and leaves xs, ys and the apex unchanged.  The t = 0 sample is the start
+    exactly; times come from quadrature of dt/dsigma (see _step_times).
+
+    The apex: the step whose dense output has dy/dsigma falling through
+    zero is stepped again from its start at APEX_TOL_FACTOR times the
+    tolerances, until the exact clock P + Q reaches the step's end, and the
+    maximum is located on that finer dense output (IntegrationFailureError
+    if the re-step stops short).  A line without an interior maximum
+    reports its highest sample.
     """
     if params is None:
         params = FlowParams()
     w0 = metric_coeffs(from_xy(start, c0)).w
-    f_states, f_quartic, f_times = _trace_branch(start, w0, params.r_squared, params)
-    states, times = f_states, f_times
-    maxima = _maxima(f_states, f_quartic)
+    forward = _trace_branch(start, w0, params.r_squared, params)
+    states, times = forward.states, forward.times
+    apexes = _apexes(forward, params.r_squared, params)
     if include_backward:
-        b_states, b_quartic, b_times = _trace_branch(start, w0, -params.r_squared, params)
-        states = np.vstack([b_states[:0:-1], f_states])
-        times = np.concatenate([b_times[:0:-1], f_times])
-        maxima += _maxima(b_states, b_quartic)
-    xs = states[:, 0] + states[:, 1]
-    ys = states[:, 1] - states[:, 0]
-    if maxima:
-        apex = max(maxima, key=lambda point: point.y)
+        backward = _trace_branch(start, w0, -params.r_squared, params)
+        states = np.vstack([backward.states[:0:-1], states])
+        times = np.concatenate([backward.times[:0:-1], times])
+        apexes += _apexes(backward, -params.r_squared, params)
+    xs, ys = np.array([_xy(P, Q) for P, Q, _ in states.tolist()]).T
+    at_start = len(states) - len(forward.states)
+    xs[at_start], ys[at_start] = start.x, start.y
+    if apexes:
+        apex = max(apexes, key=lambda point: point.y)
     else:
         i = int(np.argmax(ys))
         apex = ShapePoint(float(xs[i]), float(ys[i]))

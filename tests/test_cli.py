@@ -276,6 +276,15 @@ def test_negative_inputs_are_domain_errors(run_cli):
         assert json.loads(err)["error"] == "domain"
 
 
+def test_simulate_rejects_rel_tol_past_bound(run_cli):
+    # At rel_tol = 1e300 the controller took one step and reported a collapse
+    # time of 0.086 with exit code 0.
+    code, out, err = run_cli("simulate", "--a", "1", "--b", "2", "--c", "3",
+                             "--rel-tol", "1e300")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "domain"
+
+
 def test_simulate_max_steps_reports_null_collapse(run_cli):
     code, out, err = run_cli("simulate", "--a", "1", "--b", "1", "--c", "1",
                              "--max-steps", "2", "--grid", "0")

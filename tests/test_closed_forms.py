@@ -7,9 +7,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from danteflow.errors import DomainError
-from danteflow.flow import (SnakeSolution, TurtleSolution, integrate,
+from danteflow.flow import (SERIES_SWITCH, SnakeSolution, TurtleSolution, integrate,
                             snake_lambda_of_time, snake_profile,
                             snake_time_of_lambda, turtle_mu_of_time,
                             turtle_profile, turtle_time_of_mu)
@@ -180,6 +182,39 @@ def test_turtle_inversion_round_trip():
         t = turtle_time_of_mu(s, float(mu))
         back = turtle_mu_of_time(s, t, tol=1e-12)
         assert back == pytest.approx(mu, abs=2e-12)
+
+
+#: Inversion tolerance of the round-trip properties (the functions' default).
+INVERSION_TOL = 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.1, max_value=10.0),
+       st.one_of(st.floats(min_value=0.0, max_value=SERIES_SWITCH),
+                 st.floats(min_value=0.0, max_value=10.0)),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_snake_inversion_round_trip_property(big_w, alpha, lam):
+    # Below SERIES_SWITCH the removable atan(z)/alpha term runs as a series.
+    s = SnakeSolution(big_w, alpha)
+    t = snake_time_of_lambda(s, lam)
+    back = snake_lambda_of_time(s, t, tol=INVERSION_TOL)
+    assert abs(back - lam) <= INVERSION_TOL
+    assert (snake_time_of_lambda(s, min(back + INVERSION_TOL, 1.0)) <= t
+            <= snake_time_of_lambda(s, max(back - INVERSION_TOL, 0.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.1, max_value=10.0),
+       st.one_of(st.floats(min_value=0.0, max_value=SERIES_SWITCH),
+                 st.floats(min_value=0.0, max_value=0.99)),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_turtle_inversion_round_trip_property(big_u, beta, mu):
+    s = TurtleSolution(big_u, beta)
+    t = turtle_time_of_mu(s, mu)
+    back = turtle_mu_of_time(s, t, tol=INVERSION_TOL)
+    assert abs(back - mu) <= INVERSION_TOL
+    assert (turtle_time_of_mu(s, min(back + INVERSION_TOL, 1.0)) <= t
+            <= turtle_time_of_mu(s, max(back - INVERSION_TOL, 0.0)))
 
 
 def test_from_initial_constructors():

@@ -289,3 +289,29 @@ def test_flow_params_validation():
         FlowParams(max_steps=0)
     with pytest.raises(DomainError):
         FlowParams(r_squared=0.0)
+
+
+def test_rel_tol_bound():
+    # Past MAX_REL_TOL the controller no longer approximates: at rel_tol = 1
+    # this dragon "collapses" after one step at 0.125 instead of 0.6387.
+    with pytest.raises(DomainError):
+        FlowParams(rel_tol=1.0)
+    with pytest.raises(DomainError):
+        FlowParams(rel_tol=math.nextafter(flow_mod.MAX_REL_TOL, 1.0))
+    m0 = MetricCoeffs(0.3, 0.6, 1.2)
+    loose = integrate(m0, FlowParams(rel_tol=flow_mod.MAX_REL_TOL)).collapse_time
+    assert loose == pytest.approx(integrate(m0).collapse_time, rel=2e-3)
+    FlowParams(abs_tol=1e300)  # abs_tol scales with the metric: no upper bound
+
+
+def test_initial_step_is_positive_and_finite():
+    # A zero component with a tiny abs_tol overflows the derivative norm, and
+    # a component at infinity (the turtle edge in logit coordinates) has an
+    # infinite scale; neither may give a zero, infinite or NaN first step.
+    def field(a, b, c, r_squared):
+        return 1.0, 2.0, -1.0
+
+    for y, abs_tol in (((0.3, 1.2, 0.0), 1e-160), ((0.3, 1.2, 0.0), 1e-310),
+                       ((0.3, math.inf, 0.0), 1e-12), ((0.0, 0.0, 0.0), 1e-300)):
+        h = flow_mod._initial_step(y, field(*y, 4.0), field, 4.0, 1e-10, abs_tol)
+        assert 0.0 < h < math.inf

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import danteflow.shapespace as shapespace
 from conftest import random_interior_point, random_ordered_stretch
 from danteflow.errors import (DegenerateShapeError, DomainError,
                               IntegrationFailureError, SingularMapError,
@@ -14,8 +15,8 @@ from danteflow.geometry import (MetricCoeffs, StretchFactors, metric_coeffs,
                                 principal_curvatures, ricci_eigenvalues)
 from danteflow.shapespace import (KAPPA_MIN_ZERO, RICCI_DEGENERATE,
                                   SCALAR_ZERO, VERTEX_DELTA, ShapePoint, _field,
-                                  from_xy, region_boundaries, slope, to_rho_tau,
-                                  to_xy, trace_flowline)
+                                  _trace_branch, from_xy, region_boundaries, slope,
+                                  to_rho_tau, to_xy, trace_flowline)
 
 #: Interior starts: x in [0.02, 1.98], y a fraction in [0.02, 0.98] of the
 #: triangle's height min(x, 2 - x) there.
@@ -23,6 +24,11 @@ interior_starts = st.builds(
     lambda x, s: ShapePoint(x, s * min(x, 2.0 - x)),
     st.floats(min_value=0.02, max_value=1.98),
     st.floats(min_value=0.02, max_value=0.98))
+
+
+#: The 5x5 grid of acceptance criterion 5 (and of `flowlines --grid 5x5`).
+GRID_5X5 = [ShapePoint(2.0 * i / 6.0, min(2.0 * i / 6.0, 2.0 - 2.0 * i / 6.0) * j / 6.0)
+            for i in range(1, 6) for j in range(1, 6)]
 
 
 def projected_rates(p: ShapePoint, r_squared: float = 4.0):
@@ -103,8 +109,11 @@ def test_slope_matches_projected_flow():
         xd, yd = projected_rates(p)
         ratio = yd / xd
         assert abs(s - ratio) <= 1e-9 * max(abs(s), abs(ratio), 1e-12)
-        # The tracer's polynomial field: dy/dx = (dq - dp)/(dq + dp).
-        dp, dq, _ = _field((p.x - p.y) / 2.0, (p.x + p.y) / 2.0, 0.0, 4.0)
+        # The tracer's logit field, mapped back through dp = p(1 - p) dP:
+        # dy/dx = (dq - dp)/(dq + dp).
+        a, b = (p.x - p.y) / 2.0, (p.x + p.y) / 2.0
+        dP, dQ, _ = _field(math.log(a / (1.0 - a)), math.log(b / (1.0 - b)), 0.0, 4.0)
+        dp, dq = a * (1.0 - a) * dP, b * (1.0 - b) * dQ
         assert abs(s - (dq - dp) / (dq + dp)) <= 1e-10 * max(abs(s), 1e-12)
         checked += 1
     assert checked > 990
@@ -247,8 +256,8 @@ def test_flowline_turtle_edge_backward_heads_to_corner():
 
 
 def test_flowline_truncated_backward_branch_raises():
-    # Along the turtle edge the forward branch reaches (2, 0) in about 100
-    # steps, the backward one needs about 570 to reach (1, 1).
+    # Along the turtle edge (Q = +inf) the forward branch reaches (2, 0) in
+    # 51 steps, the backward one needs 329 to reach (1, 1).
     start = ShapePoint(1.5, 0.5)
     assert len(trace_flowline(start, include_backward=False)) < 300
     with pytest.raises(IntegrationFailureError) as excinfo:
@@ -261,6 +270,73 @@ def test_flowline_truncated_backward_branch_raises():
     assert np.all(np.diff(backward.times) > 0.0) and backward.times[-1] == 0.0
     m0 = metric_coeffs(from_xy(start))
     assert np.allclose(backward.coeffs[-1], m0.as_tuple(), rtol=1e-15, atol=0.0)
+
+
+def test_flowline_grid_step_budget():
+    # The logit field takes 2,787 steps on this grid, both branches and the
+    # apex re-steps not counted; the polynomial field in (p, q) took 9,295.
+    assert sum(len(trace_flowline(start)) - 1 for start in GRID_5X5) <= 3500
+
+
+def polynomial_field(sigma, state, r_squared):
+    # The flow-line field in (p, q, L) = (a/c, b/c, ln(w/w0)): an independent
+    # form of the tracer's logit field.
+    p, q, _ = state
+    k = 8.0 / r_squared
+    y = q - p
+    return [k * p * (1.0 - p) * (1.0 - y), k * q * (1.0 - q) * (1.0 + y),
+            -0.5 * k * (1.0 - y) * (1.0 + y)]
+
+
+def test_flowline_branches_match_dop853():
+    from scipy.integrate import solve_ivp
+
+    for start in GRID_5X5:
+        for r_squared in (4.0, -4.0):
+            branch = _trace_branch(start, 1.0, r_squared, FlowParams())
+            p0, q0 = (start.x - start.y) / 2.0, (start.x + start.y) / 2.0
+            ref = solve_ivp(polynomial_field, (0.0, branch.sigma[-1]), [p0, q0, 0.0],
+                            method="DOP853", rtol=1e-13, atol=1e-16,
+                            dense_output=True, args=(r_squared,))
+            p, q, L = ref.sol(branch.sigma)
+            P, Q, logit_L = branch.states.T
+            lp, lq = 1.0 / (1.0 + np.exp(-P)), 1.0 / (1.0 + np.exp(-Q))
+            assert np.max(np.abs(lp + lq - (p + q))) <= 1e-9
+            assert np.max(np.abs(lq - lp - (q - p))) <= 1e-9
+            assert np.max(np.abs(logit_L - L)) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(interior_starts, st.floats(min_value=0.5, max_value=10.0), st.sampled_from([1.0, -1.0]))
+def test_flowline_exact_clock_property(start, r_squared, direction):
+    # dP/dsigma + dQ/dsigma = 2k exactly, so P + Q is a clock for sigma.
+    r_squared *= direction
+    branch = _trace_branch(start, 1.0, r_squared, FlowParams(r_squared=abs(r_squared)))
+    P, Q, _ = branch.states.T
+    drift = P + Q - 2.0 * (8.0 / r_squared) * branch.sigma - (P[0] + Q[0])
+    assert np.max(np.abs(drift)) <= 1e-9
+
+
+def test_flowline_apex_restep_stopping_short_raises(monkeypatch):
+    # At 1e-200 times the tolerances the re-step runs into max_steps; the
+    # line must fail rather than keep an apex from the coarse step.
+    monkeypatch.setattr(shapespace, "APEX_TOL_FACTOR", 1e-200)
+    with pytest.raises(IntegrationFailureError, match="apex re-step"):
+        trace_flowline(ShapePoint(0.5, 0.25))
+
+
+def test_flowline_tiny_abs_tol_is_not_a_zero_division():
+    # The L = 0 start made the initial-step norm overflow and the first step
+    # zero, which raised a bare ZeroDivisionError.
+    start = ShapePoint(1.0, 0.5)
+    try:
+        line = trace_flowline(start, params=FlowParams(abs_tol=1e-160))
+    except IntegrationFailureError:
+        return
+    # The first steps are far below ulp(x), so x only never decreases.
+    assert math.hypot(line.xs[-1] - 2.0, line.ys[-1]) <= VERTEX_DELTA
+    assert np.all(np.diff(line.xs) >= 0.0)
+    assert abs(line.apex.x ** 2 + line.apex.y ** 2 - 2.0) <= 1e-7
 
 
 def normalized_kappa_min(x: float, y: float) -> float:
