@@ -181,11 +181,6 @@ def classify_cmd(a, b, c, r2, eq_tol, output_format, output):
         _write(output, _csv_text(header, [row]))
 
 
-def _flow_params(r2, rel_tol, abs_tol, collapse_eps, max_steps) -> FlowParams:
-    return FlowParams(r_squared=r2, rel_tol=rel_tol, abs_tol=abs_tol,
-                      collapse_eps=collapse_eps, max_steps=max_steps)
-
-
 @cli.command()
 @click.option("--a", required=True, type=float)
 @click.option("--b", required=True, type=float)
@@ -204,7 +199,8 @@ def simulate(a, b, c, r2, grid, rel_tol, abs_tol, collapse_eps, max_steps, outpu
     the trajectory table plus a JSON summary with the collapse time."""
     r2v = _resolve_r2(r2)
     f = StretchFactors.ordered(a, b, c, r2v)
-    params = _flow_params(r2v, rel_tol, abs_tol, collapse_eps, max_steps)
+    params = FlowParams(r_squared=r2v, rel_tol=rel_tol, abs_tol=abs_tol,
+                        collapse_eps=collapse_eps, max_steps=max_steps)
     traj = integrate(metric_coeffs(f), params)
 
     times = traj.times
@@ -408,9 +404,6 @@ def main(argv=None) -> int:
         cli.main(args=argv, prog_name="danteflow", standalone_mode=False)
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except click.UsageError as exc:
-        _emit_error("usage", exc.format_message())
-        return 2
     except click.ClickException as exc:
         _emit_error("usage", exc.format_message())
         return 2

@@ -11,21 +11,26 @@ finite time; the collapse is detected by an event threshold on
 min(u, v, w) and the collapse time is extrapolated linearly through zero.
 
 Two symmetric reductions integrate in closed form and are implemented
-here alongside the numeric integrator so each can check the other:
+here alongside the numeric integrator so each can check the other: the
+snake (u = v) and the turtle (v = w).  Both are the flow of a metric
+(X, X, Z) with Z/X = 1 + eps, one family in eps:
 
-* snake (u = v):  with W = w(0), alpha^2 = W/V - 1 and lambda = w/W,
+* snake:  Z = W = w(0), eps = alpha^2 = W/V - 1 >= 0, s = lambda = w/W;
+* turtle: Z = U = u(0), eps = -beta^2 = U/V - 1 in (-1, 0], s = mu = u/U.
 
-      t(lambda) = (W/2) [ (1-lambda)(1-lambda a^2) / ((1+a^2)(1+a^2 lambda^2))
-                          + atan((1-lambda) a / (1+a^2 lambda)) / a ],
+The unpaired coefficient has fallen to Z s, and the paired one is
+Z s/(1 + eps s^2), at
 
-  collapsing at T = (W/2)(1/(1+a^2) + atan(a)/a).
+    t(s) = (Z/2) [ (1-s)(1-eps s) / ((1+eps)(1+eps s^2)) + r F(eps r^2) ],
+    r = (1-s)/(1+eps s),
 
-* turtle (v = w):  with U = u(0), beta^2 = 1 - U/V and mu = u/U,
+collapsing at T = t(0) = (Z/2)(1/(1+eps) + F(eps)).  F is the one series
 
-      t(mu) = U [ 1/(2(1-b^2)) - mu/(2(1-b^2 mu^2))
-                  + log((1+b)(1-b mu) / ((1-b)(1+b mu))) / (4b) ],
+    F(z) = sum_n (-z)^n/(2n+1) = atan(sqrt z)/sqrt z          (z > 0)
+                               = atanh(sqrt(-z))/sqrt(-z)     (z < 0),
 
-  collapsing at T' = (U/2)(1/(1-b^2) + log((1+b)/(1-b))/(2b)).
+summed to three terms where |z| < SERIES_SWITCH^2: the snake's atan and
+the turtle's log continued through the round sphere eps = 0.
 
 Closed-form times are expressed in the R^2 = 4 normalization in which the
 reductions are derived; rescale by r_squared/4 for other radii.
@@ -51,15 +56,16 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .errors import CollapseReachedError, DomainError, IntegrationFailureError
 from .geometry import DEFAULT_R_SQUARED, MetricCoeffs, _require_positive
 
-#: Below this, the removable 1/alpha (1/beta) terms switch to series form.
+#: Below this sqrt|z|, the closed forms' F(z) switches to its series.
 SERIES_SWITCH = 1e-6
+_SERIES_Z = SERIES_SWITCH * SERIES_SWITCH
 
 #: Turtle non-sphericity cap; precision degrades noticeably beyond 0.999.
 BETA_CAP = 1.0 - 1e-12
@@ -124,13 +130,6 @@ class Trajectory:
     #: coeffs[k] + sum_j _quartic[k, j] x^(j+1), a quartic in the step
     #: fraction x = (t - times[k]) / (times[k+1] - times[k]).
     _quartic: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def samples(self) -> list[tuple[float, MetricCoeffs]]:
-        return [(float(t), MetricCoeffs(*row)) for t, row in zip(self.times, self.coeffs)]
-
-    def __iter__(self) -> Iterator[tuple[float, MetricCoeffs]]:
-        return iter(self.samples)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -450,22 +449,40 @@ def isotropic_lambda(t: float, r_squared: float = DEFAULT_R_SQUARED) -> float:
     return math.sqrt(1.0 - 4.0 * t / r_squared)
 
 
-def _snake_collapse_time(W: float, alpha: float) -> float:
-    a2 = alpha * alpha
-    if alpha < SERIES_SWITCH:
-        tail = 1.0 - a2 / 3.0 + a2 * a2 / 5.0
+def _pair_time(Z: float, eps: float, s: float) -> float:
+    """Flow time at which the unpaired coefficient of the metric (X, X, Z),
+    Z/X = 1 + eps, has fallen to Z*s (the module docstring's t(s))."""
+    d = 1.0 - s
+    es = eps * s
+    r = d / (1.0 + es)
+    z = eps * r * r
+    if z > _SERIES_Z:
+        q = math.sqrt(z)
+        f = math.atan(q) / q
+    elif z < -_SERIES_Z:
+        q = math.sqrt(-z)
+        f = math.atanh(q) / q
     else:
-        tail = math.atan(alpha) / alpha
-    return 0.5 * W * (1.0 / (1.0 + a2) + tail)
+        f = 1.0 - z / 3.0 + z * z / 5.0
+    return 0.5 * Z * (d * (1.0 - es) / ((1.0 + eps) * (1.0 + es * s)) + r * f)
 
 
-def _turtle_collapse_time(U: float, beta: float) -> float:
-    b2 = beta * beta
-    if beta < SERIES_SWITCH:
-        tail = 1.0 + b2 / 3.0 + b2 * b2 / 5.0
-    else:
-        tail = math.log((1.0 + beta) / (1.0 - beta)) / (2.0 * beta)
-    return 0.5 * U * (1.0 / (1.0 - b2) + tail)
+def _pair_fraction(Z: float, eps: float, t: float, tol: float) -> float:
+    """Invert _pair_time(Z, eps, s) = t for s by bisection; t is strictly
+    decreasing in s, so convergence is guaranteed."""
+    _require_positive("tol", tol)
+    T = _pair_time(Z, eps, 0.0)
+    if not 0.0 <= t <= T:
+        raise DomainError(f"time must lie in [0, {T}], got {t}")
+    # t(0) = T >= t and t(1) = 0 <= t.
+    lo, hi = _bracket_crossing(partial(_pair_time, Z, eps), t, 0.0, 1.0, tol)
+    return 0.5 * (lo + hi)
+
+
+def _pair_profile(Z: float, eps: float, s: float) -> tuple[float, float]:
+    # The unpaired and the paired coefficient at fraction s.
+    unpaired = Z * s
+    return (unpaired, unpaired / (1.0 + eps * s * s))
 
 
 @dataclass(frozen=True)
@@ -492,12 +509,16 @@ class SnakeSolution:
         return cls(W=m0.w, alpha=math.sqrt(m0.w / m0.v - 1.0))
 
     @property
+    def _eps(self) -> float:
+        return self.alpha * self.alpha
+
+    @property
     def V(self) -> float:
-        return self.W / (1.0 + self.alpha * self.alpha)
+        return self.W / (1.0 + self._eps)
 
     @property
     def collapse_T(self) -> float:
-        return _snake_collapse_time(self.W, self.alpha)
+        return _pair_time(self.W, self._eps, 0.0)
 
     @property
     def initial_coeffs(self) -> MetricCoeffs:
@@ -529,12 +550,16 @@ class TurtleSolution:
         return cls(U=m0.u, beta=beta)
 
     @property
+    def _eps(self) -> float:
+        return -self.beta * self.beta
+
+    @property
     def V(self) -> float:
-        return self.U / (1.0 - self.beta * self.beta)
+        return self.U / (1.0 + self._eps)
 
     @property
     def collapse_T(self) -> float:
-        return _turtle_collapse_time(self.U, self.beta)
+        return _pair_time(self.U, self._eps, 0.0)
 
     @property
     def initial_coeffs(self) -> MetricCoeffs:
@@ -545,21 +570,10 @@ def snake_time_of_lambda(s: SnakeSolution, lam: float) -> float:
     """Elapsed time at which the snake's largest coefficient is w = W*lambda.
 
     Strictly decreasing in lambda with t(1) = 0 and t(0) = collapse_T.
-    For alpha below the series switch the removable atan(.)/alpha term is
-    evaluated by series to avoid 0/0.
     """
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"lambda must lie in [0, 1], got {lam}")
-    a = s.alpha
-    a2 = a * a
-    frac = (1.0 - lam) * (1.0 - lam * a2) / ((1.0 + a2) * (1.0 + a2 * lam * lam))
-    z = (1.0 - lam) * a / (1.0 + a2 * lam)
-    if a < SERIES_SWITCH:
-        z2 = z * z
-        tail = (1.0 - lam) / (1.0 + a2 * lam) * (1.0 - z2 / 3.0 + z2 * z2 / 5.0)
-    else:
-        tail = math.atan(z) / a
-    return 0.5 * s.W * (frac + tail)
+    return _pair_time(s.W, s._eps, lam)
 
 
 def snake_profile(s: SnakeSolution, lam: float) -> tuple[float, float]:
@@ -570,40 +584,22 @@ def snake_profile(s: SnakeSolution, lam: float) -> tuple[float, float]:
     """
     if not 0.0 < lam <= 1.0:
         raise DomainError(f"lambda must lie in (0, 1], got {lam}")
-    w = s.W * lam
-    v = w / (1.0 + s.alpha * s.alpha * lam * lam)
-    return (w, v)
+    return _pair_profile(s.W, s._eps, lam)
 
 
 def snake_lambda_of_time(s: SnakeSolution, t: float, tol: float = 1e-12) -> float:
     """Invert t(lambda) by bisection; monotone, so convergence is guaranteed."""
-    _require_positive("tol", tol)
-    T = s.collapse_T
-    if not 0.0 <= t <= T:
-        raise DomainError(f"time must lie in [0, {T}], got {t}")
-    # t(0) = T >= t and t(1) = 0 <= t.
-    lo, hi = _bracket_crossing(partial(snake_time_of_lambda, s), t, 0.0, 1.0, tol)
-    return 0.5 * (lo + hi)
+    return _pair_fraction(s.W, s._eps, t, tol)
 
 
 def turtle_time_of_mu(s: TurtleSolution, mu: float) -> float:
     """Elapsed time at which the turtle's smallest coefficient is u = U*mu.
 
-    Strictly decreasing in mu with t(1) = 0 and t(0) = collapse_T; the
-    removable log(.)/beta term switches to its series below the switch.
+    Strictly decreasing in mu with t(1) = 0 and t(0) = collapse_T.
     """
     if not 0.0 <= mu <= 1.0:
         raise DomainError(f"mu must lie in [0, 1], got {mu}")
-    b = s.beta
-    b2 = b * b
-    if b < SERIES_SWITCH:
-        tail = 0.5 * ((1.0 - mu)
-                      + b2 * (1.0 - mu ** 3) / 3.0
-                      + b2 * b2 * (1.0 - mu ** 5) / 5.0)
-    else:
-        tail = math.log((1.0 + b) * (1.0 - b * mu)
-                        / ((1.0 - b) * (1.0 + b * mu))) / (4.0 * b)
-    return s.U * (0.5 / (1.0 - b2) - 0.5 * mu / (1.0 - b2 * mu * mu) + tail)
+    return _pair_time(s.U, s._eps, mu)
 
 
 def turtle_profile(s: TurtleSolution, mu: float) -> tuple[float, float]:
@@ -614,21 +610,12 @@ def turtle_profile(s: TurtleSolution, mu: float) -> tuple[float, float]:
     """
     if not 0.0 < mu <= 1.0:
         raise DomainError(f"mu must lie in (0, 1], got {mu}")
-    if s.beta * mu >= 1.0:
-        raise DomainError(f"beta*mu must stay below 1, got {s.beta * mu}")
-    u = s.U * mu
-    v = u / (1.0 - s.beta * s.beta * mu * mu)
-    return (u, v)
+    return _pair_profile(s.U, s._eps, mu)
 
 
 def turtle_mu_of_time(s: TurtleSolution, t: float, tol: float = 1e-12) -> float:
     """Invert t(mu) by bisection, mirroring snake_lambda_of_time."""
-    _require_positive("tol", tol)
-    T = s.collapse_T
-    if not 0.0 <= t <= T:
-        raise DomainError(f"time must lie in [0, {T}], got {t}")
-    lo, hi = _bracket_crossing(partial(turtle_time_of_mu, s), t, 0.0, 1.0, tol)
-    return 0.5 * (lo + hi)
+    return _pair_fraction(s.U, s._eps, t, tol)
 
 
 def x_rate(m: MetricCoeffs, r_squared: float = DEFAULT_R_SQUARED) -> float:

@@ -26,12 +26,14 @@ The vertices, fixed points of the polynomial field, lie at infinity, where
 this field stays bounded instead of stiffening, and 1 - p and 1 - q keep
 their relative accuracy.  dP + dQ = 2k dsigma makes P + Q an exact clock.
 The edges stay invariant: P = Q on the snakes, Q = +inf (stepped as it is)
-on the turtles, P = -inf on the degenerate line.  Each branch stops within
-VERTEX_DELTA of a vertex; flow time comes back by quadrature of dt/dsigma
-over the dense output.  The apex is where dy/dsigma falls through zero on
-the dense output of a re-step, at tighter tolerances, of the one step that
-brackets it, stopped by the clock at that step's end.  The slope formula,
-which equals (dq - dp)/(dq + dp), is kept as a cross-validation oracle.
+on the turtles, P = -inf on the degenerate line.  The forward branch stops
+within VERTEX_DELTA of the round corner (2, 0), the backward one within
+VERTEX_DELTA of the origin or (1, 1); flow time comes back by quadrature
+of dt/dsigma over the dense output.  The apex is where dy/dsigma falls
+through zero on the dense output of a re-step, at tighter tolerances, of
+the one step that brackets it, stopped by the clock at that step's end.
+The slope formula, which equals (dq - dp)/(dq + dp), is kept as a
+cross-validation oracle.
 
 The Ricci-eigenvalue ratio chart uses
 
@@ -96,10 +98,6 @@ class FlowLine:
     ys: np.ndarray
     times: np.ndarray
     apex: ShapePoint
-
-    @property
-    def points(self) -> list[ShapePoint]:
-        return [ShapePoint(float(x), float(y)) for x, y in zip(self.xs, self.ys)]
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -188,6 +186,13 @@ def _vertex_margin(P: float, Q: float, L: float) -> float:
                math.hypot(x - 1.0, y - 1.0)) - VERTEX_DELTA
 
 
+def _round_corner_margin(P: float, Q: float, L: float) -> float:
+    # The forward branch's stop: a line that starts near the degenerate edge
+    # passes close by (1, 1) on its way to (2, 0) and must not stop there.
+    x, y = _xy(P, Q)
+    return math.hypot(x - 2.0, y) - VERTEX_DELTA
+
+
 def _logit(p: float) -> float:
     return math.inf if p == 1.0 else math.log(p / (1.0 - p))
 
@@ -257,7 +262,7 @@ class _Branch(NamedTuple):
 def _trace_branch(start: ShapePoint, w0: float, r_squared: float,
                   params: FlowParams) -> _Branch:
     """One branch of a flow line, from start to within VERTEX_DELTA of a
-    vertex; a negative r_squared traces it backward.
+    vertex ((2, 0) forward); a negative r_squared traces it backward.
 
     The rows run in the branch's own order; a start already within
     VERTEX_DELTA gives one row and no steps.  Raises IntegrationFailureError
@@ -268,7 +273,7 @@ def _trace_branch(start: ShapePoint, w0: float, r_squared: float,
         return _Branch(np.zeros(1), np.array([y0]), np.zeros((0, 4, 3)), np.zeros(1))
     sigma, states, quartic, status, message = _dormand_prince(
         y0, _field, r_squared, params.rel_tol, params.abs_tol, params.max_steps,
-        _vertex_margin)
+        _round_corner_margin if r_squared > 0.0 else _vertex_margin)
     # dt/dsigma = w0 e^L l(P) l(Q).
     times = np.concatenate([[0.0], np.cumsum(_step_times(sigma, states, quartic))])
     times *= w0 if r_squared > 0.0 else -w0
@@ -343,9 +348,11 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
     The logit field of the module docstring is stepped from
     (P, Q, L) = (logit((x - y)/2), logit((x + y)/2), 0) forward, and backward
     with R^2 negated, each until the line is within VERTEX_DELTA of a
-    vertex: the forward branch ends at the round corner (2, 0), the backward
-    one at the origin (or at (1, 1) along the turtle edge, where Q = +inf
-    throughout).  A branch that stops short (params.max_steps, step-size
+    vertex: the forward branch only at the round corner (2, 0), even where
+    it passes close by (1, 1) from a start near the degenerate edge; the
+    backward one at the origin (or at (1, 1) along the turtle edge, where
+    Q = +inf throughout).  A start within VERTEX_DELTA of any vertex gives
+    a one-point line.  A branch that stops short (params.max_steps, step-size
     underflow) raises IntegrationFailureError carrying the branch as a
     Trajectory of (u, v, w) = w0 e^L (p, q, 1).  c0 lifts the start to a
     metric with largest coefficient w0 = w(0); it scales the times by 1/c0^2

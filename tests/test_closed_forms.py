@@ -29,6 +29,14 @@ TURTLE_COLLAPSE = {
     (0.75, 0.5): 0.9119796082505411,
 }
 
+#: Turtle times (U, beta, mu) -> t close to the start, where the terms of an
+#: uncombined formula U[1/(2(1-b^2)) - mu/(2(1-b^2 mu^2)) + ...] cancel.
+TURTLE_EARLY_TIME = {
+    (1.0, 1e-6, 0.999999999): 9.999999717200685e-10,
+    (1.0, 0.5, 0.999999999): 1.7777777263136035e-09,
+    (0.75, 0.5, 0.995): 0.0066445550334338814,
+}
+
 
 def test_snake_collapse_goldens():
     for (W, alpha), expected in SNAKE_COLLAPSE.items():
@@ -61,6 +69,10 @@ def test_turtle_time_endpoints_and_goldens():
     assert turtle_time_of_mu(s, 0.5) == pytest.approx(0.6938933324510596, rel=1e-14)
     s = TurtleSolution(1.0, 0.9)
     assert turtle_time_of_mu(s, 0.25) == pytest.approx(3.1906372350095444, rel=1e-14)
+    # abs=0: approx's default 1e-12 absolute floor would swamp rel at 1e-9.
+    for (U, beta, mu), expected in TURTLE_EARLY_TIME.items():
+        assert turtle_time_of_mu(TurtleSolution(U, beta), mu) == pytest.approx(
+            expected, rel=1e-14, abs=0.0)
     with pytest.raises(DomainError):
         turtle_time_of_mu(s, 2.0)
 

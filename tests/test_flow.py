@@ -66,9 +66,9 @@ def test_integrate_isotropic():
     traj = integrate(MetricCoeffs(1, 1, 1))
     assert traj.terminated is Termination.COLLAPSED
     assert traj.collapse_time == pytest.approx(1.0, abs=1e-6)
-    for t, m in traj.samples:
-        assert abs(m.u - (1.0 - t)) < 1e-9
-        assert m.u == m.v == m.w
+    for t, (u, v, w) in zip(traj.times, traj.coeffs):
+        assert abs(u - (1.0 - t)) < 1e-9
+        assert u == v == w
 
 
 def test_integrate_snake_collapse_time():

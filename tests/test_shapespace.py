@@ -165,7 +165,6 @@ def test_flowline_interior_apex_and_endpoint():
     assert line.xs[-1] == pytest.approx(2.0, abs=1e-4)
     assert line.ys[-1] == pytest.approx(0.0, abs=1e-4)
     assert np.all(np.diff(line.xs) > 0)
-    assert len(line.points) == len(line)
     # Backward extension reaches toward the origin corner.
     assert line.xs[0] < 0.01 and line.times[0] < 0.0
 
@@ -231,6 +230,18 @@ def test_flowline_from_round_corner_is_one_point():
     assert line.xs.tolist() == [2.0] and line.ys.tolist() == [0.0]
     assert line.times.tolist() == [0.0]
     assert line.apex == ShapePoint(2.0, 0.0)
+
+
+def test_flowline_near_degenerate_edge_ends_at_round_corner():
+    # From these starts the forward branch runs up the degenerate edge and
+    # passes within VERTEX_DELTA of (1, 1).  It must go on to (2, 0) or
+    # raise, never end at (1, 1) as if that were the round corner.
+    for gap in (1e-10, 1e-12):
+        try:
+            line = trace_flowline(ShapePoint(0.5, 0.5 - gap), include_backward=False)
+        except IntegrationFailureError:
+            continue
+        assert math.hypot(line.xs[-1] - 2.0, line.ys[-1]) <= VERTEX_DELTA
 
 
 def test_flowline_truncated_forward_branch_raises():
