@@ -10,6 +10,13 @@ The package splits into four layers:
 * :mod:`danteflow.shapespace` -- triangle coordinates, flow-line tracing,
   the eigenvalue-ratio chart, and region-boundary extraction.
 * :mod:`danteflow.cli` -- the ``danteflow`` command emitting CSV/JSON.
+
+Importing the package, any of its modules, or the CLI does not import
+numpy: geometry is plain arithmetic, and flow and shapespace import numpy
+inside the functions that build or read arrays (dense output, trajectory
+sampling, flow-line tracing, region boundaries).  So ``curvature`` and
+``classify`` run without numpy, while ``simulate``, ``snake``, ``turtle``,
+``flowlines`` and ``regions`` load it when they first need it.
 """
 from .errors import (CollapseReachedError, DanteFlowError, DegenerateShapeError,
                      DomainError, IntegrationFailureError, SingularMapError,

@@ -24,7 +24,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .errors import DomainError, IntegrationFailureError, SingularMapError
 from .flow import (MAX_REL_TOL, FlowParams, SnakeSolution, TurtleSolution, integrate,
@@ -197,6 +196,8 @@ def classify_cmd(a, b, c, r2, eq_tol, output_format, output):
 def simulate(a, b, c, r2, grid, rel_tol, abs_tol, collapse_eps, max_steps, output):
     """Integrate the flow from ordered stretch factors a <= b <= c and emit
     the trajectory table plus a JSON summary with the collapse time."""
+    import numpy as np
+
     r2v = _resolve_r2(r2)
     f = StretchFactors.ordered(a, b, c, r2v)
     params = FlowParams(r_squared=r2v, rel_tol=rel_tol, abs_tol=abs_tol,
@@ -248,6 +249,8 @@ def _closed_form(sol, r2v, grid, check, output, header, time_of, profile, column
     integrate the flow and report the largest gap between a step's time and
     the closed-form time at that step's coefficient `column`, taken relative
     to its start."""
+    import numpy as np
+
     scale = r2v / 4.0  # closed-form times use the R^2 = 4 normalization
 
     rows = []

@@ -56,12 +56,13 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import CollapseReachedError, DomainError, IntegrationFailureError
 from .geometry import DEFAULT_R_SQUARED, MetricCoeffs, _require_positive
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Below this sqrt|z|, the closed forms' F(z) switches to its series.
 SERIES_SWITCH = 1e-6
@@ -85,8 +86,12 @@ class FlowParams:
     """Integration controls.  collapse_eps must stay below min(u0, v0, w0).
 
     rel_tol must lie in (0, MAX_REL_TOL].  abs_tol only has to be positive:
-    it is an absolute floor in the units of the state, so its sensible size
-    scales with the metric.
+    it is an absolute floor in the units of the stepped state.  For
+    integrate that state is (u, v, w), so its sensible size scales with the
+    metric.  trace_flowline steps the scale-free (P, Q, L) of shapespace
+    instead, whose components are of order 1 whatever the metric: there a
+    large abs_tol coarsens the line (at abs_tol = 1 the line through
+    (1.0, 0.5) has 8 samples and its apex lies 3.6e-4 off the circle).
     """
 
     r_squared: float = DEFAULT_R_SQUARED
@@ -137,6 +142,8 @@ class Trajectory:
     def sample_at(self, t) -> np.ndarray:
         """Coefficients at arbitrary times inside the covered span (4th-order
         dense output of the integrator)."""
+        import numpy as np
+
         if self._quartic is None:
             raise DomainError("trajectory carries no dense output")
         t = np.asarray(t, dtype=float)
@@ -152,6 +159,8 @@ class Trajectory:
 
     def uniform_grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n equispaced samples spanning the trajectory."""
+        import numpy as np
+
         if n < 2:
             raise DomainError(f"grid needs at least 2 points, got {n}")
         ts = np.linspace(self.times[0], self.times[-1], n)
@@ -184,18 +193,18 @@ def rhs(m: MetricCoeffs, r_squared: float = DEFAULT_R_SQUARED) -> tuple[float, f
 
 #: Shampine's dense output for the Dormand-Prince pair: row s weights stage
 #: k1, k3, k4, k5, k6, k7 (k2 has no weight), column j the power x^(j+1).
-_DENSE = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
-     -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+_DENSE = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
 
 #: Step-size controller: the next h is h * SAFETY * err^(-1/5), clipped to
 #: [MIN_FACTOR, MAX_FACTOR] and to at most 1 right after a rejection.
@@ -360,12 +369,15 @@ def _dormand_prince(y0: tuple[float, float, float],
             status = "event"
             break
 
+    import numpy as np
+
     times_arr = np.array(times)
     coeffs = np.array(states)
     if not stages:
         return times_arr, coeffs, None, status, message
     steps = np.diff(times_arr)
-    quartic = np.matmul(_DENSE.T, np.array(stages).reshape(-1, 6, 3)) * steps[:, None, None]
+    quartic = (np.matmul(np.transpose(_DENSE), np.array(stages).reshape(-1, 6, 3))
+               * steps[:, None, None])
     if status == "event":
         t_old, t_new = times[-2], times[-1]
         h = t_new - t_old
@@ -386,7 +398,7 @@ def _dormand_prince(y0: tuple[float, float, float],
 def _extrapolate_collapse(times: np.ndarray, coeffs: np.ndarray) -> float:
     # Linear extrapolation of the smallest coefficient through zero from the
     # final two samples; near collapse that coefficient is linear to O(dt^3).
-    i = int(np.argmin(coeffs[-1]))
+    i = int(coeffs[-1].argmin())
     t1, y1 = times[-2], coeffs[-2, i]
     t2, y2 = times[-1], coeffs[-1, i]
     if y1 <= y2:

@@ -37,6 +37,13 @@ def _require_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be a positive finite number, got {value!r}")
 
 
+def _half_sum(a: float, b: float, c: float) -> float:
+    try:
+        return math.fsum((a, b, c)) / 2.0
+    except OverflowError:  # fsum raises where a plain sum would pass the largest float
+        return a / 2.0 + b / 2.0 + c / 2.0
+
+
 @dataclass(frozen=True)
 class StretchFactors:
     """Deformation parameters (a, b, c) of a stretched S^3 plus R^2.
@@ -93,7 +100,7 @@ class MetricCoeffs:
     @property
     def sigma(self) -> float:
         """Half-sum (u + v + w)/2, computed on demand."""
-        return math.fsum((self.u, self.v, self.w)) / 2.0
+        return _half_sum(self.u, self.v, self.w)
 
 
 @dataclass(frozen=True)
@@ -133,7 +140,21 @@ class Classification:
 
 def semiperimeter(f: StretchFactors) -> float:
     """Half the sum of the stretch factors, s = (a + b + c)/2."""
-    return math.fsum((f.a, f.b, f.c)) / 2.0
+    return _half_sum(f.a, f.b, f.c)
+
+
+def _principal(a: float, b: float, c: float, scale: float) -> tuple[float, float, float]:
+    s = _half_sum(a, b, c)
+    k1 = scale * (a * (s - a) - (s - b) * (s - c))
+    k2 = scale * (b * (s - b) - (s - a) * (s - c))
+    k3 = scale * (c * (s - c) - (s - a) * (s - b))
+    return (k1, k2, k3)
+
+
+def _ricci(a: float, b: float, c: float, scale: float) -> tuple[float, float, float]:
+    s = _half_sum(a, b, c)
+    return (scale * ((s - b) * (s - c)), scale * ((s - a) * (s - c)),
+            scale * ((s - a) * (s - b)))
 
 
 def principal_curvatures(f: StretchFactors) -> tuple[float, float, float]:
@@ -143,13 +164,7 @@ def principal_curvatures(f: StretchFactors) -> tuple[float, float, float]:
     (a, b, c) permutes the result identically; scaling (a, b, c) by l
     scales each kappa by l^2.
     """
-    a, b, c = f.a, f.b, f.c
-    s = semiperimeter(f)
-    scale = 4.0 / f.r_squared
-    k1 = scale * (a * (s - a) - (s - b) * (s - c))
-    k2 = scale * (b * (s - b) - (s - a) * (s - c))
-    k3 = scale * (c * (s - c) - (s - a) * (s - b))
-    return (k1, k2, k3)
+    return _principal(f.a, f.b, f.c, 4.0 / f.r_squared)
 
 
 def ricci_eigenvalues(f: StretchFactors) -> tuple[float, float, float]:
@@ -157,12 +172,7 @@ def ricci_eigenvalues(f: StretchFactors) -> tuple[float, float, float]:
 
     Equals the pairwise sums of the principal curvatures to machine precision.
     """
-    s = semiperimeter(f)
-    scale = 8.0 / f.r_squared
-    r11 = scale * ((s - f.b) * (s - f.c))
-    r22 = scale * ((s - f.a) * (s - f.c))
-    r33 = scale * ((s - f.a) * (s - f.b))
-    return (r11, r22, r33)
+    return _ricci(f.a, f.b, f.c, 8.0 / f.r_squared)
 
 
 def scalar_curvature(f: StretchFactors) -> float:
@@ -226,7 +236,11 @@ def classify(f: StretchFactors, eq_tol: float = DEFAULT_EQ_TOL) -> Classificatio
     after sorting a <= b <= c, the tests are (b - a) <= eq_tol * c and
     (c - b) <= eq_tol * c, with a <= eq_tol * c flagging a degenerate shape.
     Signs use a deadband of eq_tol * max|kappa| so that the measure-zero
-    vanishing loci are reported as zeros when hit by construction.
+    vanishing loci are reported as zeros when hit by construction.  They do
+    not depend on scale (kappa goes as l^2/R^2), so they are taken at R^2 = 4
+    on the factors divided by the power of two nearest above the largest one:
+    the division is exact, and the curvatures can neither overflow nor
+    underflow at any scale of (a, b, c) or R^2.
     """
     if not math.isfinite(eq_tol) or eq_tol < 0.0:
         raise DomainError(f"eq_tol must be a nonnegative finite number, got {eq_tol!r}")
@@ -246,12 +260,14 @@ def classify(f: StretchFactors, eq_tol: float = DEFAULT_EQ_TOL) -> Classificatio
         else:
             shape = ShapeKind.DRAGON
 
-    kappas = principal_curvatures(f)
-    riccis = ricci_eigenvalues(f)
+    exponent = math.frexp(hi)[1]
+    a, b, c = (math.ldexp(v, -exponent) for v in (f.a, f.b, f.c))
+    kappas = _principal(a, b, c, 1.0)
     deadband = eq_tol * max(abs(k) for k in kappas)
     return Classification(
         shape=shape,
         curvature_signs=tuple(_sign(k, deadband) for k in kappas),
-        ricci_signs=tuple(_sign(r, deadband) for r in riccis),
-        scalar_sign=_sign(scalar_curvature(f), deadband),
+        ricci_signs=tuple(_sign(r, deadband) for r in _ricci(a, b, c, 2.0)),
+        # fsum: the scalar's sign must not depend on the order of (a, b, c).
+        scalar_sign=_sign(2.0 * math.fsum(kappas), deadband),
     )

@@ -47,15 +47,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (DegenerateShapeError, DomainError, IntegrationFailureError,
                      SingularMapError, SingularSlopeError)
 from .flow import (FlowParams, Termination, Trajectory, _bracket_crossing,
                    _dormand_prince, _quartic_at)
 from .geometry import DEFAULT_R_SQUARED, StretchFactors, metric_coeffs
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: A flow-line branch stops once the line is this close to a vertex.
 VERTEX_DELTA = 1e-9
@@ -198,21 +199,25 @@ def _logit(p: float) -> float:
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return np.exp(-np.logaddexp(0.0, -z))
 
 
 def _log_rate(states: np.ndarray) -> np.ndarray:
     """ln((dt/dsigma)/w0) = L + ln l(P) + ln l(Q) of rows (P, Q, L)."""
+    import numpy as np
+
     return (states[..., 2] - np.logaddexp(0.0, -states[..., 0])
             - np.logaddexp(0.0, -states[..., 1]))
 
 
 #: Three-point Gauss-Legendre rule on [0, 1]: nodes and weights.
-_GL_NODES = 0.5 + np.array([-0.1, 0.0, 0.1]) * math.sqrt(15.0)
-_GL_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
+_GL_NODES = tuple(0.5 + d * math.sqrt(15.0) for d in (-0.1, 0.0, 0.1))
+_GL_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
 #: Powers of the step fraction in a dense-output quartic, which are also
 #: the weights that give its derivative at the step's end.
-_POWERS = np.arange(1.0, 5.0)
+_POWERS = (1.0, 2.0, 3.0, 4.0)
 
 #: The time quadrature splits a step into panels over which ln(dt/dsigma)
 #: changes by at most about this much.
@@ -230,6 +235,8 @@ def _step_times(sigma: np.ndarray, states: np.ndarray, quartic: np.ndarray) -> n
     Against 3000 five-point panels per step the times agree to 8e-10
     relative, at about two panels per step.
     """
+    import numpy as np
+
     n = len(quartic)
     tail = _logistic(-states[:, :2])
     start_rate, end_rate = quartic[:, 0, :], _POWERS @ quartic
@@ -268,6 +275,8 @@ def _trace_branch(start: ShapePoint, w0: float, r_squared: float,
     VERTEX_DELTA gives one row and no steps.  Raises IntegrationFailureError
     when the branch stops short of a vertex.
     """
+    import numpy as np
+
     y0 = (_logit((start.x - start.y) / 2.0), _logit((start.x + start.y) / 2.0), 0.0)
     if _vertex_margin(*y0) <= 0.0:
         return _Branch(np.zeros(1), np.array([y0]), np.zeros((0, 4, 3)), np.zeros(1))
@@ -313,6 +322,8 @@ def _apexes(branch: _Branch, r_squared: float, params: FlowParams) -> list[Shape
     from its start until the exact clock P + Q reaches its end, and the
     maximum is located on the dense output of the finer steps.
     """
+    import numpy as np
+
     states, quartic = branch.states, branch.quartic
     e = np.exp(-np.abs(states[:, :2]))
     weight = e / (1.0 + e) ** 2 * [-1.0, 1.0]  # dy = l'(Q) dQ - l'(P) dP
@@ -358,6 +369,9 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
     metric with largest coefficient w0 = w(0); it scales the times by 1/c0^2
     and leaves xs, ys and the apex unchanged.  The t = 0 sample is the start
     exactly; times come from quadrature of dt/dsigma (see _step_times).
+    params.rel_tol and params.abs_tol apply to the scale-free state
+    (P, Q, L), so unlike in integrate, abs_tol does not scale with c0 or
+    the metric: it is an absolute error floor on logits and on ln(w/w0).
 
     The apex: the step whose dense output has dy/dsigma falling through
     zero is stepped again from its start at APEX_TOL_FACTOR times the
@@ -366,6 +380,8 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
     if the re-step stops short).  A line without an interior maximum
     reports its highest sample.
     """
+    import numpy as np
+
     if params is None:
         params = FlowParams()
     w0 = metric_coeffs(from_xy(start, c0)).w
@@ -409,6 +425,8 @@ def region_boundaries(resolution: int = 64) -> dict[str, np.ndarray]:
     open end at the top corner left out, so the x-axis intercepts are
     exactly 1/2 and 3/2.
     """
+    import numpy as np
+
     if resolution < 16:
         raise DomainError(f"resolution must be at least 16, got {resolution}")
 

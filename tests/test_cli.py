@@ -107,7 +107,7 @@ def test_snake_command_golden(run_cli):
     assert float(rows[0][0]) == 1.0 and float(rows[0][1]) == 0.0
     assert float(rows[-1][0]) == 0.0
     summary = json.loads(err)
-    assert summary["collapse_time"] == pytest.approx(0.25 + math.pi / 8, rel=1e-14)
+    assert summary["collapse_time"] == pytest.approx(0.25 + math.pi / 8, rel=1e-14, abs=0.0)
 
 
 def test_snake_check_against_integration(run_cli):
@@ -127,10 +127,10 @@ def test_turtle_command_golden(run_cli):
     header, rows = parse_csv(out)
     assert header == ["mu", "t", "u", "v"]
     summary = json.loads(err)
-    assert summary["collapse_time"] == pytest.approx(0.9119796082505411, rel=1e-14)
+    assert summary["collapse_time"] == pytest.approx(0.9119796082505411, rel=1e-14, abs=0.0)
     # mu = 1 profile row carries (u, v) = (0.75, 1).
     assert float(rows[0][2]) == 0.75
-    assert float(rows[0][3]) == pytest.approx(1.0, rel=1e-15)
+    assert float(rows[0][3]) == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
 
 def test_turtle_rejects_beta_at_one(run_cli):
@@ -276,6 +276,20 @@ def test_negative_inputs_are_domain_errors(run_cli):
         assert json.loads(err)["error"] == "domain"
 
 
+def test_quick_queries_at_extreme_scales(run_cli):
+    # Curvature signs do not depend on scale: (1, 2, 3) at 1e160, where the
+    # curvatures themselves overflow, has the signs it has at scale 1.
+    code, out, _ = run_cli("classify", "--a", "1e160", "--b", "2e160", "--c", "3e160")
+    assert code == 0
+    record = json.loads(out)
+    assert record["curvature_signs"] == [1, 1, -1]
+    assert record["ricci_signs"] == [0, 0, 1] and record["scalar_sign"] == 1
+    # Curvatures past the largest float are a domain error, not a crash.
+    code, out, err = run_cli("curvature", "--a", "1e308", "--b", "1e308", "--c", "1e308")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "domain"
+
+
 def test_simulate_rejects_rel_tol_past_bound(run_cli):
     # At rel_tol = 1e300 the controller took one step and reported a collapse
     # time of 0.086 with exit code 0.
@@ -330,11 +344,26 @@ def test_float_formatting_round_trips():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # The package integrates without scipy; importing the CLI must not pull
-    # it in (it costs most of the start-up time of a quick command).
-    code = ("import sys, danteflow.cli; "
-            "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
+    # The package integrates without scipy, and the quick queries need no
+    # numpy either: importing the CLI and running curvature, classify and a
+    # domain error must pull in neither (numpy alone costs most of the
+    # start-up time of a quick command).  flow and shapespace stay loaded,
+    # since the benchmark's tracer wraps their functions after the import.
+    code = (
+        "import json, sys\n"
+        "from danteflow.cli import main\n"
+        "quick = ['--a', '1', '--b', '2', '--c', '3']\n"
+        "codes = [main(['curvature', *quick]), main(['classify', *quick]),\n"
+        "         main(['classify', *quick, '--eq-tol', 'nan'])]\n"
+        "print(json.dumps({'codes': codes, 'modules': sorted(sys.modules)}))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 3]
+    modules = set(report["modules"])
+    for heavy in ("numpy", "scipy"):
+        assert not {m for m in modules if m == heavy or m.startswith(heavy + ".")}
+    assert {"danteflow.flow", "danteflow.shapespace"} <= modules

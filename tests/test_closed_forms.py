@@ -40,22 +40,22 @@ TURTLE_EARLY_TIME = {
 
 def test_snake_collapse_goldens():
     for (W, alpha), expected in SNAKE_COLLAPSE.items():
-        assert SnakeSolution(W, alpha).collapse_T == pytest.approx(expected, rel=1e-14)
-    assert SnakeSolution(1.0, 1.0).collapse_T == pytest.approx(0.25 + math.pi / 8, rel=1e-15)
+        assert SnakeSolution(W, alpha).collapse_T == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert SnakeSolution(1.0, 1.0).collapse_T == pytest.approx(0.25 + math.pi / 8, rel=1e-15, abs=0.0)
 
 
 def test_turtle_collapse_goldens():
     for (U, beta), expected in TURTLE_COLLAPSE.items():
-        assert TurtleSolution(U, beta).collapse_T == pytest.approx(expected, rel=1e-14)
+        assert TurtleSolution(U, beta).collapse_T == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_snake_time_endpoints_and_goldens():
     s = SnakeSolution(1.0, 1.0)
     assert snake_time_of_lambda(s, 1.0) == 0.0
-    assert snake_time_of_lambda(s, 0.0) == pytest.approx(s.collapse_T, rel=1e-15)
-    assert snake_time_of_lambda(s, 0.5) == pytest.approx(0.2108752771983211, rel=1e-14)
+    assert snake_time_of_lambda(s, 0.0) == pytest.approx(s.collapse_T, rel=1e-15, abs=0.0)
+    assert snake_time_of_lambda(s, 0.5) == pytest.approx(0.2108752771983211, rel=1e-14, abs=0.0)
     s = SnakeSolution(1.0, 0.25)
-    assert snake_time_of_lambda(s, 0.25) == pytest.approx(0.7111943228788885, rel=1e-14)
+    assert snake_time_of_lambda(s, 0.25) == pytest.approx(0.7111943228788885, rel=1e-14, abs=0.0)
     with pytest.raises(DomainError):
         snake_time_of_lambda(s, -0.01)
     with pytest.raises(DomainError):
@@ -65,10 +65,10 @@ def test_snake_time_endpoints_and_goldens():
 def test_turtle_time_endpoints_and_goldens():
     s = TurtleSolution(1.0, 0.5)
     assert turtle_time_of_mu(s, 1.0) == 0.0
-    assert turtle_time_of_mu(s, 0.0) == pytest.approx(s.collapse_T, rel=1e-15)
-    assert turtle_time_of_mu(s, 0.5) == pytest.approx(0.6938933324510596, rel=1e-14)
+    assert turtle_time_of_mu(s, 0.0) == pytest.approx(s.collapse_T, rel=1e-15, abs=0.0)
+    assert turtle_time_of_mu(s, 0.5) == pytest.approx(0.6938933324510596, rel=1e-14, abs=0.0)
     s = TurtleSolution(1.0, 0.9)
-    assert turtle_time_of_mu(s, 0.25) == pytest.approx(3.1906372350095444, rel=1e-14)
+    assert turtle_time_of_mu(s, 0.25) == pytest.approx(3.1906372350095444, rel=1e-14, abs=0.0)
     # abs=0: approx's default 1e-12 absolute floor would swamp rel at 1e-9.
     for (U, beta, mu), expected in TURTLE_EARLY_TIME.items():
         assert turtle_time_of_mu(TurtleSolution(U, beta), mu) == pytest.approx(
@@ -92,11 +92,11 @@ def test_time_profiles_are_strictly_decreasing():
 def test_isotropic_reduction():
     # alpha = 0 and beta = 0 both reduce to t = scale * (1 - fraction).
     s = SnakeSolution(2.0, 0.0)
-    assert s.collapse_T == pytest.approx(2.0, rel=1e-15)
-    assert snake_time_of_lambda(s, 0.25) == pytest.approx(1.5, rel=1e-14)
+    assert s.collapse_T == pytest.approx(2.0, rel=1e-15, abs=0.0)
+    assert snake_time_of_lambda(s, 0.25) == pytest.approx(1.5, rel=1e-14, abs=0.0)
     t = TurtleSolution(2.0, 0.0)
-    assert t.collapse_T == pytest.approx(2.0, rel=1e-15)
-    assert turtle_time_of_mu(t, 0.25) == pytest.approx(1.5, rel=1e-14)
+    assert t.collapse_T == pytest.approx(2.0, rel=1e-15, abs=0.0)
+    assert turtle_time_of_mu(t, 0.25) == pytest.approx(1.5, rel=1e-14, abs=0.0)
 
 
 def test_series_branch_matches_direct_formula():
@@ -107,7 +107,7 @@ def test_series_branch_matches_direct_formula():
     a2 = alpha * alpha
     t_direct = 0.5 * W * ((1 - lam) * (1 - lam * a2) / ((1 + a2) * (1 + a2 * lam * lam))
                           + math.atan((1 - lam) * alpha / (1 + a2 * lam)) / alpha)
-    assert t_series == pytest.approx(t_direct, rel=1e-13)
+    assert t_series == pytest.approx(t_direct, rel=1e-13, abs=0.0)
 
     # The raw log form cancels catastrophically at tiny beta (the reason the
     # series branch exists); a log1p decomposition is the accurate oracle.
@@ -118,7 +118,7 @@ def test_series_branch_matches_direct_formula():
                 - math.log1p(-beta) - math.log1p(beta * mu))
     t_direct = U * (0.5 / (1 - b2) - 0.5 * mu / (1 - b2 * mu * mu)
                     + log_term / (4 * beta))
-    assert t_series == pytest.approx(t_direct, rel=1e-13)
+    assert t_series == pytest.approx(t_direct, rel=1e-13, abs=0.0)
 
 
 def test_snake_profile():
@@ -138,7 +138,7 @@ def test_snake_aspect_ratio_identity():
         s = SnakeSolution(1.0, alpha)
         for lam in (1.0, 0.6, 0.2, 0.04):
             w, v = snake_profile(s, lam)
-            assert w / v == pytest.approx(1.0 + (alpha * lam) ** 2, rel=1e-14)
+            assert w / v == pytest.approx(1.0 + (alpha * lam) ** 2, rel=1e-14, abs=0.0)
     s = SnakeSolution(1.0, 1.0)
     for lam in (0.9, 0.5, 0.1):
         w, v = snake_profile(s, lam)
@@ -158,7 +158,7 @@ def test_turtle_profile():
     s = TurtleSolution(0.75, 0.5)
     u, v = turtle_profile(s, 1.0)
     assert u == 0.75
-    assert v == pytest.approx(1.0, rel=1e-15)
+    assert v == pytest.approx(1.0, rel=1e-15, abs=0.0)
     u, v = turtle_profile(s, 1e-8)
     assert u / v == pytest.approx(1.0, abs=1e-15)
     assert turtle_profile(TurtleSolution(1.0, 0.0), 0.5) == (0.5, 0.5)
@@ -166,7 +166,7 @@ def test_turtle_profile():
         turtle_profile(s, 0.0)
     for mu in (1.0, 0.5, 0.1):
         u, v = turtle_profile(s, mu)
-        assert u / v == pytest.approx(1.0 - (s.beta * mu) ** 2, rel=1e-14)
+        assert u / v == pytest.approx(1.0 - (s.beta * mu) ** 2, rel=1e-14, abs=0.0)
 
 
 def test_snake_inversion_round_trip():
@@ -241,7 +241,7 @@ def test_from_initial_constructors():
 
     t = TurtleSolution.from_initial(MetricCoeffs(0.75, 1.0, 1.0))
     assert (t.U, t.beta) == (0.75, 0.5)
-    assert t.V == pytest.approx(1.0, rel=1e-15)
+    assert t.V == pytest.approx(1.0, rel=1e-15, abs=0.0)
     with pytest.raises(DomainError):
         TurtleSolution.from_initial(MetricCoeffs(0.75, 1.0, 1.1))
     with pytest.raises(DomainError):

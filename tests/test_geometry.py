@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from danteflow.errors import DomainError
@@ -18,6 +20,9 @@ def test_semiperimeter_examples():
     assert semiperimeter(StretchFactors(1, 1, 1)) == 1.5
     assert semiperimeter(StretchFactors(1, 1, 2)) == 2.0
     assert semiperimeter(StretchFactors(0.5, 1.0, 1.5)) == 1.5
+    # Past the point where fsum raises OverflowError.
+    assert semiperimeter(StretchFactors(1e308, 1e308, 1e308)) == 1.5e308
+    assert semiperimeter(StretchFactors(1.7e308, 1.7e308, 1.7e308)) == math.inf
 
 
 def test_principal_curvatures_examples():
@@ -200,6 +205,46 @@ def test_classification_is_value_type():
     assert c == classify(StretchFactors(1, 1, 2))
 
 
+#: Stretch factors spanning twelve decades, so draws reach every part of
+#: the shape triangle, the degenerate shapes (a <= eq_tol c) included.
+factors = st.floats(min_value=1e-6, max_value=1e6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(factors, factors, factors, st.floats(min_value=1e-150, max_value=1e150))
+def test_classify_scale_invariance_property(a, b, c, scale):
+    # kappa goes as l^2: at l = 1e150 the curvatures of the scaled factors
+    # overflow, at 1e-150 they underflow, yet no sign may change.
+    scaled = StretchFactors(scale * a, scale * b, scale * c)
+    assert classify(scaled) == classify(StretchFactors(a, b, c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(factors, factors, factors)
+def test_classify_permutation_property(a, b, c):
+    from itertools import permutations
+    abc = (a, b, c)
+    base = classify(StretchFactors(*abc))
+    for perm in permutations(range(3)):
+        result = classify(StretchFactors(*(abc[i] for i in perm)))
+        assert result.shape is base.shape
+        assert result.scalar_sign == base.scalar_sign
+        assert result.curvature_signs == tuple(base.curvature_signs[i] for i in perm)
+        assert result.ricci_signs == tuple(base.ricci_signs[i] for i in perm)
+
+
+def test_classify_signs_at_extreme_scales():
+    # The dragon (1, 2, 3) lies on the degenerate-Ricci line a + b = c.
+    expected = ((1, 1, -1), (0, 0, 1), 1)
+    for scale in (1e-170, 1e-160, 1.0, 1e160, 1e200, 1e300):
+        got = classify(StretchFactors(scale, 2.0 * scale, 3.0 * scale))
+        assert (got.curvature_signs, got.ricci_signs, got.scalar_sign) == expected
+    for scale in (1e-300, 1e200, 1e308):
+        got = classify(StretchFactors(scale, scale, scale, r_squared=scale))
+        assert got.shape is ShapeKind.ISOTROPIC
+        assert (got.curvature_signs, got.ricci_signs, got.scalar_sign) == ((1, 1, 1), (1, 1, 1), 1)
+
+
 def test_ordered_constructor():
     f = StretchFactors.ordered(1.0, 2.0, 3.0)
     assert (f.a, f.b, f.c) == (1.0, 2.0, 3.0)
@@ -225,3 +270,4 @@ def test_validation_rejects_bad_values():
 
 def test_sigma_on_demand():
     assert MetricCoeffs(1.0, 2.0, 3.0).sigma == 3.0
+    assert MetricCoeffs(1e308, 1e308, 1e308).sigma == 1.5e308

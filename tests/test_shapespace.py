@@ -81,13 +81,13 @@ def test_to_xy_is_scale_invariant():
         lam = float(rng.uniform(0.1, 10.0))
         g = StretchFactors(lam * f.a, lam * f.b, lam * f.c)
         p, q = to_xy(f), to_xy(g)
-        assert q.x == pytest.approx(p.x, rel=1e-14)
+        assert q.x == pytest.approx(p.x, rel=1e-14, abs=0.0)
         assert q.y == pytest.approx(p.y, rel=1e-14, abs=1e-16)
 
 
 def test_slope_examples():
     assert slope(ShapePoint(0.8, 0.0)) == 0.0
-    assert slope(ShapePoint(1.5, 0.5)) == pytest.approx(-1.0, rel=1e-15)
+    assert slope(ShapePoint(1.5, 0.5)) == pytest.approx(-1.0, rel=1e-15, abs=0.0)
     x = 1.2
     on_circle = ShapePoint(x, math.sqrt(2.0 - x * x))
     assert abs(slope(on_circle)) < 1e-14
