@@ -45,7 +45,7 @@ step, and failure once a step falls below ten units in the last place of
 t.  Every accepted step keeps the coefficients of its 4th-order (Shampine)
 interpolating quartic; Trajectory.sample_at evaluates them for many times
 at once.  The stop event (and the closed-form inversions) are located by
-one bracketed bisection.
+one bracketed root-finder, _bracket_crossing.
 
 Integrations are single-threaded per trajectory; trajectories are
 independent values, so sweeps may run many integrations concurrently.
@@ -53,6 +53,7 @@ independent values, so sweeps may run many integrations concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -215,19 +216,90 @@ MAX_FACTOR = 10.0
 
 def _bracket_crossing(f: Callable[[float], float], level: float,
                       lo: float, hi: float, width: float) -> tuple[float, float]:
-    """Bisect [lo, hi], where f falls from above level at lo to at most level
+    """Shrink [lo, hi], where f falls from above level at lo to at most level
     at hi, until the bracket is at most width wide; return the bracket.
 
-    The package's one root-finder: the stop event of the stepper and the
-    closed-form inversions both use it.  f(lo) > level >= f(hi) holds for
-    the returned bracket whenever it held for the given one.
+    The package's one root-finder: the stop event of the stepper, the apex
+    of a flow line and the closed-form inversions all use it.  f(lo) >
+    level >= f(hi) holds for the returned bracket whenever it held for the
+    given one; a NaN value counts as at most level.
+
+    Chandrupatla's method (Adv. Eng. Software 28, 1997).  The first point
+    is the secant root of the ends.  Each later one is the root of the
+    inverse quadratic through the ends and the end last displaced, where
+    that quadratic is monotone between them, and the midpoint otherwise.
+    A point lies at least width/2 inside the bracket, so that an accurate
+    estimate ends the search by stepping over the crossing.  Besides its
+    values at the ends, f is evaluated at most ceil(log2((hi - lo)/width))
+    + 2 times: each point is kept close enough to the midpoint that the
+    evaluations left can still halve the bracket down to width, and once
+    they only just can, it is the midpoint.  That bounds the work where f
+    is flat, or only rounding noise, near the crossing.  A width below the
+    spacing of floats there ends the search at two adjacent floats.
     """
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > level:
-            lo = mid
+    span = hi - lo
+    if span <= width:
+        return lo, hi
+    g_lo = f(lo) - level
+    g_hi = f(hi) - level
+    # An end value on the wrong side (by rounding) takes no part in
+    # interpolation: as NaN, like a NaN value of f, it fails every test
+    # below and the step takes the midpoint.  A zero at lo interpolates to
+    # lo.
+    if not g_lo >= 0.0:
+        g_lo = math.nan
+    if not g_hi <= 0.0:
+        g_hi = math.nan
+    # cap = reach * 2**(evaluations left - 1).  A point within cap of both
+    # ends leaves a bracket the later evaluations can halve down to reach.
+    # reach falls short of width by two units in the last place of the
+    # ends (by half of width where that is less): rounding the points
+    # leaves the bracket at most one such unit wider than the halving would.
+    unit = math.ulp(max(abs(lo), abs(hi)))
+    reach = max(width - 2.0 * unit, 0.5 * width)
+    # A ratio past the largest float only means a width below the spacing
+    # of floats, where the search ends at adjacent floats.
+    ratio = min(span / width, sys.float_info.max)
+    cap = math.ldexp(reach, math.ceil(math.log2(ratio)) + 1)
+    # x1 is the newest point, x2 the opposite end and x3 the end x1 displaced.
+    x1, g1, x2, g2, x3, g3 = lo, g_lo, hi, g_hi, None, math.nan
+    while span > width:
+        if x3 is None:
+            t = g1 / (g1 - g2)
+            if t != t:  # the secant through a NaN end
+                t = 0.5
         else:
-            hi = mid
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (g1 - g2) / (g3 - g2)
+            if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+                t = (g1 / (g1 - g2) * g3 / (g3 - g2)
+                     - (x3 - x1) / (x2 - x1) * g1 / (g3 - g1) * g2 / (g2 - g3))
+            else:
+                t = 0.5
+        t_min = 0.5 * width / span
+        if t < t_min:
+            t = t_min
+        elif t > 1.0 - t_min:
+            t = 1.0 - t_min
+        x = x1 + t * (x2 - x1)
+        if x < hi - cap:
+            x = hi - cap
+        elif x > lo + cap:
+            x = lo + cap
+        if not lo < x < hi:  # rounded onto an end
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:  # adjacent floats: width is below their spacing
+                break
+        cap *= 0.5
+        g = f(x) - level
+        if g > 0.0:
+            x3, g3, lo, g_lo = lo, g_lo, x, g
+            x2, g2 = hi, g_hi
+        else:
+            x3, g3, hi, g_hi = hi, g_hi, x, g
+            x2, g2 = lo, g_lo
+        x1, g1 = x, g
+        span = hi - lo
     return lo, hi
 
 
@@ -480,9 +552,10 @@ def _pair_time(Z: float, eps: float, s: float) -> float:
 
 
 def _pair_fraction(Z: float, eps: float, t: float, tol: float) -> float:
-    """Invert _pair_time(Z, eps, s) = t for s by bisection; t is strictly
-    decreasing in s, so convergence is guaranteed."""
+    """Invert _pair_time(Z, eps, s) = t for s to within tol; t is strictly
+    decreasing in s, so the bracket [0, 1] holds exactly one root."""
     _require_positive("tol", tol)
+    t = float(t)
     T = _pair_time(Z, eps, 0.0)
     if not 0.0 <= t <= T:
         raise DomainError(f"time must lie in [0, {T}], got {t}")
@@ -600,7 +673,7 @@ def snake_profile(s: SnakeSolution, lam: float) -> tuple[float, float]:
 
 
 def snake_lambda_of_time(s: SnakeSolution, t: float, tol: float = 1e-12) -> float:
-    """Invert t(lambda) by bisection; monotone, so convergence is guaranteed."""
+    """Invert t(lambda) to within tol; monotone, so the root is unique."""
     return _pair_fraction(s.W, s._eps, t, tol)
 
 
@@ -626,7 +699,7 @@ def turtle_profile(s: TurtleSolution, mu: float) -> tuple[float, float]:
 
 
 def turtle_mu_of_time(s: TurtleSolution, t: float, tol: float = 1e-12) -> float:
-    """Invert t(mu) by bisection, mirroring snake_lambda_of_time."""
+    """Invert t(mu) to within tol, mirroring snake_lambda_of_time."""
     return _pair_fraction(s.U, s._eps, t, tol)
 
 

@@ -109,7 +109,12 @@ def to_xy(f: StretchFactors) -> ShapePoint:
     if not (f.a <= f.b <= f.c):
         raise DomainError(
             f"triangle coordinates need a <= b <= c, got ({f.a}, {f.b}, {f.c})")
-    return ShapePoint((f.a + f.b) / f.c, (f.b - f.a) / f.c)
+    a, b, c = f.a, f.b, f.c
+    if not math.isfinite(a + b):
+        # a + b overflows for factors near the largest float; halving all
+        # three is exact and leaves every finite case as it was.
+        a, b, c = 0.5 * a, 0.5 * b, 0.5 * c
+    return ShapePoint((a + b) / c, (b - a) / c)
 
 
 def from_xy(p: ShapePoint, c: float = 1.0,

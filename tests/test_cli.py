@@ -284,6 +284,12 @@ def test_quick_queries_at_extreme_scales(run_cli):
     record = json.loads(out)
     assert record["curvature_signs"] == [1, 1, -1]
     assert record["ricci_signs"] == [0, 0, 1] and record["scalar_sign"] == 1
+    # a + b overflows at 1e308, yet the round sphere's coordinates are finite.
+    code, out, _ = run_cli("classify", "--a", "1e308", "--b", "1e308", "--c", "1e308")
+    assert code == 0
+    record = json.loads(out)
+    assert (record["x"], record["y"]) == (2.0, 0.0)
+    assert record["shape"] == "isotropic" and record["scalar_sign"] == 1
     # Curvatures past the largest float are a domain error, not a crash.
     code, out, err = run_cli("curvature", "--a", "1e308", "--b", "1e308", "--c", "1e308")
     assert code == 3 and out == ""

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import danteflow.flow as flow_mod
 from danteflow.errors import DomainError
 from danteflow.flow import (SERIES_SWITCH, SnakeSolution, TurtleSolution, integrate,
                             snake_lambda_of_time, snake_profile,
@@ -179,6 +180,9 @@ def test_snake_inversion_round_trip():
         back = snake_lambda_of_time(s, t, tol=1e-12)
         assert back == pytest.approx(lam, abs=2e-12)
         assert snake_time_of_lambda(s, back) == pytest.approx(t, abs=1e-11)
+    # A tol below the spacing of floats ends the search at adjacent floats.
+    t = snake_time_of_lambda(s, 0.3)
+    assert snake_lambda_of_time(s, t, tol=1e-320) == pytest.approx(0.3, abs=1e-15)
     with pytest.raises(DomainError):
         snake_lambda_of_time(s, s.collapse_T + 1e-6)
     with pytest.raises(DomainError):
@@ -227,6 +231,47 @@ def test_turtle_inversion_round_trip_property(big_u, beta, mu):
     assert abs(back - mu) <= INVERSION_TOL
     assert (turtle_time_of_mu(s, min(back + INVERSION_TOL, 1.0)) <= t
             <= turtle_time_of_mu(s, max(back - INVERSION_TOL, 0.0)))
+
+
+def test_inversions_converge_superlinearly(monkeypatch):
+    # Bisection took 41 _pair_time calls per inversion at tol = 1e-12: one
+    # for the collapse time and 40 halvings.  Every inversion here also
+    # costs the collapse time and the two ends of the bracket.
+    calls = []
+    pair_time = flow_mod._pair_time
+
+    def counted(Z, eps, s):
+        calls.append(s)
+        return pair_time(Z, eps, s)
+
+    def bisected(Z, eps, t, tol):
+        lo, hi = 0.0, 1.0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if pair_time(Z, eps, mid) > t:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    monkeypatch.setattr(flow_mod, "_pair_time", counted)
+    solutions = ([SnakeSolution(1.0, alpha) for alpha in (0.0, 0.5, *range(1, 11))]
+                 + [TurtleSolution(1.0, beta) for beta in
+                    (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)])
+    counts = []
+    for s in solutions:
+        invert = snake_lambda_of_time if isinstance(s, SnakeSolution) else turtle_mu_of_time
+        Z = s.W if isinstance(s, SnakeSolution) else s.U
+        for k in range(21):
+            t = min(s.collapse_T * k / 20, s.collapse_T)
+            calls.clear()
+            fraction = invert(s, t, tol=INVERSION_TOL)
+            counts.append(len(calls))
+            assert abs(fraction - bisected(Z, s._eps, t, INVERSION_TOL)) <= INVERSION_TOL
+    counts.sort()
+    assert sum(counts) / len(counts) <= 10.5
+    assert counts[len(counts) * 9 // 10] <= 15
+    assert counts[-1] <= 26
 
 
 def test_from_initial_constructors():

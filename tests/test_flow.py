@@ -3,7 +3,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -320,3 +320,94 @@ def test_initial_step_is_positive_and_finite():
                        ((0.3, math.inf, 0.0), 1e-12), ((0.0, 0.0, 0.0), 1e-300)):
         h = flow_mod._initial_step(y, field(*y, 4.0), field, 4.0, 1e-10, abs_tol)
         assert 0.0 < h < math.inf
+
+
+def _check_crossing(f, level, lo, hi, width):
+    """Run _bracket_crossing on f and check its contract: a bracket inside
+    the given one, at most width wide, with f(lo) > level >= f(hi) (NaN on
+    the high side), found within the evaluation budget."""
+    assume(f(lo) > level and not f(hi) > level)
+    evaluations = []
+
+    def counted(x):
+        evaluations.append(x)
+        return f(x)
+
+    a, b = flow_mod._bracket_crossing(counted, level, lo, hi, width)
+    assert lo <= a < b <= hi
+    assert b - a <= width
+    assert f(a) > level
+    assert not f(b) > level
+    # The two ends, then at most two more points than bisection would take.
+    assert len(evaluations) <= math.ceil(math.log2((hi - lo) / width)) + 4
+    return a, b
+
+
+interval_start = st.floats(min_value=-10.0, max_value=10.0)
+interval_span = st.floats(min_value=1e-6, max_value=10.0)
+root_fraction = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+width_exponent = st.floats(min_value=1.0, max_value=15.0)
+
+
+def _width(lo, hi, digits):
+    # (hi - lo) 10^-digits, but no finer than two float spacings at the
+    # larger end, where the bracket could not shrink to it.
+    return max((hi - lo) * 10.0 ** -digits, 2.0 * math.ulp(max(abs(lo), abs(hi))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_start, interval_span, root_fraction, width_exponent,
+       st.floats(min_value=-1e3, max_value=1e3))
+def test_bracket_crossing_linear(lo, span, fraction, digits, level):
+    hi = lo + span
+    root = lo + fraction * span
+    _check_crossing(lambda x: level + (root - x), level, lo, hi, _width(lo, hi, digits))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-3.0, max_value=3.0), root_fraction, width_exponent)
+def test_bracket_crossing_steep_exponential(log_rate, fraction, digits):
+    # exp(-rate x) - delta on [0, 1]: at rate 1e3 the root sits on a slope
+    # 1e3 times the secant's, at 1e-3 on an almost straight line.
+    rate = 10.0 ** log_rate
+    delta = math.exp(-rate * fraction)
+    _check_crossing(lambda x: math.exp(-rate * x) - delta, 0.0, 0.0, 1.0,
+                    10.0 ** -digits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_start, interval_span, root_fraction, width_exponent,
+       st.integers(min_value=1, max_value=1000))
+def test_bracket_crossing_step_function(lo, span, fraction, digits, steps):
+    # Flat plateaus: f takes `steps` integer values across the interval and
+    # falls from 1 to 0 exactly at the root.
+    hi = lo + span
+    root = lo + fraction * span
+    a, b = _check_crossing(lambda x: math.ceil(steps * (root - x) / span), 0.0,
+                           lo, hi, _width(lo, hi, digits))
+    assert a < root <= b
+
+
+@settings(max_examples=200, deadline=None)
+@given(root_fraction, st.floats(min_value=0.0, max_value=12.0),
+       st.integers(min_value=1, max_value=4))
+def test_bracket_crossing_rounding_noise(fraction, log_offset, ulps):
+    # (offset + (root - x)) - offset is monotone but rounded to multiples of
+    # ulp(offset): near the root it is a staircase of plateaus wider than
+    # the bracket is asked to be, as the stop margins are near a vertex.
+    offset = 10.0 ** log_offset
+    lo, hi = 1.0, 2.0
+    root = lo + fraction
+    _check_crossing(lambda x: (offset + (root - x)) - offset, 0.0, lo, hi,
+                    ulps * math.ulp(hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_start, interval_span, root_fraction, width_exponent)
+def test_bracket_crossing_nan_past_root(lo, span, fraction, digits):
+    # A NaN value counts as at most level, so NaN past the root is a crossing.
+    hi = lo + span
+    root = lo + fraction * span
+    a, b = _check_crossing(lambda x: root - x if x < root else math.nan, 0.0,
+                           lo, hi, _width(lo, hi, digits))
+    assert a < root <= b
