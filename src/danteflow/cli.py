@@ -52,21 +52,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _check_finite(obj) -> None:
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise DomainError("non-finite value in output")
-    elif isinstance(obj, dict):
-        for item in obj.values():
-            _check_finite(item)
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            _check_finite(item)
-
-
 def _json_line(obj: dict) -> str:
-    _check_finite(obj)
-    return json.dumps(obj)
+    try:
+        return json.dumps(obj, allow_nan=False)
+    except ValueError:  # a NaN or an infinity, which JSON cannot hold
+        raise DomainError("non-finite value in output")
 
 
 def _csv_text(header: str, rows) -> str:

@@ -44,8 +44,9 @@ with step factors bounded to [0.2, 10], the Hairer-Norsett-Wanner initial
 step, and failure once a step falls below ten units in the last place of
 t.  Every accepted step keeps the coefficients of its 4th-order (Shampine)
 interpolating quartic; Trajectory.sample_at evaluates them for many times
-at once.  The stop event (and the closed-form inversions) are located by
-one bracketed root-finder, _bracket_crossing.
+at once.  The stop event (collapse here, a vertex or the apex of a flow
+line in shapespace) and the closed-form inversions are located by one
+bracketed root-finder, _bracket_crossing.
 
 Integrations are single-threaded per trajectory; trajectories are
 independent values, so sweeps may run many integrations concurrently.
@@ -56,7 +57,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from .errors import CollapseReachedError, DomainError, IntegrationFailureError
@@ -92,7 +92,8 @@ class FlowParams:
     metric.  trace_flowline steps the scale-free (P, Q, L) of shapespace
     instead, whose components are of order 1 whatever the metric: there a
     large abs_tol coarsens the line (at abs_tol = 1 the line through
-    (1.0, 0.5) has 8 samples and its apex lies 3.6e-4 off the circle).
+    (1.0, 0.5) has 8 samples and its apex lies 1.2e-5 from the one at the
+    default tolerances).
     """
 
     r_squared: float = DEFAULT_R_SQUARED
@@ -214,34 +215,33 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 
 
-def _bracket_crossing(f: Callable[[float], float], level: float,
-                      lo: float, hi: float, width: float) -> tuple[float, float]:
-    """Shrink [lo, hi], where f falls from above level at lo to at most level
-    at hi, until the bracket is at most width wide; return the bracket.
+def _bracket_crossing(f: Callable[[float], float], lo: float, hi: float,
+                      g_lo: float, g_hi: float, width: float) -> tuple[float, float]:
+    """Shrink [lo, hi], where f falls from g_lo = f(lo) > 0 to g_hi = f(hi)
+    <= 0, until the bracket is at most width wide; return the bracket.
 
-    The package's one root-finder: the stop event of the stepper, the apex
-    of a flow line and the closed-form inversions all use it.  f(lo) >
-    level >= f(hi) holds for the returned bracket whenever it held for the
-    given one; a NaN value counts as at most level.
+    The package's one root-finder, with two callers: the stepper's stop
+    event (which locates collapse, a vertex and the flow-line apex) and the
+    closed-form inversions.  Each already holds f at the ends and passes it.
+    f(lo) > 0 >= f(hi) holds for the returned bracket whenever it held for
+    the given one; a NaN value counts as at most 0.
 
     Chandrupatla's method (Adv. Eng. Software 28, 1997).  The first point
     is the secant root of the ends.  Each later one is the root of the
     inverse quadratic through the ends and the end last displaced, where
     that quadratic is monotone between them, and the midpoint otherwise.
     A point lies at least width/2 inside the bracket, so that an accurate
-    estimate ends the search by stepping over the crossing.  Besides its
-    values at the ends, f is evaluated at most ceil(log2((hi - lo)/width))
-    + 2 times: each point is kept close enough to the midpoint that the
-    evaluations left can still halve the bracket down to width, and once
-    they only just can, it is the midpoint.  That bounds the work where f
-    is flat, or only rounding noise, near the crossing.  A width below the
-    spacing of floats there ends the search at two adjacent floats.
+    estimate ends the search by stepping over the crossing.  f is evaluated
+    at most ceil(log2((hi - lo)/width)) + 2 times: each point is kept close
+    enough to the midpoint that the evaluations left can still halve the
+    bracket down to width, and once they only just can, it is the midpoint.
+    That bounds the work where f is flat, or only rounding noise, near the
+    crossing.  A width below the spacing of floats there ends the search at
+    two adjacent floats.
     """
     span = hi - lo
     if span <= width:
         return lo, hi
-    g_lo = f(lo) - level
-    g_hi = f(hi) - level
     # An end value on the wrong side (by rounding) takes no part in
     # interpolation: as NaN, like a NaN value of f, it fails every test
     # below and the step takes the midpoint.  A zero at lo interpolates to
@@ -291,7 +291,7 @@ def _bracket_crossing(f: Callable[[float], float], level: float,
             if not lo < x < hi:  # adjacent floats: width is below their spacing
                 break
         cap *= 0.5
-        g = f(x) - level
+        g = f(x)
         if g > 0.0:
             x3, g3, lo, g_lo = lo, g_lo, x, g
             x2, g2 = hi, g_hi
@@ -357,7 +357,8 @@ def _dormand_prince(y0: tuple[float, float, float],
     accepted), status one of "event", "max_steps", "failed", and the failure
     message or None.
     """
-    if margin(*y0) <= 0.0:
+    g_new = margin(*y0)
+    if g_new <= 0.0:
         raise DomainError("stop margin must be positive at the initial state")
     u, v, w = y0
     k1u, k1v, k1w = rhs(u, v, w, r_squared)
@@ -437,7 +438,8 @@ def _dormand_prince(y0: tuple[float, float, float],
         k1u, k1v, k1w = k7u, k7v, k7w
         times.append(t)
         states.append((u, v, w))
-        if margin(u, v, w) <= 0.0:
+        g_old, g_new = g_new, margin(u, v, w)
+        if g_new <= 0.0:
             status = "event"
             break
 
@@ -458,7 +460,8 @@ def _dormand_prince(y0: tuple[float, float, float],
         def crossing(t: float) -> float:
             return margin(*_quartic_at(y_old, c, (t - t_old) / h))
 
-        _, t_event = _bracket_crossing(crossing, 0.0, t_old, t_new, 2.0 * math.ulp(t_new))
+        _, t_event = _bracket_crossing(crossing, t_old, t_new, g_old, g_new,
+                                       2.0 * math.ulp(t_new))
         if t_event < t_new:
             r = (t_event - t_old) / h
             times_arr[-1] = t_event
@@ -560,7 +563,8 @@ def _pair_fraction(Z: float, eps: float, t: float, tol: float) -> float:
     if not 0.0 <= t <= T:
         raise DomainError(f"time must lie in [0, {T}], got {t}")
     # t(0) = T >= t and t(1) = 0 <= t.
-    lo, hi = _bracket_crossing(partial(_pair_time, Z, eps), t, 0.0, 1.0, tol)
+    lo, hi = _bracket_crossing(lambda s: _pair_time(Z, eps, s) - t, 0.0, 1.0,
+                               T - t, -t, tol)
     return 0.5 * (lo + hi)
 
 

@@ -29,10 +29,11 @@ The edges stay invariant: P = Q on the snakes, Q = +inf (stepped as it is)
 on the turtles, P = -inf on the degenerate line.  The forward branch stops
 within VERTEX_DELTA of the round corner (2, 0), the backward one within
 VERTEX_DELTA of the origin or (1, 1); flow time comes back by quadrature
-of dt/dsigma over the dense output.  The apex is where dy/dsigma falls
-through zero on the dense output of a re-step, at tighter tolerances, of
-the one step that brackets it, stopped by the clock at that step's end.
-The slope formula, which equals (dq - dp)/(dq + dp), is kept as a
+of dt/dsigma over the dense output.  The apex is where dy/dsigma =
+l'(Q) dQ/dsigma - l'(P) dP/dsigma falls through zero: the one step that
+brackets it is stepped again at tighter tolerances with that rate as the
+stop margin, so the re-step stops on the apex as a branch stops on a
+vertex.  The slope formula, which equals (dq - dp)/(dq + dp), is kept as a
 cross-validation oracle.
 
 The Ricci-eigenvalue ratio chart uses
@@ -51,8 +52,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (DegenerateShapeError, DomainError, IntegrationFailureError,
                      SingularMapError, SingularSlopeError)
-from .flow import (FlowParams, Termination, Trajectory, _bracket_crossing,
-                   _dormand_prince, _quartic_at)
+from .flow import FlowParams, Termination, Trajectory, _dormand_prince
 from .geometry import DEFAULT_R_SQUARED, StretchFactors, metric_coeffs
 
 if TYPE_CHECKING:
@@ -90,9 +90,10 @@ class FlowLine:
     backward the shape degenerates at a finite time, so the first few
     samples near the origin can share one value; backward along the turtle
     edge the approach to (1, 1) takes unbounded time instead.  For interior
-    starts the apex lies on x^2 + y^2 = 2 within tracer tolerance (2e-8 at
-    the default tolerances); edge lines have no interior maximum and report
-    their highest sample instead.
+    starts the apex is where dy/dsigma vanishes, so it lies on x^2 + y^2 = 2
+    to rounding, and within 1e-10 of an independent DOP853 apex on the 5x5
+    grid at the default tolerances; edge lines have no interior maximum and
+    report their highest sample instead.
     """
 
     xs: np.ndarray
@@ -305,53 +306,44 @@ def _trace_branch(start: ShapePoint, w0: float, r_squared: float,
     return _Branch(sigma, states, quartic, times)
 
 
-def _y_rate(y_old, c):
-    """d/ds of y = l(Q) - l(P) on one step's quartic, as a function of the
-    step fraction s; l'(z) = l(z) l(-z) = e^-|z| / (1 + e^-|z|)^2."""
-    P0, Q0, _ = y_old
-    (a1, b1, _), (a2, b2, _), (a3, b3, _), (a4, b4, _) = c
-
-    def rate(s: float) -> float:
-        eP = math.exp(-abs(P0 + s * (a1 + s * (a2 + s * (a3 + s * a4)))))
-        eQ = math.exp(-abs(Q0 + s * (b1 + s * (b2 + s * (b3 + s * b4)))))
-        return (eQ / (1.0 + eQ) ** 2 * (b1 + s * (2.0 * b2 + s * (3.0 * b3 + s * 4.0 * b4)))
-                - eP / (1.0 + eP) ** 2 * (a1 + s * (2.0 * a2 + s * (3.0 * a3 + s * 4.0 * a4))))
-    return rate
-
-
 def _apexes(branch: _Branch, r_squared: float, params: FlowParams) -> list[ShapePoint]:
     """The maxima of y on a branch.
 
     A step holds one where dy/dsigma of its dense output falls through zero.
     That step alone is stepped again at APEX_TOL_FACTOR times the tolerances,
-    from its start until the exact clock P + Q reaches its end, and the
-    maximum is located on the dense output of the finer steps.
+    with dy/dsigma of the field as the stop margin, so the re-step ends on
+    the maximum.  Where that rate is already not positive at the step's
+    start (the rise test over the step can round otherwise on a sample on
+    the circle), the start is the maximum: the stepper needs a positive
+    start margin.
     """
     import numpy as np
+
+    def rate(P: float, Q: float, L: float) -> float:
+        # dy/dsigma = l'(Q) dQ - l'(P) dP, with l'(z) = l(z) l(-z).
+        dP, dQ, _ = _field(P, Q, L, r_squared)
+        p, p1 = _logistic_pair(P)
+        q, q1 = _logistic_pair(Q)
+        return q * q1 * dQ - p * p1 * dP
 
     states, quartic = branch.states, branch.quartic
     e = np.exp(-np.abs(states[:, :2]))
     weight = e / (1.0 + e) ** 2 * [-1.0, 1.0]  # dy = l'(Q) dQ - l'(P) dP
     rises = (weight[:-1] * quartic[:, 0, :2]).sum(axis=1) > 0.0
     falls = (weight[1:] * (_POWERS @ quartic)[:, :2]).sum(axis=1) <= 0.0
-    sign = math.copysign(1.0, r_squared)
     points = []
     for k in np.flatnonzero(rises & falls):
-        clock = float(states[k + 1, 0] + states[k + 1, 1])
-        _, fine, fine_quartic, status, message = _dormand_prince(
-            tuple(states[k].tolist()), _field, r_squared,
-            APEX_TOL_FACTOR * params.rel_tol, APEX_TOL_FACTOR * params.abs_tol,
-            params.max_steps, lambda P, Q, L: sign * (clock - P - Q))
-        if status != "event":
-            raise IntegrationFailureError(
-                f"apex re-step stopped short after {len(fine) - 1} steps: "
-                f"{message or status}")
-        # The first fine step whose end still falls holds the maximum; if
-        # none does, it lies at the end of the last.
-        rates = [_y_rate(y_old, c) for y_old, c in zip(fine.tolist(), fine_quartic.tolist())]
-        j = next((j for j, rate in enumerate(rates) if rate(1.0) <= 0.0), len(rates) - 1)
-        lo, hi = _bracket_crossing(rates[j], 0.0, 0.0, 1.0, 4.0 * math.ulp(1.0))
-        P, Q, _ = _quartic_at(fine[j].tolist(), fine_quartic[j].tolist(), 0.5 * (lo + hi))
+        state = tuple(states[k].tolist())
+        if rate(*state) > 0.0:
+            _, fine, _, status, message = _dormand_prince(
+                state, _field, r_squared, APEX_TOL_FACTOR * params.rel_tol,
+                APEX_TOL_FACTOR * params.abs_tol, params.max_steps, rate)
+            if status != "event":
+                raise IntegrationFailureError(
+                    f"apex re-step stopped short after {len(fine) - 1} steps: "
+                    f"{message or status}")
+            state = tuple(fine[-1].tolist())
+        P, Q, _ = state
         points.append(ShapePoint(*_xy(P, Q)))
     return points
 
@@ -380,10 +372,9 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
 
     The apex: the step whose dense output has dy/dsigma falling through
     zero is stepped again from its start at APEX_TOL_FACTOR times the
-    tolerances, until the exact clock P + Q reaches the step's end, and the
-    maximum is located on that finer dense output (IntegrationFailureError
-    if the re-step stops short).  A line without an interior maximum
-    reports its highest sample.
+    tolerances, with dy/dsigma as the stop margin, and the re-step's last
+    row is the maximum (IntegrationFailureError if the re-step stops
+    short).  A line without an interior maximum reports its highest sample.
     """
     import numpy as np
 

@@ -323,23 +323,25 @@ def test_initial_step_is_positive_and_finite():
 
 
 def _check_crossing(f, level, lo, hi, width):
-    """Run _bracket_crossing on f and check its contract: a bracket inside
-    the given one, at most width wide, with f(lo) > level >= f(hi) (NaN on
-    the high side), found within the evaluation budget."""
+    """Run _bracket_crossing on f - level, given its values at the ends, and
+    check its contract: a bracket inside the given one, at most width wide,
+    with f(lo) > level >= f(hi) (NaN on the high side), found within the
+    evaluation budget."""
     assume(f(lo) > level and not f(hi) > level)
     evaluations = []
 
     def counted(x):
         evaluations.append(x)
-        return f(x)
+        return f(x) - level
 
-    a, b = flow_mod._bracket_crossing(counted, level, lo, hi, width)
+    a, b = flow_mod._bracket_crossing(counted, lo, hi, f(lo) - level, f(hi) - level,
+                                      width)
     assert lo <= a < b <= hi
     assert b - a <= width
     assert f(a) > level
     assert not f(b) > level
-    # The two ends, then at most two more points than bisection would take.
-    assert len(evaluations) <= math.ceil(math.log2((hi - lo) / width)) + 4
+    # At most two more points than bisection would take.
+    assert len(evaluations) <= math.ceil(math.log2((hi - lo) / width)) + 2
     return a, b
 
 

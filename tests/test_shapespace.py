@@ -317,6 +317,31 @@ def test_flowline_branches_match_dop853():
             assert np.max(np.abs(logit_L - L)) <= 1e-9
 
 
+def test_flowline_apexes_match_dop853():
+    # The apex lies on the circle by construction, so only an independent
+    # integration shows that it also lies on the traced line: y's maximum
+    # is where dq - dp of the polynomial field falls through zero.
+    from scipy.integrate import solve_ivp
+
+    def y_rate(sigma, state, r_squared):
+        dp, dq, _ = polynomial_field(sigma, state, r_squared)
+        return dq - dp
+
+    y_rate.terminal, y_rate.direction = True, -1.0
+    for start in GRID_5X5:
+        for r_squared in (4.0, -4.0):
+            branch = _trace_branch(start, 1.0, r_squared, FlowParams())
+            apexes = shapespace._apexes(branch, r_squared, FlowParams())
+            p0, q0 = (start.x - start.y) / 2.0, (start.x + start.y) / 2.0
+            ref = solve_ivp(polynomial_field, (0.0, branch.sigma[-1]), [p0, q0, 0.0],
+                            method="DOP853", rtol=1e-13, atol=1e-16,
+                            events=y_rate, args=(r_squared,))
+            maxima = ref.y_events[0]
+            assert len(apexes) == len(maxima)
+            for apex, (p, q, _) in zip(apexes, maxima):
+                assert math.hypot(apex.x - (p + q), apex.y - (q - p)) <= 1e-10
+
+
 @settings(max_examples=40, deadline=None)
 @given(interior_starts, st.floats(min_value=0.5, max_value=10.0), st.sampled_from([1.0, -1.0]))
 def test_flowline_exact_clock_property(start, r_squared, direction):
@@ -334,6 +359,20 @@ def test_flowline_apex_restep_stopping_short_raises(monkeypatch):
     monkeypatch.setattr(shapespace, "APEX_TOL_FACTOR", 1e-200)
     with pytest.raises(IntegrationFailureError, match="apex re-step"):
         trace_flowline(ShapePoint(0.5, 0.25))
+
+
+def test_flowline_apex_on_a_sample_is_that_sample():
+    # One step whose dense output says y rises and then falls, from a start
+    # where dy/dsigma is already negative: the rise test over a step and the
+    # rate at its start can round differently on a sample on the circle.
+    # The stepper rejects a nonpositive start margin, so no re-step can
+    # start there: the start is the apex.
+    P, Q = shapespace._logit(0.6), shapespace._logit(0.9)  # (1.5, 0.3), past the circle
+    quartic = np.zeros((1, 4, 3))
+    quartic[0, :, 1] = (1.0, 0.0, -2.0, 0.0)  # Q rises, then falls by the end
+    branch = shapespace._Branch(np.array([0.0, 1.0]), np.array([[P, Q, 0.0], [P, Q - 1.0, 0.0]]),
+                                quartic, np.array([0.0, 1.0]))
+    assert shapespace._apexes(branch, 4.0, FlowParams()) == [ShapePoint(*shapespace._xy(P, Q))]
 
 
 def test_flowline_tiny_abs_tol_is_not_a_zero_division():
