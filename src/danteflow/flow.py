@@ -1,14 +1,25 @@
 """Ricci-flow dynamics of the metric coefficients (u, v, w).
 
 The flow ``dg/dt = -2 Ric(g)`` restricted to left-invariant metrics reduces
-to three coupled ODEs.  With sigma = (u + v + w)/2,
+to three coupled ODEs.  With m = (u + v + w)/2,
 
-    du/dt = -16 (sigma - v)(sigma - w) / (R^2 v w)
+    du/dt = -16 (m - v)(m - w) / (R^2 v w)
           = -(4/R^2) [2 + (u^2 - v^2 - w^2)/(v w)],
 
 and cyclically.  Every solution collapses (all coefficients reach zero) in
-finite time; the collapse is detected by an event threshold on
-min(u, v, w) and the collapse time is extrapolated linearly through zero.
+finite time.  The right-hand side is homogeneous of degree 0, so the shape
+evolves on its own and the scale only carries the clock.  For u <= v <= w,
+integrate (and shapespace's tracer) steps the bounded field _field of the
+logits P, Q of p = u/w, q = v/w and L = ln(w/w0) in dsigma = dt w/(u v):
+
+    dP/dsigma = k (1 - y),   dQ/dsigma = k (1 + y),   k = 8/R^2,
+    dL/dsigma = -(k/2)(1 - y^2),   dt/dsigma = w0 e^L l(P) l(Q),
+
+with l the logistic function and y = q - p = l(Q) - l(P).  A coefficient
+equal to w0 sits at +inf and stays there (Q on the turtle edge, P and Q on
+the round sphere).  integrate stops where min(u, v, w) = w0 e^L l(P)
+reaches collapse_eps and adds the round sphere's remaining time
+(R^2/4) mean(u, v, w).
 
 Two symmetric reductions integrate in closed form and are implemented
 here alongside the numeric integrator so each can check the other: the
@@ -35,18 +46,16 @@ the turtle's log continued through the round sphere eps = 0.
 Closed-form times are expressed in the R^2 = 4 normalization in which the
 reductions are derived; rescale by r_squared/4 for other radii.
 
-The numeric integrator is one Dormand-Prince 5(4) stepper on plain floats.
-It takes its field as an argument (the flow above for integrate, the
-flow-line field of shapespace for trace_flowline), with the stage
-arithmetic written out for three components and the usual RK45 controller:
-the RMS error norm over atol + rtol max(|y|, |y_new|), safety factor 0.9
-with step factors bounded to [0.2, 10], the Hairer-Norsett-Wanner initial
-step, and failure once a step falls below ten units in the last place of
-t.  Every accepted step keeps the coefficients of its 4th-order (Shampine)
-interpolating quartic; Trajectory.sample_at evaluates them for many times
-at once.  The stop event (collapse here, a vertex or the apex of a flow
-line in shapespace) and the closed-form inversions are located by one
-bracketed root-finder, _bracket_crossing.
+The numeric integrator is one Dormand-Prince 5(4) stepper on plain floats
+for _field, with the usual RK45 controller: the RMS error norm over
+atol + rtol max(|y|, |y_new|), safety factor 0.9 with step factors bounded
+to [0.2, 10], the Hairer-Norsett-Wanner initial step, and failure once a
+step falls below ten units in the last place of sigma.  Every accepted step
+keeps its 4th-order (Shampine) interpolating quartic in sigma.  Flow time
+is Gauss-Legendre quadrature of dt/dsigma over panels of that dense output.
+The stop event (collapse here, a vertex or the apex of a flow line in
+shapespace) and the closed-form inversions are located by one bracketed
+root-finder, _bracket_crossing.
 
 Integrations are single-threaded per trajectory; trajectories are
 independent values, so sweeps may run many integrations concurrently.
@@ -74,11 +83,9 @@ BETA_CAP = 1.0 - 1e-12
 
 
 #: Largest accepted rel_tol.  Looser settings let the step controller take
-#: steps that no longer approximate the flow: at rel_tol = 1 the dragon
-#: (0.3, 0.6, 1.2) "collapses" at t = 0.125 after one step instead of
-#: 0.6387, and at 0.1 the thin dragon (0.01, 0.5, 1) is 98% off.  At 1e-3
-#: both collapse times are within 2e-3 of the converged ones, the very thin
-#: (0.001, 0.002, 1) within 2e-2.
+#: steps that no longer approximate the flow: the thin dragon (0.01, 0.5, 1)
+#: collapses 54% early at rel_tol = 1 and 1.4% early at 1e-2.  At 1e-3 it,
+#: (0.3, 0.6, 1.2) and (0.001, 0.002, 1) are within 1e-3 of converged.
 MAX_REL_TOL = 1e-3
 
 
@@ -87,13 +94,10 @@ class FlowParams:
     """Integration controls.  collapse_eps must stay below min(u0, v0, w0).
 
     rel_tol must lie in (0, MAX_REL_TOL].  abs_tol only has to be positive:
-    it is an absolute floor in the units of the stepped state.  For
-    integrate that state is (u, v, w), so its sensible size scales with the
-    metric.  trace_flowline steps the scale-free (P, Q, L) of shapespace
-    instead, whose components are of order 1 whatever the metric: there a
-    large abs_tol coarsens the line (at abs_tol = 1 the line through
-    (1.0, 0.5) has 8 samples and its apex lies 1.2e-5 from the one at the
-    default tolerances).
+    it is an absolute error floor on the scale-free (P, Q, L) that
+    integrate and trace_flowline step, so it does not scale with the
+    metric, and a large one coarsens the result (at abs_tol = 1 the flow
+    line through (1.0, 0.5) has 8 samples, its apex 1.2e-5 off).
     """
 
     r_squared: float = DEFAULT_R_SQUARED
@@ -124,40 +128,51 @@ class Termination(Enum):
 class Trajectory:
     """Time-stamped metric coefficients with the detected collapse time.
 
-    ``times`` is strictly increasing and every row of ``coeffs`` is
-    positive.  When terminated == COLLAPSED, collapse_time is at or past
-    the final sample time.
+    Every row of ``coeffs`` is positive.  ``times`` rises strictly unless a
+    step's time span rounds to zero (at a collapse_eps of 1e-300, say).
+    When terminated == COLLAPSED, collapse_time is at or past the final
+    sample time.
     """
 
     times: np.ndarray
     coeffs: np.ndarray
     terminated: Termination
     collapse_time: float | None
-    #: Dense output, shape (steps, 4, 3): inside step k the coefficients are
-    #: coeffs[k] + sum_j _quartic[k, j] x^(j+1), a quartic in the step
-    #: fraction x = (t - times[k]) / (times[k+1] - times[k]).
-    _quartic: np.ndarray | None = field(default=None, repr=False)
+    #: For sample_at: sigma, rows (P, Q, L) of the sorted coefficients, their
+    #: dense output and time panels, w0 and each sorted coefficient's column.
+    _dense: tuple | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.times)
 
     def sample_at(self, t) -> np.ndarray:
         """Coefficients at arbitrary times inside the covered span (4th-order
-        dense output of the integrator)."""
+        dense output of the integrator): three Newton steps on sigma inside
+        the quadrature panel that holds each time."""
         import numpy as np
 
-        if self._quartic is None:
+        if self._dense is None:
             raise DomainError("trajectory carries no dense output")
         t = np.asarray(t, dtype=float)
         times = self.times
         if np.any(t < times[0]) or np.any(t > times[-1]):
             raise DomainError("requested time outside the integrated span")
-        # A time on a step boundary belongs to the step that ends there.
-        k = np.clip(np.searchsorted(times, t, side="left") - 1, 0, len(self._quartic) - 1)
-        x = ((t - times[k]) / (times[k + 1] - times[k]))[..., None]
-        c = self._quartic[k]
-        return self.coeffs[k] + x * (c[..., 0, :] + x * (c[..., 1, :]
-                                     + x * (c[..., 2, :] + x * c[..., 3, :])))
+        sigma, states, quartic, (step, lo, width, ends), w0, columns = self._dense
+        # A time on a panel boundary belongs to the panel that ends there.
+        j = np.minimum(np.searchsorted(ends, t, side="left"), len(ends) - 1)
+        step, lo, width, t_lo = step[j], lo[j], width[j], np.where(j > 0, ends[j - 1], 0.0)
+        share = (t - t_lo) / np.maximum(ends[j] - t_lo, sys.float_info.min)
+        x = lo + width * np.clip(share, 0.0, 1.0)  # the fraction of the step
+        scale = w0 * np.diff(sigma)[step]  # dt/dx = scale e^g
+        nodes = np.array(_GL_NODES + (1.0,))
+        for _ in range(3):
+            part = x - lo
+            rate = np.exp(_log_rate(_dense_at(states, quartic, step,
+                                              lo[..., None] + part[..., None] * nodes)))
+            error = t_lo + scale * part * (rate[..., :-1] @ _GL_WEIGHTS) - t
+            x = np.clip(x - error / np.maximum(scale * rate[..., -1], sys.float_info.min),
+                        lo, lo + width)
+        return _coeffs(_dense_at(states, quartic, step, x[..., None])[..., 0, :], w0, columns)
 
     def uniform_grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n equispaced samples spanning the trajectory."""
@@ -169,28 +184,112 @@ class Trajectory:
         return ts, self.sample_at(ts)
 
 
-def _rhs_scalar(u, v, w, r_squared):
+def rhs(m: MetricCoeffs, r_squared: float = DEFAULT_R_SQUARED) -> tuple[float, float, float]:
+    """Time derivatives (du, dv, dw) of the metric coefficients: the paper's
+    equations, the oracle of integrate's _field in the tests.  The bracket
+    form -(4/R^2)[2 + (u^2 - v^2 - w^2)/(vw)] agrees to 1e-12 relative."""
+    _require_positive("r_squared", r_squared)
+    u, v, w = m.u, m.v, m.w
     # Each half-difference sums the other two components first, which keeps
     # the slot map exactly equivariant under input permutations.
     qu = ((v + w) - u) / 2.0
     qv = ((u + w) - v) / 2.0
     qw = ((u + v) - w) / 2.0
     k = -16.0 / r_squared
-    du = k * (qv * qw) / (v * w)
-    dv = k * (qu * qw) / (u * w)
-    dw = k * (qu * qv) / (u * v)
-    return du, dv, dw
+    return k * (qv * qw) / (v * w), k * (qu * qw) / (u * w), k * (qu * qv) / (u * v)
 
 
-def rhs(m: MetricCoeffs, r_squared: float = DEFAULT_R_SQUARED) -> tuple[float, float, float]:
-    """Time derivatives (du, dv, dw) of the metric coefficients.
+def _field(P: float, Q: float, L: float, r_squared: float) -> tuple[float, float, float]:
+    """The scale-free field d(P, Q, L)/dsigma of the module docstring."""
+    k = 8.0 / r_squared
+    y = 0.5 * (math.tanh(0.5 * Q) - math.tanh(0.5 * P))
+    return k * (1.0 - y), k * (1.0 + y), -0.5 * k * (1.0 - y) * (1.0 + y)
 
-    Uses the sigma-product form; the bracket form
-    -(4/R^2)[2 + (u^2 - v^2 - w^2)/(vw)] agrees to 1e-12 relative and is
-    kept in the test suite as the cross-check.
+
+def _logistic_pair(z: float) -> tuple[float, float]:
+    """(l(z), l(-z)) = (p, 1 - p) for z = logit(p), each to full relative
+    accuracy and without overflow; z = +inf gives (1, 0)."""
+    e = math.exp(-abs(z))
+    near_one, near_zero = 1.0 / (1.0 + e), e / (1.0 + e)
+    return (near_one, near_zero) if z >= 0.0 else (near_zero, near_one)
+
+
+def _logit(p: float, one: float = 1.0) -> float:
+    return math.inf if p == one else math.log(p / (one - p))
+
+
+def _logistic(z: np.ndarray) -> np.ndarray:
+    import numpy as np
+
+    return np.exp(-np.logaddexp(0.0, -z))
+
+
+def _log_rate(states: np.ndarray) -> np.ndarray:
+    """ln((dt/dsigma)/w0) = L + ln l(P) + ln l(Q) of rows (P, Q, L)."""
+    import numpy as np
+
+    return (states[..., 2] - np.logaddexp(0.0, -states[..., 0])
+            - np.logaddexp(0.0, -states[..., 1]))
+
+
+def _coeffs(states: np.ndarray, w0: float, columns=(0, 1, 2)) -> np.ndarray:
+    """Rows (u, v, w) = w0 e^L (l(P), l(Q), 1) of rows (P, Q, L), the sorted
+    coefficient i put back in column columns[i]."""
+    import numpy as np
+
+    ordered = w0 * np.exp(states[..., 2:]) * np.concatenate(
+        [_logistic(states[..., :2]), np.ones_like(states[..., 2:])], axis=-1)
+    return ordered[..., np.argsort(columns)]
+
+
+def _dense_at(states: np.ndarray, quartic: np.ndarray, step: np.ndarray,
+              frac: np.ndarray) -> np.ndarray:
+    """Rows (P, Q, L) of the dense output at fractions frac[..., i] of step."""
+    return states[step][..., None, :] + (frac[..., None] ** _POWERS) @ quartic[step]
+
+
+#: Five-point Gauss-Legendre rule on [0, 1]: nodes and weights.
+_GL_OUTER, _GL_INNER = (math.sqrt(5.0 + s * math.sqrt(40.0 / 7.0)) / 6.0 for s in (1.0, -1.0))
+_GL_NODES = (0.5 - _GL_OUTER, 0.5 - _GL_INNER, 0.5, 0.5 + _GL_INNER, 0.5 + _GL_OUTER)
+_GL_WEIGHTS = tuple((322.0 + s * 13.0 * math.sqrt(70.0)) / 1800.0 if s else 64.0 / 225.0
+                    for s in (-1.0, 1.0, 0.0, 1.0, -1.0))
+#: Powers of the step fraction in a dense-output quartic, which are also
+#: the weights that give its derivative at the step's end.
+_POWERS = (1.0, 2.0, 3.0, 4.0)
+
+#: The time quadrature splits a step into panels over which ln(dt/dsigma)
+#: changes by at most about this much.
+PANEL_LOG_RATE = 0.5
+
+
+def _time_panels(sigma: np.ndarray, states: np.ndarray, quartic: np.ndarray, w0: float):
+    """The integral of w0 e^g, g = _log_rate, over the dense output: the
+    quadrature panels (each one's step, its start and width as fractions of
+    that step, and the time at its end), and the time of every row.
+
+    Steps span up to 10 in sigma where the field is nearly constant (along
+    the snake edge, say), and e^g changes by up to e^9 within one.  So each
+    step is split into m = ceil(h max|g'| / PANEL_LOG_RATE) equal panels
+    with the five-point rule on each.  |h g'| is at most
+    h (|dL| + l(-P) |dP| + l(-Q) |dQ|) at the larger of the step's ends (the
+    signed sum can vanish where its terms do not).  Panels a hundred times
+    finer move the times by at most 2e-14 relative, the rounding of their
+    longer sums.
     """
-    _require_positive("r_squared", r_squared)
-    return _rhs_scalar(m.u, m.v, m.w, r_squared)
+    import numpy as np
+
+    n = len(quartic)
+    tail = _logistic(-states[:, :2])
+    start_rate, end_rate = np.abs(quartic[:, 0, :]), np.abs(_POWERS @ quartic)
+    change = np.maximum(start_rate[:, 2] + (tail[:-1] * start_rate[:, :2]).sum(axis=1),
+                        end_rate[:, 2] + (tail[1:] * end_rate[:, :2]).sum(axis=1))
+    m = np.ceil(change / PANEL_LOG_RATE).clip(1).astype(int)
+    step = np.repeat(np.arange(n), m)
+    width = 1.0 / m[step]
+    start = (np.arange(len(step)) - np.repeat(np.cumsum(m) - m, m)) * width
+    at = _dense_at(states, quartic, step, start[:, None] + width[:, None] * _GL_NODES)
+    ends = w0 * np.cumsum(np.diff(sigma)[step] * width * (np.exp(_log_rate(at)) @ _GL_WEIGHTS))
+    return (step, start, width, ends), np.concatenate([[0.0], ends[np.cumsum(m) - 1]])
 
 
 #: Shampine's dense output for the Dormand-Prince pair: row s weights stage
@@ -316,7 +415,7 @@ def _scaled_rms(values, scales) -> float:
     return norm if norm < math.inf else math.hypot(a, b, c) / math.sqrt(3.0)
 
 
-def _initial_step(y, f, rhs, r_squared, rel_tol, abs_tol) -> float:
+def _initial_step(y, f, r_squared, rel_tol, abs_tol) -> float:
     # Hairer, Norsett and Wanner, Solving ODEs I, II.4, for an error
     # estimator of order 4 on an unbounded interval.
     scales = [abs_tol + abs(yi) * rel_tol for yi in y]
@@ -325,7 +424,7 @@ def _initial_step(y, f, rhs, r_squared, rel_tol, abs_tol) -> float:
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     if not 0.0 < h0 < math.inf:  # d1 overflowed even through hypot
         h0 = 1e-6
-    f1 = rhs(y[0] + h0 * f[0], y[1] + h0 * f[1], y[2] + h0 * f[2], r_squared)
+    f1 = _field(y[0] + h0 * f[0], y[1] + h0 * f[1], y[2] + h0 * f[2], r_squared)
     d2 = _scaled_rms([a - b for a, b in zip(f1, f)], scales) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -340,32 +439,29 @@ def _quartic_at(y_old, c, x: float) -> tuple[float, float, float]:
                  for y, c1, c2, c3, c4 in zip(y_old, *c))
 
 
-def _dormand_prince(y0: tuple[float, float, float],
-                    rhs: Callable[[float, float, float, float], tuple[float, float, float]],
-                    r_squared: float, rel_tol: float, abs_tol: float, max_steps: int,
+def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: float,
+                    abs_tol: float, max_steps: int,
                     margin: Callable[[float, float, float], float]):
-    """Step the field y' = rhs(*y, r_squared) from t = 0 until margin(*y) is
+    """Step _field from y0 = (P, Q, L) at sigma = 0 until margin(P, Q, L) is
     no longer positive.
 
-    Both fields the package steps (the (u, v, w) flow here and the
-    flow-line field of shapespace) are proportional to 1/R^2, so a negative
-    r_squared runs them backward.  The crossing is localized on the
-    crossing step's quartic to a few units in the last place of t, and the
-    last sample is taken on the nonpositive side.  Returns (times, coeffs,
-    quartic, status, message): times (n+1,), coeffs (n+1, 3) and quartic
-    (n, 4, 3) as Trajectory holds them (quartic None when no step was
-    accepted), status one of "event", "max_steps", "failed", and the failure
-    message or None.
+    The field is proportional to 1/R^2, so a negative r_squared runs it
+    backward.  The crossing is localized on the crossing step's quartic to
+    a few units in the last place of sigma, and the last row is taken on
+    the nonpositive side.  Returns (sigma, states, quartic, status,
+    message): sigma (n+1,), rows (P, Q, L) (n+1, 3) and their dense output
+    (n, 4, 3), status one of "event", "max_steps", "failed", and the
+    failure message or None.
     """
     g_new = margin(*y0)
     if g_new <= 0.0:
         raise DomainError("stop margin must be positive at the initial state")
-    u, v, w = y0
-    k1u, k1v, k1w = rhs(u, v, w, r_squared)
-    h_abs = _initial_step(y0, (k1u, k1v, k1w), rhs, r_squared, rel_tol, abs_tol)
+    P, Q, L = y0
+    k1P, k1Q, k1L = _field(P, Q, L, r_squared)
+    h_abs = _initial_step(y0, (k1P, k1Q, k1L), r_squared, rel_tol, abs_tol)
     t = 0.0
     times = [t]
-    states = [(u, v, w)]
+    states = [(P, Q, L)]
     stages = []
     status, message = "max_steps", None
     for _ in range(max_steps):
@@ -375,51 +471,47 @@ def _dormand_prince(y0: tuple[float, float, float],
         while True:
             t_new = t + h_abs
             h = t_new - t
-            try:
-                k2u, k2v, k2w = rhs(u + h * (1 / 5 * k1u),
-                                    v + h * (1 / 5 * k1v),
-                                    w + h * (1 / 5 * k1w), r_squared)
-                k3u, k3v, k3w = rhs(u + h * (3 / 40 * k1u + 9 / 40 * k2u),
-                                    v + h * (3 / 40 * k1v + 9 / 40 * k2v),
-                                    w + h * (3 / 40 * k1w + 9 / 40 * k2w), r_squared)
-                k4u, k4v, k4w = rhs(
-                    u + h * (44 / 45 * k1u - 56 / 15 * k2u + 32 / 9 * k3u),
-                    v + h * (44 / 45 * k1v - 56 / 15 * k2v + 32 / 9 * k3v),
-                    w + h * (44 / 45 * k1w - 56 / 15 * k2w + 32 / 9 * k3w), r_squared)
-                k5u, k5v, k5w = rhs(
-                    u + h * (19372 / 6561 * k1u - 25360 / 2187 * k2u
-                             + 64448 / 6561 * k3u - 212 / 729 * k4u),
-                    v + h * (19372 / 6561 * k1v - 25360 / 2187 * k2v
-                             + 64448 / 6561 * k3v - 212 / 729 * k4v),
-                    w + h * (19372 / 6561 * k1w - 25360 / 2187 * k2w
-                             + 64448 / 6561 * k3w - 212 / 729 * k4w), r_squared)
-                k6u, k6v, k6w = rhs(
-                    u + h * (9017 / 3168 * k1u - 355 / 33 * k2u + 46732 / 5247 * k3u
-                             + 49 / 176 * k4u - 5103 / 18656 * k5u),
-                    v + h * (9017 / 3168 * k1v - 355 / 33 * k2v + 46732 / 5247 * k3v
-                             + 49 / 176 * k4v - 5103 / 18656 * k5v),
-                    w + h * (9017 / 3168 * k1w - 355 / 33 * k2w + 46732 / 5247 * k3w
-                             + 49 / 176 * k4w - 5103 / 18656 * k5w), r_squared)
-                un = u + h * (35 / 384 * k1u + 500 / 1113 * k3u + 125 / 192 * k4u
-                              - 2187 / 6784 * k5u + 11 / 84 * k6u)
-                vn = v + h * (35 / 384 * k1v + 500 / 1113 * k3v + 125 / 192 * k4v
-                              - 2187 / 6784 * k5v + 11 / 84 * k6v)
-                wn = w + h * (35 / 384 * k1w + 500 / 1113 * k3w + 125 / 192 * k4w
-                              - 2187 / 6784 * k5w + 11 / 84 * k6w)
-                k7u, k7v, k7w = rhs(un, vn, wn, r_squared)
-            except ZeroDivisionError:  # a stage landed on a zero coefficient
-                error = math.inf
-            else:
-                # Difference of the embedded 4th- and 5th-order solutions.
-                eu = h * (-71 / 57600 * k1u + 71 / 16695 * k3u - 71 / 1920 * k4u
-                          + 17253 / 339200 * k5u - 22 / 525 * k6u + 1 / 40 * k7u)
-                ev = h * (-71 / 57600 * k1v + 71 / 16695 * k3v - 71 / 1920 * k4v
-                          + 17253 / 339200 * k5v - 22 / 525 * k6v + 1 / 40 * k7v)
-                ew = h * (-71 / 57600 * k1w + 71 / 16695 * k3w - 71 / 1920 * k4w
-                          + 17253 / 339200 * k5w - 22 / 525 * k6w + 1 / 40 * k7w)
-                error = _rms3(eu / (abs_tol + max(abs(u), abs(un)) * rel_tol),
-                              ev / (abs_tol + max(abs(v), abs(vn)) * rel_tol),
-                              ew / (abs_tol + max(abs(w), abs(wn)) * rel_tol))
+            k2P, k2Q, k2L = _field(P + h * (1 / 5 * k1P),
+                                   Q + h * (1 / 5 * k1Q),
+                                   L + h * (1 / 5 * k1L), r_squared)
+            k3P, k3Q, k3L = _field(P + h * (3 / 40 * k1P + 9 / 40 * k2P),
+                                   Q + h * (3 / 40 * k1Q + 9 / 40 * k2Q),
+                                   L + h * (3 / 40 * k1L + 9 / 40 * k2L), r_squared)
+            k4P, k4Q, k4L = _field(
+                P + h * (44 / 45 * k1P - 56 / 15 * k2P + 32 / 9 * k3P),
+                Q + h * (44 / 45 * k1Q - 56 / 15 * k2Q + 32 / 9 * k3Q),
+                L + h * (44 / 45 * k1L - 56 / 15 * k2L + 32 / 9 * k3L), r_squared)
+            k5P, k5Q, k5L = _field(
+                P + h * (19372 / 6561 * k1P - 25360 / 2187 * k2P
+                         + 64448 / 6561 * k3P - 212 / 729 * k4P),
+                Q + h * (19372 / 6561 * k1Q - 25360 / 2187 * k2Q
+                         + 64448 / 6561 * k3Q - 212 / 729 * k4Q),
+                L + h * (19372 / 6561 * k1L - 25360 / 2187 * k2L
+                         + 64448 / 6561 * k3L - 212 / 729 * k4L), r_squared)
+            k6P, k6Q, k6L = _field(
+                P + h * (9017 / 3168 * k1P - 355 / 33 * k2P + 46732 / 5247 * k3P
+                         + 49 / 176 * k4P - 5103 / 18656 * k5P),
+                Q + h * (9017 / 3168 * k1Q - 355 / 33 * k2Q + 46732 / 5247 * k3Q
+                         + 49 / 176 * k4Q - 5103 / 18656 * k5Q),
+                L + h * (9017 / 3168 * k1L - 355 / 33 * k2L + 46732 / 5247 * k3L
+                         + 49 / 176 * k4L - 5103 / 18656 * k5L), r_squared)
+            Pn = P + h * (35 / 384 * k1P + 500 / 1113 * k3P + 125 / 192 * k4P
+                          - 2187 / 6784 * k5P + 11 / 84 * k6P)
+            Qn = Q + h * (35 / 384 * k1Q + 500 / 1113 * k3Q + 125 / 192 * k4Q
+                          - 2187 / 6784 * k5Q + 11 / 84 * k6Q)
+            Ln = L + h * (35 / 384 * k1L + 500 / 1113 * k3L + 125 / 192 * k4L
+                          - 2187 / 6784 * k5L + 11 / 84 * k6L)
+            k7P, k7Q, k7L = _field(Pn, Qn, Ln, r_squared)
+            # Difference of the embedded 4th- and 5th-order solutions.
+            eP = h * (-71 / 57600 * k1P + 71 / 16695 * k3P - 71 / 1920 * k4P
+                      + 17253 / 339200 * k5P - 22 / 525 * k6P + 1 / 40 * k7P)
+            eQ = h * (-71 / 57600 * k1Q + 71 / 16695 * k3Q - 71 / 1920 * k4Q
+                      + 17253 / 339200 * k5Q - 22 / 525 * k6Q + 1 / 40 * k7Q)
+            eL = h * (-71 / 57600 * k1L + 71 / 16695 * k3L - 71 / 1920 * k4L
+                      + 17253 / 339200 * k5L - 22 / 525 * k6L + 1 / 40 * k7L)
+            error = _rms3(eP / (abs_tol + max(abs(P), abs(Pn)) * rel_tol),
+                          eQ / (abs_tol + max(abs(Q), abs(Qn)) * rel_tol),
+                          eL / (abs_tol + max(abs(L), abs(Ln)) * rel_tol))
             if error < 1.0:
                 factor = MAX_FACTOR if error == 0.0 else min(MAX_FACTOR, SAFETY * error ** -0.2)
                 h_abs = h * (min(1.0, factor) if rejected else factor)
@@ -432,24 +524,22 @@ def _dormand_prince(y0: tuple[float, float, float],
                 break
         if status == "failed":
             break
-        stages.append((k1u, k1v, k1w, k3u, k3v, k3w, k4u, k4v, k4w,
-                       k5u, k5v, k5w, k6u, k6v, k6w, k7u, k7v, k7w))
-        t, u, v, w = t_new, un, vn, wn
-        k1u, k1v, k1w = k7u, k7v, k7w
+        stages.append((k1P, k1Q, k1L, k3P, k3Q, k3L, k4P, k4Q, k4L,
+                       k5P, k5Q, k5L, k6P, k6Q, k6L, k7P, k7Q, k7L))
+        t, P, Q, L = t_new, Pn, Qn, Ln
+        k1P, k1Q, k1L = k7P, k7Q, k7L
         times.append(t)
-        states.append((u, v, w))
-        g_old, g_new = g_new, margin(u, v, w)
+        states.append((P, Q, L))
+        g_old, g_new = g_new, margin(P, Q, L)
         if g_new <= 0.0:
             status = "event"
             break
 
     import numpy as np
 
-    times_arr = np.array(times)
-    coeffs = np.array(states)
-    if not stages:
-        return times_arr, coeffs, None, status, message
-    steps = np.diff(times_arr)
+    sigma = np.array(times)
+    rows = np.array(states)
+    steps = np.diff(sigma)
     quartic = (np.matmul(np.transpose(_DENSE), np.array(stages).reshape(-1, 6, 3))
                * steps[:, None, None])
     if status == "event":
@@ -464,32 +554,26 @@ def _dormand_prince(y0: tuple[float, float, float],
                                        2.0 * math.ulp(t_new))
         if t_event < t_new:
             r = (t_event - t_old) / h
-            times_arr[-1] = t_event
-            coeffs[-1] = _quartic_at(y_old, c, r)
+            sigma[-1] = t_event
+            rows[-1] = _quartic_at(y_old, c, r)
             quartic[-1] *= (r ** np.arange(1, 5))[:, None]
-    return times_arr, coeffs, quartic, status, message
+    return sigma, rows, quartic, status, message
 
-
-def _extrapolate_collapse(times: np.ndarray, coeffs: np.ndarray) -> float:
-    # Linear extrapolation of the smallest coefficient through zero from the
-    # final two samples; near collapse that coefficient is linear to O(dt^3).
-    i = int(coeffs[-1].argmin())
-    t1, y1 = times[-2], coeffs[-2, i]
-    t2, y2 = times[-1], coeffs[-1, i]
-    if y1 <= y2:
-        return float(t2)
-    return float(t2 + y2 * (t2 - t1) / (y1 - y2))
+#: integrate steps at the params' tolerances times this.  A collapse time
+#: carries the error of every step: at the FlowParams defaults the sweep
+#: workload's dragons come out up to 2.7e-10 off, at 0.3 times 8.3e-11.
+INTEGRATE_TOL_FACTOR = 0.3
 
 
 def integrate(m0: MetricCoeffs, params: FlowParams | None = None) -> Trajectory:
     """Integrate the flow from m0 until collapse or max_steps.
 
-    Dormand-Prince 5(4) with adaptive steps; stops when min(u, v, w) reaches
-    params.collapse_eps, then estimates the collapse time by linear
-    extrapolation of the smallest coefficient.  Raises
-    IntegrationFailureError (carrying the partial trajectory) on step-size
-    underflow, and when the collapse event lands on a nonpositive
-    coefficient (a collapse_eps too small for the scale of m0).
+    Steps _field from the sorted u <= v <= w0, (P, Q, L) = (ln(u/(w0 - u)),
+    ln(v/(w0 - v)), 0), at INTEGRATE_TOL_FACTOR times the params'
+    tolerances until min(u, v, w) = w0 e^L l(P) reaches collapse_eps; the
+    collapse time adds the round sphere's remaining (R^2/4) mean(u, v, w).
+    Rows keep the input's column order.  Raises IntegrationFailureError
+    (carrying the partial trajectory) on step-size underflow.
     """
     if params is None:
         params = FlowParams()
@@ -498,31 +582,30 @@ def integrate(m0: MetricCoeffs, params: FlowParams | None = None) -> Trajectory:
         raise DomainError(
             f"collapse_eps ({params.collapse_eps}) must be below the initial "
             f"minimum coefficient ({min(y0)})")
-    eps = params.collapse_eps
+    columns = tuple(sorted(range(3), key=y0.__getitem__))
+    u, v, w0 = (y0[i] for i in columns)
+    log_floor = math.log(params.collapse_eps) - math.log(w0)
 
-    def margin(u: float, v: float, w: float) -> float:
-        return min(u, v, w) - eps
+    def margin(P: float, Q: float, L: float) -> float:
+        # ln(min(u, v, w)/collapse_eps) = L + ln l(P) - log_floor, without overflow.
+        log_l = -math.log1p(math.exp(-P)) if P >= 0.0 else P - math.log1p(math.exp(P))
+        return L + log_l - log_floor
 
-    times, coeffs, quartic, status, message = _dormand_prince(
-        y0, _rhs_scalar, params.r_squared, params.rel_tol, params.abs_tol,
+    sigma, states, quartic, status, message = _dormand_prince(
+        (_logit(u, w0), _logit(v, w0), 0.0), params.r_squared,
+        INTEGRATE_TOL_FACTOR * params.rel_tol, INTEGRATE_TOL_FACTOR * params.abs_tol,
         params.max_steps, margin)
+    coeffs = _coeffs(states, w0, columns)
+    panels, times = _time_panels(sigma, states, quartic, w0)
+    dense = (sigma, states, quartic, panels, w0, columns) if len(quartic) else None
     if status == "failed":
-        partial_traj = Trajectory(times, coeffs, Termination.FAILED, None, quartic)
         raise IntegrationFailureError(
-            f"integration failed: {message}", trajectory=partial_traj)
+            f"integration failed: {message}",
+            trajectory=Trajectory(times, coeffs, Termination.FAILED, None, dense))
     if status == "max_steps":
-        return Trajectory(times, coeffs, Termination.MAX_STEPS, None, quartic)
-    if coeffs[-1].min() <= 0.0:
-        # collapse_eps lies below what the steps resolve at this scale: the
-        # event sample overshot zero.  Keep only the positive samples.
-        partial_traj = Trajectory(times[:-1], coeffs[:-1], Termination.FAILED, None,
-                                  quartic[:-1] if len(quartic) > 1 else None)
-        raise IntegrationFailureError(
-            f"integration failed: the collapse event at t = {times[-1]!r} has a "
-            f"nonpositive coefficient {coeffs[-1].min()!r}; collapse_eps "
-            f"({eps!r}) is below the integrator's resolution", trajectory=partial_traj)
-    collapse_time = _extrapolate_collapse(times, coeffs)
-    return Trajectory(times, coeffs, Termination.COLLAPSED, collapse_time, quartic)
+        return Trajectory(times, coeffs, Termination.MAX_STEPS, None, dense)
+    remaining = 0.25 * params.r_squared * sum(coeffs[-1, list(columns)].tolist()) / 3.0
+    return Trajectory(times, coeffs, Termination.COLLAPSED, float(times[-1]) + remaining, dense)
 
 
 def isotropic_lambda(t: float, r_squared: float = DEFAULT_R_SQUARED) -> float:

@@ -13,23 +13,15 @@ sphere every flow line collapses toward.  Flow lines obey the slope ODE
 
 whose numerator vanishes on the circle x^2 + y^2 = 2 where every interior
 line attains its maximum height.  With p = u/w = a/c and q = v/w = b/c (so
-x = p + q, y = q - p), L = ln(w/w0) and the time dsigma = dt w/(u v), the
-field is the polynomial dp/dsigma = k p (1 - p)(1 - y), dq/dsigma =
-k q (1 - q)(1 + y), k = 8/R^2.  Lines are traced in its logits
-P = ln(p/(1 - p)) and Q = ln(q/(1 - q)), through dp = p (1 - p) dP:
-
-    dP/dsigma = k (1 - y),   dQ/dsigma = k (1 + y),
-    dL/dsigma = -(k/2)(1 - y^2),   dt/dsigma = w0 e^L l(P) l(Q),
-
-with l the logistic function and y = l(Q) - l(P) = (tanh(Q/2) - tanh(P/2))/2.
-The vertices, fixed points of the polynomial field, lie at infinity, where
-this field stays bounded instead of stiffening, and 1 - p and 1 - q keep
-their relative accuracy.  dP + dQ = 2k dsigma makes P + Q an exact clock.
-The edges stay invariant: P = Q on the snakes, Q = +inf (stepped as it is)
-on the turtles, P = -inf on the degenerate line.  The forward branch stops
-within VERTEX_DELTA of the round corner (2, 0), the backward one within
-VERTEX_DELTA of the origin or (1, 1); flow time comes back by quadrature
-of dt/dsigma over the dense output.  The apex is where dy/dsigma =
+x = p + q, y = q - p), lines are traced on the scale-free field of flow,
+the one integrate steps, in the logits P = ln(p/(1 - p)), Q = ln(q/(1 - q))
+and L = ln(w/w0); p = l(P) for l the logistic function.  There the
+vertices lie at infinity, the field stays bounded instead of stiffening,
+and dP + dQ = 2k dsigma (k = 8/R^2) makes P + Q an exact clock.  The edges
+stay invariant: P = Q on the snakes, Q = +inf (stepped as it is) on the
+turtles, P = -inf on the degenerate line.  The forward branch stops within
+VERTEX_DELTA of the round corner (2, 0), the backward one within
+VERTEX_DELTA of the origin or (1, 1).  The apex is where dy/dsigma =
 l'(Q) dQ/dsigma - l'(P) dP/dsigma falls through zero: the one step that
 brackets it is stepped again at tighter tolerances with that rate as the
 stop margin, so the re-step stops on the apex as a branch stops on a
@@ -52,7 +44,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (DegenerateShapeError, DomainError, IntegrationFailureError,
                      SingularMapError, SingularSlopeError)
-from .flow import FlowParams, Termination, Trajectory, _dormand_prince
+from .flow import (_POWERS, FlowParams, Termination, Trajectory, _coeffs, _dormand_prince,
+                   _field, _logistic_pair, _logit, _time_panels)
 from .geometry import DEFAULT_R_SQUARED, StretchFactors, metric_coeffs
 
 if TYPE_CHECKING:
@@ -163,21 +156,6 @@ def to_rho_tau(p: ShapePoint) -> RicciRatios:
     return RicciRatios((p.x - 1.0) / one_minus, (p.x - 1.0) / one_plus)
 
 
-def _field(P: float, Q: float, L: float, r_squared: float) -> tuple[float, float, float]:
-    """The flow-line field d(P, Q, L)/dsigma of the module docstring."""
-    k = 8.0 / r_squared
-    y = 0.5 * (math.tanh(0.5 * Q) - math.tanh(0.5 * P))
-    return k * (1.0 - y), k * (1.0 + y), -0.5 * k * (1.0 - y) * (1.0 + y)
-
-
-def _logistic_pair(z: float) -> tuple[float, float]:
-    """(l(z), l(-z)) = (p, 1 - p) for z = logit(p), each to full relative
-    accuracy and without overflow; z = +inf gives (1, 0)."""
-    e = math.exp(-abs(z))
-    near_one, near_zero = 1.0 / (1.0 + e), e / (1.0 + e)
-    return (near_one, near_zero) if z >= 0.0 else (near_zero, near_one)
-
-
 def _xy(P: float, Q: float) -> tuple[float, float]:
     """Triangle coordinates (p + q, q - p) of a logit state.  y is taken
     from 1 - p and 1 - q once q >= 1/2, which keeps it accurate near (2, 0)."""
@@ -198,64 +176,6 @@ def _round_corner_margin(P: float, Q: float, L: float) -> float:
     # passes close by (1, 1) on its way to (2, 0) and must not stop there.
     x, y = _xy(P, Q)
     return math.hypot(x - 2.0, y) - VERTEX_DELTA
-
-
-def _logit(p: float) -> float:
-    return math.inf if p == 1.0 else math.log(p / (1.0 - p))
-
-
-def _logistic(z: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    return np.exp(-np.logaddexp(0.0, -z))
-
-
-def _log_rate(states: np.ndarray) -> np.ndarray:
-    """ln((dt/dsigma)/w0) = L + ln l(P) + ln l(Q) of rows (P, Q, L)."""
-    import numpy as np
-
-    return (states[..., 2] - np.logaddexp(0.0, -states[..., 0])
-            - np.logaddexp(0.0, -states[..., 1]))
-
-
-#: Three-point Gauss-Legendre rule on [0, 1]: nodes and weights.
-_GL_NODES = tuple(0.5 + d * math.sqrt(15.0) for d in (-0.1, 0.0, 0.1))
-_GL_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
-#: Powers of the step fraction in a dense-output quartic, which are also
-#: the weights that give its derivative at the step's end.
-_POWERS = (1.0, 2.0, 3.0, 4.0)
-
-#: The time quadrature splits a step into panels over which ln(dt/dsigma)
-#: changes by at most about this much.
-PANEL_LOG_RATE = 0.25
-
-
-def _step_times(sigma: np.ndarray, states: np.ndarray, quartic: np.ndarray) -> np.ndarray:
-    """The integral of e^g, g = _log_rate, over each step's dense output.
-
-    Where the field is nearly constant (along the snake edge, say) steps
-    span up to 10 in sigma, and e^g rises and falls by e^9 within one.  So
-    each step is split into m equal panels with the three-point rule on
-    each, m = ceil(h max|g'| / PANEL_LOG_RATE) over the step's two ends;
-    with d ln l(z)/dz = l(-z), h g' = h (dL + l(-P) dP + l(-Q) dQ) there.
-    Against 3000 five-point panels per step the times agree to 8e-10
-    relative, at about two panels per step.
-    """
-    import numpy as np
-
-    n = len(quartic)
-    tail = _logistic(-states[:, :2])
-    start_rate, end_rate = quartic[:, 0, :], _POWERS @ quartic
-    change = np.maximum(
-        np.abs(start_rate[:, 2] + (tail[:-1] * start_rate[:, :2]).sum(axis=1)),
-        np.abs(end_rate[:, 2] + (tail[1:] * end_rate[:, :2]).sum(axis=1)))
-    m = np.ceil(change / PANEL_LOG_RATE).clip(1).astype(int)
-    step = np.repeat(np.arange(n), m)
-    panel = np.arange(len(step)) - np.repeat(np.cumsum(m) - m, m)
-    frac = (panel[:, None] + _GL_NODES) / m[step, None]
-    at = states[step, None, :] + (frac[..., None] ** _POWERS) @ quartic[step]
-    per_panel = (np.exp(_log_rate(at)) @ _GL_WEIGHTS) / m[step]
-    return np.diff(sigma) * np.bincount(step, per_panel, minlength=n)
 
 
 #: The apex re-step runs at the branch's tolerances times this.
@@ -287,14 +207,11 @@ def _trace_branch(start: ShapePoint, w0: float, r_squared: float,
     if _vertex_margin(*y0) <= 0.0:
         return _Branch(np.zeros(1), np.array([y0]), np.zeros((0, 4, 3)), np.zeros(1))
     sigma, states, quartic, status, message = _dormand_prince(
-        y0, _field, r_squared, params.rel_tol, params.abs_tol, params.max_steps,
+        y0, r_squared, params.rel_tol, params.abs_tol, params.max_steps,
         _round_corner_margin if r_squared > 0.0 else _vertex_margin)
-    # dt/dsigma = w0 e^L l(P) l(Q).
-    times = np.concatenate([[0.0], np.cumsum(_step_times(sigma, states, quartic))])
-    times *= w0 if r_squared > 0.0 else -w0
+    times = _time_panels(sigma, states, quartic, w0 if r_squared > 0.0 else -w0)[1]
     if status != "event":
-        coeffs = w0 * np.exp(states[:, 2:]) * np.column_stack(
-            [_logistic(states[:, 0]), _logistic(states[:, 1]), np.ones(len(states))])
+        coeffs = _coeffs(states, w0)
         if r_squared < 0.0:  # a Trajectory runs forward in time
             times, coeffs = times[::-1], coeffs[::-1]
         terminated = Termination.MAX_STEPS if status == "max_steps" else Termination.FAILED
@@ -310,12 +227,10 @@ def _apexes(branch: _Branch, r_squared: float, params: FlowParams) -> list[Shape
     """The maxima of y on a branch.
 
     A step holds one where dy/dsigma of its dense output falls through zero.
-    That step alone is stepped again at APEX_TOL_FACTOR times the tolerances,
-    with dy/dsigma of the field as the stop margin, so the re-step ends on
-    the maximum.  Where that rate is already not positive at the step's
-    start (the rise test over the step can round otherwise on a sample on
-    the circle), the start is the maximum: the stepper needs a positive
-    start margin.
+    That step is stepped again at APEX_TOL_FACTOR times the tolerances with
+    dy/dsigma of the field as the stop margin, so the re-step ends on the
+    maximum.  Where that rate is not positive at the step's start already
+    (rounding on a sample on the circle), the start is the maximum.
     """
     import numpy as np
 
@@ -336,7 +251,7 @@ def _apexes(branch: _Branch, r_squared: float, params: FlowParams) -> list[Shape
         state = tuple(states[k].tolist())
         if rate(*state) > 0.0:
             _, fine, _, status, message = _dormand_prince(
-                state, _field, r_squared, APEX_TOL_FACTOR * params.rel_tol,
+                state, r_squared, APEX_TOL_FACTOR * params.rel_tol,
                 APEX_TOL_FACTOR * params.abs_tol, params.max_steps, rate)
             if status != "event":
                 raise IntegrationFailureError(
@@ -365,10 +280,7 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
     Trajectory of (u, v, w) = w0 e^L (p, q, 1).  c0 lifts the start to a
     metric with largest coefficient w0 = w(0); it scales the times by 1/c0^2
     and leaves xs, ys and the apex unchanged.  The t = 0 sample is the start
-    exactly; times come from quadrature of dt/dsigma (see _step_times).
-    params.rel_tol and params.abs_tol apply to the scale-free state
-    (P, Q, L), so unlike in integrate, abs_tol does not scale with c0 or
-    the metric: it is an absolute error floor on logits and on ln(w/w0).
+    exactly; times come from quadrature of dt/dsigma (see flow._time_panels).
 
     The apex: the step whose dense output has dy/dsigma falling through
     zero is stepped again from its start at APEX_TOL_FACTOR times the

@@ -107,6 +107,17 @@ def test_trajectory_dense_output():
         traj.uniform_grid(1)
 
 
+def test_sample_at_returns_the_rows():
+    # Newton on sigma in the quadrature panel that holds each time lands
+    # on the steps themselves at the step times.
+    for m0 in (MetricCoeffs(0.3, 0.6, 1.2), MetricCoeffs(2.0, 0.02, 1.0),
+               MetricCoeffs(0.5, 0.5, 1.0), MetricCoeffs(0.75, 1.0, 1.0)):
+        traj = integrate(m0)
+        w0 = max(m0.as_tuple())
+        assert_allclose(traj.sample_at(traj.times), traj.coeffs, rtol=0.0, atol=1e-12 * w0)
+        assert traj.sample_at(float(traj.times[1])).shape == (3,)
+
+
 def test_integrate_validates_collapse_eps():
     with pytest.raises(DomainError):
         integrate(MetricCoeffs(1e-10, 1.0, 1.0))
@@ -121,10 +132,14 @@ def test_integrate_max_steps():
     assert len(traj) == 3  # initial sample plus two steps
 
 
+def failing_field(P, Q, L, r_squared):
+    # NaN past L = 1/2: every step across it is rejected until the step
+    # size underflows, before any event.
+    return 1.0, 1.0, (math.nan if L > 0.5 else 1.0)
+
+
 def test_integration_failure_carries_partial_trajectory(monkeypatch):
-    # A quadratic blow-up field forces step-size underflow before any event.
-    monkeypatch.setattr(flow_mod, "_rhs_scalar",
-                        lambda u, v, w, r2: (1e3 * u * u, 1e3 * v * v, 1e3 * w * w))
+    monkeypatch.setattr(flow_mod, "_field", failing_field)
     with pytest.raises(IntegrationFailureError) as excinfo:
         integrate(MetricCoeffs(1, 1, 1), FlowParams(max_steps=100_000))
     partial = excinfo.value.trajectory
@@ -133,17 +148,18 @@ def test_integration_failure_carries_partial_trajectory(monkeypatch):
     assert len(partial) >= 1
 
 
-def test_collapse_eps_below_resolution_raises():
-    # With collapse_eps far below the step's resolution the event sample
-    # overshoots zero; that must fail loudly instead of returning COLLAPSED.
-    for m0, eps in ((MetricCoeffs(1, 1, 1), 1e-300),
-                    (MetricCoeffs(0.5, 0.5, 1.0), 1e-16)):
-        with pytest.raises(IntegrationFailureError) as excinfo:
-            integrate(m0, FlowParams(collapse_eps=eps))
-        partial = excinfo.value.trajectory
-        assert partial.terminated is Termination.FAILED
-        assert np.all(partial.coeffs > 0.0)
-        assert np.all(np.diff(partial.times) > 0.0)
+def test_tiny_collapse_eps_collapses_with_positive_rows():
+    # The rows are w0 e^L (l(P), l(Q), 1), positive by construction, so a
+    # collapse_eps far below the coefficients' rounding still collapses.
+    for m0, eps, T, rel in ((MetricCoeffs(1, 1, 1), 1e-300, 1.0, 1e-15),
+                            (MetricCoeffs(0.5, 0.5, 1.0), 1e-16, 0.25 + math.pi / 8, 1e-10)):
+        traj = integrate(m0, FlowParams(collapse_eps=eps))
+        assert traj.terminated is Termination.COLLAPSED
+        assert np.all(traj.coeffs > 0.0)
+        assert np.all(np.diff(traj.times) >= 0.0)
+        assert traj.coeffs[-1].min() <= eps * (1 + 1e-6)
+        assert traj.collapse_time == pytest.approx(T, rel=rel, abs=0.0)
+        assert_allclose(traj.sample_at(traj.times), traj.coeffs, rtol=0.0, atol=1e-12)
 
 
 def test_ordering_preservation():
@@ -166,6 +182,21 @@ def test_subspace_preservation():
 
 
 coefficient = st.floats(min_value=1e-3, max_value=1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coefficient, coefficient, coefficient)
+def test_permutation_invariance(u, v, w):
+    # integrate sorts the coefficients and steps the same field whatever
+    # their order, so a permuted input gives the same collapse time and
+    # the same rows, permuted.
+    base = integrate(MetricCoeffs(u, v, w))
+    for perm in permutations(range(3)):
+        uvw = (u, v, w)
+        traj = integrate(MetricCoeffs(*(uvw[i] for i in perm)))
+        assert traj.collapse_time == base.collapse_time
+        assert np.array_equal(traj.times, base.times)
+        assert np.array_equal(traj.coeffs, base.coeffs[:, list(perm)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -267,20 +298,23 @@ def test_dragon_collapse_time_against_independent_solver():
 def test_steps_follow_the_rk45_controller():
     # The stepper keeps the tableau, error norm and step-size rules of
     # scipy's RK45, so it takes the same steps up to rounding in the error
-    # estimate; the last step is the collapse event.
+    # estimate; the last step is the collapse event, where the smallest
+    # coefficient w0 e^L l(P) reaches collapse_eps.
     from scipy.integrate import RK45
 
-    m0 = MetricCoeffs(0.1, 0.5, 1.0)
-    traj = integrate(m0)
-    solver = RK45(lambda t, y: np.array(flow_mod._rhs_scalar(*y, 4.0)), 0.0,
-                  np.array(m0.as_tuple()), np.inf, rtol=1e-10, atol=1e-12)
+    traj = integrate(MetricCoeffs(1.0, 0.1, 0.5))
+    tol = flow_mod.INTEGRATE_TOL_FACTOR
+    solver = RK45(lambda sigma, y: np.array(flow_mod._field(*y, 4.0)), 0.0,
+                  np.array([math.log(0.1 / 0.9), 0.0, 0.0]), np.inf,
+                  rtol=tol * 1e-10, atol=tol * 1e-12)
     ref = [0.0]
-    while np.min(solver.y) > 1e-9:
+    while np.exp(solver.y[2]) / (1.0 + np.exp(-solver.y[0])) > 1e-9:
         solver.step()
         ref.append(solver.t)
-    assert len(traj) == len(ref)
-    assert_allclose(traj.times[:-1], ref[:-1], rtol=1e-7)
-    assert ref[-2] < traj.times[-1] <= ref[-1]
+    sigma = traj._dense[0]
+    assert len(sigma) == len(ref)
+    assert_allclose(sigma[:-1], ref[:-1], rtol=1e-7)
+    assert ref[-2] < sigma[-1] <= ref[-1]
 
 
 def test_flow_params_validation():
@@ -298,7 +332,7 @@ def test_flow_params_validation():
 
 def test_rel_tol_bound():
     # Past MAX_REL_TOL the controller no longer approximates: at rel_tol = 1
-    # this dragon "collapses" after one step at 0.125 instead of 0.6387.
+    # the thin dragon (0.01, 0.5, 1) collapses 54% early.
     with pytest.raises(DomainError):
         FlowParams(rel_tol=1.0)
     with pytest.raises(DomainError):
@@ -306,19 +340,16 @@ def test_rel_tol_bound():
     m0 = MetricCoeffs(0.3, 0.6, 1.2)
     loose = integrate(m0, FlowParams(rel_tol=flow_mod.MAX_REL_TOL)).collapse_time
     assert loose == pytest.approx(integrate(m0).collapse_time, rel=2e-3)
-    FlowParams(abs_tol=1e300)  # abs_tol scales with the metric: no upper bound
+    FlowParams(abs_tol=1e300)  # abs_tol has no upper bound
 
 
 def test_initial_step_is_positive_and_finite():
     # A zero component with a tiny abs_tol overflows the derivative norm, and
     # a component at infinity (the turtle edge in logit coordinates) has an
     # infinite scale; neither may give a zero, infinite or NaN first step.
-    def field(a, b, c, r_squared):
-        return 1.0, 2.0, -1.0
-
     for y, abs_tol in (((0.3, 1.2, 0.0), 1e-160), ((0.3, 1.2, 0.0), 1e-310),
                        ((0.3, math.inf, 0.0), 1e-12), ((0.0, 0.0, 0.0), 1e-300)):
-        h = flow_mod._initial_step(y, field(*y, 4.0), field, 4.0, 1e-10, abs_tol)
+        h = flow_mod._initial_step(y, flow_mod._field(*y, 4.0), 4.0, 1e-10, abs_tol)
         assert 0.0 < h < math.inf
 
 

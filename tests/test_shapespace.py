@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import danteflow.flow as flow
 import danteflow.shapespace as shapespace
 from conftest import random_interior_point, random_ordered_stretch
 from danteflow.errors import (DegenerateShapeError, DomainError,
@@ -222,6 +223,16 @@ def test_flowline_times_match_integrate():
         u, v, w = coeffs.T
         assert np.max(np.abs((u + v) / w - line.xs[forward])) <= 1e-7
         assert np.max(np.abs((v - u) / w - line.ys[forward])) <= 1e-7
+
+
+def test_flowline_times_are_converged_in_the_panels(monkeypatch):
+    # Panels a hundred times finer than PANEL_LOG_RATE = 0.5 move no time
+    # of the 5x5 grid by more than 1e-13 relative.
+    coarse = [trace_flowline(start).times for start in GRID_5X5]
+    monkeypatch.setattr(flow, "PANEL_LOG_RATE", 0.005)
+    for start, times in zip(GRID_5X5, coarse):
+        fine = trace_flowline(start).times
+        assert np.all(np.abs(times - fine) <= 1e-13 * np.abs(fine))
 
 
 def test_flowline_from_round_corner_is_one_point():
