@@ -296,15 +296,16 @@ def _parse_starts_file(path: str) -> list[ShapePoint]:
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        parts = stripped.replace(",", " ").split()
         try:
-            x, y = float(parts[0]), float(parts[1])
-        except (IndexError, ValueError):
-            if not points and line_number == 1:
+            values = [float(part) for part in stripped.replace(",", " ").split()]
+        except ValueError:
+            if line_number == 1:
                 continue  # tolerate a header line
+            values = []
+        if len(values) != 2:  # a flowlines table (line_id,x,y,t) would read line_id as x
             raise click.UsageError(
                 f"{path}:{line_number}: expected two numbers, got {stripped!r}")
-        points.append(ShapePoint(x, y))
+        points.append(ShapePoint(*values))
     if not points:
         raise click.UsageError(f"{path}: no start points found")
     return points

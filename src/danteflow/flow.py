@@ -53,9 +53,9 @@ to [0.2, 10], the Hairer-Norsett-Wanner initial step, and failure once a
 step falls below ten units in the last place of sigma.  Every accepted step
 keeps its 4th-order (Shampine) interpolating quartic in sigma.  Flow time
 is Gauss-Legendre quadrature of dt/dsigma over panels of that dense output.
-The stop event (collapse here, a vertex or the apex of a flow line in
-shapespace) and the closed-form inversions are located by one bracketed
-root-finder, _bracket_crossing.
+The stop events (collapse here; in shapespace a vertex, and the apex of a
+flow line where 1 - p^2 - q^2 changes sign) and the closed-form inversions
+are located by one bracketed root-finder, _bracket_crossing.
 
 Integrations are single-threaded per trajectory; trajectories are
 independent values, so sweeps may run many integrations concurrently.
@@ -155,7 +155,7 @@ class Trajectory:
             raise DomainError("trajectory carries no dense output")
         t = np.asarray(t, dtype=float)
         times = self.times
-        if np.any(t < times[0]) or np.any(t > times[-1]):
+        if not (np.all(t >= times[0]) and np.all(t <= times[-1])):  # NaN fails too
             raise DomainError("requested time outside the integrated span")
         sigma, states, quartic, (step, lo, width, ends), w0, columns = self._dense
         # A time on a panel boundary belongs to the panel that ends there.
@@ -611,7 +611,7 @@ def integrate(m0: MetricCoeffs, params: FlowParams | None = None) -> Trajectory:
 def isotropic_lambda(t: float, r_squared: float = DEFAULT_R_SQUARED) -> float:
     """Linear stretch factor sqrt(1 - 4t/R^2) of the round collapsing sphere."""
     _require_positive("r_squared", r_squared)
-    if t < 0.0:
+    if not t >= 0.0:  # NaN fails too
         raise DomainError(f"time must be nonnegative, got {t}")
     if t >= r_squared / 4.0:
         raise CollapseReachedError(

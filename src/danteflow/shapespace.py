@@ -21,12 +21,14 @@ and dP + dQ = 2k dsigma (k = 8/R^2) makes P + Q an exact clock.  The edges
 stay invariant: P = Q on the snakes, Q = +inf (stepped as it is) on the
 turtles, P = -inf on the degenerate line.  The forward branch stops within
 VERTEX_DELTA of the round corner (2, 0), the backward one within
-VERTEX_DELTA of the origin or (1, 1).  The apex is where dy/dsigma =
-l'(Q) dQ/dsigma - l'(P) dP/dsigma falls through zero: the one step that
-brackets it is stepped again at tighter tolerances with that rate as the
-stop margin, so the re-step stops on the apex as a branch stops on a
-vertex.  The slope formula, which equals (dq - dp)/(dq + dp), is kept as a
-cross-validation oracle.
+VERTEX_DELTA of the origin or (1, 1).  The apex law is exact: dy/dsigma =
+k y (1 - p^2 - q^2) and x^2 + y^2 = 2 (p^2 + q^2), so for y > 0 the line
+rises inside the circle and falls outside it, by the sign of
+m = (1 - q)(1 + q) - p^2.  The one step over which m falls through zero is
+stepped again at tighter tolerances with m as the stop margin, so the
+re-step stops on the apex as a branch stops on a vertex.  The slope
+formula, which equals (dq - dp)/(dq + dp), is kept as a cross-validation
+oracle.
 
 The Ricci-eigenvalue ratio chart uses
 
@@ -44,8 +46,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (DegenerateShapeError, DomainError, IntegrationFailureError,
                      SingularMapError, SingularSlopeError)
-from .flow import (_POWERS, FlowParams, Termination, Trajectory, _coeffs, _dormand_prince,
-                   _field, _logistic_pair, _logit, _time_panels)
+from .flow import (FlowParams, Termination, Trajectory, _coeffs, _dormand_prince,
+                   _logistic_pair, _logit, _time_panels)
 from .geometry import DEFAULT_R_SQUARED, StretchFactors, metric_coeffs
 
 if TYPE_CHECKING:
@@ -83,10 +85,11 @@ class FlowLine:
     backward the shape degenerates at a finite time, so the first few
     samples near the origin can share one value; backward along the turtle
     edge the approach to (1, 1) takes unbounded time instead.  For interior
-    starts the apex is where dy/dsigma vanishes, so it lies on x^2 + y^2 = 2
-    to rounding, and within 1e-10 of an independent DOP853 apex on the 5x5
-    grid at the default tolerances; edge lines have no interior maximum and
-    report their highest sample instead.
+    starts the apex is where the line crosses the circle x^2 + y^2 = 2, on
+    which it lies to rounding (within 1e-12 down to heights of 1e-12 times
+    the triangle's), and within 1e-10 of an independent DOP853 apex on the
+    5x5 grid at the default tolerances; edge lines have no interior maximum
+    and report their highest sample instead.
     """
 
     xs: np.ndarray
@@ -156,17 +159,20 @@ def to_rho_tau(p: ShapePoint) -> RicciRatios:
     return RicciRatios((p.x - 1.0) / one_minus, (p.x - 1.0) / one_plus)
 
 
-def _xy(P: float, Q: float) -> tuple[float, float]:
-    """Triangle coordinates (p + q, q - p) of a logit state.  y is taken
-    from 1 - p and 1 - q once q >= 1/2, which keeps it accurate near (2, 0)."""
+def _row(P: float, Q: float) -> tuple[float, float, float]:
+    """The triangle coordinates (p + q, q - p) of a logit state and the apex
+    margin m = (1 - q)(1 + q) - p^2 = (2 - x^2 - y^2)/2.  y is taken from
+    1 - p and 1 - q once q >= 1/2, which keeps it accurate near (2, 0), and
+    1 - q is the logistic tail l(-Q), so each term of m keeps full relative
+    accuracy (2 - x^2 - y^2 from x and y cancels near (1, 1))."""
     p, p1 = _logistic_pair(P)
     q, q1 = _logistic_pair(Q)
-    return p + q, (q - p if q < 0.5 else p1 - q1)
+    return p + q, (q - p if q < 0.5 else p1 - q1), q1 * (1.0 + q) - p * p
 
 
 def _vertex_margin(P: float, Q: float, L: float) -> float:
     # Measured on the (x, y) that the line reports, rounding included.
-    x, y = _xy(P, Q)
+    x, y, _ = _row(P, Q)
     return min(math.hypot(x - 2.0, y), math.hypot(x, y),
                math.hypot(x - 1.0, y - 1.0)) - VERTEX_DELTA
 
@@ -174,7 +180,7 @@ def _vertex_margin(P: float, Q: float, L: float) -> float:
 def _round_corner_margin(P: float, Q: float, L: float) -> float:
     # The forward branch's stop: a line that starts near the degenerate edge
     # passes close by (1, 1) on its way to (2, 0) and must not stop there.
-    x, y = _xy(P, Q)
+    x, y, _ = _row(P, Q)
     return math.hypot(x - 2.0, y) - VERTEX_DELTA
 
 
@@ -183,13 +189,13 @@ APEX_TOL_FACTOR = 1e-3
 
 
 class _Branch(NamedTuple):
-    """One traced branch: sigma (n+1,), rows (P, Q, L) (n+1, 3), their
-    dense output (n, 4, 3) and the flow time of each row from the start."""
+    """One traced branch: sigma (n+1,), rows (P, Q, L) (n+1, 3), the flow
+    time of each row from the start and its _row (x, y, m) (n+1, 3)."""
 
     sigma: np.ndarray
     states: np.ndarray
-    quartic: np.ndarray
     times: np.ndarray
+    rows: np.ndarray
 
 
 def _trace_branch(start: ShapePoint, w0: float, r_squared: float,
@@ -205,7 +211,7 @@ def _trace_branch(start: ShapePoint, w0: float, r_squared: float,
 
     y0 = (_logit((start.x - start.y) / 2.0), _logit((start.x + start.y) / 2.0), 0.0)
     if _vertex_margin(*y0) <= 0.0:
-        return _Branch(np.zeros(1), np.array([y0]), np.zeros((0, 4, 3)), np.zeros(1))
+        return _Branch(np.zeros(1), np.array([y0]), np.zeros(1), np.array([_row(*y0[:2])]))
     sigma, states, quartic, status, message = _dormand_prince(
         y0, r_squared, params.rel_tol, params.abs_tol, params.max_steps,
         _round_corner_margin if r_squared > 0.0 else _vertex_margin)
@@ -220,46 +226,36 @@ def _trace_branch(start: ShapePoint, w0: float, r_squared: float,
             f"({start.x}, {start.y}) stopped short of a vertex after "
             f"{len(sigma) - 1} steps: {message or status}",
             trajectory=Trajectory(times, coeffs, terminated, None))
-    return _Branch(sigma, states, quartic, times)
+    rows = np.array([_row(P, Q) for P, Q, _ in states.tolist()])
+    return _Branch(sigma, states, times, rows)
 
 
 def _apexes(branch: _Branch, r_squared: float, params: FlowParams) -> list[ShapePoint]:
     """The maxima of y on a branch.
 
-    A step holds one where dy/dsigma of its dense output falls through zero.
-    That step is stepped again at APEX_TOL_FACTOR times the tolerances with
-    dy/dsigma of the field as the stop margin, so the re-step ends on the
-    maximum.  Where that rate is not positive at the step's start already
-    (rounding on a sample on the circle), the start is the maximum.
+    y rises along the branch while sign(R^2) m > 0 (m of _row; the sign
+    turns the backward branch around) and y > 0.  A step over which that
+    margin falls from > 0 to <= 0, from a row with y > 0, is stepped again
+    from its start at APEX_TOL_FACTOR times the tolerances with the margin
+    as the stop margin, so the re-step ends on the maximum.  The rows and
+    the re-step share one arithmetic, so its start margin is positive.
     """
     import numpy as np
 
-    def rate(P: float, Q: float, L: float) -> float:
-        # dy/dsigma = l'(Q) dQ - l'(P) dP, with l'(z) = l(z) l(-z).
-        dP, dQ, _ = _field(P, Q, L, r_squared)
-        p, p1 = _logistic_pair(P)
-        q, q1 = _logistic_pair(Q)
-        return q * q1 * dQ - p * p1 * dP
-
-    states, quartic = branch.states, branch.quartic
-    e = np.exp(-np.abs(states[:, :2]))
-    weight = e / (1.0 + e) ** 2 * [-1.0, 1.0]  # dy = l'(Q) dQ - l'(P) dP
-    rises = (weight[:-1] * quartic[:, 0, :2]).sum(axis=1) > 0.0
-    falls = (weight[1:] * (_POWERS @ quartic)[:, :2]).sum(axis=1) <= 0.0
+    sign = 1.0 if r_squared > 0.0 else -1.0
+    y, margin = branch.rows[:, 1], sign * branch.rows[:, 2]
     points = []
-    for k in np.flatnonzero(rises & falls):
-        state = tuple(states[k].tolist())
-        if rate(*state) > 0.0:
-            _, fine, _, status, message = _dormand_prince(
-                state, r_squared, APEX_TOL_FACTOR * params.rel_tol,
-                APEX_TOL_FACTOR * params.abs_tol, params.max_steps, rate)
-            if status != "event":
-                raise IntegrationFailureError(
-                    f"apex re-step stopped short after {len(fine) - 1} steps: "
-                    f"{message or status}")
-            state = tuple(fine[-1].tolist())
-        P, Q, _ = state
-        points.append(ShapePoint(*_xy(P, Q)))
+    for k in np.flatnonzero((margin[:-1] > 0.0) & (margin[1:] <= 0.0) & (y[:-1] > 0.0)):
+        _, fine, _, status, message = _dormand_prince(
+            tuple(branch.states[k].tolist()), r_squared, APEX_TOL_FACTOR * params.rel_tol,
+            APEX_TOL_FACTOR * params.abs_tol, params.max_steps,
+            lambda P, Q, L: sign * _row(P, Q)[2])
+        if status != "event":
+            raise IntegrationFailureError(
+                f"apex re-step stopped short after {len(fine) - 1} steps: "
+                f"{message or status}")
+        x, y, _ = _row(*fine[-1, :2].tolist())
+        points.append(ShapePoint(x, y))
     return points
 
 
@@ -282,11 +278,12 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
     and leaves xs, ys and the apex unchanged.  The t = 0 sample is the start
     exactly; times come from quadrature of dt/dsigma (see flow._time_panels).
 
-    The apex: the step whose dense output has dy/dsigma falling through
-    zero is stepped again from its start at APEX_TOL_FACTOR times the
-    tolerances, with dy/dsigma as the stop margin, and the re-step's last
-    row is the maximum (IntegrationFailureError if the re-step stops
-    short).  A line without an interior maximum reports its highest sample.
+    The apex: the step over which y stops rising, where sign(R^2) m (m of
+    _row, negated on the backward branch) falls through zero, is stepped
+    again from its start at APEX_TOL_FACTOR times the tolerances, with that
+    margin as the stop margin, and the re-step's last row is the maximum
+    (IntegrationFailureError if the re-step stops short).  A line without
+    an interior maximum reports its highest sample.
     """
     import numpy as np
 
@@ -294,15 +291,15 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
         params = FlowParams()
     w0 = metric_coeffs(from_xy(start, c0)).w
     forward = _trace_branch(start, w0, params.r_squared, params)
-    states, times = forward.states, forward.times
+    rows, times = forward.rows, forward.times
     apexes = _apexes(forward, params.r_squared, params)
     if include_backward:
         backward = _trace_branch(start, w0, -params.r_squared, params)
-        states = np.vstack([backward.states[:0:-1], states])
+        rows = np.vstack([backward.rows[:0:-1], rows])
         times = np.concatenate([backward.times[:0:-1], times])
         apexes += _apexes(backward, -params.r_squared, params)
-    xs, ys = np.array([_xy(P, Q) for P, Q, _ in states.tolist()]).T
-    at_start = len(states) - len(forward.states)
+    xs, ys, _ = rows.T.copy()
+    at_start = len(rows) - len(forward.rows)
     xs[at_start], ys[at_start] = start.x, start.y
     if apexes:
         apex = max(apexes, key=lambda point: point.y)

@@ -211,6 +211,16 @@ def test_flowlines_malformed_starts_line(run_cli, tmp_path):
     assert code == 2
 
 
+def test_flowlines_starts_line_with_extra_fields(run_cli, tmp_path):
+    # A flowlines table fed back as starts: its rows carry line_id before x.
+    table = tmp_path / "lines.csv"
+    table.write_text("line_id,x,y,t\n1,0.5,0.2,0.0\n", encoding="utf-8")
+    code, _, err = run_cli("flowlines", "--starts", str(table))
+    assert code == 2
+    assert json.loads(err)["error"] == "usage"
+    assert ":2: expected two numbers" in json.loads(err)["message"]
+
+
 def test_regions_command(run_cli, tmp_path):
     path = tmp_path / "regions.csv"
     code, out, _ = run_cli("regions", "--resolution", "16",

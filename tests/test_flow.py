@@ -107,6 +107,15 @@ def test_trajectory_dense_output():
         traj.uniform_grid(1)
 
 
+def test_sample_at_rejects_nan_times():
+    # A NaN time lies in no span; it used to come back as a NaN row.
+    traj = integrate(MetricCoeffs(1, 2, 3))
+    with pytest.raises(DomainError):
+        traj.sample_at(math.nan)
+    with pytest.raises(DomainError):
+        traj.sample_at([0.0, math.nan])
+
+
 def test_sample_at_returns_the_rows():
     # Newton on sigma in the quadrature panel that holds each time lands
     # on the steps themselves at the step times.
@@ -239,6 +248,11 @@ def test_isotropic_lambda():
         isotropic_lambda(1.0, 4.0)
     with pytest.raises(DomainError):
         isotropic_lambda(-0.1, 4.0)
+
+
+def test_isotropic_lambda_rejects_nan():
+    with pytest.raises(DomainError):
+        isotropic_lambda(math.nan, 4.0)
 
 
 def test_x_rate_examples():

@@ -11,13 +11,13 @@ from conftest import random_interior_point, random_ordered_stretch
 from danteflow.errors import (DegenerateShapeError, DomainError,
                               IntegrationFailureError, SingularMapError,
                               SingularSlopeError)
-from danteflow.flow import FlowParams, Termination, Trajectory, integrate, rhs
+from danteflow.flow import FlowParams, Termination, Trajectory, _field, integrate, rhs
 from danteflow.geometry import (MetricCoeffs, StretchFactors, metric_coeffs,
                                 principal_curvatures, ricci_eigenvalues)
 from danteflow.shapespace import (KAPPA_MIN_ZERO, RICCI_DEGENERATE,
-                                  SCALAR_ZERO, VERTEX_DELTA, ShapePoint, _field,
-                                  _trace_branch, from_xy, region_boundaries, slope,
-                                  to_rho_tau, to_xy, trace_flowline)
+                                  SCALAR_ZERO, VERTEX_DELTA, ShapePoint, _trace_branch,
+                                  from_xy, region_boundaries, slope, to_rho_tau, to_xy,
+                                  trace_flowline)
 
 #: Interior starts: x in [0.02, 1.98], y a fraction in [0.02, 0.98] of the
 #: triangle's height min(x, 2 - x) there.
@@ -353,6 +353,43 @@ def test_flowline_apexes_match_dop853():
                 assert math.hypot(apex.x - (p + q), apex.y - (q - p)) <= 1e-10
 
 
+def test_flowline_apexes_near_the_snake_edge_match_dop853():
+    # Near the snake edge dy/dsigma = k y (1 - p^2 - q^2) is tiny, and a
+    # rate formed as a difference of O(1) terms cancels to noise there.  The
+    # reference locates the apex on 1 - p^2 - q^2 itself.
+    from scipy.integrate import solve_ivp
+
+    for share in (1e-6, 1e-8, 1e-10, 1e-12):
+        for x in (0.3, 0.8, 1.2, 1.6, 1.9):
+            start = ShapePoint(x, share * min(x, 2.0 - x))
+            for r_squared in (4.0, -4.0):
+                def inside(sigma, state, r_squared):
+                    p, q, _ = state
+                    return (1.0 - p * p - q * q) / r_squared  # dy/dsigma over 8y
+
+                inside.terminal, inside.direction = True, -1.0
+                branch = _trace_branch(start, 1.0, r_squared, FlowParams())
+                apexes = shapespace._apexes(branch, r_squared, FlowParams())
+                p0, q0 = (start.x - start.y) / 2.0, (start.x + start.y) / 2.0
+                ref = solve_ivp(polynomial_field, (0.0, branch.sigma[-1]), [p0, q0, 0.0],
+                                method="DOP853", rtol=1e-13, atol=1e-16,
+                                events=inside, args=(r_squared,))
+                maxima = ref.y_events[0]
+                assert len(apexes) == len(maxima)
+                for apex, (p, q, _) in zip(apexes, maxima):
+                    assert math.hypot(apex.x - (p + q), apex.y - (q - p)) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=0.02, max_value=1.98),
+       st.floats(min_value=-12.0, max_value=math.log10(0.98)))
+def test_flowline_apex_law_property(x, log_share):
+    # Over the whole triangle, down to heights of 1e-12 times the
+    # triangle's, every interior line peaks on the circle x^2 + y^2 = 2.
+    line = trace_flowline(ShapePoint(x, 10.0 ** log_share * min(x, 2.0 - x)))
+    assert abs(math.hypot(line.apex.x, line.apex.y) - math.sqrt(2.0)) <= 1e-12
+
+
 @settings(max_examples=40, deadline=None)
 @given(interior_starts, st.floats(min_value=0.5, max_value=10.0), st.sampled_from([1.0, -1.0]))
 def test_flowline_exact_clock_property(start, r_squared, direction):
@@ -370,20 +407,6 @@ def test_flowline_apex_restep_stopping_short_raises(monkeypatch):
     monkeypatch.setattr(shapespace, "APEX_TOL_FACTOR", 1e-200)
     with pytest.raises(IntegrationFailureError, match="apex re-step"):
         trace_flowline(ShapePoint(0.5, 0.25))
-
-
-def test_flowline_apex_on_a_sample_is_that_sample():
-    # One step whose dense output says y rises and then falls, from a start
-    # where dy/dsigma is already negative: the rise test over a step and the
-    # rate at its start can round differently on a sample on the circle.
-    # The stepper rejects a nonpositive start margin, so no re-step can
-    # start there: the start is the apex.
-    P, Q = shapespace._logit(0.6), shapespace._logit(0.9)  # (1.5, 0.3), past the circle
-    quartic = np.zeros((1, 4, 3))
-    quartic[0, :, 1] = (1.0, 0.0, -2.0, 0.0)  # Q rises, then falls by the end
-    branch = shapespace._Branch(np.array([0.0, 1.0]), np.array([[P, Q, 0.0], [P, Q - 1.0, 0.0]]),
-                                quartic, np.array([0.0, 1.0]))
-    assert shapespace._apexes(branch, 4.0, FlowParams()) == [ShapePoint(*shapespace._xy(P, Q))]
 
 
 def test_flowline_tiny_abs_tol_is_not_a_zero_division():
