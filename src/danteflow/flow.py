@@ -9,13 +9,14 @@ to three coupled ODEs.  With m = (u + v + w)/2,
 and cyclically.  Every solution collapses (all coefficients reach zero) in
 finite time.  The right-hand side is homogeneous of degree 0, so the shape
 evolves on its own and the scale only carries the clock.  For u <= v <= w,
-integrate (and shapespace's tracer) steps the bounded field _field of the
-logits P, Q of p = u/w, q = v/w and L = ln(w/w0) in dsigma = dt w/(u v):
+integrate (and shapespace's tracer) steps the bounded field of the logits
+P, Q of p = u/w, q = v/w and L = ln(w/w0) in dsigma = dt w/(u v):
 
     dP/dsigma = k (1 - y),   dQ/dsigma = k (1 + y),   k = 8/R^2,
     dL/dsigma = -(k/2)(1 - y^2),   dt/dsigma = w0 e^L l(P) l(Q),
 
-with l the logistic function and y = q - p = l(Q) - l(P).  A coefficient
+with l the logistic function and y = q - p = l(Q) - l(P): the whole field
+is the one scalar y, and L never feeds back.  A coefficient
 equal to w0 sits at +inf and stays there (Q on the turtle edge, P and Q on
 the round sphere).  integrate stops where min(u, v, w) = w0 e^L l(P)
 reaches collapse_eps and adds the round sphere's remaining time
@@ -47,8 +48,9 @@ Closed-form times are expressed in the R^2 = 4 normalization in which the
 reductions are derived; rescale by r_squared/4 for other radii.
 
 The numeric integrator is one Dormand-Prince 5(4) stepper on plain floats
-for _field, with the usual RK45 controller: the RMS error norm over
-atol + rtol max(|y|, |y_new|), safety factor 0.9 with step factors bounded
+whose stages carry the field's one scalar y (L is advanced once per step),
+with RK45's error estimate and controller: the RMS error norm over
+atol + rtol max(|old|, |new|) per component, safety factor 0.9 with step factors bounded
 to [0.2, 10], the Hairer-Norsett-Wanner initial step, and failure once a
 step falls below ten units in the last place of sigma.  Every accepted step
 keeps its 4th-order (Shampine) interpolating quartic in sigma.  Flow time
@@ -186,8 +188,9 @@ class Trajectory:
 
 def rhs(m: MetricCoeffs, r_squared: float = DEFAULT_R_SQUARED) -> tuple[float, float, float]:
     """Time derivatives (du, dv, dw) of the metric coefficients: the paper's
-    equations, the oracle of integrate's _field in the tests.  The bracket
-    form -(4/R^2)[2 + (u^2 - v^2 - w^2)/(vw)] agrees to 1e-12 relative."""
+    equations, the tests' oracle for the logit field that integrate steps
+    (_field).  The bracket form -(4/R^2)[2 + (u^2 - v^2 - w^2)/(vw)] agrees
+    to 1e-12 relative."""
     _require_positive("r_squared", r_squared)
     u, v, w = m.u, m.v, m.w
     # Each half-difference sums the other two components first, which keeps
@@ -200,7 +203,11 @@ def rhs(m: MetricCoeffs, r_squared: float = DEFAULT_R_SQUARED) -> tuple[float, f
 
 
 def _field(P: float, Q: float, L: float, r_squared: float) -> tuple[float, float, float]:
-    """The scale-free field d(P, Q, L)/dsigma of the module docstring."""
+    """The scale-free field d(P, Q, L)/dsigma of the module docstring.
+
+    An oracle: _dormand_prince takes its initial step from it, and the
+    tests check the stepper's one-scalar stages and scipy's RK45 against
+    it; the stages themselves carry only y."""
     k = 8.0 / r_squared
     y = 0.5 * (math.tanh(0.5 * Q) - math.tanh(0.5 * P))
     return k * (1.0 - y), k * (1.0 + y), -0.5 * k * (1.0 - y) * (1.0 + y)
@@ -442,8 +449,15 @@ def _quartic_at(y_old, c, x: float) -> tuple[float, float, float]:
 def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: float,
                     abs_tol: float, max_steps: int,
                     margin: Callable[[float, float, float], float]):
-    """Step _field from y0 = (P, Q, L) at sigma = 0 until margin(P, Q, L) is
-    no longer positive.
+    """Step the field of the module docstring from y0 = (P, Q, L) at sigma = 0
+    until margin(P, Q, L) is no longer positive.
+
+    Each stage carries only y = q - p: with S_i = sum_j a_ij y_j and the
+    node c_i = sum_j a_ij, stage i sits at (P + hk (c_i - S_i),
+    Q + hk (c_i + S_i)), and L, which never feeds back, is advanced once per
+    step.  The error estimate and the dense output are RK45's, h sum_j e_j
+    k_j over the stage derivatives k (1 - y), k (1 + y), -(k/2)(1 - y)(1 + y)
+    of _field, so the steps are RK45's to rounding.
 
     The field is proportional to 1/R^2, so a negative r_squared runs it
     backward.  The crossing is localized on the crossing step's quartic to
@@ -457,8 +471,10 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
     if g_new <= 0.0:
         raise DomainError("stop margin must be positive at the initial state")
     P, Q, L = y0
-    k1P, k1Q, k1L = _field(P, Q, L, r_squared)
-    h_abs = _initial_step(y0, (k1P, k1Q, k1L), r_squared, rel_tol, abs_tol)
+    k = 8.0 / r_squared
+    tanh = math.tanh
+    h_abs = _initial_step(y0, _field(P, Q, L, r_squared), r_squared, rel_tol, abs_tol)
+    y1 = 0.5 * (tanh(0.5 * Q) - tanh(0.5 * P))
     t = 0.0
     times = [t]
     states = [(P, Q, L)]
@@ -471,44 +487,40 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
         while True:
             t_new = t + h_abs
             h = t_new - t
-            k2P, k2Q, k2L = _field(P + h * (1 / 5 * k1P),
-                                   Q + h * (1 / 5 * k1Q),
-                                   L + h * (1 / 5 * k1L), r_squared)
-            k3P, k3Q, k3L = _field(P + h * (3 / 40 * k1P + 9 / 40 * k2P),
-                                   Q + h * (3 / 40 * k1Q + 9 / 40 * k2Q),
-                                   L + h * (3 / 40 * k1L + 9 / 40 * k2L), r_squared)
-            k4P, k4Q, k4L = _field(
-                P + h * (44 / 45 * k1P - 56 / 15 * k2P + 32 / 9 * k3P),
-                Q + h * (44 / 45 * k1Q - 56 / 15 * k2Q + 32 / 9 * k3Q),
-                L + h * (44 / 45 * k1L - 56 / 15 * k2L + 32 / 9 * k3L), r_squared)
-            k5P, k5Q, k5L = _field(
-                P + h * (19372 / 6561 * k1P - 25360 / 2187 * k2P
-                         + 64448 / 6561 * k3P - 212 / 729 * k4P),
-                Q + h * (19372 / 6561 * k1Q - 25360 / 2187 * k2Q
-                         + 64448 / 6561 * k3Q - 212 / 729 * k4Q),
-                L + h * (19372 / 6561 * k1L - 25360 / 2187 * k2L
-                         + 64448 / 6561 * k3L - 212 / 729 * k4L), r_squared)
-            k6P, k6Q, k6L = _field(
-                P + h * (9017 / 3168 * k1P - 355 / 33 * k2P + 46732 / 5247 * k3P
-                         + 49 / 176 * k4P - 5103 / 18656 * k5P),
-                Q + h * (9017 / 3168 * k1Q - 355 / 33 * k2Q + 46732 / 5247 * k3Q
-                         + 49 / 176 * k4Q - 5103 / 18656 * k5Q),
-                L + h * (9017 / 3168 * k1L - 355 / 33 * k2L + 46732 / 5247 * k3L
-                         + 49 / 176 * k4L - 5103 / 18656 * k5L), r_squared)
-            Pn = P + h * (35 / 384 * k1P + 500 / 1113 * k3P + 125 / 192 * k4P
-                          - 2187 / 6784 * k5P + 11 / 84 * k6P)
-            Qn = Q + h * (35 / 384 * k1Q + 500 / 1113 * k3Q + 125 / 192 * k4Q
-                          - 2187 / 6784 * k5Q + 11 / 84 * k6Q)
-            Ln = L + h * (35 / 384 * k1L + 500 / 1113 * k3L + 125 / 192 * k4L
-                          - 2187 / 6784 * k5L + 11 / 84 * k6L)
-            k7P, k7Q, k7L = _field(Pn, Qn, Ln, r_squared)
-            # Difference of the embedded 4th- and 5th-order solutions.
-            eP = h * (-71 / 57600 * k1P + 71 / 16695 * k3P - 71 / 1920 * k4P
-                      + 17253 / 339200 * k5P - 22 / 525 * k6P + 1 / 40 * k7P)
-            eQ = h * (-71 / 57600 * k1Q + 71 / 16695 * k3Q - 71 / 1920 * k4Q
-                      + 17253 / 339200 * k5Q - 22 / 525 * k6Q + 1 / 40 * k7Q)
-            eL = h * (-71 / 57600 * k1L + 71 / 16695 * k3L - 71 / 1920 * k4L
-                      + 17253 / 339200 * k5L - 22 / 525 * k6L + 1 / 40 * k7L)
+            hk = h * k
+            s = 1 / 5 * y1
+            y2 = 0.5 * (tanh(0.5 * (Q + hk * (1 / 5 + s))) - tanh(0.5 * (P + hk * (1 / 5 - s))))
+            s = 3 / 40 * y1 + 9 / 40 * y2
+            y3 = 0.5 * (tanh(0.5 * (Q + hk * (3 / 10 + s))) - tanh(0.5 * (P + hk * (3 / 10 - s))))
+            s = 44 / 45 * y1 - 56 / 15 * y2 + 32 / 9 * y3
+            y4 = 0.5 * (tanh(0.5 * (Q + hk * (4 / 5 + s))) - tanh(0.5 * (P + hk * (4 / 5 - s))))
+            s = (19372 / 6561 * y1 - 25360 / 2187 * y2 + 64448 / 6561 * y3
+                 - 212 / 729 * y4)
+            y5 = 0.5 * (tanh(0.5 * (Q + hk * (8 / 9 + s))) - tanh(0.5 * (P + hk * (8 / 9 - s))))
+            s = (9017 / 3168 * y1 - 355 / 33 * y2 + 46732 / 5247 * y3 + 49 / 176 * y4
+                 - 5103 / 18656 * y5)
+            y6 = 0.5 * (tanh(0.5 * (Q + hk * (1.0 + s))) - tanh(0.5 * (P + hk * (1.0 - s))))
+            s = (35 / 384 * y1 + 500 / 1113 * y3 + 125 / 192 * y4 - 2187 / 6784 * y5
+                 + 11 / 84 * y6)
+            Pn = P + hk * (1.0 - s)
+            Qn = Q + hk * (1.0 + s)
+            y7 = 0.5 * (tanh(0.5 * Qn) - tanh(0.5 * Pn))
+            m1, m3, m4, m5, m6, m7 = 1.0 - y1, 1.0 - y3, 1.0 - y4, 1.0 - y5, 1.0 - y6, 1.0 - y7
+            p1, p3, p4, p5, p6, p7 = 1.0 + y1, 1.0 + y3, 1.0 + y4, 1.0 + y5, 1.0 + y6, 1.0 + y7
+            mp1, mp3, mp4, mp5, mp6, mp7 = m1 * p1, m3 * p3, m4 * p4, m5 * p5, m6 * p6, m7 * p7
+            Ln = L - 0.5 * hk * (35 / 384 * mp1 + 500 / 1113 * mp3 + 125 / 192 * mp4
+                                 - 2187 / 6784 * mp5 + 11 / 84 * mp6)
+            # Difference of the embedded 4th- and 5th-order solutions, over
+            # the stage derivatives as RK45 forms it.  For P and Q it equals
+            # -+hk sum e_j y_j, but where the estimate is rounding noise (the
+            # first steps) that form rounds differently and the steps drift
+            # off RK45's.
+            eP = hk * (-71 / 57600 * m1 + 71 / 16695 * m3 - 71 / 1920 * m4
+                       + 17253 / 339200 * m5 - 22 / 525 * m6 + 1 / 40 * m7)
+            eQ = hk * (-71 / 57600 * p1 + 71 / 16695 * p3 - 71 / 1920 * p4
+                       + 17253 / 339200 * p5 - 22 / 525 * p6 + 1 / 40 * p7)
+            eL = -0.5 * hk * (-71 / 57600 * mp1 + 71 / 16695 * mp3 - 71 / 1920 * mp4
+                              + 17253 / 339200 * mp5 - 22 / 525 * mp6 + 1 / 40 * mp7)
             error = _rms3(eP / (abs_tol + max(abs(P), abs(Pn)) * rel_tol),
                           eQ / (abs_tol + max(abs(Q), abs(Qn)) * rel_tol),
                           eL / (abs_tol + max(abs(L), abs(Ln)) * rel_tol))
@@ -524,10 +536,8 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
                 break
         if status == "failed":
             break
-        stages.append((k1P, k1Q, k1L, k3P, k3Q, k3L, k4P, k4Q, k4L,
-                       k5P, k5Q, k5L, k6P, k6Q, k6L, k7P, k7Q, k7L))
-        t, P, Q, L = t_new, Pn, Qn, Ln
-        k1P, k1Q, k1L = k7P, k7Q, k7L
+        stages.append((y1, y3, y4, y5, y6, y7))
+        t, P, Q, L, y1 = t_new, Pn, Qn, Ln, y7
         times.append(t)
         states.append((P, Q, L))
         g_old, g_new = g_new, margin(P, Q, L)
@@ -540,8 +550,10 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
     sigma = np.array(times)
     rows = np.array(states)
     steps = np.diff(sigma)
-    quartic = (np.matmul(np.transpose(_DENSE), np.array(stages).reshape(-1, 6, 3))
-               * steps[:, None, None])
+    ys = np.array(stages).reshape(-1, 6)
+    derivatives = np.stack([k * (1.0 - ys), k * (1.0 + ys), -0.5 * k * (1.0 - ys) * (1.0 + ys)],
+                           axis=-1)
+    quartic = np.matmul(np.transpose(_DENSE), derivatives) * steps[:, None, None]
     if status == "event":
         t_old, t_new = times[-2], times[-1]
         h = t_new - t_old
@@ -568,10 +580,11 @@ INTEGRATE_TOL_FACTOR = 0.3
 def integrate(m0: MetricCoeffs, params: FlowParams | None = None) -> Trajectory:
     """Integrate the flow from m0 until collapse or max_steps.
 
-    Steps _field from the sorted u <= v <= w0, (P, Q, L) = (ln(u/(w0 - u)),
-    ln(v/(w0 - v)), 0), at INTEGRATE_TOL_FACTOR times the params'
-    tolerances until min(u, v, w) = w0 e^L l(P) reaches collapse_eps; the
-    collapse time adds the round sphere's remaining (R^2/4) mean(u, v, w).
+    Steps the logit field from the sorted u <= v <= w0, (P, Q, L) =
+    (ln(u/(w0 - u)), ln(v/(w0 - v)), 0), at INTEGRATE_TOL_FACTOR times the
+    params' tolerances until min(u, v, w) = w0 e^L l(P) reaches
+    collapse_eps; the collapse time adds the round sphere's remaining
+    (R^2/4) mean(u, v, w).
     Rows keep the input's column order.  Raises IntegrationFailureError
     (carrying the partial trajectory) on step-size underflow.
     """

@@ -26,7 +26,9 @@ k y (1 - p^2 - q^2) and x^2 + y^2 = 2 (p^2 + q^2), so for y > 0 the line
 rises inside the circle and falls outside it, by the sign of
 m = (1 - q)(1 + q) - p^2.  The one step over which m falls through zero is
 stepped again at tighter tolerances with m as the stop margin, so the
-re-step stops on the apex as a branch stops on a vertex.  The slope
+re-step stops on the apex as a branch stops on a vertex.  On the snake
+edge (y = 0) that gives (sqrt 2, 0), the limit of the apexes of the lines
+above it.  The slope
 formula, which equals (dq - dp)/(dq + dp), is kept as a cross-validation
 oracle.
 
@@ -88,8 +90,9 @@ class FlowLine:
     starts the apex is where the line crosses the circle x^2 + y^2 = 2, on
     which it lies to rounding (within 1e-12 down to heights of 1e-12 times
     the triangle's), and within 1e-10 of an independent DOP853 apex on the
-    5x5 grid at the default tolerances; edge lines have no interior maximum
-    and report their highest sample instead.
+    5x5 grid at the default tolerances.  Snake-edge lines (y = 0) report
+    (sqrt 2, 0), the limit of the interior apexes; turtle-edge lines have
+    no maximum on the circle and report their highest sample instead.
     """
 
     xs: np.ndarray
@@ -235,17 +238,19 @@ def _apexes(branch: _Branch, r_squared: float, params: FlowParams) -> list[Shape
 
     y rises along the branch while sign(R^2) m > 0 (m of _row; the sign
     turns the backward branch around) and y > 0.  A step over which that
-    margin falls from > 0 to <= 0, from a row with y > 0, is stepped again
+    margin falls from > 0 to <= 0, from a row with y >= 0, is stepped again
     from its start at APEX_TOL_FACTOR times the tolerances with the margin
     as the stop margin, so the re-step ends on the maximum.  The rows and
     the re-step share one arithmetic, so its start margin is positive.
+    On the snake edge, where y = 0 throughout, the re-step stops at
+    (sqrt 2, 0).
     """
     import numpy as np
 
     sign = 1.0 if r_squared > 0.0 else -1.0
     y, margin = branch.rows[:, 1], sign * branch.rows[:, 2]
     points = []
-    for k in np.flatnonzero((margin[:-1] > 0.0) & (margin[1:] <= 0.0) & (y[:-1] > 0.0)):
+    for k in np.flatnonzero((margin[:-1] > 0.0) & (margin[1:] <= 0.0) & (y[:-1] >= 0.0)):
         _, fine, _, status, message = _dormand_prince(
             tuple(branch.states[k].tolist()), r_squared, APEX_TOL_FACTOR * params.rel_tol,
             APEX_TOL_FACTOR * params.abs_tol, params.max_steps,
@@ -282,8 +287,9 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
     _row, negated on the backward branch) falls through zero, is stepped
     again from its start at APEX_TOL_FACTOR times the tolerances, with that
     margin as the stop margin, and the re-step's last row is the maximum
-    (IntegrationFailureError if the re-step stops short).  A line without
-    an interior maximum reports its highest sample.
+    (IntegrationFailureError if the re-step stops short); on the snake edge
+    it is (sqrt 2, 0).  A turtle-edge line, which never reaches the circle,
+    reports its highest sample.
     """
     import numpy as np
 

@@ -324,13 +324,10 @@ def test_simulate_max_steps_reports_null_collapse(run_cli):
     assert summary["terminated"] == "max_steps"
 
 
-def test_integration_failure_exit_code(run_cli, monkeypatch):
-    import danteflow.flow as flow_mod
-
-    # NaN past L = 1/2: steps across it shrink until the step size underflows.
-    monkeypatch.setattr(flow_mod, "_field",
-                        lambda P, Q, L, r2: (1.0, 1.0, math.nan if L > 0.5 else 1.0))
-    code, _, err = run_cli("simulate", "--a", "1", "--b", "1", "--c", "1",
+def test_integration_failure_exit_code(run_cli):
+    # Tolerances far below rounding: steps shrink until the step size underflows.
+    code, _, err = run_cli("simulate", "--a", "1", "--b", "2", "--c", "4",
+                           "--rel-tol", "1e-300", "--abs-tol", "1e-300",
                            "--max-steps", "100000")
     assert code == 4
     assert json.loads(err)["error"] == "integration_failure"

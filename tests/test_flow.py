@@ -141,16 +141,12 @@ def test_integrate_max_steps():
     assert len(traj) == 3  # initial sample plus two steps
 
 
-def failing_field(P, Q, L, r_squared):
-    # NaN past L = 1/2: every step across it is rejected until the step
-    # size underflows, before any event.
-    return 1.0, 1.0, (math.nan if L > 0.5 else 1.0)
-
-
-def test_integration_failure_carries_partial_trajectory(monkeypatch):
-    monkeypatch.setattr(flow_mod, "_field", failing_field)
+def test_integration_failure_carries_partial_trajectory():
+    # Tolerances far below rounding: once the error estimate is rounding
+    # noise, every step is rejected until the step size underflows.
     with pytest.raises(IntegrationFailureError) as excinfo:
-        integrate(MetricCoeffs(1, 1, 1), FlowParams(max_steps=100_000))
+        integrate(MetricCoeffs(0.3, 0.6, 1.2),
+                  FlowParams(rel_tol=1e-300, abs_tol=1e-300, max_steps=100_000))
     partial = excinfo.value.trajectory
     assert isinstance(partial, Trajectory)
     assert partial.terminated is Termination.FAILED
@@ -329,6 +325,30 @@ def test_steps_follow_the_rk45_controller():
     assert len(sigma) == len(ref)
     assert_allclose(sigma[:-1], ref[:-1], rtol=1e-7)
     assert ref[-2] < sigma[-1] <= ref[-1]
+
+
+@pytest.mark.parametrize("r_squared", [4.0, -4.0])
+@pytest.mark.parametrize("p, q", [(0.3, 0.6), (0.4, 0.4), (0.3, 1.0), (1e-3, 0.5)],
+                         ids=["interior", "snake-edge", "turtle-edge", "thin"])
+def test_stages_match_a_textbook_dormand_prince_step(p, q, r_squared):
+    # The stepper carries one scalar per stage; a textbook step on _field
+    # (three components, scipy's RK45 tableau and dense-output matrix) at
+    # the stepper's first step size gives the same row and quartic.
+    from scipy.integrate import RK45
+
+    y0 = np.array([flow_mod._logit(p), flow_mod._logit(q), 0.0])
+    sigma, states, quartic, _, _ = flow_mod._dormand_prince(
+        tuple(y0), r_squared, 1e-3, 1e-3, 1, lambda P, Q, L: 1.0)
+    h = sigma[1]
+    assert 0.05 < h < 0.2
+    K = np.zeros((7, 3))
+    K[0] = flow_mod._field(*y0, r_squared)
+    for i in range(1, 6):
+        K[i] = flow_mod._field(*(y0 + h * (RK45.A[i, :i] @ K[:i])), r_squared)
+    row = y0 + h * (RK45.B @ K[:6])
+    K[6] = flow_mod._field(*row, r_squared)
+    assert_allclose(states[1], row, rtol=0.0, atol=1e-14)
+    assert_allclose(quartic[0], h * (RK45.P.T @ K), rtol=0.0, atol=1e-14)
 
 
 def test_flow_params_validation():

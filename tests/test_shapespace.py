@@ -160,6 +160,19 @@ def test_flowline_edge_invariance():
     assert np.max(np.abs(line.ys - (2.0 - line.xs))) <= 1e-9
 
 
+def test_flowline_snake_edge_apex_is_on_the_circle():
+    # y = 0 along the snake edge, and its apex is the limit of the apexes
+    # of the lines above it, (sqrt 2, 0), reached forward or backward.  A
+    # turtle-edge line never meets the circle and reports its highest
+    # sample, the backward end near (1, 1).
+    for x in (0.3, 1.0, 1.7):
+        apex = trace_flowline(ShapePoint(x, 0.0)).apex
+        assert apex.y == 0.0
+        assert apex.x == pytest.approx(math.sqrt(2.0), rel=0.0, abs=1e-14)
+    line = trace_flowline(ShapePoint(1.5, 0.5))
+    assert line.apex == ShapePoint(line.xs[0], line.ys[0])
+
+
 def test_flowline_interior_apex_and_endpoint():
     line = trace_flowline(ShapePoint(0.5, 0.25))
     assert line.apex.x ** 2 + line.apex.y ** 2 == pytest.approx(2.0, abs=1e-4)
