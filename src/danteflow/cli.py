@@ -26,16 +26,13 @@ from pathlib import Path
 import click
 
 from .errors import DomainError, IntegrationFailureError, SingularMapError
-from .flow import (MAX_REL_TOL, FlowParams, SnakeSolution, TurtleSolution, integrate,
-                   snake_profile, snake_time_of_lambda, turtle_profile,
-                   turtle_time_of_mu)
-from .geometry import (DEFAULT_EQ_TOL, DEFAULT_R_SQUARED, MetricCoeffs,
+from .geometry import (DEFAULT_EQ_TOL, DEFAULT_R_SQUARED, MetricCoeffs, ShapePoint,
                        StretchFactors, classify as classify_shape,
                        connection_coefficients, curvature_summary,
-                       metric_coeffs, stretch_from_metric)
-from .shapespace import (KAPPA_MIN_ZERO, RICCI_DEGENERATE, SCALAR_ZERO,
-                         ShapePoint, region_boundaries, to_rho_tau, to_xy,
-                         trace_flowline)
+                       metric_coeffs, stretch_from_metric, to_rho_tau, to_xy)
+
+# flow and shapespace are imported inside the commands that run them, as
+# numpy is, so that curvature and classify load only geometry.
 
 SIMULATE_HEADER = ("t,u,v,w,a,b,c,x,y,"
                    "kappa1,kappa2,kappa3,ricci11,ricci22,ricci33,scalar")
@@ -177,8 +174,9 @@ def classify_cmd(a, b, c, r2, eq_tol, output_format, output):
 @_r2_option
 @click.option("--grid", type=click.IntRange(min=0), default=200, show_default=True,
               help="Uniform time samples merged with the adaptive steps (0 disables).")
+# The bound is flow.MAX_REL_TOL, written out so that no quick query loads flow.
 @click.option("--rel-tol", type=float, default=1e-10, show_default=True,
-              help=f"Relative tolerance, at most {MAX_REL_TOL}.")
+              help="Relative tolerance, at most 0.001.")
 @click.option("--abs-tol", type=float, default=1e-12, show_default=True)
 @click.option("--collapse-eps", type=float, default=1e-9, show_default=True)
 @click.option("--max-steps", type=click.IntRange(min=1), default=10_000, show_default=True)
@@ -187,6 +185,8 @@ def simulate(a, b, c, r2, grid, rel_tol, abs_tol, collapse_eps, max_steps, outpu
     """Integrate the flow from ordered stretch factors a <= b <= c and emit
     the trajectory table plus a JSON summary with the collapse time."""
     import numpy as np
+
+    from .flow import FlowParams, integrate
 
     r2v = _resolve_r2(r2)
     f = StretchFactors.ordered(a, b, c, r2v)
@@ -252,6 +252,8 @@ def _closed_form(sol, r2v, grid, check, output, header, time_of, profile, column
 
     summary = {"collapse_time": scale * sol.collapse_T, **initial, "r_squared": r2v}
     if check:
+        from .flow import FlowParams, integrate
+
         start = sol.initial_coeffs.as_tuple()[column]
         traj = integrate(sol.initial_coeffs, FlowParams(r_squared=r2v))
         deviation = 0.0
@@ -270,6 +272,8 @@ def _closed_form(sol, r2v, grid, check, output, header, time_of, profile, column
 def snake(big_w, alpha, grid, check, r2, output):
     """Closed-form snake flow (a = b): table of lambda, t, w, v plus the
     collapse time."""
+    from .flow import SnakeSolution, snake_profile, snake_time_of_lambda
+
     r2v = _resolve_r2(r2)
     sol = SnakeSolution(W=big_w, alpha=alpha)
     _closed_form(sol, r2v, grid, check, output, "lambda,t,w,v", snake_time_of_lambda,
@@ -283,6 +287,8 @@ def snake(big_w, alpha, grid, check, r2, output):
 def turtle(big_u, beta, grid, check, r2, output):
     """Closed-form turtle flow (b = c): table of mu, t, u, v plus the
     collapse time."""
+    from .flow import TurtleSolution, turtle_profile, turtle_time_of_mu
+
     r2v = _resolve_r2(r2)
     sol = TurtleSolution(U=big_u, beta=beta)
     _closed_form(sol, r2v, grid, check, output, "mu,t,u,v", turtle_time_of_mu,
@@ -343,6 +349,9 @@ def _interior_grid(spec: str) -> list[ShapePoint]:
 @_output_option
 def flowlines(starts, grid_spec, c0, forward_only, r2, apex_output, output):
     """Trace flow lines through the shape triangle and report their apexes."""
+    from .flow import FlowParams
+    from .shapespace import trace_flowline
+
     if (starts is None) == (grid_spec is None):
         raise click.UsageError("exactly one of --starts or --grid is required")
     points = _parse_starts_file(starts) if starts else _interior_grid(grid_spec)
@@ -373,6 +382,9 @@ def flowlines(starts, grid_spec, c0, forward_only, r2, apex_output, output):
 def regions(resolution, output):
     """Extract the classification boundaries (scalar zero, smallest
     principal curvature zero, degenerate-Ricci line) as labeled polylines."""
+    from .shapespace import (KAPPA_MIN_ZERO, RICCI_DEGENERATE, SCALAR_ZERO,
+                             region_boundaries)
+
     bounds = region_boundaries(resolution)
     rows = []
     for label in (SCALAR_ZERO, KAPPA_MIN_ZERO, RICCI_DEGENERATE):

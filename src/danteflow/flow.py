@@ -65,6 +65,7 @@ independent values, so sweeps may run many integrations concurrently.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -95,11 +96,13 @@ MAX_REL_TOL = 1e-3
 class FlowParams:
     """Integration controls.  collapse_eps must stay below min(u0, v0, w0).
 
-    rel_tol must lie in (0, MAX_REL_TOL].  abs_tol only has to be positive:
-    it is an absolute error floor on the scale-free (P, Q, L) that
-    integrate and trace_flowline step, so it does not scale with the
-    metric, and a large one coarsens the result (at abs_tol = 1 the flow
-    line through (1.0, 0.5) has 8 samples, its apex 1.2e-5 off).
+    max_steps must be a positive integer (a Python or numpy int; a float,
+    even 3.0, is rejected).  rel_tol must lie in (0, MAX_REL_TOL].  abs_tol
+    only has to be positive: it is an absolute error floor on the
+    scale-free (P, Q, L) that integrate and trace_flowline step, so it does
+    not scale with the metric, and a large one coarsens the result (at
+    abs_tol = 1 the flow line through (1.0, 0.5) has 8 samples, its apex
+    1.2e-5 off).
     """
 
     r_squared: float = DEFAULT_R_SQUARED
@@ -116,7 +119,11 @@ class FlowParams:
                 f"rel_tol must be at most {MAX_REL_TOL}, got {self.rel_tol!r}")
         _require_positive("abs_tol", self.abs_tol)
         _require_positive("collapse_eps", self.collapse_eps)
-        if self.max_steps < 1:
+        try:
+            max_steps = operator.index(self.max_steps)
+        except TypeError:
+            raise DomainError(f"max_steps must be an integer, got {self.max_steps!r}") from None
+        if max_steps < 1:
             raise DomainError(f"max_steps must be positive, got {self.max_steps}")
 
 

@@ -14,6 +14,11 @@ with the semiperimeter ``s = (a + b + c)/2``:
     R_11    = kappa_2 + kappa_3 = (8/R^2) (s-b)(s-c)   (cyclically)
     scalar  = 2 (kappa_1 + kappa_2 + kappa_3)
 
+The shape alone, with the scale divided out, is charted by the triangle
+coordinates x = (a + b)/c, y = (b - a)/c of an ordered shape (to_xy) and
+the Ricci-eigenvalue ratios rho = R22/R33, tau = R11/R33 of such a point
+(to_rho_tau); shapespace traces the flow through that triangle.
+
 All operations here are pure functions of value types and can be called
 concurrently without coordination.
 """
@@ -23,7 +28,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
+from .errors import DomainError, SingularMapError
 
 #: Radius-squared normalization used everywhere unless overridden.
 DEFAULT_R_SQUARED = 4.0
@@ -271,3 +276,37 @@ def classify(f: StretchFactors, eq_tol: float = DEFAULT_EQ_TOL) -> Classificatio
         # fsum: the scalar's sign must not depend on the order of (a, b, c).
         scalar_sign=_sign(2.0 * math.fsum(kappas), deadband),
     )
+
+
+@dataclass(frozen=True)
+class ShapePoint:
+    x: float
+    y: float
+
+
+@dataclass(frozen=True)
+class RicciRatios:
+    rho: float
+    tau: float
+
+
+def to_xy(f: StretchFactors) -> ShapePoint:
+    """Triangle coordinates ((a+b)/c, (b-a)/c) of an ordered shape."""
+    if not (f.a <= f.b <= f.c):
+        raise DomainError(
+            f"triangle coordinates need a <= b <= c, got ({f.a}, {f.b}, {f.c})")
+    a, b, c = f.a, f.b, f.c
+    if not math.isfinite(a + b):
+        # a + b overflows for factors near the largest float; halving all
+        # three is exact and leaves every finite case as it was.
+        a, b, c = 0.5 * a, 0.5 * b, 0.5 * c
+    return ShapePoint((a + b) / c, (b - a) / c)
+
+
+def to_rho_tau(p: ShapePoint) -> RicciRatios:
+    """Ricci-eigenvalue ratio coordinates (rho, tau) of a triangle point."""
+    one_minus = 1.0 - p.y
+    one_plus = 1.0 + p.y
+    if one_minus == 0.0 or one_plus == 0.0:
+        raise SingularMapError(f"eigenvalue-ratio map is singular at y = {p.y}")
+    return RicciRatios((p.x - 1.0) / one_minus, (p.x - 1.0) / one_plus)

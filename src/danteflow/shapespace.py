@@ -32,7 +32,7 @@ above it.  The slope
 formula, which equals (dq - dp)/(dq + dp), is kept as a cross-validation
 oracle.
 
-The Ricci-eigenvalue ratio chart uses
+The Ricci-eigenvalue ratio chart (to_rho_tau) uses
 
     rho = R22/R33 = (x - 1)/(1 - y),   tau = R11/R33 = (x - 1)/(1 + y).
 
@@ -47,10 +47,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (DegenerateShapeError, DomainError, IntegrationFailureError,
-                     SingularMapError, SingularSlopeError)
+                     SingularSlopeError)
 from .flow import (FlowParams, Termination, Trajectory, _coeffs, _dormand_prince,
                    _logistic_pair, _logit, _time_panels)
-from .geometry import DEFAULT_R_SQUARED, StretchFactors, metric_coeffs
+# The chart itself (ShapePoint, to_xy, RicciRatios, to_rho_tau) lives in
+# geometry, so that classify needs no tracer; it is re-exported here.
+from .geometry import (DEFAULT_R_SQUARED, RicciRatios, ShapePoint, StretchFactors,
+                       metric_coeffs, to_rho_tau, to_xy)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,18 +65,6 @@ VERTEX_DELTA = 1e-9
 SCALAR_ZERO = "scalar_zero"
 KAPPA_MIN_ZERO = "kappa_min_zero"
 RICCI_DEGENERATE = "ricci_degenerate"
-
-
-@dataclass(frozen=True)
-class ShapePoint:
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
-class RicciRatios:
-    rho: float
-    tau: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,19 +93,6 @@ class FlowLine:
 
     def __len__(self) -> int:
         return len(self.xs)
-
-
-def to_xy(f: StretchFactors) -> ShapePoint:
-    """Triangle coordinates ((a+b)/c, (b-a)/c) of an ordered shape."""
-    if not (f.a <= f.b <= f.c):
-        raise DomainError(
-            f"triangle coordinates need a <= b <= c, got ({f.a}, {f.b}, {f.c})")
-    a, b, c = f.a, f.b, f.c
-    if not math.isfinite(a + b):
-        # a + b overflows for factors near the largest float; halving all
-        # three is exact and leaves every finite case as it was.
-        a, b, c = 0.5 * a, 0.5 * b, 0.5 * c
-    return ShapePoint((a + b) / c, (b - a) / c)
 
 
 def from_xy(p: ShapePoint, c: float = 1.0,
@@ -151,15 +129,6 @@ def slope(p: ShapePoint) -> float:
         raise SingularSlopeError(
             f"slope denominator vanishes at ({p.x}, {p.y})")
     return numerator / denominator
-
-
-def to_rho_tau(p: ShapePoint) -> RicciRatios:
-    """Ricci-eigenvalue ratio coordinates (rho, tau) of a triangle point."""
-    one_minus = 1.0 - p.y
-    one_plus = 1.0 + p.y
-    if one_minus == 0.0 or one_plus == 0.0:
-        raise SingularMapError(f"eigenvalue-ratio map is singular at y = {p.y}")
-    return RicciRatios((p.x - 1.0) / one_minus, (p.x - 1.0) / one_plus)
 
 
 def _row(P: float, Q: float) -> tuple[float, float, float]:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import danteflow
+from danteflow import errors, flow, geometry, shapespace
 from danteflow.cli import SIMULATE_HEADER, _fmt
 from danteflow.errors import DomainError
 
@@ -350,6 +352,32 @@ def test_help_exits_cleanly(run_cli):
     assert "simulate" in out and "flowlines" in out
 
 
+def test_rel_tol_help_states_the_flow_bound(run_cli):
+    # The help text spells the bound out, so that building it loads no flow.
+    code, out, _ = run_cli("simulate", "--help")
+    assert code == 0
+    text = " ".join(out.split())  # undo click's line wrapping
+    assert f"--rel-tol FLOAT Relative tolerance, at most {flow.MAX_REL_TOL}." in text
+
+
+def test_package_serves_every_public_name():
+    # flow and shapespace names are served by the package's __getattr__,
+    # which binds each in the package on first access.  Every name must be
+    # the object its module defines, listed by dir() and bound by a star
+    # import.
+    assert set(danteflow.__all__) <= set(dir(danteflow))
+    homes = (errors, geometry, flow, shapespace)
+    for name in danteflow.__all__:
+        value = getattr(danteflow, name)
+        assert any(getattr(home, name, None) is value for home in homes), name
+        assert vars(danteflow)[name] is value
+    namespace = {}
+    exec("from danteflow import *", namespace)
+    assert set(danteflow.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        danteflow.no_such_name
+
+
 def test_float_formatting_round_trips():
     for value in (0.1, 1e-9, 2.0, 0.6426990816987241, 1234567.875):
         assert float(_fmt(value)) == value
@@ -362,26 +390,46 @@ def test_float_formatting_round_trips():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # The package integrates without scipy, and the quick queries need no
-    # numpy either: importing the CLI and running curvature, classify and a
-    # domain error must pull in neither (numpy alone costs most of the
-    # start-up time of a quick command).  flow and shapespace stay loaded,
-    # since the benchmark's tracer wraps their functions after the import.
+    # The package integrates without scipy, and the quick queries run only
+    # geometry: importing the CLI and running curvature, classify and a
+    # domain error must load neither numpy (which alone costs most of the
+    # start-up time of a quick command) nor scipy, and must not run the
+    # bodies of flow and shapespace.  Both are registered in sys.modules
+    # all the same, since the benchmark's tracer finds them there after the
+    # import and wraps their functions.  simulate then runs flow alone, and
+    # regions runs shapespace.
     code = (
         "import json, sys\n"
         "from danteflow.cli import main\n"
+        "def state():\n"
+        "    ran = {name: name in sys.modules and marker in\n"
+        "           object.__getattribute__(sys.modules[name], '__dict__')\n"
+        "           for name, marker in (('danteflow.flow', 'integrate'),\n"
+        "                                ('danteflow.shapespace', 'trace_flowline'))}\n"
+        "    return {'modules': sorted(sys.modules), 'ran': ran}\n"
         "quick = ['--a', '1', '--b', '2', '--c', '3']\n"
         "codes = [main(['curvature', *quick]), main(['classify', *quick]),\n"
         "         main(['classify', *quick, '--eq-tol', 'nan'])]\n"
-        "print(json.dumps({'codes': codes, 'modules': sorted(sys.modules)}))\n")
+        "after_quick = state()\n"
+        "codes.append(main(['simulate', *quick, '--grid', '0']))\n"
+        "after_simulate = state()\n"
+        "codes.append(main(['regions', '--resolution', '16']))\n"
+        "print(json.dumps({'codes': codes, 'quick': after_quick,\n"
+        "                  'simulate': after_simulate, 'regions': state()}))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     report = json.loads(result.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0, 3]
-    modules = set(report["modules"])
+    assert report["codes"] == [0, 0, 3, 0, 0]
+    quick = report["quick"]
+    modules = set(quick["modules"])
     for heavy in ("numpy", "scipy"):
         assert not {m for m in modules if m == heavy or m.startswith(heavy + ".")}
     assert {"danteflow.flow", "danteflow.shapespace"} <= modules
+    assert quick["ran"] == {"danteflow.flow": False, "danteflow.shapespace": False}
+    assert report["simulate"]["ran"] == {"danteflow.flow": True,
+                                         "danteflow.shapespace": False}
+    assert report["regions"]["ran"] == {"danteflow.flow": True,
+                                        "danteflow.shapespace": True}

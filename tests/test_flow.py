@@ -364,6 +364,17 @@ def test_flow_params_validation():
         FlowParams(r_squared=0.0)
 
 
+def test_max_steps_must_be_an_integer():
+    # integrate counts steps with range(max_steps), which takes only integers.
+    for bad in (math.nan, math.inf, 2.5, 3.0, np.float64(3.0), "5"):
+        with pytest.raises(DomainError, match="max_steps must be an integer"):
+            FlowParams(max_steps=bad)
+    with pytest.raises(DomainError, match="max_steps must be positive"):
+        FlowParams(max_steps=np.int64(0))
+    traj = integrate(MetricCoeffs(1, 1, 1), FlowParams(max_steps=np.int64(2)))
+    assert traj.terminated is Termination.MAX_STEPS and len(traj) == 3
+
+
 def test_rel_tol_bound():
     # Past MAX_REL_TOL the controller no longer approximates: at rel_tol = 1
     # the thin dragon (0.01, 0.5, 1) collapses 54% early.
