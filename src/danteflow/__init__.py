@@ -87,19 +87,11 @@ def __dir__():
 __version__ = "0.1.0"
 
 __all__ = [
-    "CollapseReachedError", "DanteFlowError", "DegenerateShapeError",
-    "DomainError", "IntegrationFailureError", "SingularMapError",
-    "SingularSlopeError",
-    "DEFAULT_EQ_TOL", "DEFAULT_R_SQUARED", "Classification",
-    "CurvatureSummary", "MetricCoeffs", "ShapeKind", "StretchFactors",
-    "classify", "connection_coefficients", "curvature_summary",
-    "metric_coeffs", "principal_curvatures", "ricci_eigenvalues",
-    "scalar_curvature", "semiperimeter", "stretch_from_metric",
-    "FlowParams", "SnakeSolution", "Termination", "Trajectory",
-    "TurtleSolution", "integrate", "isotropic_lambda", "rhs",
-    "snake_lambda_of_time", "snake_profile", "snake_time_of_lambda",
-    "turtle_mu_of_time", "turtle_profile", "turtle_time_of_mu", "x_rate",
-    "KAPPA_MIN_ZERO", "RICCI_DEGENERATE", "SCALAR_ZERO", "FlowLine",
-    "RicciRatios", "ShapePoint", "from_xy", "region_boundaries", "slope",
-    "to_rho_tau", "to_xy", "trace_flowline",
+    "CollapseReachedError", "DanteFlowError", "DegenerateShapeError", "DomainError",
+    "IntegrationFailureError", "SingularMapError", "SingularSlopeError",
+    "DEFAULT_EQ_TOL", "DEFAULT_R_SQUARED", "Classification", "CurvatureSummary",
+    "MetricCoeffs", "RicciRatios", "ShapeKind", "ShapePoint", "StretchFactors", "classify",
+    "connection_coefficients", "curvature_summary", "metric_coeffs", "principal_curvatures",
+    "ricci_eigenvalues", "scalar_curvature", "semiperimeter", "stretch_from_metric",
+    "to_rho_tau", "to_xy", *_LAZY,
 ]

@@ -178,12 +178,15 @@ def classify_cmd(a, b, c, r2, eq_tol, output_format, output):
 @click.option("--rel-tol", type=float, default=1e-10, show_default=True,
               help="Relative tolerance, at most 0.001.")
 @click.option("--abs-tol", type=float, default=1e-12, show_default=True)
-@click.option("--collapse-eps", type=float, default=1e-9, show_default=True)
+@click.option("--collapse-eps", type=float, default=1e-9, show_default=True,
+              help="Share of the largest initial coefficient at which to stop.")
 @click.option("--max-steps", type=click.IntRange(min=1), default=10_000, show_default=True)
 @_output_option
 def simulate(a, b, c, r2, grid, rel_tol, abs_tol, collapse_eps, max_steps, output):
     """Integrate the flow from ordered stretch factors a <= b <= c and emit
     the trajectory table plus a JSON summary with the collapse time."""
+    if grid == 1:  # a grid spans the trajectory, so it needs both ends
+        raise click.BadParameter("must be 0 (no grid) or at least 2", param_hint="'--grid'")
     import numpy as np
 
     from .flow import FlowParams, integrate
@@ -195,7 +198,7 @@ def simulate(a, b, c, r2, grid, rel_tol, abs_tol, collapse_eps, max_steps, outpu
     traj = integrate(metric_coeffs(f), params)
 
     times = traj.times
-    if grid >= 2:
+    if grid:
         times = np.unique(np.concatenate(
             [times, np.linspace(times[0], times[-1], grid)]))
     coeffs = traj.sample_at(times)

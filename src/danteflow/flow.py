@@ -18,9 +18,9 @@ P, Q of p = u/w, q = v/w and L = ln(w/w0) in dsigma = dt w/(u v):
 with l the logistic function and y = q - p = l(Q) - l(P): the whole field
 is the one scalar y, and L never feeds back.  A coefficient
 equal to w0 sits at +inf and stays there (Q on the turtle edge, P and Q on
-the round sphere).  integrate stops where min(u, v, w) = w0 e^L l(P)
-reaches collapse_eps and adds the round sphere's remaining time
-(R^2/4) mean(u, v, w).
+the round sphere).  integrate stops once w = w0 e^L has fallen to
+collapse_eps w0 and the shape is round, on (P, Q, L) alone, and adds the
+round sphere's remaining time (R^2/4) mean(u, v, w).
 
 Two symmetric reductions integrate in closed form and are implemented
 here alongside the numeric integrator so each can check the other: the
@@ -94,7 +94,7 @@ MAX_REL_TOL = 1e-3
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Integration controls.  collapse_eps must stay below min(u0, v0, w0).
+    """Integration controls.  collapse_eps, in (0, 1), is a share of max(u0, v0, w0).
 
     max_steps must be a positive integer (a Python or numpy int; a float,
     even 3.0, is rejected).  rel_tol must lie in (0, MAX_REL_TOL].  abs_tol
@@ -118,7 +118,8 @@ class FlowParams:
             raise DomainError(
                 f"rel_tol must be at most {MAX_REL_TOL}, got {self.rel_tol!r}")
         _require_positive("abs_tol", self.abs_tol)
-        _require_positive("collapse_eps", self.collapse_eps)
+        if not 0.0 < self.collapse_eps < 1.0:  # NaN fails too
+            raise DomainError(f"collapse_eps must lie in (0, 1), got {self.collapse_eps!r}")
         try:
             max_steps = operator.index(self.max_steps)
         except TypeError:
@@ -137,8 +138,10 @@ class Termination(Enum):
 class Trajectory:
     """Time-stamped metric coefficients with the detected collapse time.
 
-    Every row of ``coeffs`` is positive.  ``times`` rises strictly unless a
-    step's time span rounds to zero (at a collapse_eps of 1e-300, say).
+    Every row of ``coeffs`` is positive while collapse_eps w0 is a normal
+    float (below it the last rows can underflow to 0).  ``times`` rises
+    strictly unless a step's time span rounds to zero (at a collapse_eps of
+    1e-300, say).
     When terminated == COLLAPSED, collapse_time is at or past the final
     sample time.
     """
@@ -583,38 +586,31 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
 #: workload's dragons come out up to 2.7e-10 off, at 0.3 times 8.3e-11.
 INTEGRATE_TOL_FACTOR = 0.3
 
+#: integrate stops once 1 - u/w = l(-P) <= 1e-8, where the round sphere's time is exact.
+ROUND_LOGIT = math.log(1e8 - 1.0)
+
 
 def integrate(m0: MetricCoeffs, params: FlowParams | None = None) -> Trajectory:
     """Integrate the flow from m0 until collapse or max_steps.
 
     Steps the logit field from the sorted u <= v <= w0, (P, Q, L) =
     (ln(u/(w0 - u)), ln(v/(w0 - v)), 0), at INTEGRATE_TOL_FACTOR times the
-    params' tolerances until min(u, v, w) = w0 e^L l(P) reaches
-    collapse_eps; the collapse time adds the round sphere's remaining
-    (R^2/4) mean(u, v, w).
+    params' tolerances until w0 e^L has fallen to collapse_eps w0 and
+    P >= ROUND_LOGIT; the collapse time adds the round sphere's remaining
+    (R^2/4) mean(u, v, w).  So integrate(2^k m0) is exactly 2^k integrate(m0).
     Rows keep the input's column order.  Raises IntegrationFailureError
     (carrying the partial trajectory) on step-size underflow.
     """
     if params is None:
         params = FlowParams()
     y0 = m0.as_tuple()
-    if params.collapse_eps >= min(y0):
-        raise DomainError(
-            f"collapse_eps ({params.collapse_eps}) must be below the initial "
-            f"minimum coefficient ({min(y0)})")
     columns = tuple(sorted(range(3), key=y0.__getitem__))
     u, v, w0 = (y0[i] for i in columns)
-    log_floor = math.log(params.collapse_eps) - math.log(w0)
-
-    def margin(P: float, Q: float, L: float) -> float:
-        # ln(min(u, v, w)/collapse_eps) = L + ln l(P) - log_floor, without overflow.
-        log_l = -math.log1p(math.exp(-P)) if P >= 0.0 else P - math.log1p(math.exp(P))
-        return L + log_l - log_floor
-
+    log_share = math.log(params.collapse_eps)
     sigma, states, quartic, status, message = _dormand_prince(
         (_logit(u, w0), _logit(v, w0), 0.0), params.r_squared,
         INTEGRATE_TOL_FACTOR * params.rel_tol, INTEGRATE_TOL_FACTOR * params.abs_tol,
-        params.max_steps, margin)
+        params.max_steps, lambda P, Q, L: max(L - log_share, ROUND_LOGIT - P))
     coeffs = _coeffs(states, w0, columns)
     panels, times = _time_panels(sigma, states, quartic, w0)
     dense = (sigma, states, quartic, panels, w0, columns) if len(quartic) else None

@@ -222,10 +222,18 @@ def stretch_from_metric(m: MetricCoeffs) -> tuple[float, float, float]:
     """Invert metric coefficients back to stretch factors.
 
     abc = 1/sqrt(uvw), hence a = u * abc and cyclically.  Round-trips with
-    :func:`metric_coeffs` to within 1e-12 relative.
+    :func:`metric_coeffs` to within 1e-12 relative, at any scale: where uvw
+    is not a normal float, u, v, w are divided exactly by 4^j first.
     """
-    root = math.sqrt(m.u * m.v * m.w)
-    return (m.u / root, m.v / root, m.w / root)
+    u, v, w = m.u, m.v, m.w
+    product = u * v * w
+    if 2.2250738585072014e-308 <= product <= 1.7976931348623157e308:
+        root = math.sqrt(product)
+        return (u / root, v / root, w / root)
+    j = math.frexp(max(u, v, w))[1] // 2  # half the largest exponent
+    u, v, w = (math.ldexp(x, -2 * j) for x in (u, v, w))
+    root = math.sqrt(u * v * w)
+    return tuple(math.ldexp(x / root, -j) for x in (u, v, w))
 
 
 def _sign(value: float, deadband: float) -> int:

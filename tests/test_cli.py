@@ -346,6 +346,35 @@ def test_simulate_tiny_collapse_eps_exits_0(run_cli):
     assert summary["collapse_time"] == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
 
+def test_simulate_scales_with_the_metric(run_cli):
+    # A metric 1e-8 times the size of (1, 2, 3)'s collapses 1e-8 times as
+    # fast; the stop is a share of the starting scale, not an absolute floor.
+    times = []
+    for a, b, c in (("1", "2", "3"), ("1e4", "2e4", "3e4")):
+        code, _, err = run_cli("simulate", "--a", a, "--b", b, "--c", c)
+        assert code == 0
+        times.append(json.loads(err)["collapse_time"])
+    assert times[1] == pytest.approx(1e-8 * times[0], rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("args", [
+    ("snake", "--W", "1e-10", "--alpha", "1", "--check"),
+    ("simulate", "--a", "1e-60", "--b", "1e-60", "--c", "1e-60"),
+    ("simulate", "--a", "1e140", "--b", "2e140", "--c", "3e140"),
+], ids=["tiny-snake", "huge-sphere", "tiny-dragon"])
+def test_metrics_at_any_scale_exit_0(run_cli, args):
+    code, _, err = run_cli(*args)
+    assert code == 0, err
+    assert json.loads(err)["collapse_time"] > 0.0
+
+
+def test_simulate_grid_of_one_is_a_usage_error(run_cli):
+    # A uniform grid spans the trajectory, so it needs both ends; 0 disables it.
+    code, _, err = run_cli("simulate", "--a", "1", "--b", "1", "--c", "1", "--grid", "1")
+    assert code == 2
+    assert "--grid" in json.loads(err)["message"]
+
+
 def test_help_exits_cleanly(run_cli):
     code, out, _ = run_cli("--help")
     assert code == 0

@@ -91,7 +91,9 @@ def test_trajectory_invariants():
     assert traj.terminated is Termination.COLLAPSED
     assert traj.collapse_time >= traj.times[-1]
     assert len(traj) == len(traj.times)
-    assert np.min(traj.coeffs[-1]) <= 1e-9 * (1 + 1e-6)
+    # integrate stops where the largest coefficient has fallen to
+    # collapse_eps times its initial value.
+    assert np.max(traj.coeffs[-1]) == pytest.approx(1e-9 * 1.3, rel=1e-12, abs=0.0)
 
 
 def test_trajectory_dense_output():
@@ -128,8 +130,9 @@ def test_sample_at_returns_the_rows():
 
 
 def test_integrate_validates_collapse_eps():
+    # collapse_eps is a share of the largest initial coefficient.
     with pytest.raises(DomainError):
-        integrate(MetricCoeffs(1e-10, 1.0, 1.0))
+        FlowParams(collapse_eps=1.0)
     with pytest.raises(DomainError):
         integrate(MetricCoeffs(1, 1, 1), FlowParams(collapse_eps=2.0))
 
@@ -205,13 +208,32 @@ def test_permutation_invariance(u, v, w):
 
 
 @settings(max_examples=40, deadline=None)
-@given(coefficient, coefficient, coefficient, st.floats(min_value=0.1, max_value=10.0))
-def test_scale_covariance(u, v, w, lam):
+@given(coefficient, coefficient, coefficient, st.floats(min_value=0.1, max_value=10.0),
+       st.integers(min_value=-300, max_value=300), st.floats(min_value=1e-6, max_value=1e6))
+def test_scale_covariance(u, v, w, lam, k, wide):
     # The flow is homogeneous of degree 0, so scaling the metric by lambda
     # scales the collapse time by lambda (acceptance criterion 8's tolerance).
-    base = integrate(MetricCoeffs(u, v, w)).collapse_time
+    run = integrate(MetricCoeffs(u, v, w))
+    base = run.collapse_time
     scaled = integrate(MetricCoeffs(lam * u, lam * v, lam * w)).collapse_time
     assert scaled == pytest.approx(lam * base, rel=1e-5, abs=0.0)
+    # integrate's stop reads only the scale-free (P, Q, L), so a power of
+    # two scales the whole run exactly, and any other factor to rounding.
+    s = math.ldexp(1.0, k)
+    power = integrate(MetricCoeffs(s * u, s * v, s * w))
+    assert np.array_equal(power.times, s * run.times)
+    assert np.array_equal(power.coeffs, s * run.coeffs)
+    assert power.collapse_time == s * base
+    scaled = integrate(MetricCoeffs(wide * u, wide * v, wide * w)).collapse_time
+    assert scaled == pytest.approx(wide * base, rel=1e-13, abs=0.0)
+
+
+def test_thin_shapes_stop_once_round():
+    # A thin shape is far from round where w has fallen to collapse_eps w0;
+    # integrate adds the round sphere's remaining time only once it is.
+    for m0 in (MetricCoeffs(1e-10, 1.0, 1.0), MetricCoeffs(1e-10, 0.5, 1.0)):
+        deep = integrate(m0, FlowParams(collapse_eps=1e-40)).collapse_time
+        assert integrate(m0).collapse_time == pytest.approx(deep, rel=1e-14, abs=0.0)
 
 
 def test_min_coefficient_grows_then_collapses():
@@ -308,8 +330,9 @@ def test_dragon_collapse_time_against_independent_solver():
 def test_steps_follow_the_rk45_controller():
     # The stepper keeps the tableau, error norm and step-size rules of
     # scipy's RK45, so it takes the same steps up to rounding in the error
-    # estimate; the last step is the collapse event, where the smallest
-    # coefficient w0 e^L l(P) reaches collapse_eps.
+    # estimate; the last step is the collapse event.  This shape is round
+    # long before w0 e^L reaches collapse_eps w0 (w0 = 1), so the smallest
+    # coefficient w0 e^L l(P) reaches collapse_eps within that step too.
     from scipy.integrate import RK45
 
     traj = integrate(MetricCoeffs(1.0, 0.1, 0.5))

@@ -96,6 +96,13 @@ def test_round_trip_property():
         f = random_ordered_stretch(rng, lo=0.05, hi=20.0)
         assert_allclose(stretch_from_metric(metric_coeffs(f)),
                         (f.a, f.b, f.c), rtol=1e-12)
+        # Far outside the normal range of uvw, a metric 4^j times larger has
+        # stretch factors exactly 2^j times smaller.
+        m = metric_coeffs(f)
+        for j in (-300, 300):
+            scaled = MetricCoeffs(*(math.ldexp(x, 2 * j) for x in m.as_tuple()))
+            assert stretch_from_metric(scaled) == tuple(
+                math.ldexp(x, -j) for x in stretch_from_metric(m))
 
 
 def test_trace_identity_property():
