@@ -25,14 +25,12 @@ from pathlib import Path
 
 import click
 
+from . import flow, shapespace
 from .errors import DomainError, IntegrationFailureError, SingularMapError
 from .geometry import (DEFAULT_EQ_TOL, DEFAULT_R_SQUARED, MetricCoeffs, ShapePoint,
                        StretchFactors, classify as classify_shape,
                        connection_coefficients, curvature_summary,
                        metric_coeffs, stretch_from_metric, to_rho_tau, to_xy)
-
-# flow and shapespace are imported inside the commands that run them, as
-# numpy is, so that curvature and classify load only geometry.
 
 SIMULATE_HEADER = ("t,u,v,w,a,b,c,x,y,"
                    "kappa1,kappa2,kappa3,ricci11,ricci22,ricci33,scalar")
@@ -189,13 +187,11 @@ def simulate(a, b, c, r2, grid, rel_tol, abs_tol, collapse_eps, max_steps, outpu
         raise click.BadParameter("must be 0 (no grid) or at least 2", param_hint="'--grid'")
     import numpy as np
 
-    from .flow import FlowParams, integrate
-
     r2v = _resolve_r2(r2)
     f = StretchFactors.ordered(a, b, c, r2v)
-    params = FlowParams(r_squared=r2v, rel_tol=rel_tol, abs_tol=abs_tol,
-                        collapse_eps=collapse_eps, max_steps=max_steps)
-    traj = integrate(metric_coeffs(f), params)
+    params = flow.FlowParams(r_squared=r2v, rel_tol=rel_tol, abs_tol=abs_tol,
+                             collapse_eps=collapse_eps, max_steps=max_steps)
+    traj = flow.integrate(metric_coeffs(f), params)
 
     times = traj.times
     if grid:
@@ -255,10 +251,8 @@ def _closed_form(sol, r2v, grid, check, output, header, time_of, profile, column
 
     summary = {"collapse_time": scale * sol.collapse_T, **initial, "r_squared": r2v}
     if check:
-        from .flow import FlowParams, integrate
-
         start = sol.initial_coeffs.as_tuple()[column]
-        traj = integrate(sol.initial_coeffs, FlowParams(r_squared=r2v))
+        traj = flow.integrate(sol.initial_coeffs, flow.FlowParams(r_squared=r2v))
         deviation = 0.0
         for t, coeff in zip(traj.times, traj.coeffs):
             s = min(float(coeff[column]) / start, 1.0)
@@ -275,12 +269,11 @@ def _closed_form(sol, r2v, grid, check, output, header, time_of, profile, column
 def snake(big_w, alpha, grid, check, r2, output):
     """Closed-form snake flow (a = b): table of lambda, t, w, v plus the
     collapse time."""
-    from .flow import SnakeSolution, snake_profile, snake_time_of_lambda
-
     r2v = _resolve_r2(r2)
-    sol = SnakeSolution(W=big_w, alpha=alpha)
-    _closed_form(sol, r2v, grid, check, output, "lambda,t,w,v", snake_time_of_lambda,
-                 snake_profile, 2, {"w_initial": sol.W, "v_initial": sol.V, "alpha": sol.alpha})
+    sol = flow.SnakeSolution(W=big_w, alpha=alpha)
+    _closed_form(sol, r2v, grid, check, output, "lambda,t,w,v", flow.snake_time_of_lambda,
+                 flow.snake_profile, 2,
+                 {"w_initial": sol.W, "v_initial": sol.V, "alpha": sol.alpha})
 
 
 @cli.command()
@@ -290,12 +283,11 @@ def snake(big_w, alpha, grid, check, r2, output):
 def turtle(big_u, beta, grid, check, r2, output):
     """Closed-form turtle flow (b = c): table of mu, t, u, v plus the
     collapse time."""
-    from .flow import TurtleSolution, turtle_profile, turtle_time_of_mu
-
     r2v = _resolve_r2(r2)
-    sol = TurtleSolution(U=big_u, beta=beta)
-    _closed_form(sol, r2v, grid, check, output, "mu,t,u,v", turtle_time_of_mu,
-                 turtle_profile, 0, {"u_initial": sol.U, "v_initial": sol.V, "beta": sol.beta})
+    sol = flow.TurtleSolution(U=big_u, beta=beta)
+    _closed_form(sol, r2v, grid, check, output, "mu,t,u,v", flow.turtle_time_of_mu,
+                 flow.turtle_profile, 0,
+                 {"u_initial": sol.U, "v_initial": sol.V, "beta": sol.beta})
 
 
 def _parse_starts_file(path: str) -> list[ShapePoint]:
@@ -352,19 +344,16 @@ def _interior_grid(spec: str) -> list[ShapePoint]:
 @_output_option
 def flowlines(starts, grid_spec, c0, forward_only, r2, apex_output, output):
     """Trace flow lines through the shape triangle and report their apexes."""
-    from .flow import FlowParams
-    from .shapespace import trace_flowline
-
     if (starts is None) == (grid_spec is None):
         raise click.UsageError("exactly one of --starts or --grid is required")
     points = _parse_starts_file(starts) if starts else _interior_grid(grid_spec)
-    params = FlowParams(r_squared=_resolve_r2(r2))
+    params = flow.FlowParams(r_squared=_resolve_r2(r2))
 
     rows = []
     apex_rows = []
     for line_id, start in enumerate(points):
-        line = trace_flowline(start, c0, params,
-                              include_backward=not forward_only)
+        line = shapespace.trace_flowline(start, c0, params,
+                                         include_backward=not forward_only)
         for x, y, t in zip(line.xs, line.ys, line.times):
             rows.append([line_id, float(x), float(y), float(t)])
         apex_rows.append([line_id, line.apex.x, line.apex.y])
@@ -385,20 +374,16 @@ def flowlines(starts, grid_spec, c0, forward_only, r2, apex_output, output):
 def regions(resolution, output):
     """Extract the classification boundaries (scalar zero, smallest
     principal curvature zero, degenerate-Ricci line) as labeled polylines."""
-    from .shapespace import (KAPPA_MIN_ZERO, RICCI_DEGENERATE, SCALAR_ZERO,
-                             region_boundaries)
-
-    bounds = region_boundaries(resolution)
+    bounds = shapespace.region_boundaries(resolution)
+    labels = (shapespace.SCALAR_ZERO, shapespace.KAPPA_MIN_ZERO, shapespace.RICCI_DEGENERATE)
     rows = []
-    for label in (SCALAR_ZERO, KAPPA_MIN_ZERO, RICCI_DEGENERATE):
+    for label in labels:
         for x, y in bounds[label]:
             rows.append([label, float(x), float(y)])
     summary = {
-        "scalar_zero_x_intercept": float(bounds[SCALAR_ZERO][0, 0]),
-        "kappa_min_zero_x_intercept": float(bounds[KAPPA_MIN_ZERO][-1, 0]),
-        "points_per_boundary": {label: len(bounds[label])
-                                for label in (SCALAR_ZERO, KAPPA_MIN_ZERO,
-                                              RICCI_DEGENERATE)},
+        "scalar_zero_x_intercept": float(bounds[shapespace.SCALAR_ZERO][0, 0]),
+        "kappa_min_zero_x_intercept": float(bounds[shapespace.KAPPA_MIN_ZERO][-1, 0]),
+        "points_per_boundary": {label: len(bounds[label]) for label in labels},
     }
     _emit_with_summary(_csv_text("label,x,y", rows), output, summary)
 

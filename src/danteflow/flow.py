@@ -102,7 +102,8 @@ class FlowParams:
     scale-free (P, Q, L) that integrate and trace_flowline step, so it does
     not scale with the metric, and a large one coarsens the result (at
     abs_tol = 1 the flow line through (1.0, 0.5) has 8 samples, its apex
-    1.2e-5 off).
+    1.2e-5 off).  trace_flowline steps at rel_tol and abs_tol, integrate at
+    INTEGRATE_TOL_FACTOR (0.3) times them.
     """
 
     r_squared: float = DEFAULT_R_SQUARED
@@ -729,13 +730,13 @@ class TurtleSolution:
 
     @classmethod
     def from_initial(cls, m0: MetricCoeffs) -> "TurtleSolution":
-        """Build from turtle initial coefficients (U, V, V) with U <= V."""
+        """Build from turtle initial coefficients (U, V, V) with U <= V.
+        A turtle thinner than BETA_CAP allows raises DomainError."""
         if m0.v != m0.w:
             raise DomainError(f"turtle initial data needs v = w, got ({m0.v}, {m0.w})")
         if m0.u > m0.v:
             raise DomainError(f"turtle initial data needs u <= v, got ({m0.u}, {m0.v})")
-        beta = min(math.sqrt(1.0 - m0.u / m0.v), BETA_CAP)
-        return cls(U=m0.u, beta=beta)
+        return cls(U=m0.u, beta=math.sqrt(1.0 - m0.u / m0.v))
 
     @property
     def _eps(self) -> float:

@@ -24,13 +24,13 @@ VERTEX_DELTA of the round corner (2, 0), the backward one within
 VERTEX_DELTA of the origin or (1, 1).  The apex law is exact: dy/dsigma =
 k y (1 - p^2 - q^2) and x^2 + y^2 = 2 (p^2 + q^2), so for y > 0 the line
 rises inside the circle and falls outside it, by the sign of
-m = (1 - q)(1 + q) - p^2.  The one step over which m falls through zero is
-stepped again at tighter tolerances with m as the stop margin, so the
-re-step stops on the apex as a branch stops on a vertex.  On the snake
-edge (y = 0) that gives (sqrt 2, 0), the limit of the apexes of the lines
-above it.  The slope
-formula, which equals (dq - dp)/(dq + dp), is kept as a cross-validation
-oracle.
+m = (1 - q)(1 + q) - p^2.  So a line crosses the circle once, on one of
+its two branches, and has one apex: that branch's step over which m falls
+through zero is stepped again at tighter tolerances with m as the stop
+margin, so the re-step stops on the apex as a branch stops on a vertex.
+On the snake edge (y = 0) that gives (sqrt 2, 0), the limit of the apexes
+of the lines above it.  The slope formula, which equals
+(dq - dp)/(dq + dp), is kept as a cross-validation oracle.
 
 The Ricci-eigenvalue ratio chart (to_rho_tau) uses
 
@@ -44,7 +44,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (DegenerateShapeError, DomainError, IntegrationFailureError,
                      SingularSlopeError)
@@ -54,9 +56,6 @@ from .flow import (FlowParams, Termination, Trajectory, _coeffs, _dormand_prince
 # geometry, so that classify needs no tracer; it is re-exported here.
 from .geometry import (DEFAULT_R_SQUARED, RicciRatios, ShapePoint, StretchFactors,
                        metric_coeffs, to_rho_tau, to_xy)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: A flow-line branch stops once the line is this close to a vertex.
 VERTEX_DELTA = 1e-9
@@ -77,13 +76,15 @@ class FlowLine:
     backward branch), which is the start exactly.  They never decrease, but
     backward the shape degenerates at a finite time, so the first few
     samples near the origin can share one value; backward along the turtle
-    edge the approach to (1, 1) takes unbounded time instead.  For interior
-    starts the apex is where the line crosses the circle x^2 + y^2 = 2, on
-    which it lies to rounding (within 1e-12 down to heights of 1e-12 times
-    the triangle's), and within 1e-10 of an independent DOP853 apex on the
-    5x5 grid at the default tolerances.  Snake-edge lines (y = 0) report
-    (sqrt 2, 0), the limit of the interior apexes; turtle-edge lines have
-    no maximum on the circle and report their highest sample instead.
+    edge the approach to (1, 1) takes unbounded time instead.  No row lies
+    below the snake edge.  For interior starts the one apex is where the
+    line crosses the circle x^2 + y^2 = 2, re-stepped on the branch that
+    crosses it.  It lies on the circle to rounding (within 1e-12 down to
+    heights of 1e-12 times the triangle's), and within 1e-10 of an
+    independent DOP853 apex on the 5x5 grid at the default tolerances.
+    Snake-edge lines (y = 0) report (sqrt 2, 0), the limit of the interior
+    apexes; turtle-edge lines have no maximum on the circle and report their
+    highest sample instead.
     """
 
     xs: np.ndarray
@@ -136,8 +137,10 @@ def _row(P: float, Q: float) -> tuple[float, float, float]:
     margin m = (1 - q)(1 + q) - p^2 = (2 - x^2 - y^2)/2.  y is taken from
     1 - p and 1 - q once q >= 1/2, which keeps it accurate near (2, 0), and
     1 - q is the logistic tail l(-Q), so each term of m keeps full relative
-    accuracy (2 - x^2 - y^2 from x and y cancels near (1, 1))."""
-    p, p1 = _logistic_pair(P)
+    accuracy (2 - x^2 - y^2 from x and y cancels near (1, 1)).  p is read
+    from min(P, Q): the flow keeps p <= q, so a row on which P rounds above
+    Q (near the snake edge) lies on the edge, not below it."""
+    p, p1 = _logistic_pair(min(P, Q))
     q, q1 = _logistic_pair(Q)
     return p + q, (q - p if q < 0.5 else p1 - q1), q1 * (1.0 + q) - p * p
 
@@ -162,12 +165,14 @@ APEX_TOL_FACTOR = 1e-3
 
 class _Branch(NamedTuple):
     """One traced branch: sigma (n+1,), rows (P, Q, L) (n+1, 3), the flow
-    time of each row from the start and its _row (x, y, m) (n+1, 3)."""
+    time of each row from the start, its _row (x, y, m) (n+1, 3), and the
+    apex where it crosses the circle x^2 + y^2 = 2 (None if it never does)."""
 
     sigma: np.ndarray
     states: np.ndarray
     times: np.ndarray
     rows: np.ndarray
+    apex: ShapePoint | None
 
 
 def _trace_branch(start: ShapePoint, w0: float, r_squared: float,
@@ -178,12 +183,20 @@ def _trace_branch(start: ShapePoint, w0: float, r_squared: float,
     The rows run in the branch's own order; a start already within
     VERTEX_DELTA gives one row and no steps.  Raises IntegrationFailureError
     when the branch stops short of a vertex.
-    """
-    import numpy as np
 
+    y rises along the branch while sign(R^2) m > 0 (m of _row; the sign
+    turns the backward branch around) and y > 0, so a line crosses the
+    circle once, on at most one of its branches.  The step over which that
+    margin falls from > 0 to <= 0, from a row with y >= 0, is stepped again
+    from its start at APEX_TOL_FACTOR times the tolerances with the margin
+    as the stop margin, so the re-step ends on the apex.  The rows and the
+    re-step share one arithmetic, so its start margin is positive.  On the
+    snake edge, where y = 0 throughout, the re-step stops at (sqrt 2, 0).
+    """
     y0 = (_logit((start.x - start.y) / 2.0), _logit((start.x + start.y) / 2.0), 0.0)
     if _vertex_margin(*y0) <= 0.0:
-        return _Branch(np.zeros(1), np.array([y0]), np.zeros(1), np.array([_row(*y0[:2])]))
+        return _Branch(np.zeros(1), np.array([y0]), np.zeros(1),
+                       np.array([_row(*y0[:2])]), None)
     sigma, states, quartic, status, message = _dormand_prince(
         y0, r_squared, params.rel_tol, params.abs_tol, params.max_steps,
         _round_corner_margin if r_squared > 0.0 else _vertex_margin)
@@ -199,38 +212,20 @@ def _trace_branch(start: ShapePoint, w0: float, r_squared: float,
             f"{len(sigma) - 1} steps: {message or status}",
             trajectory=Trajectory(times, coeffs, terminated, None))
     rows = np.array([_row(P, Q) for P, Q, _ in states.tolist()])
-    return _Branch(sigma, states, times, rows)
-
-
-def _apexes(branch: _Branch, r_squared: float, params: FlowParams) -> list[ShapePoint]:
-    """The maxima of y on a branch.
-
-    y rises along the branch while sign(R^2) m > 0 (m of _row; the sign
-    turns the backward branch around) and y > 0.  A step over which that
-    margin falls from > 0 to <= 0, from a row with y >= 0, is stepped again
-    from its start at APEX_TOL_FACTOR times the tolerances with the margin
-    as the stop margin, so the re-step ends on the maximum.  The rows and
-    the re-step share one arithmetic, so its start margin is positive.
-    On the snake edge, where y = 0 throughout, the re-step stops at
-    (sqrt 2, 0).
-    """
-    import numpy as np
-
     sign = 1.0 if r_squared > 0.0 else -1.0
-    y, margin = branch.rows[:, 1], sign * branch.rows[:, 2]
-    points = []
-    for k in np.flatnonzero((margin[:-1] > 0.0) & (margin[1:] <= 0.0) & (y[:-1] >= 0.0)):
-        _, fine, _, status, message = _dormand_prince(
-            tuple(branch.states[k].tolist()), r_squared, APEX_TOL_FACTOR * params.rel_tol,
-            APEX_TOL_FACTOR * params.abs_tol, params.max_steps,
-            lambda P, Q, L: sign * _row(P, Q)[2])
-        if status != "event":
-            raise IntegrationFailureError(
-                f"apex re-step stopped short after {len(fine) - 1} steps: "
-                f"{message or status}")
-        x, y, _ = _row(*fine[-1, :2].tolist())
-        points.append(ShapePoint(x, y))
-    return points
+    y, margin = rows[:, 1], sign * rows[:, 2]
+    crossing = np.flatnonzero((margin[:-1] > 0.0) & (margin[1:] <= 0.0) & (y[:-1] >= 0.0))
+    if not len(crossing):
+        return _Branch(sigma, states, times, rows, None)
+    _, fine, _, status, message = _dormand_prince(
+        tuple(states[crossing[0]].tolist()), r_squared, APEX_TOL_FACTOR * params.rel_tol,
+        APEX_TOL_FACTOR * params.abs_tol, params.max_steps,
+        lambda P, Q, L: sign * _row(P, Q)[2])
+    if status != "event":
+        raise IntegrationFailureError(
+            f"apex re-step stopped short after {len(fine) - 1} steps: "
+            f"{message or status}")
+    return _Branch(sigma, states, times, rows, ShapePoint(*_row(*fine[-1, :2].tolist())[:2]))
 
 
 def trace_flowline(start: ShapePoint, c0: float = 1.0,
@@ -252,33 +247,25 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
     and leaves xs, ys and the apex unchanged.  The t = 0 sample is the start
     exactly; times come from quadrature of dt/dsigma (see flow._time_panels).
 
-    The apex: the step over which y stops rising, where sign(R^2) m (m of
-    _row, negated on the backward branch) falls through zero, is stepped
-    again from its start at APEX_TOL_FACTOR times the tolerances, with that
-    margin as the stop margin, and the re-step's last row is the maximum
-    (IntegrationFailureError if the re-step stops short); on the snake edge
-    it is (sqrt 2, 0).  A turtle-edge line, which never reaches the circle,
-    reports its highest sample.
+    The apex is the one that _trace_branch re-steps on whichever branch
+    crosses the circle (IntegrationFailureError if the re-step stops
+    short); on the snake edge it is (sqrt 2, 0).  A turtle-edge line, which
+    never reaches the circle, reports its highest sample.
     """
-    import numpy as np
-
     if params is None:
         params = FlowParams()
     w0 = metric_coeffs(from_xy(start, c0)).w
     forward = _trace_branch(start, w0, params.r_squared, params)
-    rows, times = forward.rows, forward.times
-    apexes = _apexes(forward, params.r_squared, params)
+    rows, times, apex = forward.rows, forward.times, forward.apex
     if include_backward:
         backward = _trace_branch(start, w0, -params.r_squared, params)
         rows = np.vstack([backward.rows[:0:-1], rows])
         times = np.concatenate([backward.times[:0:-1], times])
-        apexes += _apexes(backward, -params.r_squared, params)
+        apex = apex or backward.apex
     xs, ys, _ = rows.T.copy()
     at_start = len(rows) - len(forward.rows)
     xs[at_start], ys[at_start] = start.x, start.y
-    if apexes:
-        apex = max(apexes, key=lambda point: point.y)
-    else:
+    if apex is None:
         i = int(np.argmax(ys))
         apex = ShapePoint(float(xs[i]), float(ys[i]))
     return FlowLine(xs=xs, ys=ys, times=times, apex=apex)
@@ -305,8 +292,6 @@ def region_boundaries(resolution: int = 64) -> dict[str, np.ndarray]:
     open end at the top corner left out, so the x-axis intercepts are
     exactly 1/2 and 3/2.
     """
-    import numpy as np
-
     if resolution < 16:
         raise DomainError(f"resolution must be at least 16, got {resolution}")
 

@@ -462,3 +462,49 @@ def test_cli_import_leaves_scipy_unloaded():
                                          "danteflow.shapespace": False}
     assert report["regions"]["ran"] == {"danteflow.flow": True,
                                         "danteflow.shapespace": True}
+
+
+def test_simulate_tables_are_scale_free(run_cli, tmp_path):
+    # Stretch factors 2^20 times those of (1, 2, 3) give the same run, every
+    # column scaled exactly by its power of two: t, u, v, w by 2^-40, a, b,
+    # c by 2^20, x and y unchanged and the curvatures by 2^40.
+    tables = {}
+    for name, scale in (("unit", 1), ("scaled", 2 ** 20)):
+        path = tmp_path / f"{name}.csv"
+        code, out, _ = run_cli("simulate", "--a", str(scale), "--b", str(2 * scale),
+                               "--c", str(3 * scale), "--output", str(path))
+        assert code == 0
+        tables[name] = (json.loads(out)["collapse_time"], parse_csv(path.read_text()))
+    (unit_time, (header, unit)), (scaled_time, (_, scaled)) = tables["unit"], tables["scaled"]
+    assert scaled_time == math.ldexp(unit_time, -40)
+    powers = {**dict.fromkeys("tuvw", -40), **dict.fromkeys("abc", 20), **dict.fromkeys("xy", 0)}
+    assert len(unit) == len(scaled) > 0
+    for row, scaled_row in zip(unit, scaled):
+        for name, value, scaled_value in zip(header, row, scaled_row):
+            assert float(scaled_value) == math.ldexp(float(value), powers.get(name, 40)), name
+
+
+def test_repeats_in_separate_processes_are_byte_identical(tmp_path):
+    # test_byte_determinism repeats within one process; these runs share
+    # nothing, so they also catch output that depends on hash seeds or on
+    # the state of the interpreter.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    commands = {
+        "lines": ["flowlines", "--grid", "5x5", "--apex-output", "apex.csv"],
+        "simulate": ["simulate", "--a", "0.5", "--b", "1", "--c", "1.5"],
+    }
+    outputs = []
+    for run in (1, 2):
+        out = tmp_path / str(run)
+        out.mkdir()
+        for name, args in commands.items():
+            result = subprocess.run(
+                [sys.executable, "-m", "danteflow", *args, "--output", f"{name}.csv"],
+                cwd=out, env=env, capture_output=True, check=True)
+            (out / f"{name}.json").write_bytes(result.stdout)
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert sorted(outputs[0]) == ["apex.csv", "lines.csv", "lines.json",
+                                  "simulate.csv", "simulate.json"]
+    assert outputs[0] == outputs[1]

@@ -291,6 +291,8 @@ def test_from_initial_constructors():
         TurtleSolution.from_initial(MetricCoeffs(0.75, 1.0, 1.1))
     with pytest.raises(DomainError):
         TurtleSolution.from_initial(MetricCoeffs(1.5, 1.0, 1.0))
+    with pytest.raises(DomainError):  # thinner than BETA_CAP, not clamped to it
+        TurtleSolution.from_initial(MetricCoeffs(1e-14, 1.0, 1.0))
 
 
 def test_parameter_validation():

@@ -160,6 +160,16 @@ def test_flowline_edge_invariance():
     assert np.max(np.abs(line.ys - (2.0 - line.xs))) <= 1e-9
 
 
+def test_flowline_never_falls_below_the_snake_edge():
+    # Within about 1e-12 of the snake edge the backward branch's stop row
+    # is interpolated where P and Q round separately; P ending above Q put
+    # that row at y < 0, outside the triangle.
+    for start in (ShapePoint(1.9, 1e-13),
+                  ShapePoint(1.8432191276511438, 7.033800834939571e-13),
+                  ShapePoint(1.972552884829753, 5.242568765218693e-14)):
+        assert trace_flowline(start).ys.min() >= 0.0
+
+
 def test_flowline_snake_edge_apex_is_on_the_circle():
     # y = 0 along the snake edge, and its apex is the limit of the apexes
     # of the lines above it, (sqrt 2, 0), reached forward or backward.  A
@@ -355,7 +365,7 @@ def test_flowline_apexes_match_dop853():
     for start in GRID_5X5:
         for r_squared in (4.0, -4.0):
             branch = _trace_branch(start, 1.0, r_squared, FlowParams())
-            apexes = shapespace._apexes(branch, r_squared, FlowParams())
+            apexes = [] if branch.apex is None else [branch.apex]
             p0, q0 = (start.x - start.y) / 2.0, (start.x + start.y) / 2.0
             ref = solve_ivp(polynomial_field, (0.0, branch.sigma[-1]), [p0, q0, 0.0],
                             method="DOP853", rtol=1e-13, atol=1e-16,
@@ -382,7 +392,7 @@ def test_flowline_apexes_near_the_snake_edge_match_dop853():
 
                 inside.terminal, inside.direction = True, -1.0
                 branch = _trace_branch(start, 1.0, r_squared, FlowParams())
-                apexes = shapespace._apexes(branch, r_squared, FlowParams())
+                apexes = [] if branch.apex is None else [branch.apex]
                 p0, q0 = (start.x - start.y) / 2.0, (start.x + start.y) / 2.0
                 ref = solve_ivp(polynomial_field, (0.0, branch.sigma[-1]), [p0, q0, 0.0],
                                 method="DOP853", rtol=1e-13, atol=1e-16,
