@@ -20,11 +20,11 @@ Which modules load when:
   ``import`` of it, or the first access to one of its names re-exported
   here (served by the module ``__getattr__``, which then binds the name in
   this namespace).
-* ``import danteflow.cli`` adds click and cli, which binds the lazy flow
-  and shapespace modules once and calls their names.  So ``curvature`` and
-  ``classify`` run only geometry, while ``simulate``, ``snake``,
-  ``turtle``, ``flowlines`` and ``regions`` run flow (and the last two
-  shapespace).
+* ``import danteflow.cli`` adds cli and the standard library's argparse;
+  cli binds the lazy flow and shapespace modules once and calls their
+  names.  So ``curvature`` and ``classify`` run only geometry, while
+  ``simulate``, ``snake``, ``turtle``, ``flowlines`` and ``regions`` run
+  flow (and the last two shapespace).
 * numpy is imported at the top of shapespace, whose every entry point
   builds arrays, and inside the flow functions that build or read arrays
   (dense output, trajectory sampling), so neither the package nor the

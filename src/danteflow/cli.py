@@ -12,18 +12,20 @@ Output contract:
 * Exit codes: 0 success, 2 usage error, 3 domain error, 4 integration
   failure.  Failures put a single JSON object on stderr.
 
-``DANTE_FLOW_R2`` overrides the default radius-squared wherever ``--r2``
-is accepted and not given.
+``DANTE_FLOW_R2``, when set and not empty, overrides the default
+radius-squared wherever ``--r2`` is accepted and not given.  The parser is
+argparse, so a launch loads no third-party module until a command runs
+flow or shapespace (numpy).
 """
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
-
-import click
 
 from . import flow, shapespace
 from .errors import DomainError, IntegrationFailureError, SingularMapError
@@ -34,6 +36,10 @@ from .geometry import (DEFAULT_EQ_TOL, DEFAULT_R_SQUARED, MetricCoeffs, ShapePoi
 
 SIMULATE_HEADER = ("t,u,v,w,a,b,c,x,y,"
                    "kappa1,kappa2,kappa3,ricci11,ricci22,ricci33,scalar")
+
+
+class UsageError(Exception):
+    """A malformed command line (exit code 2)."""
 
 
 def _fmt(value) -> str:
@@ -64,13 +70,13 @@ def _write(output: str | None, text: str) -> None:
     if output:
         Path(output).write_text(text, encoding="utf-8", newline="\n")
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 def _emit_with_summary(table: str, output: str | None, summary: dict) -> None:
     # Summary shares stdout only when the table went to a file.
     _write(output, table)
-    click.echo(_json_line(summary), err=output is None)
+    print(_json_line(summary), file=sys.stdout if output else sys.stderr)
 
 
 def _resolve_r2(r2: float | None) -> float:
@@ -80,33 +86,6 @@ def _resolve_r2(r2: float | None) -> float:
     return value
 
 
-def _r2_option(f):
-    return click.option(
-        "--r2", type=float, default=None, envvar="DANTE_FLOW_R2",
-        help="Radius squared R^2 (default 4; DANTE_FLOW_R2 overrides).")(f)
-
-
-def _output_option(f):
-    return click.option(
-        "--output", type=click.Path(dir_okay=False), default=None,
-        help="Write the primary artifact to this file instead of stdout.")(f)
-
-
-@click.group()
-@click.version_option(version="0.1.0", prog_name="danteflow")
-def cli():
-    """Curvature, Ricci-flow collapse, and shape-space portraits of
-    homogeneously deformed 3-spheres."""
-
-
-@cli.command()
-@click.option("--a", required=True, type=float, help="First stretch factor.")
-@click.option("--b", required=True, type=float, help="Second stretch factor.")
-@click.option("--c", required=True, type=float, help="Third stretch factor.")
-@_r2_option
-@click.option("--format", "output_format", type=click.Choice(["json", "csv"]),
-              default="json", help="Primary artifact format.")
-@_output_option
 def curvature(a, b, c, r2, output_format, output):
     """Principal curvatures, Ricci eigenvalues, scalar, and connection
     coefficients of one shape."""
@@ -126,17 +105,7 @@ def curvature(a, b, c, r2, output_format, output):
         _write(output, _csv_text(",".join(record), [list(record.values())]))
 
 
-@cli.command("classify")
-@click.option("--a", required=True, type=float)
-@click.option("--b", required=True, type=float)
-@click.option("--c", required=True, type=float)
-@_r2_option
-@click.option("--eq-tol", type=float, default=DEFAULT_EQ_TOL, show_default=True,
-              help="Relative tolerance for equality and sign decisions.")
-@click.option("--format", "output_format", type=click.Choice(["json", "csv"]),
-              default="json", help="Primary artifact format.")
-@_output_option
-def classify_cmd(a, b, c, r2, eq_tol, output_format, output):
+def classify(a, b, c, r2, eq_tol, output_format, output):
     """Shape kind, curvature signs, triangle coordinates, and eigenvalue
     ratios of one shape."""
     f = StretchFactors(a, b, c, _resolve_r2(r2))
@@ -165,26 +134,11 @@ def classify_cmd(a, b, c, r2, eq_tol, output_format, output):
         _write(output, _csv_text(header, [row]))
 
 
-@cli.command()
-@click.option("--a", required=True, type=float)
-@click.option("--b", required=True, type=float)
-@click.option("--c", required=True, type=float)
-@_r2_option
-@click.option("--grid", type=click.IntRange(min=0), default=200, show_default=True,
-              help="Uniform time samples merged with the adaptive steps (0 disables).")
-# The bound is flow.MAX_REL_TOL, written out so that no quick query loads flow.
-@click.option("--rel-tol", type=float, default=1e-10, show_default=True,
-              help="Relative tolerance, at most 0.001.")
-@click.option("--abs-tol", type=float, default=1e-12, show_default=True)
-@click.option("--collapse-eps", type=float, default=1e-9, show_default=True,
-              help="Share of the largest initial coefficient at which to stop.")
-@click.option("--max-steps", type=click.IntRange(min=1), default=10_000, show_default=True)
-@_output_option
 def simulate(a, b, c, r2, grid, rel_tol, abs_tol, collapse_eps, max_steps, output):
     """Integrate the flow from ordered stretch factors a <= b <= c and emit
     the trajectory table plus a JSON summary with the collapse time."""
     if grid == 1:  # a grid spans the trajectory, so it needs both ends
-        raise click.BadParameter("must be 0 (no grid) or at least 2", param_hint="'--grid'")
+        raise UsageError("argument --grid: must be 0 (no grid) or at least 2")
     import numpy as np
 
     r2v = _resolve_r2(r2)
@@ -218,19 +172,6 @@ def simulate(a, b, c, r2, grid, rel_tol, abs_tol, collapse_eps, max_steps, outpu
     _emit_with_summary(_csv_text(SIMULATE_HEADER, rows), output, summary)
 
 
-def _closed_form_options(param: str):
-    """The options that snake and turtle share, after their own two."""
-    def decorate(f):
-        f = _output_option(f)
-        f = _r2_option(f)
-        f = click.option("--check", is_flag=True,
-                         help="Also integrate numerically and report the max time deviation.")(f)
-        return click.option("--grid", type=click.IntRange(min=2), default=200,
-                            show_default=True,
-                            help=f"Number of {param} intervals in the table.")(f)
-    return decorate
-
-
 def _closed_form(sol, r2v, grid, check, output, header, time_of, profile, column,
                  initial) -> None:
     """Emit the closed-form table of a snake or turtle, its parameter running
@@ -262,29 +203,21 @@ def _closed_form(sol, r2v, grid, check, output, header, time_of, profile, column
     _emit_with_summary(_csv_text(header, rows), output, summary)
 
 
-@cli.command()
-@click.option("--W", "big_w", required=True, type=float, help="Initial w coefficient.")
-@click.option("--alpha", required=True, type=float, help="Non-sphericity, alpha^2 = W/V - 1.")
-@_closed_form_options("lambda")
-def snake(big_w, alpha, grid, check, r2, output):
+def snake(W, alpha, grid, check, r2, output):
     """Closed-form snake flow (a = b): table of lambda, t, w, v plus the
     collapse time."""
     r2v = _resolve_r2(r2)
-    sol = flow.SnakeSolution(W=big_w, alpha=alpha)
+    sol = flow.SnakeSolution(W=W, alpha=alpha)
     _closed_form(sol, r2v, grid, check, output, "lambda,t,w,v", flow.snake_time_of_lambda,
                  flow.snake_profile, 2,
                  {"w_initial": sol.W, "v_initial": sol.V, "alpha": sol.alpha})
 
 
-@cli.command()
-@click.option("--U", "big_u", required=True, type=float, help="Initial u coefficient.")
-@click.option("--beta", required=True, type=float, help="Non-sphericity, beta^2 = 1 - U/V.")
-@_closed_form_options("mu")
-def turtle(big_u, beta, grid, check, r2, output):
+def turtle(U, beta, grid, check, r2, output):
     """Closed-form turtle flow (b = c): table of mu, t, u, v plus the
     collapse time."""
     r2v = _resolve_r2(r2)
-    sol = flow.TurtleSolution(U=big_u, beta=beta)
+    sol = flow.TurtleSolution(U=U, beta=beta)
     _closed_form(sol, r2v, grid, check, output, "mu,t,u,v", flow.turtle_time_of_mu,
                  flow.turtle_profile, 0,
                  {"u_initial": sol.U, "v_initial": sol.V, "beta": sol.beta})
@@ -304,21 +237,21 @@ def _parse_starts_file(path: str) -> list[ShapePoint]:
                 continue  # tolerate a header line
             values = []
         if len(values) != 2:  # a flowlines table (line_id,x,y,t) would read line_id as x
-            raise click.UsageError(
+            raise UsageError(
                 f"{path}:{line_number}: expected two numbers, got {stripped!r}")
         points.append(ShapePoint(*values))
     if not points:
-        raise click.UsageError(f"{path}: no start points found")
+        raise UsageError(f"{path}: no start points found")
     return points
 
 
 def _interior_grid(spec: str) -> list[ShapePoint]:
     match = re.fullmatch(r"(\d+)x(\d+)", spec.strip())
     if not match:
-        raise click.UsageError(f'grid spec must look like "5x5", got {spec!r}')
+        raise UsageError(f'grid spec must look like "5x5", got {spec!r}')
     nx, ny = int(match.group(1)), int(match.group(2))
     if nx < 1 or ny < 1:
-        raise click.UsageError("grid dimensions must be at least 1")
+        raise UsageError("grid dimensions must be at least 1")
     points = []
     for i in range(1, nx + 1):
         x = 2.0 * i / (nx + 1)
@@ -328,24 +261,10 @@ def _interior_grid(spec: str) -> list[ShapePoint]:
     return points
 
 
-@cli.command()
-@click.option("--starts", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="File of start points, one 'x,y' pair per line.")
-@click.option("--grid", "grid_spec", type=str, default=None,
-              help='Interior start grid, e.g. "5x5".')
-@click.option("--c0", type=float, default=1.0, show_default=True,
-              help="Largest stretch factor used to lift starts; scales t by 1/c0^2, "
-                   "leaves x and y unchanged.")
-@click.option("--forward-only", is_flag=True,
-              help="Skip the backward extension toward the origin.")
-@_r2_option
-@click.option("--apex-output", type=click.Path(dir_okay=False), default=None,
-              help="Also write the apex table (line_id,x,y) to this file.")
-@_output_option
 def flowlines(starts, grid_spec, c0, forward_only, r2, apex_output, output):
     """Trace flow lines through the shape triangle and report their apexes."""
     if (starts is None) == (grid_spec is None):
-        raise click.UsageError("exactly one of --starts or --grid is required")
+        raise UsageError("exactly one of --starts or --grid is required")
     points = _parse_starts_file(starts) if starts else _interior_grid(grid_spec)
     params = flow.FlowParams(r_squared=_resolve_r2(r2))
 
@@ -367,10 +286,6 @@ def flowlines(starts, grid_spec, c0, forward_only, r2, apex_output, output):
     _emit_with_summary(_csv_text("line_id,x,y,t", rows), output, summary)
 
 
-@cli.command()
-@click.option("--resolution", type=int, default=64, show_default=True,
-              help="Grid subdivisions per boundary (minimum 16).")
-@_output_option
 def regions(resolution, output):
     """Extract the classification boundaries (scalar zero, smallest
     principal curvature zero, degenerate-Ricci line) as labeled polylines."""
@@ -388,26 +303,136 @@ def regions(resolution, output):
     _emit_with_summary(_csv_text("label,x,y", rows), output, summary)
 
 
-def _emit_error(kind: str, message: str) -> None:
-    click.echo(json.dumps({"error": kind, "message": message}), err=True)
+class _Parser(argparse.ArgumentParser):
+    """argparse with click's habits: --help without -h, no abbreviated
+    options, errors that raise, and values like -1e-3, -inf and -nan read as
+    numbers, which argparse's own pattern may take for unknown options."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+    def error(self, message):
+        raise UsageError(message)
+
+    def exit(self, status=0, message=None):
+        raise _Done  # only --help and --version get here, since error raises
+
+
+class _Done(Exception):
+    """--help or --version has printed its text (exit code 0)."""
+
+
+def _at_least(low: int):
+    """The type of an integer option whose values start at low."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
+        return value
+    return integer
+
+
+def _file(must_exist: bool = False):
+    """The type of a file option: not a directory, and if must_exist, a file."""
+    def file(text: str) -> str:
+        if Path(text).is_dir():
+            raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+        if must_exist and not Path(text).exists():
+            raise argparse.ArgumentTypeError(f"{text!r} does not exist")
+        return text
+    return file
+
+
+def _parser() -> _Parser:
+    """One subcommand per command function; each option's dest names a parameter."""
+    parser = _Parser(prog="danteflow", description="Curvature, Ricci-flow collapse, and "
+                     "shape-space portraits of homogeneously deformed 3-spheres.")
+    parser.add_argument("--version", action="version", version="danteflow, version 0.1.0",
+                        help="Show the version and exit.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def number(sub, flag, help="", default=None, type=float, **kwargs):
+        if default is not None:
+            help = f"{help} [default: {default}]".lstrip()
+        sub.add_argument(flag, type=type, default=default, help=help,
+                         metavar="FLOAT" if type is float else "INTEGER", **kwargs)
+
+    def command(run, shape=False, r2=True, formats=False):
+        sub = commands.add_parser(run.__name__, help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run)
+        for name, ordinal in zip("abc", ("First", "Second", "Third")) if shape else ():
+            number(sub, f"--{name}", f"{ordinal} stretch factor.", required=True)
+        if r2:  # an empty DANTE_FLOW_R2 is unset; type=float parses a set one
+            sub.add_argument("--r2", type=float, metavar="FLOAT",
+                             default=os.environ.get("DANTE_FLOW_R2") or None,
+                             help="Radius squared R^2 (default 4; DANTE_FLOW_R2 overrides).")
+        if formats:
+            sub.add_argument("--format", dest="output_format", choices=("json", "csv"),
+                             default="json", help="Primary artifact format.")
+        sub.add_argument("--output", type=_file(), metavar="FILE",
+                         help="Write the primary artifact to this file instead of stdout.")
+        return sub
+
+    command(curvature, shape=True, formats=True)
+    number(command(classify, shape=True, formats=True), "--eq-tol",
+           "Relative tolerance for equality and sign decisions.", DEFAULT_EQ_TOL)
+
+    sub = command(simulate, shape=True)
+    number(sub, "--grid", "Uniform time samples merged with the adaptive steps "
+           "(0 disables).", 200, _at_least(0))
+    # The bound is flow.MAX_REL_TOL, written out so that no quick query loads flow.
+    number(sub, "--rel-tol", "Relative tolerance, at most 0.001.", 1e-10)
+    number(sub, "--abs-tol", "", 1e-12)
+    number(sub, "--collapse-eps", "Share of the largest initial coefficient at which "
+           "to stop.", 1e-9)
+    number(sub, "--max-steps", "", 10_000, _at_least(1))
+
+    for run, coeff, ratio, law, param in (
+            (snake, "--W", "--alpha", "alpha^2 = W/V - 1", "lambda"),
+            (turtle, "--U", "--beta", "beta^2 = 1 - U/V", "mu")):
+        sub = command(run)
+        number(sub, coeff, f"Initial {coeff[2:].lower()} coefficient.", required=True)
+        number(sub, ratio, f"Non-sphericity, {law}.", required=True)
+        number(sub, "--grid", f"Number of {param} intervals in the table.", 200,
+               _at_least(2))
+        sub.add_argument("--check", action="store_true",
+                         help="Also integrate numerically and report the max time deviation.")
+
+    sub = command(flowlines)
+    sub.add_argument("--starts", type=_file(must_exist=True), metavar="FILE",
+                     help="File of start points, one 'x,y' pair per line.")
+    sub.add_argument("--grid", dest="grid_spec", metavar="TEXT",
+                     help='Interior start grid, e.g. "5x5".')
+    number(sub, "--c0", "Largest stretch factor used to lift starts; scales t by "
+           "1/c0^2, leaves x and y unchanged.", 1.0)
+    sub.add_argument("--forward-only", action="store_true",
+                     help="Skip the backward extension toward the origin.")
+    sub.add_argument("--apex-output", type=_file(), metavar="FILE",
+                     help="Also write the apex table (line_id,x,y) to this file.")
+
+    number(command(regions, r2=False), "--resolution",
+           "Grid subdivisions per boundary (minimum 16).", 64, int)
+    return parser
 
 
 def main(argv=None) -> int:
     """Run the CLI; returns the exit code instead of raising SystemExit."""
     try:
-        cli.main(args=argv, prog_name="danteflow", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.ClickException as exc:
-        _emit_error("usage", exc.format_message())
-        return 2
+        args = vars(_parser().parse_args(argv))
+        args.pop("run")(**args)
+        return 0
+    except _Done:
+        return 0
+    except UsageError as exc:
+        kind, code, message = "usage", 2, str(exc)
     except IntegrationFailureError as exc:
-        _emit_error("integration_failure", str(exc))
-        return 4
+        kind, code, message = "integration_failure", 4, str(exc)
     except DomainError as exc:
-        _emit_error("domain", str(exc))
-        return 3
-    return 0
+        kind, code, message = "domain", 3, str(exc)
+    print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
+    return code
 
 
 def entry() -> None:

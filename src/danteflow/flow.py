@@ -171,12 +171,17 @@ class Trajectory:
         if not (np.all(t >= times[0]) and np.all(t <= times[-1])):  # NaN fails too
             raise DomainError("requested time outside the integrated span")
         sigma, states, quartic, (step, lo, width, ends), w0, columns = self._dense
+        # Times in units of 2^e, the least power of two above w0, so that w0
+        # times a step's sigma span neither underflows nor overflows; scaling
+        # by a power of two is exact.
+        e = math.frexp(w0)[1]
+        t, ends = np.ldexp(t, -e), np.ldexp(ends, -e)
         # A time on a panel boundary belongs to the panel that ends there.
         j = np.minimum(np.searchsorted(ends, t, side="left"), len(ends) - 1)
         step, lo, width, t_lo = step[j], lo[j], width[j], np.where(j > 0, ends[j - 1], 0.0)
         share = (t - t_lo) / np.maximum(ends[j] - t_lo, sys.float_info.min)
         x = lo + width * np.clip(share, 0.0, 1.0)  # the fraction of the step
-        scale = w0 * np.diff(sigma)[step]  # dt/dx = scale e^g
+        scale = math.ldexp(w0, -e) * np.diff(sigma)[step]  # dt/dx = scale e^g
         nodes = np.array(_GL_NODES + (1.0,))
         for _ in range(3):
             part = x - lo

@@ -105,6 +105,8 @@ def from_xy(p: ShapePoint, c: float = 1.0,
     """
     if not math.isfinite(c) or c <= 0.0:
         raise DomainError(f"c must be positive, got {c!r}")
+    if not (math.isfinite(p.x) and math.isfinite(p.y)):  # NaN passes every test below
+        raise DomainError(f"point ({p.x}, {p.y}) is not finite")
     if p.y >= p.x:
         raise DegenerateShapeError(
             f"point ({p.x}, {p.y}) lies on or past the degenerate edge y = x")

@@ -508,3 +508,96 @@ def test_repeats_in_separate_processes_are_byte_identical(tmp_path):
     assert sorted(outputs[0]) == ["apex.csv", "lines.csv", "lines.json",
                                   "simulate.csv", "simulate.json"]
     assert outputs[0] == outputs[1]
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run the interpreter on this checkout's package, output captured."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("args", [
+    ("--a", "-1e-3", "--b", "1", "--c", "1"),
+    ("--a", "-inf", "--b", "1", "--c", "1"),
+    ("--a", "-nan", "--b", "1", "--c", "1"),
+    ("--a", "1", "--b", "1", "--c", "1", "--r2", "-1e3"),
+], ids=["exponent", "inf", "nan", "r2"])
+def test_negative_values_are_values_not_options(run_cli, args):
+    # The token after an option is its value, however it starts, so each of
+    # these reaches the domain check instead of ending as a missing value.
+    code, out, err = run_cli("curvature", *args)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "domain"
+
+
+def test_empty_r2_variable_counts_as_unset(run_cli, monkeypatch):
+    quick = ("curvature", "--a", "1", "--b", "2", "--c", "3")
+    monkeypatch.setenv("DANTE_FLOW_R2", "")
+    code, out, _ = run_cli(*quick)
+    assert code == 0 and json.loads(out)["r_squared"] == 4.0
+    monkeypatch.setenv("DANTE_FLOW_R2", "abc")
+    code, out, err = run_cli(*quick)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "usage"
+
+
+def test_malformed_command_lines_exit_2(run_cli, tmp_path):
+    shape = ("--a", "1", "--b", "1", "--c", "1")
+    for args in ((), ("curv",), ("curvature", *shape, "--format", "xml"),
+                 ("flowlines", "--starts", str(tmp_path / "missing.csv")),
+                 ("curvature", *shape, "extra")):
+        code, out, err = run_cli(*args)
+        assert code == 2 and out == "", args
+        assert json.loads(err)["error"] == "usage", args
+
+
+def test_help_and_version_return_0(run_cli):
+    # main returns the code; neither text raises SystemExit.
+    for args in (("--help",), ("curvature", "--help"), ("--version",)):
+        code, out, err = run_cli(*args)
+        assert code == 0 and out and err == "", args
+    assert run_cli("--version") == (0, "danteflow, version 0.1.0\n", "")
+
+
+def test_quick_queries_load_no_third_party_module():
+    # The parser is the standard library's, so a quick query adds only
+    # standard-library and danteflow modules to whatever start-up loaded.
+    result = _python("-c", (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "from danteflow.cli import main\n"
+        "quick = ['--a', '1', '--b', '2', '--c', '3']\n"
+        "codes = [main(['curvature', *quick]), main(['classify', *quick])]\n"
+        "print(json.dumps({'codes': codes, 'added': sorted(set(sys.modules) - before)}))\n"))
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0]
+    roots = {name.split(".")[0] for name in report["added"]}
+    assert "danteflow" in roots
+    assert roots - {"danteflow"} <= set(sys.stdlib_module_names)
+
+
+def test_simulate_at_a_huge_metric_scale_exits_0():
+    # w0 = 5e307: w0 times a step's sigma span overflowed in sample_at, and
+    # the run exited 3 on a NaN row after five RuntimeWarnings, even with no
+    # grid.  stderr holds the one summary line.
+    for grid in ("200", "0"):
+        result = _python("-m", "danteflow", "simulate", "--a", "1e-154", "--b", "2e-154",
+                         "--c", "3e-154", "--grid", grid, "--output", os.devnull)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        summary = json.loads(result.stdout)
+        assert summary["terminated"] == "collapsed"
+        assert summary["collapse_time"] == pytest.approx(3.157761542733084e+307, rel=1e-12)
+
+
+def test_flowlines_names_a_nan_start(run_cli, tmp_path):
+    starts = tmp_path / "nan.csv"
+    starts.write_text("nan,0.5\n", encoding="utf-8")
+    code, out, err = run_cli("flowlines", "--starts", str(starts))
+    assert code == 3 and out == ""
+    detail = json.loads(err)
+    assert detail["error"] == "domain"
+    assert detail["message"] == "point (nan, 0.5) is not finite"

@@ -129,6 +129,18 @@ def test_sample_at_returns_the_rows():
         assert traj.sample_at(float(traj.times[1])).shape == (3,)
 
 
+def test_sample_at_scales_with_a_tiny_metric():
+    # integrate(2^-1000 m) is 2^-1000 integrate(m) exactly, and so is its
+    # dense output: w0 times a step's sigma span, formed at the metric's own
+    # scale, went subnormal there and put the last row 0.5 relative off.
+    m0 = MetricCoeffs(0.5, 1.0, 1.5)
+    base = integrate(m0)
+    tiny = integrate(MetricCoeffs(*(math.ldexp(x, -1000) for x in m0.as_tuple())))
+    ts = np.linspace(base.times[0], base.times[-1], 200)
+    assert_allclose(tiny.sample_at(np.ldexp(ts, -1000)),
+                    np.ldexp(base.sample_at(ts), -1000), rtol=1e-12, atol=0.0)
+
+
 def test_integrate_validates_collapse_eps():
     # collapse_eps is a share of the largest initial coefficient.
     with pytest.raises(DomainError):

@@ -65,6 +65,15 @@ def test_from_xy_examples():
         from_xy(ShapePoint(1.0, 0.5), 0.0)
 
 
+def test_from_xy_names_a_non_finite_point():
+    # Every comparison with NaN is false, so a NaN point used to pass the
+    # triangle tests and fail later as "a must be a positive finite number".
+    for point in (ShapePoint(math.nan, 0.5), ShapePoint(1.0, math.nan),
+                  ShapePoint(math.inf, 0.5)):
+        with pytest.raises(DomainError, match=r"point \(.*\) is not finite"):
+            from_xy(point, 1.0)
+
+
 def test_round_trip_property():
     rng = np.random.default_rng(53)
     for _ in range(500):
