@@ -10,7 +10,10 @@ Output contract:
 * Floats are printed as shortest round-trip decimals; output is UTF-8 with
   LF line endings, and identical invocations are byte-identical.
 * Exit codes: 0 success, 2 usage error, 3 domain error, 4 integration
-  failure.  Failures put a single JSON object on stderr.
+  failure.  Failures put a single JSON object on stderr.  A file named by
+  ``--output``, ``--apex-output`` or ``--starts`` that cannot be written
+  or read is a usage error, found where the file is used, so files
+  written before it stay (``flowlines`` writes ``--apex-output`` first).
 
 ``DANTE_FLOW_R2``, when set and not empty, overrides the default
 radius-squared wherever ``--r2`` is accepted and not given.  The parser is
@@ -67,7 +70,7 @@ def _csv_text(header: str, rows) -> str:
 
 
 def _write(output: str | None, text: str) -> None:
-    if output:
+    if output is not None:  # "" names no file, so writing it fails
         Path(output).write_text(text, encoding="utf-8", newline="\n")
     else:
         sys.stdout.write(text)
@@ -265,7 +268,7 @@ def flowlines(starts, grid_spec, c0, forward_only, r2, apex_output, output):
     """Trace flow lines through the shape triangle and report their apexes."""
     if (starts is None) == (grid_spec is None):
         raise UsageError("exactly one of --starts or --grid is required")
-    points = _parse_starts_file(starts) if starts else _interior_grid(grid_spec)
+    points = _parse_starts_file(starts) if starts is not None else _interior_grid(grid_spec)
     params = flow.FlowParams(r_squared=_resolve_r2(r2))
 
     rows = []
@@ -277,7 +280,7 @@ def flowlines(starts, grid_spec, c0, forward_only, r2, apex_output, output):
             rows.append([line_id, float(x), float(y), float(t)])
         apex_rows.append([line_id, line.apex.x, line.apex.y])
 
-    if apex_output:
+    if apex_output is not None:
         _write(apex_output, _csv_text("line_id,x,y", apex_rows))
     summary = {
         "num_lines": len(points),
@@ -305,8 +308,9 @@ def regions(resolution, output):
 
 class _Parser(argparse.ArgumentParser):
     """argparse with click's habits: --help without -h, no abbreviated
-    options, errors that raise, and values like -1e-3, -inf and -nan read as
-    numbers, which argparse's own pattern may take for unknown options."""
+    options, errors that raise UsageError, and values like -1e-3, -inf and
+    -nan read as numbers, which argparse's own pattern may take for unknown
+    options."""
 
     def __init__(self, **kwargs):
         super().__init__(add_help=False, allow_abbrev=False, **kwargs)
@@ -315,13 +319,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
-
-    def exit(self, status=0, message=None):
-        raise _Done  # only --help and --version get here, since error raises
-
-
-class _Done(Exception):
-    """--help or --version has printed its text (exit code 0)."""
 
 
 def _at_least(low: int):
@@ -332,17 +329,6 @@ def _at_least(low: int):
             raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
         return value
     return integer
-
-
-def _file(must_exist: bool = False):
-    """The type of a file option: not a directory, and if must_exist, a file."""
-    def file(text: str) -> str:
-        if Path(text).is_dir():
-            raise argparse.ArgumentTypeError(f"{text!r} is a directory")
-        if must_exist and not Path(text).exists():
-            raise argparse.ArgumentTypeError(f"{text!r} does not exist")
-        return text
-    return file
 
 
 def _parser() -> _Parser:
@@ -371,7 +357,7 @@ def _parser() -> _Parser:
         if formats:
             sub.add_argument("--format", dest="output_format", choices=("json", "csv"),
                              default="json", help="Primary artifact format.")
-        sub.add_argument("--output", type=_file(), metavar="FILE",
+        sub.add_argument("--output", metavar="FILE",
                          help="Write the primary artifact to this file instead of stdout.")
         return sub
 
@@ -401,7 +387,7 @@ def _parser() -> _Parser:
                          help="Also integrate numerically and report the max time deviation.")
 
     sub = command(flowlines)
-    sub.add_argument("--starts", type=_file(must_exist=True), metavar="FILE",
+    sub.add_argument("--starts", metavar="FILE",
                      help="File of start points, one 'x,y' pair per line.")
     sub.add_argument("--grid", dest="grid_spec", metavar="TEXT",
                      help='Interior start grid, e.g. "5x5".')
@@ -409,7 +395,7 @@ def _parser() -> _Parser:
            "1/c0^2, leaves x and y unchanged.", 1.0)
     sub.add_argument("--forward-only", action="store_true",
                      help="Skip the backward extension toward the origin.")
-    sub.add_argument("--apex-output", type=_file(), metavar="FILE",
+    sub.add_argument("--apex-output", metavar="FILE",
                      help="Also write the apex table (line_id,x,y) to this file.")
 
     number(command(regions, r2=False), "--resolution",
@@ -423,9 +409,10 @@ def main(argv=None) -> int:
         args = vars(_parser().parse_args(argv))
         args.pop("run")(**args)
         return 0
-    except _Done:
+    except SystemExit:  # --help and --version; argparse's errors raise UsageError
         return 0
-    except UsageError as exc:
+    # OSError and UnicodeDecodeError come from a file that the user named.
+    except (UsageError, OSError, UnicodeDecodeError) as exc:
         kind, code, message = "usage", 2, str(exc)
     except IntegrationFailureError as exc:
         kind, code, message = "integration_failure", 4, str(exc)

@@ -547,7 +547,11 @@ def test_malformed_command_lines_exit_2(run_cli, tmp_path):
     shape = ("--a", "1", "--b", "1", "--c", "1")
     for args in ((), ("curv",), ("curvature", *shape, "--format", "xml"),
                  ("flowlines", "--starts", str(tmp_path / "missing.csv")),
-                 ("curvature", *shape, "extra")):
+                 ("curvature", *shape, "extra"), ("curvature", *shape, "--output", "."),
+                 ("curvature", *shape, "--output", ""), ("flowlines", "--starts", ""),
+                 ("flowlines", "--grid", "1x1", "--apex-output", ""),
+                 ("flowlines", "--grid", "0x5"),
+                 ("simulate", *shape, "--grid", "-1")):
         code, out, err = run_cli(*args)
         assert code == 2 and out == "", args
         assert json.loads(err)["error"] == "usage", args
@@ -601,3 +605,38 @@ def test_flowlines_names_a_nan_start(run_cli, tmp_path):
     detail = json.loads(err)
     assert detail["error"] == "domain"
     assert detail["message"] == "point (nan, 0.5) is not finite"
+
+
+@pytest.mark.parametrize("args", [
+    ("curvature", "--a", "1", "--b", "2", "--c", "3", "--output", "{missing}/x.json"),
+    ("flowlines", "--grid", "1x1", "--apex-output", "{missing}/apex.csv"),
+    pytest.param(("curvature", "--a", "1", "--b", "2", "--c", "3", "--output", "/dev/full"),
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="no /dev/full")),
+    ("flowlines", "--starts", "{not_utf8}"),
+], ids=["output-in-missing-dir", "apex-output-in-missing-dir", "output-device-full",
+        "starts-not-utf8"])
+def test_unusable_files_are_usage_errors(run_cli, tmp_path, args):
+    # A named file that cannot be written or read fails where it is used,
+    # and ends like any usage error instead of in a traceback.
+    not_utf8 = tmp_path / "starts.csv"
+    not_utf8.write_bytes(b"\xff\xfe0.5,0.25\n")
+    paths = {"missing": tmp_path / "missing", "not_utf8": not_utf8}
+    code, out, err = run_cli(*(arg.format(**paths) for arg in args))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "usage"
+
+
+def test_classify_reports_singular_ratios_as_empty(run_cli):
+    # On the degenerate edge the eigenvalue-ratio map is singular (y = 1):
+    # rho and tau are null in JSON and empty cells in CSV.
+    shape = ("classify", "--a", "1e-20", "--b", "1", "--c", "1")
+    code, out, _ = run_cli(*shape)
+    assert code == 0
+    record = json.loads(out)
+    assert record["shape"] == "degenerate"
+    assert record["rho"] is None and record["tau"] is None
+    code, out, _ = run_cli(*shape, "--format", "csv")
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert rows[0][header.index("rho"):] == ["", ""]
