@@ -25,10 +25,10 @@ Which modules load when:
   names.  So ``curvature`` and ``classify`` run only geometry, while
   ``simulate``, ``snake``, ``turtle``, ``flowlines`` and ``regions`` run
   flow (and the last two shapespace).
-* numpy is imported at the top of shapespace, whose every entry point
-  builds arrays, and inside the flow functions that build or read arrays
-  (dense output, trajectory sampling), so neither the package nor the
-  quick queries load it.
+* numpy is imported once, at the top of each lazy module (flow and
+  shapespace); their laziness alone keeps it off ``import danteflow`` and
+  the quick queries.  cli, which every command imports, imports numpy
+  inside the two functions that use it, ``simulate`` and ``_closed_form``.
 """
 import importlib.util
 import sys

@@ -8,17 +8,20 @@ Output contract:
   when the table went to a file, to stderr otherwise, so stdout always
   stays parseable.
 * Floats are printed as shortest round-trip decimals; output is UTF-8 with
-  LF line endings, and identical invocations are byte-identical.
+  LF line endings, and identical invocations on one Python version are
+  byte-identical (argparse's own texts differ between versions).
 * Exit codes: 0 success, 2 usage error, 3 domain error, 4 integration
   failure.  Failures put a single JSON object on stderr.  A file named by
   ``--output``, ``--apex-output`` or ``--starts`` that cannot be written
-  or read is a usage error, found where the file is used, so files
-  written before it stay (``flowlines`` writes ``--apex-output`` first).
+  or read is a usage error whose message names the file, found where the
+  file is used, so files written before it stay (``flowlines`` writes
+  ``--apex-output`` first).
 
 ``DANTE_FLOW_R2``, when set and not empty, overrides the default
 radius-squared wherever ``--r2`` is accepted and not given.  The parser is
-argparse, so a launch loads no third-party module until a command runs
-flow or shapespace (numpy).
+argparse, so a launch loads no third-party module until a command needs
+numpy.  Every command imports this module, so it imports numpy only inside
+simulate and _closed_form, the two functions that use it.
 """
 from __future__ import annotations
 
@@ -70,10 +73,15 @@ def _csv_text(header: str, rows) -> str:
 
 
 def _write(output: str | None, text: str) -> None:
-    if output is not None:  # "" names no file, so writing it fails
-        Path(output).write_text(text, encoding="utf-8", newline="\n")
-    else:
+    if output is None:
         sys.stdout.write(text)
+        return
+    try:  # "" names no file, so writing it fails
+        Path(output).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        if exc.filename is None:  # a failed write or close names no file
+            exc.filename = output
+        raise
 
 
 def _emit_with_summary(table: str, output: str | None, summary: dict) -> None:
@@ -227,9 +235,12 @@ def turtle(U, beta, grid, check, r2, output):
 
 
 def _parse_starts_file(path: str) -> list[ShapePoint]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from None
     points: list[ShapePoint] = []
-    for line_number, raw in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_number, raw in enumerate(text.splitlines(), 1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -370,7 +381,7 @@ def _parser() -> _Parser:
            "(0 disables).", 200, _at_least(0))
     # The bound is flow.MAX_REL_TOL, written out so that no quick query loads flow.
     number(sub, "--rel-tol", "Relative tolerance, at most 0.001.", 1e-10)
-    number(sub, "--abs-tol", "", 1e-12)
+    number(sub, "--abs-tol", "Absolute tolerance, at most 0.001.", 1e-12)
     number(sub, "--collapse-eps", "Share of the largest initial coefficient at which "
            "to stop.", 1e-9)
     number(sub, "--max-steps", "", 10_000, _at_least(1))
@@ -411,8 +422,7 @@ def main(argv=None) -> int:
         return 0
     except SystemExit:  # --help and --version; argparse's errors raise UsageError
         return 0
-    # OSError and UnicodeDecodeError come from a file that the user named.
-    except (UsageError, OSError, UnicodeDecodeError) as exc:
+    except (UsageError, OSError) as exc:  # an OSError comes from a file the user named
         kind, code, message = "usage", 2, str(exc)
     except IntegrationFailureError as exc:
         kind, code, message = "integration_failure", 4, str(exc)

@@ -59,6 +59,10 @@ The stop events (collapse here; in shapespace a vertex, and the apex of a
 flow line where 1 - p^2 - q^2 changes sign) and the closed-form inversions
 are located by one bracketed root-finder, _bracket_crossing.
 
+numpy is imported once, at the top: the package registers this module
+lazily, so numpy loads only once flow first runs (see the package
+docstring).
+
 Integrations are single-threaded per trajectory; trajectories are
 independent values, so sweeps may run many integrations concurrently.
 """
@@ -69,13 +73,12 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
+
+import numpy as np
 
 from .errors import CollapseReachedError, DomainError, IntegrationFailureError
 from .geometry import DEFAULT_R_SQUARED, MetricCoeffs, _require_positive
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Below this sqrt|z|, the closed forms' F(z) switches to its series.
 SERIES_SWITCH = 1e-6
@@ -85,10 +88,11 @@ _SERIES_Z = SERIES_SWITCH * SERIES_SWITCH
 BETA_CAP = 1.0 - 1e-12
 
 
-#: Largest accepted rel_tol.  Looser settings let the step controller take
-#: steps that no longer approximate the flow: the thin dragon (0.01, 0.5, 1)
-#: collapses 54% early at rel_tol = 1 and 1.4% early at 1e-2.  At 1e-3 it,
-#: (0.3, 0.6, 1.2) and (0.001, 0.002, 1) are within 1e-3 of converged.
+#: Largest accepted rel_tol and abs_tol.  Looser settings let the step
+#: controller take steps that no longer approximate the flow: the thin dragon
+#: (0.01, 0.5, 1) collapses 54% early at rel_tol = 1 and 1.4% early at 1e-2,
+#: and 27% early at abs_tol = 1.  At 1e-3 it, (0.3, 0.6, 1.2) and
+#: (0.001, 0.002, 1) are within 1e-3 of converged.
 MAX_REL_TOL = 1e-3
 
 
@@ -97,13 +101,11 @@ class FlowParams:
     """Integration controls.  collapse_eps, in (0, 1), is a share of max(u0, v0, w0).
 
     max_steps must be a positive integer (a Python or numpy int; a float,
-    even 3.0, is rejected).  rel_tol must lie in (0, MAX_REL_TOL].  abs_tol
-    only has to be positive: it is an absolute error floor on the
-    scale-free (P, Q, L) that integrate and trace_flowline step, so it does
-    not scale with the metric, and a large one coarsens the result (at
-    abs_tol = 1 the flow line through (1.0, 0.5) has 8 samples, its apex
-    1.2e-5 off).  trace_flowline steps at rel_tol and abs_tol, integrate at
-    INTEGRATE_TOL_FACTOR (0.3) times them.
+    even 3.0, is rejected).  rel_tol and abs_tol must lie in
+    (0, MAX_REL_TOL].  abs_tol is an absolute error floor on the scale-free
+    (P, Q, L) that integrate and trace_flowline step, so it does not scale
+    with the metric.  trace_flowline steps at rel_tol and abs_tol, integrate
+    at INTEGRATE_TOL_FACTOR (0.3) times them.
     """
 
     r_squared: float = DEFAULT_R_SQUARED
@@ -114,11 +116,10 @@ class FlowParams:
 
     def __post_init__(self) -> None:
         _require_positive("r_squared", self.r_squared)
-        _require_positive("rel_tol", self.rel_tol)
-        if self.rel_tol > MAX_REL_TOL:
-            raise DomainError(
-                f"rel_tol must be at most {MAX_REL_TOL}, got {self.rel_tol!r}")
-        _require_positive("abs_tol", self.abs_tol)
+        for name, tol in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
+            _require_positive(name, tol)
+            if tol > MAX_REL_TOL:
+                raise DomainError(f"{name} must be at most {MAX_REL_TOL}, got {tol!r}")
         if not 0.0 < self.collapse_eps < 1.0:  # NaN fails too
             raise DomainError(f"collapse_eps must lie in (0, 1), got {self.collapse_eps!r}")
         try:
@@ -162,8 +163,6 @@ class Trajectory:
         """Coefficients at arbitrary times inside the covered span (4th-order
         dense output of the integrator): three Newton steps on sigma inside
         the quadrature panel that holds each time."""
-        import numpy as np
-
         if self._dense is None:
             raise DomainError("trajectory carries no dense output")
         t = np.asarray(t, dtype=float)
@@ -182,7 +181,7 @@ class Trajectory:
         share = (t - t_lo) / np.maximum(ends[j] - t_lo, sys.float_info.min)
         x = lo + width * np.clip(share, 0.0, 1.0)  # the fraction of the step
         scale = math.ldexp(w0, -e) * np.diff(sigma)[step]  # dt/dx = scale e^g
-        nodes = np.array(_GL_NODES + (1.0,))
+        nodes = np.append(_GL_NODES, 1.0)
         for _ in range(3):
             part = x - lo
             rate = np.exp(_log_rate(_dense_at(states, quartic, step,
@@ -194,8 +193,6 @@ class Trajectory:
 
     def uniform_grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n equispaced samples spanning the trajectory."""
-        import numpy as np
-
         if n < 2:
             raise DomainError(f"grid needs at least 2 points, got {n}")
         ts = np.linspace(self.times[0], self.times[-1], n)
@@ -242,15 +239,11 @@ def _logit(p: float, one: float = 1.0) -> float:
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
-    import numpy as np
-
     return np.exp(-np.logaddexp(0.0, -z))
 
 
 def _log_rate(states: np.ndarray) -> np.ndarray:
     """ln((dt/dsigma)/w0) = L + ln l(P) + ln l(Q) of rows (P, Q, L)."""
-    import numpy as np
-
     return (states[..., 2] - np.logaddexp(0.0, -states[..., 0])
             - np.logaddexp(0.0, -states[..., 1]))
 
@@ -258,8 +251,6 @@ def _log_rate(states: np.ndarray) -> np.ndarray:
 def _coeffs(states: np.ndarray, w0: float, columns=(0, 1, 2)) -> np.ndarray:
     """Rows (u, v, w) = w0 e^L (l(P), l(Q), 1) of rows (P, Q, L), the sorted
     coefficient i put back in column columns[i]."""
-    import numpy as np
-
     ordered = w0 * np.exp(states[..., 2:]) * np.concatenate(
         [_logistic(states[..., :2]), np.ones_like(states[..., 2:])], axis=-1)
     return ordered[..., np.argsort(columns)]
@@ -273,12 +264,12 @@ def _dense_at(states: np.ndarray, quartic: np.ndarray, step: np.ndarray,
 
 #: Five-point Gauss-Legendre rule on [0, 1]: nodes and weights.
 _GL_OUTER, _GL_INNER = (math.sqrt(5.0 + s * math.sqrt(40.0 / 7.0)) / 6.0 for s in (1.0, -1.0))
-_GL_NODES = (0.5 - _GL_OUTER, 0.5 - _GL_INNER, 0.5, 0.5 + _GL_INNER, 0.5 + _GL_OUTER)
-_GL_WEIGHTS = tuple((322.0 + s * 13.0 * math.sqrt(70.0)) / 1800.0 if s else 64.0 / 225.0
-                    for s in (-1.0, 1.0, 0.0, 1.0, -1.0))
+_GL_NODES = np.array((0.5 - _GL_OUTER, 0.5 - _GL_INNER, 0.5, 0.5 + _GL_INNER, 0.5 + _GL_OUTER))
+_GL_WEIGHTS = np.array([(322.0 + s * 13.0 * math.sqrt(70.0)) / 1800.0 if s else 64.0 / 225.0
+                        for s in (-1.0, 1.0, 0.0, 1.0, -1.0)])
 #: Powers of the step fraction in a dense-output quartic, which are also
 #: the weights that give its derivative at the step's end.
-_POWERS = (1.0, 2.0, 3.0, 4.0)
+_POWERS = np.array((1.0, 2.0, 3.0, 4.0))
 
 #: The time quadrature splits a step into panels over which ln(dt/dsigma)
 #: changes by at most about this much.
@@ -299,8 +290,6 @@ def _time_panels(sigma: np.ndarray, states: np.ndarray, quartic: np.ndarray, w0:
     finer move the times by at most 2e-14 relative, the rounding of their
     longer sums.
     """
-    import numpy as np
-
     n = len(quartic)
     tail = _logistic(-states[:, :2])
     start_rate, end_rate = np.abs(quartic[:, 0, :]), np.abs(_POWERS @ quartic)
@@ -317,7 +306,7 @@ def _time_panels(sigma: np.ndarray, states: np.ndarray, quartic: np.ndarray, w0:
 
 #: Shampine's dense output for the Dormand-Prince pair: row s weights stage
 #: k1, k3, k4, k5, k6, k7 (k2 has no weight), column j the power x^(j+1).
-_DENSE = (
+_DENSE = np.array((
     (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
      -12715105075 / 11282082432),
     (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
@@ -328,7 +317,7 @@ _DENSE = (
      701980252875 / 199316789632),
     (0.0, -282668133 / 205662961, 2019193451 / 616988883,
      -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423)))
 
 #: Step-size controller: the next h is h * SAFETY * err^(-1/5), clipped to
 #: [MIN_FACTOR, MAX_FACTOR] and to at most 1 right after a rejection.
@@ -561,15 +550,13 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
             status = "event"
             break
 
-    import numpy as np
-
     sigma = np.array(times)
     rows = np.array(states)
     steps = np.diff(sigma)
     ys = np.array(stages).reshape(-1, 6)
     derivatives = np.stack([k * (1.0 - ys), k * (1.0 + ys), -0.5 * k * (1.0 - ys) * (1.0 + ys)],
                            axis=-1)
-    quartic = np.matmul(np.transpose(_DENSE), derivatives) * steps[:, None, None]
+    quartic = np.matmul(_DENSE.T, derivatives) * steps[:, None, None]
     if status == "event":
         t_old, t_new = times[-2], times[-1]
         h = t_new - t_old
@@ -584,7 +571,7 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
             r = (t_event - t_old) / h
             sigma[-1] = t_event
             rows[-1] = _quartic_at(y_old, c, r)
-            quartic[-1] *= (r ** np.arange(1, 5))[:, None]
+            quartic[-1] *= (r ** _POWERS)[:, None]
     return sigma, rows, quartic, status, message
 
 #: integrate steps at the params' tolerances times this.  A collapse time

@@ -156,12 +156,6 @@ def _principal(a: float, b: float, c: float, scale: float) -> tuple[float, float
     return (k1, k2, k3)
 
 
-def _ricci(a: float, b: float, c: float, scale: float) -> tuple[float, float, float]:
-    s = _half_sum(a, b, c)
-    return (scale * ((s - b) * (s - c)), scale * ((s - a) * (s - c)),
-            scale * ((s - a) * (s - b)))
-
-
 def principal_curvatures(f: StretchFactors) -> tuple[float, float, float]:
     """Eigenvalues (kappa1, kappa2, kappa3) of the Riemann tensor.
 
@@ -177,7 +171,10 @@ def ricci_eigenvalues(f: StretchFactors) -> tuple[float, float, float]:
 
     Equals the pairwise sums of the principal curvatures to machine precision.
     """
-    return _ricci(f.a, f.b, f.c, 8.0 / f.r_squared)
+    s = semiperimeter(f)
+    scale = 8.0 / f.r_squared
+    return (scale * ((s - f.b) * (s - f.c)), scale * ((s - f.a) * (s - f.c)),
+            scale * ((s - f.a) * (s - f.b)))
 
 
 def scalar_curvature(f: StretchFactors) -> float:
@@ -275,12 +272,14 @@ def classify(f: StretchFactors, eq_tol: float = DEFAULT_EQ_TOL) -> Classificatio
 
     exponent = math.frexp(hi)[1]
     a, b, c = (math.ldexp(v, -exponent) for v in (f.a, f.b, f.c))
-    kappas = _principal(a, b, c, 1.0)
+    kappas = k1, k2, k3 = _principal(a, b, c, 1.0)
     deadband = eq_tol * max(abs(k) for k in kappas)
     return Classification(
         shape=shape,
         curvature_signs=tuple(_sign(k, deadband) for k in kappas),
-        ricci_signs=tuple(_sign(r, deadband) for r in _ricci(a, b, c, 2.0)),
+        # The pairwise sums, as curvature_summary forms R11..R33: the product
+        # form's s - b cancels to 0 where s rounds to b (a/c below 2e-16).
+        ricci_signs=tuple(_sign(r, deadband) for r in (k2 + k3, k1 + k3, k1 + k2)),
         # fsum: the scalar's sign must not depend on the order of (a, b, c).
         scalar_sign=_sign(2.0 * math.fsum(kappas), deadband),
     )

@@ -622,9 +622,12 @@ def test_unusable_files_are_usage_errors(run_cli, tmp_path, args):
     not_utf8 = tmp_path / "starts.csv"
     not_utf8.write_bytes(b"\xff\xfe0.5,0.25\n")
     paths = {"missing": tmp_path / "missing", "not_utf8": not_utf8}
-    code, out, err = run_cli(*(arg.format(**paths) for arg in args))
+    args = [arg.format(**paths) for arg in args]
+    code, out, err = run_cli(*args)
     assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "usage"
+    detail = json.loads(err)
+    assert detail["error"] == "usage"
+    assert args[-1] in detail["message"]  # the message names the file
 
 
 def test_classify_reports_singular_ratios_as_empty(run_cli):
@@ -636,6 +639,7 @@ def test_classify_reports_singular_ratios_as_empty(run_cli):
     record = json.loads(out)
     assert record["shape"] == "degenerate"
     assert record["rho"] is None and record["tau"] is None
+    assert record["ricci_signs"] == [0, 1, 1]
     code, out, _ = run_cli(*shape, "--format", "csv")
     assert code == 0
     header, rows = parse_csv(out)

@@ -420,7 +420,9 @@ def test_rel_tol_bound():
     m0 = MetricCoeffs(0.3, 0.6, 1.2)
     loose = integrate(m0, FlowParams(rel_tol=flow_mod.MAX_REL_TOL)).collapse_time
     assert loose == pytest.approx(integrate(m0).collapse_time, rel=2e-3)
-    FlowParams(abs_tol=1e300)  # abs_tol has no upper bound
+    # abs_tol shares the bound: at abs_tol = 1 that dragon collapses 27% early.
+    with pytest.raises(DomainError, match="abs_tol must be at most"):
+        FlowParams(abs_tol=math.nextafter(flow_mod.MAX_REL_TOL, 1.0))
 
 
 def test_initial_step_is_positive_and_finite():

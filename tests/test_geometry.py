@@ -189,6 +189,13 @@ def test_classify_examples():
     turtle = classify(StretchFactors(1, 2, 2))
     assert turtle.shape is ShapeKind.TURTLE
 
+    # Near the degenerate edge R22 = R33 are as large as the largest kappa,
+    # far above the deadband, also where s = (a + b + c)/2 rounds to b = c.
+    for a in (1e-20, 1e-16):
+        edge = classify(StretchFactors(a, 1, 1))
+        assert edge.shape is ShapeKind.DEGENERATE
+        assert edge.ricci_signs == (0, 1, 1)
+
 
 def test_classify_accepts_unordered_input():
     assert classify(StretchFactors(2, 1, 1)).shape is ShapeKind.SNAKE

@@ -296,6 +296,8 @@ def test_flowline_truncated_forward_branch_raises():
     assert isinstance(forward, Trajectory)
     assert forward.terminated is Termination.MAX_STEPS
     assert len(forward) == 41
+    with pytest.raises(DomainError, match="no dense output"):
+        forward.sample_at(0.0)
 
 
 def test_flowline_rejects_degenerate_start():
