@@ -10,8 +10,10 @@ Output contract:
 * Floats are printed as shortest round-trip decimals; output is UTF-8 with
   LF line endings, and identical invocations on one Python version are
   byte-identical (argparse's own texts differ between versions).
-* Exit codes: 0 success, 2 usage error, 3 domain error, 4 integration
-  failure.  Failures put a single JSON object on stderr.  A file named by
+* Exit codes: 0 success, 1 output failure (stdout or stderr cannot be
+  written), 2 usage error, 3 domain error, 4 integration failure.
+  Failures put a single JSON object on stderr, unless stderr itself
+  failed.  A file named by
   ``--output``, ``--apex-output`` or ``--starts`` that cannot be written
   or read is a usage error whose message names the file, found where the
   file is used, so files written before it stay (``flowlines`` writes
@@ -72,6 +74,14 @@ def _csv_text(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _named(exc: OSError, path: str) -> OSError:
+    """exc, naming path where it names no file (a failed write or close):
+    main takes an OSError that names none for a failed standard stream."""
+    if exc.filename is None:
+        exc.filename = path
+    return exc
+
+
 def _write(output: str | None, text: str) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -79,9 +89,7 @@ def _write(output: str | None, text: str) -> None:
     try:  # "" names no file, so writing it fails
         Path(output).write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
-        if exc.filename is None:  # a failed write or close names no file
-            exc.filename = output
-        raise
+        raise _named(exc, output)
 
 
 def _emit_with_summary(table: str, output: str | None, summary: dict) -> None:
@@ -239,6 +247,8 @@ def _parse_starts_file(path: str) -> list[ShapePoint]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise _named(exc, path)
     points: list[ShapePoint] = []
     for line_number, raw in enumerate(text.splitlines(), 1):
         stripped = raw.strip()
@@ -419,16 +429,25 @@ def main(argv=None) -> int:
     try:
         args = vars(_parser().parse_args(argv))
         args.pop("run")(**args)
+        sys.stdout.flush()  # so that a failed write to stdout fails here
         return 0
     except SystemExit:  # --help and --version; argparse's errors raise UsageError
         return 0
-    except (UsageError, OSError) as exc:  # an OSError comes from a file the user named
+    except UsageError as exc:
         kind, code, message = "usage", 2, str(exc)
+    except OSError as exc:
+        if exc.filename is not None:  # a file the user named (_write, _parse_starts_file)
+            kind, code, message = "usage", 2, str(exc)
+        else:  # a standard stream; if it was stderr, the report below fails too
+            kind, code, message = "output", 1, f"standard output: {exc}"
     except IntegrationFailureError as exc:
         kind, code, message = "integration_failure", 4, str(exc)
     except DomainError as exc:
         kind, code, message = "domain", 3, str(exc)
-    print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
+    try:
+        print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
+    except OSError:  # stderr failed too: nowhere left to say why
+        return 1
     return code
 
 

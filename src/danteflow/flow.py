@@ -579,8 +579,25 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
 #: workload's dragons come out up to 2.7e-10 off, at 0.3 times 8.3e-11.
 INTEGRATE_TOL_FACTOR = 0.3
 
-#: integrate stops once 1 - u/w = l(-P) <= 1e-8, where the round sphere's time is exact.
-ROUND_LOGIT = math.log(1e8 - 1.0)
+#: A flow-line branch stops once the line is this close to a vertex of the
+#: shape triangle (shapespace), and integrate once the shape is this close
+#: to round.
+VERTEX_DELTA = 1e-9
+
+#: Every vertex stop is a threshold on one logistic tail,
+#: t = l(-ROUND_LOGIT) = (VERTEX_DELTA - 2 ulp(2))/2: 1 - p <= t for the
+#: round corner (2, 0), q <= t for the origin, p <= t and 1 - q <= t for
+#: (1, 1), with p <= q.  At (2, 0) the exact distance is
+#: sqrt(2) hypot(1 - p, 1 - q) <= 2 (1 - p), at the origin at most 2q and at
+#: (1, 1) at most 2 max(p, 1 - q).  So the exact end lies within
+#: VERTEX_DELTA - 2 ulp(2) of its vertex, and the reported (x, y) round by
+#: less than that slack.  The round sphere's remaining time is exact there.
+ROUND_LOGIT = math.log(2.0 / (VERTEX_DELTA - 2.0 * math.ulp(2.0)) - 1.0)
+
+
+def _round_corner_margin(P: float, Q: float, L: float) -> float:
+    """Positive until 1 - p and 1 - q are both at most l(-ROUND_LOGIT)."""
+    return ROUND_LOGIT - min(P, Q)
 
 
 def integrate(m0: MetricCoeffs, params: FlowParams | None = None) -> Trajectory:
@@ -588,8 +605,9 @@ def integrate(m0: MetricCoeffs, params: FlowParams | None = None) -> Trajectory:
 
     Steps the logit field from the sorted u <= v <= w0, (P, Q, L) =
     (ln(u/(w0 - u)), ln(v/(w0 - v)), 0), at INTEGRATE_TOL_FACTOR times the
-    params' tolerances until w0 e^L has fallen to collapse_eps w0 and
-    P >= ROUND_LOGIT; the collapse time adds the round sphere's remaining
+    params' tolerances until w0 e^L has fallen to collapse_eps w0 and the
+    shape is round, P >= ROUND_LOGIT (the tracer's round-corner stop); the
+    collapse time adds the round sphere's remaining
     (R^2/4) mean(u, v, w).  So integrate(2^k m0) is exactly 2^k integrate(m0).
     Rows keep the input's column order.  Raises IntegrationFailureError
     (carrying the partial trajectory) on step-size underflow.
@@ -603,7 +621,7 @@ def integrate(m0: MetricCoeffs, params: FlowParams | None = None) -> Trajectory:
     sigma, states, quartic, status, message = _dormand_prince(
         (_logit(u, w0), _logit(v, w0), 0.0), params.r_squared,
         INTEGRATE_TOL_FACTOR * params.rel_tol, INTEGRATE_TOL_FACTOR * params.abs_tol,
-        params.max_steps, lambda P, Q, L: max(L - log_share, ROUND_LOGIT - P))
+        params.max_steps, lambda P, Q, L: max(L - log_share, _round_corner_margin(P, Q, L)))
     coeffs = _coeffs(states, w0, columns)
     panels, times = _time_panels(sigma, states, quartic, w0)
     dense = (sigma, states, quartic, panels, w0, columns) if len(quartic) else None

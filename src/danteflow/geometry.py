@@ -49,6 +49,11 @@ def _half_sum(a: float, b: float, c: float) -> float:
         return a / 2.0 + b / 2.0 + c / 2.0
 
 
+def _half_excess(x: float, y: float, z: float) -> float:
+    """s - x = (y + z - x)/2 without forming s."""
+    return 0.5 * min(y, z) + 0.5 * (max(y, z) - x)
+
+
 @dataclass(frozen=True)
 class StretchFactors:
     """Deformation parameters (a, b, c) of a stretched S^3 plus R^2.
@@ -169,12 +174,18 @@ def principal_curvatures(f: StretchFactors) -> tuple[float, float, float]:
 def ricci_eigenvalues(f: StretchFactors) -> tuple[float, float, float]:
     """Diagonal Ricci entries via the product form (8/R^2)(s-b)(s-c), cyclically.
 
-    Equals the pairwise sums of the principal curvatures to machine precision.
+    Each factor s - x is formed from the other two, y and z, as
+    min(y, z)/2 + (max(y, z) - x)/2, with no rounded s, so it cannot
+    overflow near the largest float and keeps its digits near the
+    degenerate edge: the entries of (a, 1, 1) are within a few units in the
+    last place for every a > 0.  The pairwise sums of the principal
+    curvatures (curvature_summary) cancel there, so the two agree to
+    machine precision only away from that edge.
     """
-    s = semiperimeter(f)
+    a, b, c = f.a, f.b, f.c
+    sa, sb, sc = _half_excess(a, b, c), _half_excess(b, a, c), _half_excess(c, a, b)
     scale = 8.0 / f.r_squared
-    return (scale * ((s - f.b) * (s - f.c)), scale * ((s - f.a) * (s - f.c)),
-            scale * ((s - f.a) * (s - f.b)))
+    return (scale * (sb * sc), scale * (sa * sc), scale * (sa * sb))
 
 
 def scalar_curvature(f: StretchFactors) -> float:

@@ -21,7 +21,10 @@ and dP + dQ = 2k dsigma (k = 8/R^2) makes P + Q an exact clock.  The edges
 stay invariant: P = Q on the snakes, Q = +inf (stepped as it is) on the
 turtles, P = -inf on the degenerate line.  The forward branch stops within
 VERTEX_DELTA of the round corner (2, 0), the backward one within
-VERTEX_DELTA of the origin or (1, 1).  The apex law is exact: dy/dsigma =
+VERTEX_DELTA of the origin or (1, 1).  Each stop is a threshold on a
+logistic tail, the rule integrate stops on (see flow.ROUND_LOGIT): 1 - p
+at (2, 0), q at the origin, p and 1 - q at (1, 1), so neither margin
+reads the rounded (x, y).  The apex law is exact: dy/dsigma =
 k y (1 - p^2 - q^2) and x^2 + y^2 = 2 (p^2 + q^2), so for y > 0 the line
 rises inside the circle and falls outside it, by the sign of
 m = (1 - q)(1 + q) - p^2.  So a line crosses the circle once, on one of
@@ -50,15 +53,13 @@ import numpy as np
 
 from .errors import (DegenerateShapeError, DomainError, IntegrationFailureError,
                      SingularSlopeError)
-from .flow import (FlowParams, Termination, Trajectory, _coeffs, _dormand_prince,
-                   _logistic_pair, _logit, _time_panels)
+from .flow import (ROUND_LOGIT, VERTEX_DELTA, FlowParams, Termination, Trajectory, _coeffs,
+                   _dormand_prince, _logistic_pair, _logit, _round_corner_margin,
+                   _time_panels)
 # The chart itself (ShapePoint, to_xy, RicciRatios, to_rho_tau) lives in
 # geometry, so that classify needs no tracer; it is re-exported here.
 from .geometry import (DEFAULT_R_SQUARED, RicciRatios, ShapePoint, StretchFactors,
                        metric_coeffs, to_rho_tau, to_xy)
-
-#: A flow-line branch stops once the line is this close to a vertex.
-VERTEX_DELTA = 1e-9
 
 #: Labels for the classification boundaries emitted by region_boundaries().
 SCALAR_ZERO = "scalar_zero"
@@ -71,7 +72,9 @@ class FlowLine:
     """A traced flow line: strictly increasing x, with the apex at max y.
 
     Both ends lie within VERTEX_DELTA (1e-9) of a vertex of the triangle (the
-    forward end at (2, 0)), as the reported (x, y) round.  ``times`` are flow
+    forward end at (2, 0)), as the reported (x, y) round: by the bound at
+    flow.ROUND_LOGIT, the exact end lies within VERTEX_DELTA - 2 ulp(2) of
+    it, and their rounding adds less than 2 ulp(2).  ``times`` are flow
     times relative to the start, the one sample at t = 0 (negative on the
     backward branch), which is the start exactly.  They never decrease, but
     backward the shape degenerates at a finite time, so the first few
@@ -148,17 +151,10 @@ def _row(P: float, Q: float) -> tuple[float, float, float]:
 
 
 def _vertex_margin(P: float, Q: float, L: float) -> float:
-    # Measured on the (x, y) that the line reports, rounding included.
-    x, y, _ = _row(P, Q)
-    return min(math.hypot(x - 2.0, y), math.hypot(x, y),
-               math.hypot(x - 1.0, y - 1.0)) - VERTEX_DELTA
-
-
-def _round_corner_margin(P: float, Q: float, L: float) -> float:
-    # The forward branch's stop: a line that starts near the degenerate edge
-    # passes close by (1, 1) on its way to (2, 0) and must not stop there.
-    x, y, _ = _row(P, Q)
-    return math.hypot(x - 2.0, y) - VERTEX_DELTA
+    # At most the tail l(-ROUND_LOGIT) (flow): 1 - p and 1 - q at (2, 0),
+    # q at the origin, p and 1 - q at (1, 1).
+    return min(_round_corner_margin(P, Q, L), Q + ROUND_LOGIT,
+               max(P + ROUND_LOGIT, ROUND_LOGIT - Q))
 
 
 #: The apex re-step runs at the branch's tolerances times this.
@@ -182,9 +178,9 @@ def _trace_branch(start: ShapePoint, w0: float, r_squared: float,
     """One branch of a flow line, from start to within VERTEX_DELTA of a
     vertex ((2, 0) forward); a negative r_squared traces it backward.
 
-    The rows run in the branch's own order; a start already within
-    VERTEX_DELTA gives one row and no steps.  Raises IntegrationFailureError
-    when the branch stops short of a vertex.
+    The rows run in the branch's own order; a start already on a vertex's
+    side of its threshold gives one row and no steps.  Raises
+    IntegrationFailureError when the branch stops short of a vertex.
 
     y rises along the branch while sign(R^2) m > 0 (m of _row; the sign
     turns the backward branch around) and y > 0, so a line crosses the
@@ -241,11 +237,12 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
     vertex: the forward branch only at the round corner (2, 0), even where
     it passes close by (1, 1) from a start near the degenerate edge; the
     backward one at the origin (or at (1, 1) along the turtle edge, where
-    Q = +inf throughout).  A start within VERTEX_DELTA of any vertex gives
-    a one-point line.  A branch that stops short (params.max_steps, step-size
-    underflow) raises IntegrationFailureError carrying the branch as a
-    Trajectory of (u, v, w) = w0 e^L (p, q, 1).  c0 lifts the start to a
-    metric with largest coefficient w0 = w(0); it scales the times by 1/c0^2
+    Q = +inf throughout).  A start already on a vertex's side of its
+    threshold (so within VERTEX_DELTA of it) gives a one-point line.  A
+    branch that stops short (params.max_steps, step-size underflow) raises
+    IntegrationFailureError carrying the branch as a Trajectory of
+    (u, v, w) = w0 e^L (p, q, 1).  c0 lifts the start to a metric with
+    largest coefficient w0 = w(0); it scales the times by 1/c0^2
     and leaves xs, ys and the apex unchanged.  The t = 0 sample is the start
     exactly; times come from quadrature of dt/dsigma (see flow._time_panels).
 

@@ -630,6 +630,39 @@ def test_unusable_files_are_usage_errors(run_cli, tmp_path, args):
     assert args[-1] in detail["message"]  # the message names the file
 
 
+class FullDevice:
+    """A stream whose every write fails as on a full device."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("args", [
+    ("simulate", "--a", "1", "--b", "2", "--c", "3"),
+    ("regions",),
+    ("curvature", "--a", "1", "--b", "2", "--c", "3"),
+    ("flowlines", "--grid", "1x1", "--output", os.devnull),  # the summary goes to stdout
+])
+def test_a_failed_write_to_stdout_is_an_output_error(run_cli, monkeypatch, args):
+    # Not a usage error: the command line was fine, its output had nowhere to go.
+    monkeypatch.setattr(sys, "stdout", FullDevice())
+    code, _, err = run_cli(*args)
+    assert code == 1
+    detail = json.loads(err)
+    assert detail["error"] == "output"
+    assert detail["message"] == "standard output: [Errno 28] No space left on device"
+
+
+def test_a_failed_write_to_stderr_exits_1_in_silence(run_cli, monkeypatch):
+    monkeypatch.setattr(sys, "stderr", FullDevice())
+    assert run_cli("regions", "--resolution", "16")[0] == 1  # its summary goes to stderr
+    monkeypatch.setattr(sys, "stdout", FullDevice())
+    assert run_cli("curvature", "--a", "1", "--b", "2", "--c", "3")[0] == 1
+
+
 def test_classify_reports_singular_ratios_as_empty(run_cli):
     # On the degenerate edge the eigenvalue-ratio map is singular (y = 1):
     # rho and tau are null in JSON and empty cells in CSV.

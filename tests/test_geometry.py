@@ -174,6 +174,15 @@ def test_degenerate_line_values():
         assert r[2] == pytest.approx(2.0 * ab, rel=1e-12)
 
 
+def test_ricci_eigenvalues_keep_their_digits_near_the_degenerate_edge():
+    # At R^2 = 4 the entries of (a, 1, 1) are (a^2/2, a - a^2/2, a - a^2/2).
+    # A rounded s = (a + 1 + 1)/2 makes s - b lose them all at a = 1e-20.
+    for a in (1e-20, 1e-10):
+        expected = (a * a / 2.0, a - a * a / 2.0, a - a * a / 2.0)
+        assert_allclose(ricci_eigenvalues(StretchFactors(a, 1.0, 1.0, 4.0)), expected,
+                        rtol=1e-15, atol=0)
+
+
 def test_classify_examples():
     iso = classify(StretchFactors(1, 1, 1))
     assert iso.shape is ShapeKind.ISOTROPIC

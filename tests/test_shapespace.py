@@ -287,6 +287,71 @@ def test_flowline_near_degenerate_edge_ends_at_round_corner():
         assert math.hypot(line.xs[-1] - 2.0, line.ys[-1]) <= VERTEX_DELTA
 
 
+VERTICES = ((2.0, 0.0), (0.0, 0.0), (1.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["snake", "turtle", "degenerate"]),
+       st.floats(min_value=0.01, max_value=0.99), st.floats(min_value=-12.0, max_value=-1.7))
+def test_flowline_ends_near_every_edge_lie_within_vertex_delta(edge, share, log_height):
+    # Starts at heights of 10^-12 to 10^-1.7 times the triangle's toward an
+    # edge: the snake edge y = 0 (any x), the turtle edge y = 2 - x (x > 1)
+    # or the degenerate edge y = x (x < 1).
+    x = {"snake": 2.0 * share, "turtle": 1.0 + share, "degenerate": share}[edge]
+    height = min(x, 2.0 - x)
+    y = 10.0 ** log_height * height if edge == "snake" else (1.0 - 10.0 ** log_height) * height
+    try:
+        line = trace_flowline(ShapePoint(x, y))
+    except IntegrationFailureError:
+        if edge == "degenerate":  # as test_flowline_near_degenerate_edge_... allows
+            return
+        raise
+    assert math.hypot(line.xs[-1] - 2.0, line.ys[-1]) <= VERTEX_DELTA
+    assert min(math.hypot(line.xs[0] - vx, line.ys[0] - vy)
+               for vx, vy in VERTICES) <= VERTEX_DELTA
+
+
+def test_points_on_the_vertex_thresholds_report_rows_within_vertex_delta():
+    # The stops are thresholds on logistic tails, not distances: on each
+    # threshold, and at its corner, where the bound 2 max(tail) is tight,
+    # the row that the line would report still lies within VERTEX_DELTA.
+    r = flow.ROUND_LOGIT
+    rng = np.random.default_rng(83)
+    free = np.concatenate([[0.0, 1e-9, 1e-3], rng.uniform(0.0, 20.0, 200), [math.inf]])
+    points = [((2.0, 0.0), (r, r + d)) for d in free]
+    points += [((0.0, 0.0), (-r - d, -r)) for d in free]
+    points += [((1.0, 1.0), (-r - d, r)) for d in free]
+    points += [((1.0, 1.0), (-r, r + d)) for d in free]
+    for (vx, vy), (P, Q) in points:
+        assert shapespace._vertex_margin(P, Q, 0.0) <= 0.0
+        x, y, _ = shapespace._row(P, Q)
+        assert math.hypot(x - vx, y - vy) <= VERTEX_DELTA, (P, Q)
+    # The forward stop, the one integrate shares, takes only the round corner.
+    assert flow._round_corner_margin(r, r, 0.0) <= 0.0
+    assert flow._round_corner_margin(-r, r, 0.0) > 0.0
+
+
+def test_vertex_stops_take_few_root_finder_evaluations(monkeypatch):
+    # Each branch stops on its vertex through _bracket_crossing; an apex
+    # re-step, if any, comes after.  The stops are thresholds on logistic
+    # tails, which are smooth in sigma; a distance measured on the rounded
+    # (x, y) took up to 51 evaluations.
+    bracket, counts = flow._bracket_crossing, []
+
+    def counting(f, *args):
+        calls = []
+        found = bracket(lambda s: calls.append(s) or f(s), *args)
+        counts.append(len(calls))
+        return found
+
+    monkeypatch.setattr(flow, "_bracket_crossing", counting)
+    for start in GRID_5X5:
+        for r_squared in (4.0, -4.0):
+            counts.clear()
+            _trace_branch(start, 1.0, r_squared, FlowParams())
+            assert 1 <= counts[0] <= 8, (start, r_squared, counts)
+
+
 def test_flowline_truncated_forward_branch_raises():
     # 40 steps stop the forward branch near x = 1.05, far from collapse at
     # (2, 0); the tracer must not report the last sample as an apex.
