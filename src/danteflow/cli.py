@@ -8,8 +8,10 @@ Output contract:
   when the table went to a file, to stderr otherwise, so stdout always
   stays parseable.
 * Floats are printed as shortest round-trip decimals; output is UTF-8 with
-  LF line endings, and identical invocations on one Python version are
-  byte-identical (argparse's own texts differ between versions).
+  LF line endings.  Identical invocations on one machine (Python, numpy
+  build, libm, CPU features) are byte-identical; across machines step and
+  sample counts agree, and values only to rounding.  argparse's own texts
+  differ between Python versions.
 * Exit codes: 0 success, 1 output failure (stdout or stderr cannot be
   written), 2 usage error, 3 domain error, 4 integration failure.
   Failures put a single JSON object on stderr, unless stderr itself

@@ -53,8 +53,10 @@ with RK45's error estimate and controller: the RMS error norm over
 atol + rtol max(|old|, |new|) per component, safety factor 0.9 with step factors bounded
 to [0.2, 10], the Hairer-Norsett-Wanner initial step, and failure once a
 step falls below ten units in the last place of sigma.  Every accepted step
-keeps its 4th-order (Shampine) interpolating quartic in sigma.  Flow time
-is Gauss-Legendre quadrature of dt/dsigma over panels of that dense output.
+keeps its 4th-order (Shampine) interpolating quartic in sigma.  A run
+returns one _Run, ended by its stop margin, max_steps or that failure,
+which a Trajectory and a traced branch hold.  Flow time is Gauss-Legendre
+quadrature of dt/dsigma over panels of that dense output.
 The stop events (collapse here; in shapespace a vertex, and the apex of a
 flow line where 1 - p^2 - q^2 changes sign) and the closed-form inversions
 are located by one bracketed root-finder, _bracket_crossing.
@@ -73,7 +75,7 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -152,8 +154,8 @@ class Trajectory:
     coeffs: np.ndarray
     terminated: Termination
     collapse_time: float | None
-    #: For sample_at: sigma, rows (P, Q, L) of the sorted coefficients, their
-    #: dense output and time panels, w0 and each sorted coefficient's column.
+    #: For sample_at: the stepper's _Run over the sorted coefficients, its
+    #: time panels, w0 and each sorted coefficient's column.
     _dense: tuple | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
@@ -169,7 +171,7 @@ class Trajectory:
         times = self.times
         if not (np.all(t >= times[0]) and np.all(t <= times[-1])):  # NaN fails too
             raise DomainError("requested time outside the integrated span")
-        sigma, states, quartic, (step, lo, width, ends), w0, columns = self._dense
+        (sigma, states, quartic, _, _), (step, lo, width, ends), w0, columns = self._dense
         # Times in units of 2^e, the least power of two above w0, so that w0
         # times a step's sigma span neither underflows nor overflows; scaling
         # by a power of two is exact.
@@ -451,9 +453,21 @@ def _quartic_at(y_old, c, x: float) -> tuple[float, float, float]:
                  for y, c1, c2, c3, c4 in zip(y_old, *c))
 
 
+class _Run(NamedTuple):
+    """A stepper run from sigma = 0: sigma (n+1,), rows (P, Q, L) (n+1, 3),
+    their dense output (n, 4, 3), the end (None where the margin stopped
+    the run, else Termination.MAX_STEPS or FAILED) and FAILED's message."""
+
+    sigma: np.ndarray
+    states: np.ndarray
+    quartic: np.ndarray
+    end: Termination | None
+    message: str | None
+
+
 def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: float,
                     abs_tol: float, max_steps: int,
-                    margin: Callable[[float, float, float], float]):
+                    margin: Callable[[float, float, float], float]) -> _Run:
     """Step the field of the module docstring from y0 = (P, Q, L) at sigma = 0
     until margin(P, Q, L) is no longer positive.
 
@@ -467,10 +481,7 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
     The field is proportional to 1/R^2, so a negative r_squared runs it
     backward.  The crossing is localized on the crossing step's quartic to
     a few units in the last place of sigma, and the last row is taken on
-    the nonpositive side.  Returns (sigma, states, quartic, status,
-    message): sigma (n+1,), rows (P, Q, L) (n+1, 3) and their dense output
-    (n, 4, 3), status one of "event", "max_steps", "failed", and the
-    failure message or None.
+    the nonpositive side.
     """
     g_new = margin(*y0)
     if g_new <= 0.0:
@@ -484,7 +495,7 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
     times = [t]
     states = [(P, Q, L)]
     stages = []
-    status, message = "max_steps", None
+    end, message = Termination.MAX_STEPS, None
     for _ in range(max_steps):
         min_step = 10.0 * math.ulp(t)
         h_abs = max(h_abs, min_step)
@@ -536,10 +547,10 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
             h_abs = h * max(MIN_FACTOR, SAFETY * error ** -0.2)
             rejected = True
             if h_abs < min_step:
-                status = "failed"
+                end = Termination.FAILED
                 message = "Required step size is less than spacing between numbers."
                 break
-        if status == "failed":
+        if end is Termination.FAILED:
             break
         stages.append((y1, y3, y4, y5, y6, y7))
         t, P, Q, L, y1 = t_new, Pn, Qn, Ln, y7
@@ -547,7 +558,7 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
         states.append((P, Q, L))
         g_old, g_new = g_new, margin(P, Q, L)
         if g_new <= 0.0:
-            status = "event"
+            end = None
             break
 
     sigma = np.array(times)
@@ -557,7 +568,7 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
     derivatives = np.stack([k * (1.0 - ys), k * (1.0 + ys), -0.5 * k * (1.0 - ys) * (1.0 + ys)],
                            axis=-1)
     quartic = np.matmul(_DENSE.T, derivatives) * steps[:, None, None]
-    if status == "event":
+    if end is None:
         t_old, t_new = times[-2], times[-1]
         h = t_new - t_old
         y_old, c = states[-2], quartic[-1].tolist()
@@ -572,7 +583,7 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
             sigma[-1] = t_event
             rows[-1] = _quartic_at(y_old, c, r)
             quartic[-1] *= (r ** _POWERS)[:, None]
-    return sigma, rows, quartic, status, message
+    return _Run(sigma, rows, quartic, end, message)
 
 #: integrate steps at the params' tolerances times this.  A collapse time
 #: carries the error of every step: at the FlowParams defaults the sweep
@@ -618,19 +629,18 @@ def integrate(m0: MetricCoeffs, params: FlowParams | None = None) -> Trajectory:
     columns = tuple(sorted(range(3), key=y0.__getitem__))
     u, v, w0 = (y0[i] for i in columns)
     log_share = math.log(params.collapse_eps)
-    sigma, states, quartic, status, message = _dormand_prince(
+    run = _dormand_prince(
         (_logit(u, w0), _logit(v, w0), 0.0), params.r_squared,
         INTEGRATE_TOL_FACTOR * params.rel_tol, INTEGRATE_TOL_FACTOR * params.abs_tol,
         params.max_steps, lambda P, Q, L: max(L - log_share, _round_corner_margin(P, Q, L)))
-    coeffs = _coeffs(states, w0, columns)
-    panels, times = _time_panels(sigma, states, quartic, w0)
-    dense = (sigma, states, quartic, panels, w0, columns) if len(quartic) else None
-    if status == "failed":
-        raise IntegrationFailureError(
-            f"integration failed: {message}",
-            trajectory=Trajectory(times, coeffs, Termination.FAILED, None, dense))
-    if status == "max_steps":
-        return Trajectory(times, coeffs, Termination.MAX_STEPS, None, dense)
+    coeffs = _coeffs(run.states, w0, columns)
+    panels, times = _time_panels(run.sigma, run.states, run.quartic, w0)
+    dense = (run, panels, w0, columns) if len(run.quartic) else None
+    if run.end is not None:
+        partial = Trajectory(times, coeffs, run.end, None, dense)
+        if run.end is Termination.FAILED:
+            raise IntegrationFailureError(f"integration failed: {run.message}", trajectory=partial)
+        return partial
     remaining = 0.25 * params.r_squared * sum(coeffs[-1, list(columns)].tolist()) / 3.0
     return Trajectory(times, coeffs, Termination.COLLAPSED, float(times[-1]) + remaining, dense)
 

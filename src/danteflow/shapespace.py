@@ -53,9 +53,8 @@ import numpy as np
 
 from .errors import (DegenerateShapeError, DomainError, IntegrationFailureError,
                      SingularSlopeError)
-from .flow import (ROUND_LOGIT, VERTEX_DELTA, FlowParams, Termination, Trajectory, _coeffs,
-                   _dormand_prince, _logistic_pair, _logit, _round_corner_margin,
-                   _time_panels)
+from .flow import (ROUND_LOGIT, VERTEX_DELTA, FlowParams, Trajectory, _coeffs, _dormand_prince,
+                   _logistic_pair, _logit, _round_corner_margin, _Run, _time_panels)
 # The chart itself (ShapePoint, to_xy, RicciRatios, to_rho_tau) lives in
 # geometry, so that classify needs no tracer; it is re-exported here.
 from .geometry import (DEFAULT_R_SQUARED, RicciRatios, ShapePoint, StretchFactors,
@@ -162,12 +161,11 @@ APEX_TOL_FACTOR = 1e-3
 
 
 class _Branch(NamedTuple):
-    """One traced branch: sigma (n+1,), rows (P, Q, L) (n+1, 3), the flow
-    time of each row from the start, its _row (x, y, m) (n+1, 3), and the
-    apex where it crosses the circle x^2 + y^2 = 2 (None if it never does)."""
+    """One traced branch: the stepper's _Run, the flow time of each of its
+    rows from the start, their _row (x, y, m) (n+1, 3), and the apex where
+    the branch crosses the circle x^2 + y^2 = 2 (None if it never does)."""
 
-    sigma: np.ndarray
-    states: np.ndarray
+    run: _Run
     times: np.ndarray
     rows: np.ndarray
     apex: ShapePoint | None
@@ -193,37 +191,35 @@ def _trace_branch(start: ShapePoint, w0: float, r_squared: float,
     """
     y0 = (_logit((start.x - start.y) / 2.0), _logit((start.x + start.y) / 2.0), 0.0)
     if _vertex_margin(*y0) <= 0.0:
-        return _Branch(np.zeros(1), np.array([y0]), np.zeros(1),
-                       np.array([_row(*y0[:2])]), None)
-    sigma, states, quartic, status, message = _dormand_prince(
-        y0, r_squared, params.rel_tol, params.abs_tol, params.max_steps,
-        _round_corner_margin if r_squared > 0.0 else _vertex_margin)
-    times = _time_panels(sigma, states, quartic, w0 if r_squared > 0.0 else -w0)[1]
-    if status != "event":
-        coeffs = _coeffs(states, w0)
+        run = _Run(np.zeros(1), np.array([y0]), np.zeros((0, 4, 3)), None, None)
+        return _Branch(run, np.zeros(1), np.array([_row(*y0[:2])]), None)
+    run = _dormand_prince(y0, r_squared, params.rel_tol, params.abs_tol, params.max_steps,
+                          _round_corner_margin if r_squared > 0.0 else _vertex_margin)
+    times = _time_panels(run.sigma, run.states, run.quartic, w0 if r_squared > 0.0 else -w0)[1]
+    if run.end is not None:
+        coeffs = _coeffs(run.states, w0)
         if r_squared < 0.0:  # a Trajectory runs forward in time
             times, coeffs = times[::-1], coeffs[::-1]
-        terminated = Termination.MAX_STEPS if status == "max_steps" else Termination.FAILED
         raise IntegrationFailureError(
             f"{'forward' if r_squared > 0.0 else 'backward'} branch from "
             f"({start.x}, {start.y}) stopped short of a vertex after "
-            f"{len(sigma) - 1} steps: {message or status}",
-            trajectory=Trajectory(times, coeffs, terminated, None))
-    rows = np.array([_row(P, Q) for P, Q, _ in states.tolist()])
+            f"{len(run.sigma) - 1} steps: {run.message or run.end.value}",
+            trajectory=Trajectory(times, coeffs, run.end, None))
+    rows = np.array([_row(P, Q) for P, Q, _ in run.states.tolist()])
     sign = 1.0 if r_squared > 0.0 else -1.0
     y, margin = rows[:, 1], sign * rows[:, 2]
     crossing = np.flatnonzero((margin[:-1] > 0.0) & (margin[1:] <= 0.0) & (y[:-1] >= 0.0))
     if not len(crossing):
-        return _Branch(sigma, states, times, rows, None)
-    _, fine, _, status, message = _dormand_prince(
-        tuple(states[crossing[0]].tolist()), r_squared, APEX_TOL_FACTOR * params.rel_tol,
+        return _Branch(run, times, rows, None)
+    fine = _dormand_prince(
+        tuple(run.states[crossing[0]].tolist()), r_squared, APEX_TOL_FACTOR * params.rel_tol,
         APEX_TOL_FACTOR * params.abs_tol, params.max_steps,
         lambda P, Q, L: sign * _row(P, Q)[2])
-    if status != "event":
+    if fine.end is not None:
         raise IntegrationFailureError(
-            f"apex re-step stopped short after {len(fine) - 1} steps: "
-            f"{message or status}")
-    return _Branch(sigma, states, times, rows, ShapePoint(*_row(*fine[-1, :2].tolist())[:2]))
+            f"apex re-step stopped short after {len(fine.sigma) - 1} steps: "
+            f"{fine.message or fine.end.value}")
+    return _Branch(run, times, rows, ShapePoint(*_row(*fine.states[-1, :2].tolist())[:2]))
 
 
 def trace_flowline(start: ShapePoint, c0: float = 1.0,

@@ -5,7 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import danteflow
 from danteflow import errors, flow, geometry, shapespace
@@ -510,12 +512,39 @@ def test_repeats_in_separate_processes_are_byte_identical(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    """Run the interpreter on this checkout's package, output captured."""
+def _python(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run the interpreter on this checkout's package, output captured; env
+    sets further environment variables."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_output_off_numpys_avx512_path_agrees_to_rounding():
+    # Bytes are identical per machine only: numpy's SIMD dispatch moves the
+    # last digits of times and coefficients.  Step and sample counts do not
+    # move.  Columns that cancel (simulate's y, the curvatures) are left out.
+    features = pytest.importorskip("numpy._core._multiarray_umath").__cpu_features__
+    if not features.get("X86_V4"):
+        pytest.skip("numpy reports no enabled X86_V4")
+    tables = {}
+    for disabled in ("", "X86_V4"):
+        for args in (("simulate", "--a", "0.3", "--b", "0.9", "--c", "1.5"),
+                     ("flowlines", "--grid", "3x3")):
+            result = _python("-m", "danteflow", *args, NPY_DISABLE_CPU_FEATURES=disabled)
+            assert result.returncode == 0, result.stderr
+            header, rows = parse_csv(result.stdout)
+            tables[disabled, args[0]] = dict(zip(header, np.array(rows, dtype=float).T))
+    for command, relative, absolute in (("simulate", "tuvw", ""), ("flowlines", "t", "xy")):
+        on, off = tables["", command], tables["X86_V4", command]
+        assert len(on["t"]) == len(off["t"])
+        for name in relative:
+            assert_allclose(off[name], on[name], rtol=1e-14, atol=0.0, err_msg=name)
+        for name in absolute:
+            assert_allclose(off[name], on[name], rtol=0.0, atol=1e-14, err_msg=name)
+    line_ids = (tables[disabled, "flowlines"]["line_id"] for disabled in ("", "X86_V4"))
+    assert np.array_equal(*line_ids)  # the same rows per line
 
 
 @pytest.mark.parametrize("args", [

@@ -12,7 +12,9 @@ from danteflow.errors import (CollapseReachedError, DomainError,
                               IntegrationFailureError)
 from danteflow.flow import (FlowParams, Termination, Trajectory, integrate,
                             isotropic_lambda, rhs, x_rate)
-from danteflow.geometry import MetricCoeffs
+from danteflow.geometry import (MetricCoeffs, StretchFactors, curvature_summary,
+                                metric_coeffs, ricci_eigenvalues, stretch_from_metric)
+from danteflow.shapespace import ShapePoint, from_xy
 
 
 def rhs_bracket(u, v, w, r_squared):
@@ -162,10 +164,58 @@ def test_integration_failure_carries_partial_trajectory():
     with pytest.raises(IntegrationFailureError) as excinfo:
         integrate(MetricCoeffs(0.3, 0.6, 1.2),
                   FlowParams(rel_tol=1e-300, abs_tol=1e-300, max_steps=100_000))
+    assert str(excinfo.value) == (
+        "integration failed: Required step size is less than spacing between numbers.")
     partial = excinfo.value.trajectory
     assert isinstance(partial, Trajectory)
     assert partial.terminated is Termination.FAILED
     assert len(partial) >= 1
+
+
+def _lift(edge: str, share: float, log_height: float, r_squared: float) -> StretchFactors:
+    # A start at a height of 10^log_height times the triangle's toward an
+    # edge: the snake edge y = 0 (any x), the turtle edge y = 2 - x (x > 1)
+    # or the degenerate edge y = x (x < 1).  Heights up to 1/2 from each
+    # edge cover the whole triangle.
+    x = {"snake": 2.0 * share, "turtle": 1.0 + share, "degenerate": share}[edge]
+    height = min(x, 2.0 - x)
+    y = 10.0 ** log_height * height if edge == "snake" else (1.0 - 10.0 ** log_height) * height
+    return from_xy(ShapePoint(x, y), r_squared=r_squared)
+
+
+#: Starts over the whole triangle, down to heights of 1e-3 times the
+#: triangle's toward each edge, at R^2 in {0.5, 4, 8}.
+triangle_starts = st.builds(
+    _lift, st.sampled_from(["snake", "turtle", "degenerate"]),
+    st.floats(min_value=0.01, max_value=0.99), st.floats(min_value=-3.0, max_value=math.log10(0.5)),
+    st.sampled_from([0.5, 4.0, 8.0]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(triangle_starts)
+def test_scalar_curvature_never_falls(f):
+    # Hamilton (J. Differential Geom. 17, 1982): dR/dt = 2|Ric|^2 >= 0, and
+    # integrate's rows keep that even in their rounding.
+    traj = integrate(metric_coeffs(f), FlowParams(r_squared=f.r_squared))
+    assert traj.terminated is Termination.COLLAPSED
+    scalar = [curvature_summary(StretchFactors(*stretch_from_metric(MetricCoeffs(*row)),
+                                               f.r_squared)).scalar
+              for row in traj.coeffs.tolist()]
+    assert np.all(np.diff(scalar) >= 0.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(triangle_starts)
+def test_collapse_time_obeys_hamiltons_bounds(f):
+    # dR/dt = 2|Ric|^2 >= (2/3) R^2 gives T <= 3/(2 R0) where R0 > 0, an
+    # equality at the round sphere (1e-9 is the integrator's error there);
+    # where Ric >= 0, |Ric|^2 <= R^2 gives T >= 1/(2 R0).
+    T = integrate(metric_coeffs(f), FlowParams(r_squared=f.r_squared)).collapse_time
+    R0 = curvature_summary(f).scalar
+    if R0 > 0.0:
+        assert T <= 3.0 / (2.0 * R0) * (1.0 + 1e-9)
+    if min(ricci_eigenvalues(f)) >= 0.0:
+        assert T >= 1.0 / (2.0 * R0)
 
 
 def test_tiny_collapse_eps_collapses_with_positive_rows():
@@ -356,7 +406,7 @@ def test_steps_follow_the_rk45_controller():
     while np.exp(solver.y[2]) / (1.0 + np.exp(-solver.y[0])) > 1e-9:
         solver.step()
         ref.append(solver.t)
-    sigma = traj._dense[0]
+    sigma = traj._dense[0].sigma
     assert len(sigma) == len(ref)
     assert_allclose(sigma[:-1], ref[:-1], rtol=1e-7)
     assert ref[-2] < sigma[-1] <= ref[-1]

@@ -357,12 +357,27 @@ def test_flowline_truncated_forward_branch_raises():
     # (2, 0); the tracer must not report the last sample as an apex.
     with pytest.raises(IntegrationFailureError) as excinfo:
         trace_flowline(ShapePoint(0.5, 0.25), params=FlowParams(max_steps=40))
+    assert str(excinfo.value) == (
+        "forward branch from (0.5, 0.25) stopped short of a vertex after 40 steps: max_steps")
     forward = excinfo.value.trajectory
     assert isinstance(forward, Trajectory)
     assert forward.terminated is Termination.MAX_STEPS
     assert len(forward) == 41
     with pytest.raises(DomainError, match="no dense output"):
         forward.sample_at(0.0)
+
+
+def test_flowline_step_size_failure_raises():
+    # Tolerances far below rounding: the forward branch's steps shrink until
+    # they underflow.  How many steps it takes first is rounding noise.
+    with pytest.raises(IntegrationFailureError) as excinfo:
+        trace_flowline(ShapePoint(0.75, 0.25),
+                       params=FlowParams(rel_tol=1e-300, abs_tol=1e-300))
+    message = str(excinfo.value)
+    assert message.startswith(
+        "forward branch from (0.75, 0.25) stopped short of a vertex after ")
+    assert message.endswith(" steps: Required step size is less than spacing between numbers.")
+    assert excinfo.value.trajectory.terminated is Termination.FAILED
 
 
 def test_flowline_rejects_degenerate_start():
@@ -416,11 +431,11 @@ def test_flowline_branches_match_dop853():
         for r_squared in (4.0, -4.0):
             branch = _trace_branch(start, 1.0, r_squared, FlowParams())
             p0, q0 = (start.x - start.y) / 2.0, (start.x + start.y) / 2.0
-            ref = solve_ivp(polynomial_field, (0.0, branch.sigma[-1]), [p0, q0, 0.0],
+            ref = solve_ivp(polynomial_field, (0.0, branch.run.sigma[-1]), [p0, q0, 0.0],
                             method="DOP853", rtol=1e-13, atol=1e-16,
                             dense_output=True, args=(r_squared,))
-            p, q, L = ref.sol(branch.sigma)
-            P, Q, logit_L = branch.states.T
+            p, q, L = ref.sol(branch.run.sigma)
+            P, Q, logit_L = branch.run.states.T
             lp, lq = 1.0 / (1.0 + np.exp(-P)), 1.0 / (1.0 + np.exp(-Q))
             assert np.max(np.abs(lp + lq - (p + q))) <= 1e-9
             assert np.max(np.abs(lq - lp - (q - p))) <= 1e-9
@@ -443,7 +458,7 @@ def test_flowline_apexes_match_dop853():
             branch = _trace_branch(start, 1.0, r_squared, FlowParams())
             apexes = [] if branch.apex is None else [branch.apex]
             p0, q0 = (start.x - start.y) / 2.0, (start.x + start.y) / 2.0
-            ref = solve_ivp(polynomial_field, (0.0, branch.sigma[-1]), [p0, q0, 0.0],
+            ref = solve_ivp(polynomial_field, (0.0, branch.run.sigma[-1]), [p0, q0, 0.0],
                             method="DOP853", rtol=1e-13, atol=1e-16,
                             events=y_rate, args=(r_squared,))
             maxima = ref.y_events[0]
@@ -470,7 +485,7 @@ def test_flowline_apexes_near_the_snake_edge_match_dop853():
                 branch = _trace_branch(start, 1.0, r_squared, FlowParams())
                 apexes = [] if branch.apex is None else [branch.apex]
                 p0, q0 = (start.x - start.y) / 2.0, (start.x + start.y) / 2.0
-                ref = solve_ivp(polynomial_field, (0.0, branch.sigma[-1]), [p0, q0, 0.0],
+                ref = solve_ivp(polynomial_field, (0.0, branch.run.sigma[-1]), [p0, q0, 0.0],
                                 method="DOP853", rtol=1e-13, atol=1e-16,
                                 events=inside, args=(r_squared,))
                 maxima = ref.y_events[0]
@@ -495,8 +510,8 @@ def test_flowline_exact_clock_property(start, r_squared, direction):
     # dP/dsigma + dQ/dsigma = 2k exactly, so P + Q is a clock for sigma.
     r_squared *= direction
     branch = _trace_branch(start, 1.0, r_squared, FlowParams(r_squared=abs(r_squared)))
-    P, Q, _ = branch.states.T
-    drift = P + Q - 2.0 * (8.0 / r_squared) * branch.sigma - (P[0] + Q[0])
+    P, Q, _ = branch.run.states.T
+    drift = P + Q - 2.0 * (8.0 / r_squared) * branch.run.sigma - (P[0] + Q[0])
     assert np.max(np.abs(drift)) <= 1e-9
 
 
