@@ -175,11 +175,11 @@ def simulate(a, b, c, r2, grid, rel_tol, abs_tol, collapse_eps, max_steps, outpu
     coeffs = traj.sample_at(times)
 
     rows = []
-    for t, (u, v, w) in zip(times, coeffs):
-        m = MetricCoeffs(float(u), float(v), float(w))
+    for t, (u, v, w) in zip(times.tolist(), coeffs.tolist()):
+        m = MetricCoeffs(u, v, w)
         sa, sb, sc = stretch_from_metric(m)
         cs = curvature_summary(StretchFactors(sa, sb, sc, r2v))
-        rows.append([float(t), m.u, m.v, m.w, sa, sb, sc,
+        rows.append([t, m.u, m.v, m.w, sa, sb, sc,
                      (m.u + m.v) / m.w, (m.v - m.u) / m.w,
                      cs.kappa1, cs.kappa2, cs.kappa3,
                      cs.ricci11, cs.ricci22, cs.ricci33, cs.scalar])
@@ -205,8 +205,7 @@ def _closed_form(sol, r2v, grid, check, output, header, time_of, profile, column
     scale = r2v / 4.0  # closed-form times use the R^2 = 4 normalization
 
     rows = []
-    for s in np.linspace(1.0, 0.0, grid + 1):
-        s = float(s)
+    for s in np.linspace(1.0, 0.0, grid + 1).tolist():
         t = scale * time_of(sol, s)
         a, b = profile(sol, s) if s > 0.0 else (0.0, 0.0)
         rows.append([s, t, a, b])
@@ -216,9 +215,9 @@ def _closed_form(sol, r2v, grid, check, output, header, time_of, profile, column
         start = sol.initial_coeffs.as_tuple()[column]
         traj = flow.integrate(sol.initial_coeffs, flow.FlowParams(r_squared=r2v))
         deviation = 0.0
-        for t, coeff in zip(traj.times, traj.coeffs):
-            s = min(float(coeff[column]) / start, 1.0)
-            deviation = max(deviation, abs(scale * time_of(sol, s) - float(t)))
+        for t, coeff in zip(traj.times.tolist(), traj.coeffs[:, column].tolist()):
+            s = min(coeff / start, 1.0)
+            deviation = max(deviation, abs(scale * time_of(sol, s) - t))
         summary["numeric_collapse_time"] = traj.collapse_time
         summary["max_time_deviation"] = deviation
     _emit_with_summary(_csv_text(header, rows), output, summary)
@@ -299,8 +298,8 @@ def flowlines(starts, grid_spec, c0, forward_only, r2, apex_output, output):
     for line_id, start in enumerate(points):
         line = shapespace.trace_flowline(start, c0, params,
                                          include_backward=not forward_only)
-        for x, y, t in zip(line.xs, line.ys, line.times):
-            rows.append([line_id, float(x), float(y), float(t)])
+        for x, y, t in zip(line.xs.tolist(), line.ys.tolist(), line.times.tolist()):
+            rows.append([line_id, x, y, t])
         apex_rows.append([line_id, line.apex.x, line.apex.y])
 
     if apex_output is not None:
@@ -315,15 +314,13 @@ def flowlines(starts, grid_spec, c0, forward_only, r2, apex_output, output):
 def regions(resolution, output):
     """Extract the classification boundaries (scalar zero, smallest
     principal curvature zero, degenerate-Ricci line) as labeled polylines."""
-    bounds = shapespace.region_boundaries(resolution)
     labels = (shapespace.SCALAR_ZERO, shapespace.KAPPA_MIN_ZERO, shapespace.RICCI_DEGENERATE)
-    rows = []
-    for label in labels:
-        for x, y in bounds[label]:
-            rows.append([label, float(x), float(y)])
+    bounds = {label: points.tolist()
+              for label, points in shapespace.region_boundaries(resolution).items()}
+    rows = [[label, x, y] for label in labels for x, y in bounds[label]]
     summary = {
-        "scalar_zero_x_intercept": float(bounds[shapespace.SCALAR_ZERO][0, 0]),
-        "kappa_min_zero_x_intercept": float(bounds[shapespace.KAPPA_MIN_ZERO][-1, 0]),
+        "scalar_zero_x_intercept": bounds[shapespace.SCALAR_ZERO][0][0],
+        "kappa_min_zero_x_intercept": bounds[shapespace.KAPPA_MIN_ZERO][-1][0],
         "points_per_boundary": {label: len(bounds[label]) for label in labels},
     }
     _emit_with_summary(_csv_text("label,x,y", rows), output, summary)

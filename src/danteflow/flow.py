@@ -53,10 +53,11 @@ with RK45's error estimate and controller: the RMS error norm over
 atol + rtol max(|old|, |new|) per component, safety factor 0.9 with step factors bounded
 to [0.2, 10], the Hairer-Norsett-Wanner initial step, and failure once a
 step falls below ten units in the last place of sigma.  Every accepted step
-keeps its 4th-order (Shampine) interpolating quartic in sigma.  A run
-returns one _Run, ended by its stop margin, max_steps or that failure,
-which a Trajectory and a traced branch hold.  Flow time is Gauss-Legendre
-quadrature of dt/dsigma over panels of that dense output.
+keeps its 4th-order (Shampine) quartic in sigma, built from the 1 - y and
+1 + y its stages formed.  A run returns one _Run, ended by its stop margin,
+max_steps or that failure, which a Trajectory and a traced branch hold.
+Flow time is Gauss-Legendre quadrature of dt/dsigma over panels of that
+dense output.
 The stop events (collapse here; in shapespace a vertex, and the apex of a
 flow line where 1 - p^2 - q^2 changes sign) and the closed-form inversions
 are located by one bracketed root-finder, _bracket_crossing.
@@ -164,7 +165,10 @@ class Trajectory:
     def sample_at(self, t) -> np.ndarray:
         """Coefficients at arbitrary times inside the covered span (4th-order
         dense output of the integrator): three Newton steps on sigma inside
-        the quadrature panel that holds each time."""
+        the quadrature panel that holds each time.  A time on a panel
+        boundary belongs to the panel that starts there, so a row's own time
+        gives back that row bit for bit; the last row's time gives Newton's
+        solution, which near collapse can differ in the last digits."""
         if self._dense is None:
             raise DomainError("trajectory carries no dense output")
         t = np.asarray(t, dtype=float)
@@ -177,17 +181,16 @@ class Trajectory:
         # by a power of two is exact.
         e = math.frexp(w0)[1]
         t, ends = np.ldexp(t, -e), np.ldexp(ends, -e)
-        # A time on a panel boundary belongs to the panel that ends there.
-        j = np.minimum(np.searchsorted(ends, t, side="left"), len(ends) - 1)
+        # A time on a panel boundary belongs to the panel that starts there.
+        j = np.minimum(np.searchsorted(ends, t, side="right"), len(ends) - 1)
         step, lo, width, t_lo = step[j], lo[j], width[j], np.where(j > 0, ends[j - 1], 0.0)
         share = (t - t_lo) / np.maximum(ends[j] - t_lo, sys.float_info.min)
         x = lo + width * np.clip(share, 0.0, 1.0)  # the fraction of the step
-        scale = math.ldexp(w0, -e) * np.diff(sigma)[step]  # dt/dx = scale e^g
+        scale = math.ldexp(w0, -e) * np.diff(sigma)[step]  # dt/dx = scale _rate
         nodes = np.append(_GL_NODES, 1.0)
         for _ in range(3):
             part = x - lo
-            rate = np.exp(_log_rate(_dense_at(states, quartic, step,
-                                              lo[..., None] + part[..., None] * nodes)))
+            rate = _rate(states, quartic, step, lo[..., None] + part[..., None] * nodes)
             error = t_lo + scale * part * (rate[..., :-1] @ _GL_WEIGHTS) - t
             x = np.clip(x - error / np.maximum(scale * rate[..., -1], sys.float_info.min),
                         lo, lo + width)
@@ -244,12 +247,6 @@ def _logistic(z: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, -z))
 
 
-def _log_rate(states: np.ndarray) -> np.ndarray:
-    """ln((dt/dsigma)/w0) = L + ln l(P) + ln l(Q) of rows (P, Q, L)."""
-    return (states[..., 2] - np.logaddexp(0.0, -states[..., 0])
-            - np.logaddexp(0.0, -states[..., 1]))
-
-
 def _coeffs(states: np.ndarray, w0: float, columns=(0, 1, 2)) -> np.ndarray:
     """Rows (u, v, w) = w0 e^L (l(P), l(Q), 1) of rows (P, Q, L), the sorted
     coefficient i put back in column columns[i]."""
@@ -262,6 +259,13 @@ def _dense_at(states: np.ndarray, quartic: np.ndarray, step: np.ndarray,
               frac: np.ndarray) -> np.ndarray:
     """Rows (P, Q, L) of the dense output at fractions frac[..., i] of step."""
     return states[step][..., None, :] + (frac[..., None] ** _POWERS) @ quartic[step]
+
+
+def _rate(states: np.ndarray, quartic: np.ndarray, step: np.ndarray,
+          frac: np.ndarray) -> np.ndarray:
+    """(dt/dsigma)/w0 = e^L l(P) l(Q) on the dense output at frac of step."""
+    at = _dense_at(states, quartic, step, frac)
+    return np.exp(at[..., 2] - np.logaddexp(0.0, -at[..., 0]) - np.logaddexp(0.0, -at[..., 1]))
 
 
 #: Five-point Gauss-Legendre rule on [0, 1]: nodes and weights.
@@ -279,7 +283,7 @@ PANEL_LOG_RATE = 0.5
 
 
 def _time_panels(sigma: np.ndarray, states: np.ndarray, quartic: np.ndarray, w0: float):
-    """The integral of w0 e^g, g = _log_rate, over the dense output: the
+    """The integral of w0 e^g, e^g = _rate, over the dense output: the
     quadrature panels (each one's step, its start and width as fractions of
     that step, and the time at its end), and the time of every row.
 
@@ -301,8 +305,8 @@ def _time_panels(sigma: np.ndarray, states: np.ndarray, quartic: np.ndarray, w0:
     step = np.repeat(np.arange(n), m)
     width = 1.0 / m[step]
     start = (np.arange(len(step)) - np.repeat(np.cumsum(m) - m, m)) * width
-    at = _dense_at(states, quartic, step, start[:, None] + width[:, None] * _GL_NODES)
-    ends = w0 * np.cumsum(np.diff(sigma)[step] * width * (np.exp(_log_rate(at)) @ _GL_WEIGHTS))
+    rate = _rate(states, quartic, step, start[:, None] + width[:, None] * _GL_NODES)
+    ends = w0 * np.cumsum(np.diff(sigma)[step] * width * (rate @ _GL_WEIGHTS))
     return (step, start, width, ends), np.concatenate([[0.0], ends[np.cumsum(m) - 1]])
 
 
@@ -476,7 +480,8 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
     Q + hk (c_i + S_i)), and L, which never feeds back, is advanced once per
     step.  The error estimate and the dense output are RK45's, h sum_j e_j
     k_j over the stage derivatives k (1 - y), k (1 + y), -(k/2)(1 - y)(1 + y)
-    of _field, so the steps are RK45's to rounding.
+    of _field, formed once per stage as m_j = 1 - y_j and p_j = 1 + y_j, so
+    the steps are RK45's to rounding.
 
     The field is proportional to 1/R^2, so a negative r_squared runs it
     backward.  The crossing is localized on the crossing step's quartic to
@@ -552,7 +557,7 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
                 break
         if end is Termination.FAILED:
             break
-        stages.append((y1, y3, y4, y5, y6, y7))
+        stages.append((m1, m3, m4, m5, m6, m7, p1, p3, p4, p5, p6, p7))
         t, P, Q, L, y1 = t_new, Pn, Qn, Ln, y7
         times.append(t)
         states.append((P, Q, L))
@@ -563,11 +568,9 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
 
     sigma = np.array(times)
     rows = np.array(states)
-    steps = np.diff(sigma)
-    ys = np.array(stages).reshape(-1, 6)
-    derivatives = np.stack([k * (1.0 - ys), k * (1.0 + ys), -0.5 * k * (1.0 - ys) * (1.0 + ys)],
-                           axis=-1)
-    quartic = np.matmul(_DENSE.T, derivatives) * steps[:, None, None]
+    m, p = np.array(stages).reshape(-1, 2, 6).transpose(1, 0, 2)
+    derivatives = np.stack([k * m, k * p, -0.5 * k * m * p], axis=-1)
+    quartic = np.matmul(_DENSE.T, derivatives) * np.diff(sigma)[:, None, None]
     if end is None:
         t_old, t_new = times[-2], times[-1]
         h = t_new - t_old

@@ -288,8 +288,8 @@ def classify(f: StretchFactors, eq_tol: float = DEFAULT_EQ_TOL) -> Classificatio
     return Classification(
         shape=shape,
         curvature_signs=tuple(_sign(k, deadband) for k in kappas),
-        # The pairwise sums, as curvature_summary forms R11..R33: the product
-        # form's s - b cancels to 0 where s rounds to b (a/c below 2e-16).
+        # Within the deadband, the signs of the Ricci entries that `curvature`
+        # prints: the pairwise sums of the principal curvatures.
         ricci_signs=tuple(_sign(r, deadband) for r in (k2 + k3, k1 + k3, k1 + k2)),
         # fsum: the scalar's sign must not depend on the order of (a, b, c).
         scalar_sign=_sign(2.0 * math.fsum(kappas), deadband),
