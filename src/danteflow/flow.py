@@ -54,10 +54,10 @@ atol + rtol max(|old|, |new|) per component, safety factor 0.9 with step factors
 to [0.2, 10], the Hairer-Norsett-Wanner initial step, and failure once a
 step falls below ten units in the last place of sigma.  Every accepted step
 keeps its 4th-order (Shampine) quartic in sigma, built from the 1 - y and
-1 + y its stages formed.  A run returns one _Run, ended by its stop margin,
-max_steps or that failure, which a Trajectory and a traced branch hold.
-Flow time is Gauss-Legendre quadrature of dt/dsigma over panels of that
-dense output.
+1 + y its stages formed.  A run returns one _Run, ended by its stop margin
+(a start past it takes no step), max_steps or that failure, which a
+Trajectory and a traced branch hold.  Flow time is Gauss-Legendre
+quadrature of dt/dsigma over panels of that dense output.
 The stop events (collapse here; in shapespace a vertex, and the apex of a
 flow line where 1 - p^2 - q^2 changes sign) and the closed-form inversions
 are located by one bracketed root-finder, _bracket_crossing.
@@ -163,18 +163,18 @@ class Trajectory:
         return len(self.times)
 
     def sample_at(self, t) -> np.ndarray:
-        """Coefficients at arbitrary times inside the covered span (4th-order
-        dense output of the integrator): three Newton steps on sigma inside
-        the quadrature panel that holds each time.  A time on a panel
-        boundary belongs to the panel that starts there, so a row's own time
-        gives back that row bit for bit; the last row's time gives Newton's
-        solution, which near collapse can differ in the last digits."""
+        """Coefficients at arbitrary times inside the covered span: a row's
+        own time reads that stored row back, and any other time takes three
+        Newton steps on sigma, inside the quadrature panel that holds it, on
+        the integrator's 4th-order dense output."""
         if self._dense is None:
             raise DomainError("trajectory carries no dense output")
         t = np.asarray(t, dtype=float)
         times = self.times
         if not (np.all(t >= times[0]) and np.all(t <= times[-1])):  # NaN fails too
             raise DomainError("requested time outside the integrated span")
+        row = np.searchsorted(times, t)
+        stored = (times[row] == t)[..., None]
         (sigma, states, quartic, _, _), (step, lo, width, ends), w0, columns = self._dense
         # Times in units of 2^e, the least power of two above w0, so that w0
         # times a step's sigma span neither underflows nor overflows; scaling
@@ -194,7 +194,8 @@ class Trajectory:
             error = t_lo + scale * part * (rate[..., :-1] @ _GL_WEIGHTS) - t
             x = np.clip(x - error / np.maximum(scale * rate[..., -1], sys.float_info.min),
                         lo, lo + width)
-        return _coeffs(_dense_at(states, quartic, step, x[..., None])[..., 0, :], w0, columns)
+        solved = _coeffs(_dense_at(states, quartic, step, x[..., None])[..., 0, :], w0, columns)
+        return np.where(stored, self.coeffs[row], solved)
 
     def uniform_grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n equispaced samples spanning the trajectory."""
@@ -240,7 +241,10 @@ def _logistic_pair(z: float) -> tuple[float, float]:
 
 
 def _logit(p: float, one: float = 1.0) -> float:
-    return math.inf if p == one else math.log(p / (one - p))
+    try:
+        return math.inf if p == one else math.log(p / (one - p))
+    except ValueError:  # the ratio underflows to 0
+        raise DomainError(f"ratio {p!r}/{one!r} underflows to 0") from None
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
@@ -473,7 +477,8 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
                     abs_tol: float, max_steps: int,
                     margin: Callable[[float, float, float], float]) -> _Run:
     """Step the field of the module docstring from y0 = (P, Q, L) at sigma = 0
-    until margin(P, Q, L) is no longer positive.
+    until margin(P, Q, L) is no longer positive; a start where it is not
+    takes no step and gives one row, an empty quartic and end None.
 
     Each stage carries only y = q - p: with S_i = sum_j a_ij y_j and the
     node c_i = sum_j a_ij, stage i sits at (P + hk (c_i - S_i),
@@ -489,8 +494,6 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
     the nonpositive side.
     """
     g_new = margin(*y0)
-    if g_new <= 0.0:
-        raise DomainError("stop margin must be positive at the initial state")
     P, Q, L = y0
     k = 8.0 / r_squared
     tanh = math.tanh
@@ -500,8 +503,8 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
     times = [t]
     states = [(P, Q, L)]
     stages = []
-    end, message = Termination.MAX_STEPS, None
-    for _ in range(max_steps):
+    end, message = (Termination.MAX_STEPS if g_new > 0.0 else None), None
+    for _ in range(max_steps if g_new > 0.0 else 0):
         min_step = 10.0 * math.ulp(t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -571,7 +574,7 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
     m, p = np.array(stages).reshape(-1, 2, 6).transpose(1, 0, 2)
     derivatives = np.stack([k * m, k * p, -0.5 * k * m * p], axis=-1)
     quartic = np.matmul(_DENSE.T, derivatives) * np.diff(sigma)[:, None, None]
-    if end is None:
+    if end is None and len(stages):
         t_old, t_new = times[-2], times[-1]
         h = t_new - t_old
         y_old, c = states[-2], quartic[-1].tolist()
@@ -638,14 +641,13 @@ def integrate(m0: MetricCoeffs, params: FlowParams | None = None) -> Trajectory:
         params.max_steps, lambda P, Q, L: max(L - log_share, _round_corner_margin(P, Q, L)))
     coeffs = _coeffs(run.states, w0, columns)
     panels, times = _time_panels(run.sigma, run.states, run.quartic, w0)
-    dense = (run, panels, w0, columns) if len(run.quartic) else None
-    if run.end is not None:
-        partial = Trajectory(times, coeffs, run.end, None, dense)
-        if run.end is Termination.FAILED:
-            raise IntegrationFailureError(f"integration failed: {run.message}", trajectory=partial)
-        return partial
-    remaining = 0.25 * params.r_squared * sum(coeffs[-1, list(columns)].tolist()) / 3.0
-    return Trajectory(times, coeffs, Termination.COLLAPSED, float(times[-1]) + remaining, dense)
+    collapse_time = None if run.end else float(times[-1]) + (
+        0.25 * params.r_squared * sum(coeffs[-1, list(columns)].tolist()) / 3.0)
+    trajectory = Trajectory(times, coeffs, run.end or Termination.COLLAPSED, collapse_time,
+                            (run, panels, w0, columns) if len(run.quartic) else None)
+    if run.end is Termination.FAILED:
+        raise IntegrationFailureError(f"integration failed: {run.message}", trajectory=trajectory)
+    return trajectory
 
 
 def isotropic_lambda(t: float, r_squared: float = DEFAULT_R_SQUARED) -> float:

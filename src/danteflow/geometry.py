@@ -219,11 +219,14 @@ def curvature_summary(f: StretchFactors) -> CurvatureSummary:
 
 def metric_coeffs(f: StretchFactors) -> MetricCoeffs:
     """Metric coefficients (u, v, w) = (1/(bc), 1/(ac), 1/(ab))."""
-    return MetricCoeffs(
-        u=1.0 / (f.b * f.c),
-        v=1.0 / (f.a * f.c),
-        w=1.0 / (f.a * f.b),
-    )
+    try:
+        return MetricCoeffs(
+            u=1.0 / (f.b * f.c),
+            v=1.0 / (f.a * f.c),
+            w=1.0 / (f.a * f.b),
+        )
+    except ZeroDivisionError:  # a product underflows to 0
+        raise DomainError(f"metric coefficients of ({f.a!r}, {f.b!r}, {f.c!r}) overflow") from None
 
 
 def stretch_from_metric(m: MetricCoeffs) -> tuple[float, float, float]:

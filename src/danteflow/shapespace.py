@@ -176,8 +176,8 @@ def _trace_branch(start: ShapePoint, w0: float, r_squared: float,
     """One branch of a flow line, from start to within VERTEX_DELTA of a
     vertex ((2, 0) forward); a negative r_squared traces it backward.
 
-    The rows run in the branch's own order; a start already on a vertex's
-    side of its threshold gives one row and no steps.  Raises
+    The rows run in the branch's own order; a start past the branch's own
+    stop (forward only near (2, 0)) gives one row and no steps.  Raises
     IntegrationFailureError when the branch stops short of a vertex.
 
     y rises along the branch while sign(R^2) m > 0 (m of _row; the sign
@@ -190,9 +190,6 @@ def _trace_branch(start: ShapePoint, w0: float, r_squared: float,
     snake edge, where y = 0 throughout, the re-step stops at (sqrt 2, 0).
     """
     y0 = (_logit((start.x - start.y) / 2.0), _logit((start.x + start.y) / 2.0), 0.0)
-    if _vertex_margin(*y0) <= 0.0:
-        run = _Run(np.zeros(1), np.array([y0]), np.zeros((0, 4, 3)), None, None)
-        return _Branch(run, np.zeros(1), np.array([_row(*y0[:2])]), None)
     run = _dormand_prince(y0, r_squared, params.rel_tol, params.abs_tol, params.max_steps,
                           _round_corner_margin if r_squared > 0.0 else _vertex_margin)
     times = _time_panels(run.sigma, run.states, run.quartic, w0 if r_squared > 0.0 else -w0)[1]
@@ -233,8 +230,8 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
     vertex: the forward branch only at the round corner (2, 0), even where
     it passes close by (1, 1) from a start near the degenerate edge; the
     backward one at the origin (or at (1, 1) along the turtle edge, where
-    Q = +inf throughout).  A start already on a vertex's side of its
-    threshold (so within VERTEX_DELTA of it) gives a one-point line.  A
+    Q = +inf throughout).  Only a start within VERTEX_DELTA of (2, 0), past
+    both branches' stops, gives a one-point line.  A
     branch that stops short (params.max_steps, step-size underflow) raises
     IntegrationFailureError carrying the branch as a Trajectory of
     (u, v, w) = w0 e^L (p, q, 1).  c0 lifts the start to a metric with

@@ -561,6 +561,23 @@ def test_negative_values_are_values_not_options(run_cli, args):
     assert json.loads(err)["error"] == "domain"
 
 
+@pytest.mark.parametrize("args", [
+    ("simulate", "--a", "1e-200", "--b", "1e-200", "--c", "1e-200"),
+    ("simulate", "--a", "1e-170", "--b", "1e-155", "--c", "1e100"),
+    ("flowlines", "--grid", "1x1", "--c0", "1e-320"),
+    ("flowlines", "--grid", "2x2", "--c0", "1e-170"),
+    ("simulate", "--a", "1e-100", "--b", "1", "--c", "1.7e308"),
+], ids=["simulate-products", "simulate-one-product", "flowlines-subnormal-c0",
+        "flowlines-tiny-c0", "simulate-ratio"])
+def test_underflow_past_the_float_range_is_a_domain_error(run_cli, args):
+    # A product of two stretch factors, or the ratio u/(w0 - u) integrate
+    # starts from, that underflows to 0 ended in a traceback with exit 1.
+    # Its overflow side (simulate at 1e-160) already exited 3.
+    code, out, err = run_cli(*args)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "domain"
+
+
 def test_empty_r2_variable_counts_as_unset(run_cli, monkeypatch):
     quick = ("curvature", "--a", "1", "--b", "2", "--c", "3")
     monkeypatch.setenv("DANTE_FLOW_R2", "")

@@ -290,6 +290,33 @@ def test_flowline_near_degenerate_edge_ends_at_round_corner():
 VERTICES = ((2.0, 0.0), (0.0, 0.0), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("start", [
+    ShapePoint(1e-10, 5e-11), ShapePoint(3e-10, 1e-10),
+    ShapePoint(1.0 - 2e-10, 1.0 - 3e-10), ShapePoint(1.0 + 1e-10, 1.0 - 1e-10),
+], ids=["origin", "origin-wider", "one-one", "one-one-turtle-edge"])
+def test_flowline_from_near_a_backward_vertex_ends_at_round_corner(start):
+    # A start within VERTEX_DELTA of the origin or (1, 1) is past the
+    # backward branch's stop, so that branch takes no step; the forward
+    # branch stops only at (2, 0).  These were one-point lines.
+    assert min(math.hypot(start.x - vx, start.y - vy)
+               for vx, vy in VERTICES[1:]) <= VERTEX_DELTA
+    line = trace_flowline(start)
+    assert (line.xs[0], line.ys[0], line.times[0]) == (start.x, start.y, 0.0)
+    assert math.hypot(line.xs[-1] - 2.0, line.ys[-1]) <= VERTEX_DELTA
+    if start.x + start.y < 2.0:  # interior: the apex is on the circle
+        assert abs(line.apex.x ** 2 + line.apex.y ** 2 - 2.0) <= 1e-12
+
+
+def test_flowline_from_near_one_one_in_the_cancellation_regime_ends_at_round_corner():
+    # p = (x - y)/2 = 5e-13: ROADMAP item 1's regime, where the forward
+    # branch may run out of steps, but never ends at (1, 1).
+    try:
+        line = trace_flowline(ShapePoint(1.0 - 1e-10, 1.0 - 1e-10 - 1e-12))
+    except IntegrationFailureError:
+        return
+    assert math.hypot(line.xs[-1] - 2.0, line.ys[-1]) <= VERTEX_DELTA
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["snake", "turtle", "degenerate"]),
        st.floats(min_value=0.01, max_value=0.99), st.floats(min_value=-12.0, max_value=-1.7))
