@@ -187,14 +187,15 @@ class Trajectory:
         share = (t - t_lo) / np.maximum(ends[j] - t_lo, sys.float_info.min)
         x = lo + width * np.clip(share, 0.0, 1.0)  # the fraction of the step
         scale = math.ldexp(w0, -e) * np.diff(sigma)[step]  # dt/dx = scale _rate
+        start, quartic = states[step], quartic[step]
         nodes = np.append(_GL_NODES, 1.0)
         for _ in range(3):
             part = x - lo
-            rate = _rate(states, quartic, step, lo[..., None] + part[..., None] * nodes)
+            rate = _rate(start, quartic, lo[..., None] + part[..., None] * nodes)
             error = t_lo + scale * part * (rate[..., :-1] @ _GL_WEIGHTS) - t
             x = np.clip(x - error / np.maximum(scale * rate[..., -1], sys.float_info.min),
                         lo, lo + width)
-        solved = _coeffs(_dense_at(states, quartic, step, x[..., None])[..., 0, :], w0, columns)
+        solved = _coeffs(_dense_at(start, quartic, x[..., None])[..., 0, :], w0, columns)
         return np.where(stored, self.coeffs[row], solved)
 
     def uniform_grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -259,16 +260,15 @@ def _coeffs(states: np.ndarray, w0: float, columns=(0, 1, 2)) -> np.ndarray:
     return ordered[..., np.argsort(columns)]
 
 
-def _dense_at(states: np.ndarray, quartic: np.ndarray, step: np.ndarray,
-              frac: np.ndarray) -> np.ndarray:
-    """Rows (P, Q, L) of the dense output at fractions frac[..., i] of step."""
-    return states[step][..., None, :] + (frac[..., None] ** _POWERS) @ quartic[step]
+def _dense_at(start: np.ndarray, quartic: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Rows (P, Q, L) of the dense output at fractions frac[..., i] of a step,
+    from its start row states[step] and quartic[step], which the caller gathers."""
+    return start[..., None, :] + (frac[..., None] ** _POWERS) @ quartic
 
 
-def _rate(states: np.ndarray, quartic: np.ndarray, step: np.ndarray,
-          frac: np.ndarray) -> np.ndarray:
-    """(dt/dsigma)/w0 = e^L l(P) l(Q) on the dense output at frac of step."""
-    at = _dense_at(states, quartic, step, frac)
+def _rate(start: np.ndarray, quartic: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """(dt/dsigma)/w0 = e^L l(P) l(Q) on the dense output, as in _dense_at."""
+    at = _dense_at(start, quartic, frac)
     return np.exp(at[..., 2] - np.logaddexp(0.0, -at[..., 0]) - np.logaddexp(0.0, -at[..., 1]))
 
 
@@ -309,7 +309,7 @@ def _time_panels(sigma: np.ndarray, states: np.ndarray, quartic: np.ndarray, w0:
     step = np.repeat(np.arange(n), m)
     width = 1.0 / m[step]
     start = (np.arange(len(step)) - np.repeat(np.cumsum(m) - m, m)) * width
-    rate = _rate(states, quartic, step, start[:, None] + width[:, None] * _GL_NODES)
+    rate = _rate(states[step], quartic[step], start[:, None] + width[:, None] * _GL_NODES)
     ends = w0 * np.cumsum(np.diff(sigma)[step] * width * (rate @ _GL_WEIGHTS))
     return (step, start, width, ends), np.concatenate([[0.0], ends[np.cumsum(m) - 1]])
 

@@ -20,7 +20,9 @@ the Ricci-eigenvalue ratios rho = R22/R33, tau = R11/R33 of such a point
 (to_rho_tau); shapespace traces the flow through that triangle.
 
 All operations here are pure functions of value types and can be called
-concurrently without coordination.
+concurrently without coordination.  stretch_from_metric returns Python
+floats for any real input, numpy scalars included, so that the curvatures
+of its result run on Python floats.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ DEFAULT_EQ_TOL = 1e-9
 
 
 def _require_positive(name: str, value: float) -> None:
-    if not math.isfinite(value) or value <= 0.0:
+    if not 0.0 < value <= 1.7976931348623157e308:  # NaN fails too
         raise DomainError(f"{name} must be a positive finite number, got {value!r}")
 
 
@@ -209,7 +211,7 @@ def connection_coefficients(f: StretchFactors) -> tuple[float, float, float]:
 
 def curvature_summary(f: StretchFactors) -> CurvatureSummary:
     """Bundle curvatures with the trace relations applied exactly."""
-    k1, k2, k3 = principal_curvatures(f)
+    k1, k2, k3 = _principal(f.a, f.b, f.c, 4.0 / f.r_squared)
     return CurvatureSummary(
         kappa1=k1, kappa2=k2, kappa3=k3,
         ricci11=k2 + k3, ricci22=k1 + k3, ricci33=k1 + k2,
@@ -235,8 +237,9 @@ def stretch_from_metric(m: MetricCoeffs) -> tuple[float, float, float]:
     abc = 1/sqrt(uvw), hence a = u * abc and cyclically.  Round-trips with
     :func:`metric_coeffs` to within 1e-12 relative, at any scale: where uvw
     is not a normal float, u, v, w are divided exactly by 4^j first.
+    Raises DomainError where uvw underflows to 0 even then.
     """
-    u, v, w = m.u, m.v, m.w
+    u, v, w = float(m.u), float(m.v), float(m.w)
     product = u * v * w
     if 2.2250738585072014e-308 <= product <= 1.7976931348623157e308:
         root = math.sqrt(product)
@@ -244,6 +247,8 @@ def stretch_from_metric(m: MetricCoeffs) -> tuple[float, float, float]:
     j = math.frexp(max(u, v, w))[1] // 2  # half the largest exponent
     u, v, w = (math.ldexp(x, -2 * j) for x in (u, v, w))
     root = math.sqrt(u * v * w)
+    if root == 0.0:  # u v w underflows to 0
+        raise DomainError(f"stretch factors of ({m.u!r}, {m.v!r}, {m.w!r}) underflow")
     return tuple(math.ldexp(x / root, -j) for x in (u, v, w))
 
 

@@ -567,11 +567,14 @@ def test_negative_values_are_values_not_options(run_cli, args):
     ("flowlines", "--grid", "1x1", "--c0", "1e-320"),
     ("flowlines", "--grid", "2x2", "--c0", "1e-170"),
     ("simulate", "--a", "1e-100", "--b", "1", "--c", "1.7e308"),
+    ("simulate", "--a", "1e-10", "--b", "1e-10", "--c", "1e300"),
 ], ids=["simulate-products", "simulate-one-product", "flowlines-subnormal-c0",
-        "flowlines-tiny-c0", "simulate-ratio"])
+        "flowlines-tiny-c0", "simulate-ratio", "simulate-metric-product"])
 def test_underflow_past_the_float_range_is_a_domain_error(run_cli, args):
-    # A product of two stretch factors, or the ratio u/(w0 - u) integrate
-    # starts from, that underflows to 0 ended in a traceback with exit 1.
+    # A product of two stretch factors, the ratio u/(w0 - u) integrate
+    # starts from, or the product u v w of a tabulated row (1e-290, 1e-290,
+    # 1e20 here, 0 even after stretch_from_metric's exact rescaling) that
+    # underflows to 0 ended in a traceback with exit 1.
     # Its overflow side (simulate at 1e-160) already exited 3.
     code, out, err = run_cli(*args)
     assert code == 3 and out == ""

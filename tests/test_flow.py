@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 from itertools import permutations
 
 import numpy as np
@@ -217,6 +218,24 @@ def test_collapse_time_obeys_hamiltons_bounds(f):
         assert T <= 3.0 / (2.0 * R0) * (1.0 + 1e-9)
     if min(ricci_eigenvalues(f)) >= 0.0:
         assert T >= 1.0 / (2.0 * R0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(triangle_starts)
+def test_table_of_numpy_rows_is_the_python_float_table(f):
+    # uniform_grid's rows are np.float64; stretch_from_metric converts them
+    # once, so every table entry is a Python float with the bits of the
+    # table of the rows' .tolist().
+    _, rows = integrate(metric_coeffs(f), FlowParams(r_squared=f.r_squared)).uniform_grid(200)
+
+    def table(rows):
+        return [astuple(curvature_summary(StretchFactors(
+            *stretch_from_metric(MetricCoeffs(*row)), f.r_squared))) for row in rows]
+
+    from_numpy, from_floats = table(rows), table(rows.tolist())
+    assert all(type(x) is float for entry in from_numpy for x in entry)
+    assert [[x.hex() for x in entry] for entry in from_numpy] == \
+        [[x.hex() for x in entry] for entry in from_floats]
 
 
 #: Gauss-Legendre nodes and weights on [-1, 1] for the volume law.  On the

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from danteflow.errors import DomainError
+from danteflow.flow import MAX_REL_TOL, FlowParams
 from danteflow.geometry import (Classification, CurvatureSummary, MetricCoeffs,
                                 ShapeKind, StretchFactors, classify,
                                 connection_coefficients, curvature_summary,
@@ -88,6 +90,56 @@ def test_stretch_from_metric_examples():
         MetricCoeffs(-1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         MetricCoeffs(0.0, 1.0, 1.0)
+
+
+def test_stretch_from_metric_returns_python_floats():
+    # Both branches, the direct one and the one rescaled by 4^j, convert
+    # numpy input once and give the same bits as Python-float input.
+    for uvw in ((0.3, 0.5, 0.9), (1e-200, 1e-150, 1e-100), (1e200, 1e150, 1e100)):
+        got = stretch_from_metric(MetricCoeffs(*np.array(uvw)))
+        assert all(type(x) is float for x in got)
+        assert [x.hex() for x in got] == [x.hex() for x in stretch_from_metric(MetricCoeffs(*uvw))]
+
+
+def test_stretch_from_metric_underflow_is_a_domain_error():
+    # After dividing by 4^j for the largest exponent, u and v are subnormal
+    # and u v w is 0.
+    with pytest.raises(DomainError, match="underflow"):
+        stretch_from_metric(MetricCoeffs(1e-290, 1e-290, 1e20))
+
+
+_POSITIVE_CHECKS = {
+    "MetricCoeffs.u": lambda x: MetricCoeffs(x, 1.0, 1.0),
+    "MetricCoeffs.w": lambda x: MetricCoeffs(1.0, 1.0, x),
+    "StretchFactors.a": lambda x: StretchFactors(x, 1.0, 1.0),
+    "StretchFactors.r_squared": lambda x: StretchFactors(1.0, 1.0, 1.0, x),
+    "FlowParams.r_squared": lambda x: FlowParams(r_squared=x),
+    "FlowParams.rel_tol": lambda x: FlowParams(rel_tol=x),
+    "FlowParams.abs_tol": lambda x: FlowParams(abs_tol=x),
+}
+
+
+@pytest.mark.parametrize("check", _POSITIVE_CHECKS.values(), ids=_POSITIVE_CHECKS.keys())
+@pytest.mark.parametrize("value", [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -5e-324, np.float64("nan"), np.float64(0.0),
+    10**400,  # past the float range; math.isfinite raised OverflowError here
+], ids=["nan", "inf", "-inf", "0", "-0", "-1", "-subnormal", "np-nan", "np-0", "int-10^400"])
+def test_nonpositive_or_nonfinite_values_are_domain_errors(check, value):
+    with pytest.raises(DomainError, match="positive finite"):
+        check(value)
+
+
+@pytest.mark.parametrize("name", _POSITIVE_CHECKS)
+def test_positive_check_accepts_positive_reals_and_rejects_strings(name):
+    check = _POSITIVE_CHECKS[name]
+    largest = MAX_REL_TOL if name.endswith("_tol") else sys.float_info.max
+    for value in (5e-324, 1e-12, np.float64(1e-9), largest, np.float64(largest)):
+        check(value)
+    if largest >= 1:
+        check(1)
+        check(np.int64(2))
+    with pytest.raises(TypeError):
+        check("1.0")
 
 
 def test_round_trip_property():

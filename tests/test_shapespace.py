@@ -268,7 +268,9 @@ def test_flowline_times_are_converged_in_the_panels(monkeypatch):
 
 
 def test_flowline_from_round_corner_is_one_point():
-    # A start within VERTEX_DELTA of a vertex takes no step on either branch.
+    # A start within VERTEX_DELTA of the round corner (2, 0) takes no step on
+    # either branch.  Near the origin or (1, 1) only the backward branch
+    # stops at once; the forward one runs on toward (2, 0).
     line = trace_flowline(ShapePoint(2.0, 0.0))
     assert line.xs.tolist() == [2.0] and line.ys.tolist() == [0.0]
     assert line.times.tolist() == [0.0]
