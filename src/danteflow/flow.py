@@ -52,7 +52,8 @@ whose stages carry the field's one scalar y (L is advanced once per step),
 with RK45's error estimate and controller: the RMS error norm over
 atol + rtol max(|old|, |new|) per component, safety factor 0.9 with step factors bounded
 to [0.2, 10], the Hairer-Norsett-Wanner initial step, and failure once a
-step falls below ten units in the last place of sigma.  Every accepted step
+step falls below ten units in the last place of sigma or sigma overflows
+(at an R^2 above about 1e307).  Every accepted step
 keeps its 4th-order (Shampine) quartic in sigma, built from the 1 - y and
 1 + y its stages formed.  A run returns one _Run, ended by its stop margin
 (a start past it takes no step), max_steps or that failure, which a
@@ -424,16 +425,12 @@ def _bracket_crossing(f: Callable[[float], float], lo: float, hi: float,
     return lo, hi
 
 
-def _rms3(a: float, b: float, c: float) -> float:
-    return math.sqrt((a * a + b * b + c * c) / 3.0)
-
-
 def _scaled_rms(values, scales) -> float:
     # The stepper's norm of values/scales.  A component at infinity (infinite
     # scale) counts as zero, as it does in the stepper, and squares that
     # overflow are avoided through hypot.
     a, b, c = (0.0 if math.isinf(s) else v / s for v, s in zip(values, scales))
-    norm = _rms3(a, b, c)
+    norm = math.sqrt((a * a + b * b + c * c) / 3.0)
     return norm if norm < math.inf else math.hypot(a, b, c) / math.sqrt(3.0)
 
 
@@ -457,8 +454,10 @@ def _initial_step(y, f, r_squared, rel_tol, abs_tol) -> float:
 
 
 def _quartic_at(y_old, c, x: float) -> tuple[float, float, float]:
-    return tuple(y + x * (c1 + x * (c2 + x * (c3 + x * c4)))
-                 for y, c1, c2, c3, c4 in zip(y_old, *c))
+    (P, Q, L), ((P1, Q1, L1), (P2, Q2, L2), (P3, Q3, L3), (P4, Q4, L4)) = y_old, c
+    return (P + x * (P1 + x * (P2 + x * (P3 + x * P4))),
+            Q + x * (Q1 + x * (Q2 + x * (Q3 + x * Q4))),
+            L + x * (L1 + x * (L2 + x * (L3 + x * L4))))
 
 
 class _Run(NamedTuple):
@@ -489,24 +488,28 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
     the steps are RK45's to rounding.
 
     The field is proportional to 1/R^2, so a negative r_squared runs it
-    backward.  The crossing is localized on the crossing step's quartic to
+    backward.  The run fails (end FAILED) once a rejected step falls below
+    ten units in the last place of sigma, or once a step would take sigma
+    past the largest float, as it does before collapse where |R^2| is above
+    about 1e307.  The crossing is localized on the crossing step's quartic to
     a few units in the last place of sigma, and the last row is taken on
     the nonpositive side.
     """
     g_new = margin(*y0)
     P, Q, L = y0
+    aP, aQ, aL = abs(P), abs(Q), abs(L)
     k = 8.0 / r_squared
-    tanh = math.tanh
+    tanh, sqrt, ulp = math.tanh, math.sqrt, math.ulp
     h_abs = _initial_step(y0, _field(P, Q, L, r_squared), r_squared, rel_tol, abs_tol)
     y1 = 0.5 * (tanh(0.5 * Q) - tanh(0.5 * P))
     t = 0.0
     times = [t]
-    states = [(P, Q, L)]
+    states = [P, Q, L]
     stages = []
     end, message = (Termination.MAX_STEPS if g_new > 0.0 else None), None
     for _ in range(max_steps if g_new > 0.0 else 0):
-        min_step = 10.0 * math.ulp(t)
-        h_abs = max(h_abs, min_step)
+        min_step = 10.0 * ulp(t)
+        h_abs = min_step if h_abs < min_step else h_abs
         rejected = False
         while True:
             t_new = t + h_abs
@@ -529,9 +532,13 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
             Pn = P + hk * (1.0 - s)
             Qn = Q + hk * (1.0 + s)
             y7 = 0.5 * (tanh(0.5 * Qn) - tanh(0.5 * Pn))
-            m1, m3, m4, m5, m6, m7 = 1.0 - y1, 1.0 - y3, 1.0 - y4, 1.0 - y5, 1.0 - y6, 1.0 - y7
-            p1, p3, p4, p5, p6, p7 = 1.0 + y1, 1.0 + y3, 1.0 + y4, 1.0 + y5, 1.0 + y6, 1.0 + y7
-            mp1, mp3, mp4, mp5, mp6, mp7 = m1 * p1, m3 * p3, m4 * p4, m5 * p5, m6 * p6, m7 * p7
+            # Three names at most: CPython builds a tuple for a longer assignment.
+            m1, m3, m4 = 1.0 - y1, 1.0 - y3, 1.0 - y4
+            m5, m6, m7 = 1.0 - y5, 1.0 - y6, 1.0 - y7
+            p1, p3, p4 = 1.0 + y1, 1.0 + y3, 1.0 + y4
+            p5, p6, p7 = 1.0 + y5, 1.0 + y6, 1.0 + y7
+            mp1, mp3, mp4 = m1 * p1, m3 * p3, m4 * p4
+            mp5, mp6, mp7 = m5 * p5, m6 * p6, m7 * p7
             Ln = L - 0.5 * hk * (35 / 384 * mp1 + 500 / 1113 * mp3 + 125 / 192 * mp4
                                  - 2187 / 6784 * mp5 + 11 / 84 * mp6)
             # Difference of the embedded 4th- and 5th-order solutions, over
@@ -545,39 +552,45 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
                        + 17253 / 339200 * p5 - 22 / 525 * p6 + 1 / 40 * p7)
             eL = -0.5 * hk * (-71 / 57600 * mp1 + 71 / 16695 * mp3 - 71 / 1920 * mp4
                               + 17253 / 339200 * mp5 - 22 / 525 * mp6 + 1 / 40 * mp7)
-            error = _rms3(eP / (abs_tol + max(abs(P), abs(Pn)) * rel_tol),
-                          eQ / (abs_tol + max(abs(Q), abs(Qn)) * rel_tol),
-                          eL / (abs_tol + max(abs(L), abs(Ln)) * rel_tol))
+            aPn, aQn, aLn = abs(Pn), abs(Qn), abs(Ln)
+            eP /= abs_tol + (aPn if aPn > aP else aP) * rel_tol
+            eQ /= abs_tol + (aQn if aQn > aQ else aQ) * rel_tol
+            eL /= abs_tol + (aLn if aLn > aL else aL) * rel_tol
+            error = sqrt((eP * eP + eQ * eQ + eL * eL) / 3.0)
             if error < 1.0:
-                factor = MAX_FACTOR if error == 0.0 else min(MAX_FACTOR, SAFETY * error ** -0.2)
+                factor = MAX_FACTOR if error == 0.0 else SAFETY * error ** -0.2
+                factor = factor if factor < MAX_FACTOR else MAX_FACTOR
                 h_abs = h * (min(1.0, factor) if rejected else factor)
                 break
             h_abs = h * max(MIN_FACTOR, SAFETY * error ** -0.2)
             rejected = True
-            if h_abs < min_step:
-                end = Termination.FAILED
-                message = "Required step size is less than spacing between numbers."
+            if h_abs < min_step or t_new == math.inf:  # NaN estimates; h_abs would stay inf
                 break
-        if end is Termination.FAILED:
+        if not error < 1.0:  # the step failed
+            end = Termination.FAILED
+            message = ("Required step takes sigma past the largest float." if t_new == math.inf
+                       else "Required step size is less than spacing between numbers.")
             break
-        stages.append((m1, m3, m4, m5, m6, m7, p1, p3, p4, p5, p6, p7))
-        t, P, Q, L, y1 = t_new, Pn, Qn, Ln, y7
+        stages += (m1, m3, m4, m5, m6, m7, p1, p3, p4, p5, p6, p7)
+        t, y1 = t_new, y7
+        P, Q, L = Pn, Qn, Ln
+        aP, aQ, aL = aPn, aQn, aLn
         times.append(t)
-        states.append((P, Q, L))
+        states += (P, Q, L)
         g_old, g_new = g_new, margin(P, Q, L)
         if g_new <= 0.0:
             end = None
             break
 
-    sigma = np.array(times)
-    rows = np.array(states)
-    m, p = np.array(stages).reshape(-1, 2, 6).transpose(1, 0, 2)
+    sigma = np.fromiter(times, float, len(times))
+    rows = np.fromiter(states, float, len(states)).reshape(-1, 3)
+    m, p = np.fromiter(stages, float, len(stages)).reshape(-1, 2, 6).transpose(1, 0, 2)
     derivatives = np.stack([k * m, k * p, -0.5 * k * m * p], axis=-1)
     quartic = np.matmul(_DENSE.T, derivatives) * np.diff(sigma)[:, None, None]
     if end is None and len(stages):
         t_old, t_new = times[-2], times[-1]
         h = t_new - t_old
-        y_old, c = states[-2], quartic[-1].tolist()
+        y_old, c = states[-6:-3], quartic[-1].tolist()
 
         def crossing(t: float) -> float:
             return margin(*_quartic_at(y_old, c, (t - t_old) / h))
@@ -614,7 +627,7 @@ ROUND_LOGIT = math.log(2.0 / (VERTEX_DELTA - 2.0 * math.ulp(2.0)) - 1.0)
 
 def _round_corner_margin(P: float, Q: float, L: float) -> float:
     """Positive until 1 - p and 1 - q are both at most l(-ROUND_LOGIT)."""
-    return ROUND_LOGIT - min(P, Q)
+    return ROUND_LOGIT - (Q if Q < P else P)  # min(P, Q) without the call
 
 
 def integrate(m0: MetricCoeffs, params: FlowParams | None = None) -> Trajectory:

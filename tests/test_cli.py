@@ -512,13 +512,15 @@ def test_repeats_in_separate_processes_are_byte_identical(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def _python(*args: str, **env: str) -> subprocess.CompletedProcess:
+def _python(*args: str, timeout: float | None = None, **env: str) -> subprocess.CompletedProcess:
     """Run the interpreter on this checkout's package, output captured; env
-    sets further environment variables."""
+    sets further environment variables, and a run past timeout seconds
+    raises subprocess.TimeoutExpired."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def test_output_off_numpys_avx512_path_agrees_to_rounding():
@@ -579,6 +581,21 @@ def test_underflow_past_the_float_range_is_a_domain_error(run_cli, args):
     code, out, err = run_cli(*args)
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "domain"
+
+
+@pytest.mark.parametrize("args", [
+    ("simulate", "--a", "0.5", "--b", "1", "--c", "1.5", "--r2", "1.7e308"),
+    ("flowlines", "--grid", "1x1", "--r2", "1e308"),
+], ids=["simulate", "flowlines"])
+def test_sigma_overflow_exits_4(args):
+    # Past R^2 of about 2e307 sigma overflows before collapse, and the
+    # stepper retried its infinite step forever.  The timeout turns such a
+    # hang into a failure instead of a stalled suite.
+    result = _python("-m", "danteflow", *args, timeout=60)
+    assert result.returncode == 4 and result.stdout == ""
+    error = json.loads(result.stderr)
+    assert error["error"] == "integration_failure"
+    assert "sigma past the largest float" in error["message"]
 
 
 def test_empty_r2_variable_counts_as_unset(run_cli, monkeypatch):

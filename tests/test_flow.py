@@ -15,7 +15,7 @@ from danteflow.flow import (FlowParams, Termination, Trajectory, integrate,
                             isotropic_lambda, rhs, x_rate)
 from danteflow.geometry import (MetricCoeffs, StretchFactors, curvature_summary,
                                 metric_coeffs, ricci_eigenvalues, stretch_from_metric)
-from danteflow.shapespace import ShapePoint, from_xy
+from danteflow.shapespace import ShapePoint, from_xy, trace_flowline
 
 
 def rhs_bracket(u, v, w, r_squared):
@@ -172,6 +172,27 @@ def test_integration_failure_carries_partial_trajectory():
     assert isinstance(partial, Trajectory)
     assert partial.terminated is Termination.FAILED
     assert len(partial) >= 1
+
+
+def test_sigma_overflow_is_an_integration_failure():
+    # Past R^2 of about 2e307 the field's scale 8/R^2 is so small that sigma
+    # overflows before collapse.  The step to sigma = inf gave a NaN error
+    # estimate, and its rejection left the step size inf, so the stepper
+    # never returned.
+    for r_squared in (5e307, 1e308):
+        with pytest.raises(IntegrationFailureError) as excinfo:
+            integrate(MetricCoeffs(0.3, 0.6, 1.2), FlowParams(r_squared=r_squared))
+        assert str(excinfo.value) == (
+            "integration failed: Required step takes sigma past the largest float.")
+        assert excinfo.value.trajectory.terminated is Termination.FAILED
+    with pytest.raises(IntegrationFailureError, match="sigma past the largest float"):
+        trace_flowline(ShapePoint(1.0, 0.5), params=FlowParams(r_squared=1e308))
+    # Ten times below 1e308 the shape still collapses, at R^2/4 times its
+    # R^2 = 4 time.
+    base = integrate(MetricCoeffs(0.3, 0.6, 1.2)).collapse_time
+    huge = integrate(MetricCoeffs(0.3, 0.6, 1.2), FlowParams(r_squared=1e307))
+    assert huge.terminated is Termination.COLLAPSED
+    assert huge.collapse_time == pytest.approx(0.25e307 * base, rel=1e-9)
 
 
 def _lift(edge: str, share: float, log_height: float, r_squared: float) -> StretchFactors:
