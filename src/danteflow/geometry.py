@@ -20,9 +20,13 @@ the Ricci-eigenvalue ratios rho = R22/R33, tau = R11/R33 of such a point
 (to_rho_tau); shapespace traces the flow through that triangle.
 
 All operations here are pure functions of value types and can be called
-concurrently without coordination.  stretch_from_metric returns Python
-floats for any real input, numpy scalars included, so that the curvatures
-of its result run on Python floats.
+concurrently without coordination.  The value types on the per-sample path
+(MetricCoeffs, StretchFactors, CurvatureSummary) have a hand-written
+constructor: one chained range test covers every field, the per-field
+check runs only to name the first bad one, and the fields are stored as
+given, with no coercion.  stretch_from_metric is where numbers become
+Python floats: it returns them for any real input, numpy scalars
+included, so that the curvatures of its result run on Python floats.
 """
 from __future__ import annotations
 
@@ -56,13 +60,15 @@ def _half_excess(x: float, y: float, z: float) -> float:
     return 0.5 * min(y, z) + 0.5 * (max(y, z) - x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StretchFactors:
     """Deformation parameters (a, b, c) of a stretched S^3 plus R^2.
 
-    All four numbers must be positive.  Curvature-valued operations are
-    permutation-equivariant, so unordered triples are accepted; flow entry
-    points require the ordered convention a <= b <= c (use :meth:`ordered`).
+    All four numbers must be positive and finite; the constructor tests
+    them in one comparison and stores them as given.  Curvature-valued
+    operations are permutation-equivariant, so unordered triples are
+    accepted; flow entry points require the ordered convention a <= b <= c
+    (use :meth:`ordered`).
     """
 
     a: float
@@ -70,11 +76,18 @@ class StretchFactors:
     c: float
     r_squared: float = DEFAULT_R_SQUARED
 
-    def __post_init__(self) -> None:
-        _require_positive("a", self.a)
-        _require_positive("b", self.b)
-        _require_positive("c", self.c)
-        _require_positive("r_squared", self.r_squared)
+    def __init__(self, a: float, b: float, c: float,
+                 r_squared: float = DEFAULT_R_SQUARED) -> None:
+        if not (0.0 < a <= 1.7976931348623157e308
+                and 0.0 < b <= 1.7976931348623157e308
+                and 0.0 < c <= 1.7976931348623157e308
+                and 0.0 < r_squared <= 1.7976931348623157e308):
+            # Field by field only to name the first bad one.
+            _require_positive("a", a)
+            _require_positive("b", b)
+            _require_positive("c", c)
+            _require_positive("r_squared", r_squared)
+        self.__dict__.update(a=a, b=b, c=c, r_squared=r_squared)
 
     @classmethod
     def ordered(cls, a: float, b: float, c: float,
@@ -90,21 +103,28 @@ class StretchFactors:
         return StretchFactors(a, b, c, self.r_squared)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MetricCoeffs:
     """Diagonal metric coefficients (u, v, w), the variables the flow evolves.
 
-    For an ordered shape a <= b <= c the mirrored ordering w >= v >= u holds.
+    All three must be positive and finite; the constructor tests them in
+    one comparison and stores them as given.  For an ordered shape
+    a <= b <= c the mirrored ordering w >= v >= u holds.
     """
 
     u: float
     v: float
     w: float
 
-    def __post_init__(self) -> None:
-        _require_positive("u", self.u)
-        _require_positive("v", self.v)
-        _require_positive("w", self.w)
+    def __init__(self, u: float, v: float, w: float) -> None:
+        if not (0.0 < u <= 1.7976931348623157e308
+                and 0.0 < v <= 1.7976931348623157e308
+                and 0.0 < w <= 1.7976931348623157e308):
+            # Field by field only to name the first bad one.
+            _require_positive("u", u)
+            _require_positive("v", v)
+            _require_positive("w", w)
+        self.__dict__.update(u=u, v=v, w=w)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.u, self.v, self.w)
@@ -115,12 +135,13 @@ class MetricCoeffs:
         return _half_sum(self.u, self.v, self.w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CurvatureSummary:
     """Principal curvatures, Ricci eigenvalues, and the Ricci scalar.
 
     By construction ricci11 = kappa2 + kappa3 (cyclically) and
-    scalar = 2 (kappa1 + kappa2 + kappa3), exactly.
+    scalar = 2 (kappa1 + kappa2 + kappa3), exactly.  The constructor
+    stores the values as given, unchecked: curvatures take any sign.
     """
 
     kappa1: float
@@ -130,6 +151,11 @@ class CurvatureSummary:
     ricci22: float
     ricci33: float
     scalar: float
+
+    def __init__(self, kappa1: float, kappa2: float, kappa3: float, ricci11: float,
+                 ricci22: float, ricci33: float, scalar: float) -> None:
+        self.__dict__.update(kappa1=kappa1, kappa2=kappa2, kappa3=kappa3, ricci11=ricci11,
+                             ricci22=ricci22, ricci33=ricci33, scalar=scalar)
 
 
 class ShapeKind(Enum):
@@ -212,11 +238,7 @@ def connection_coefficients(f: StretchFactors) -> tuple[float, float, float]:
 def curvature_summary(f: StretchFactors) -> CurvatureSummary:
     """Bundle curvatures with the trace relations applied exactly."""
     k1, k2, k3 = _principal(f.a, f.b, f.c, 4.0 / f.r_squared)
-    return CurvatureSummary(
-        kappa1=k1, kappa2=k2, kappa3=k3,
-        ricci11=k2 + k3, ricci22=k1 + k3, ricci33=k1 + k2,
-        scalar=2.0 * (k1 + k2 + k3),
-    )
+    return CurvatureSummary(k1, k2, k3, k2 + k3, k1 + k3, k1 + k2, 2.0 * (k1 + k2 + k3))
 
 
 def metric_coeffs(f: StretchFactors) -> MetricCoeffs:

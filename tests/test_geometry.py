@@ -1,9 +1,12 @@
+import copy
+import dataclasses
 import math
+import pickle
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -110,8 +113,11 @@ def test_stretch_from_metric_underflow_is_a_domain_error():
 
 _POSITIVE_CHECKS = {
     "MetricCoeffs.u": lambda x: MetricCoeffs(x, 1.0, 1.0),
+    "MetricCoeffs.v": lambda x: MetricCoeffs(1.0, x, 1.0),
     "MetricCoeffs.w": lambda x: MetricCoeffs(1.0, 1.0, x),
     "StretchFactors.a": lambda x: StretchFactors(x, 1.0, 1.0),
+    "StretchFactors.b": lambda x: StretchFactors(1.0, x, 1.0),
+    "StretchFactors.c": lambda x: StretchFactors(1.0, 1.0, x),
     "StretchFactors.r_squared": lambda x: StretchFactors(1.0, 1.0, 1.0, x),
     "FlowParams.r_squared": lambda x: FlowParams(r_squared=x),
     "FlowParams.rel_tol": lambda x: FlowParams(rel_tol=x),
@@ -140,6 +146,101 @@ def test_positive_check_accepts_positive_reals_and_rejects_strings(name):
         check(np.int64(2))
     with pytest.raises(TypeError):
         check("1.0")
+
+
+def test_the_first_bad_field_in_field_order_is_named():
+    with pytest.raises(DomainError) as raised:
+        MetricCoeffs(1.0, math.nan, -1.0)
+    assert str(raised.value) == "v must be a positive finite number, got nan"
+    with pytest.raises(DomainError) as raised:
+        StretchFactors(1.0, 0.0, -1.0, math.inf)
+    assert str(raised.value) == "b must be a positive finite number, got 0.0"
+    # A bad field before a string is named; a string before a bad field
+    # cannot be compared.
+    with pytest.raises(DomainError, match="^u must"):
+        MetricCoeffs(-1.0, "1.0", 1.0)
+    with pytest.raises(TypeError) as raised:
+        StretchFactors(1.0, "1.0", -1.0)
+    assert str(raised.value) == "'<' not supported between instances of 'float' and 'str'"
+
+
+_FIELD_CHECKS = {
+    f"{cls.__name__}.{field.name}": (cls, field.name)
+    for cls in (MetricCoeffs, StretchFactors) for field in dataclasses.fields(cls)
+}
+
+
+@pytest.mark.parametrize("name", _FIELD_CHECKS)
+def test_constructor_rejects_exactly_what_is_not_positive_finite(name):
+    cls, field = _FIELD_CHECKS[name]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats())
+    @example(math.nan)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-5e-324)
+    @example(sys.float_info.max)
+    def check(x):
+        kwargs = {f.name: 1.0 for f in dataclasses.fields(cls)} | {field: x}
+        if not 0 < x <= sys.float_info.max:
+            with pytest.raises(DomainError, match=f"^{field} must be a positive finite number"):
+                cls(**kwargs)
+        else:
+            stored = getattr(cls(**kwargs), field)
+            assert stored is x and stored.hex() == x.hex()
+
+    check()
+
+
+#: One instance of each value type with a hand-written constructor, and its repr.
+_VALUE_TYPES = {
+    "MetricCoeffs": (lambda: MetricCoeffs(0.25, 0.5, 2.0),
+                     "MetricCoeffs(u=0.25, v=0.5, w=2.0)"),
+    "StretchFactors": (lambda: StretchFactors(1.0, 2.0, 3.5),
+                       "StretchFactors(a=1.0, b=2.0, c=3.5, r_squared=4.0)"),
+    "CurvatureSummary": (lambda: curvature_summary(StretchFactors(1.0, 1.0, 2.0)),
+                         "CurvatureSummary(kappa1=1.0, kappa2=1.0, kappa3=-1.0, ricci11=0.0, "
+                         "ricci22=0.0, ricci33=2.0, scalar=2.0)"),
+}
+
+
+@pytest.mark.parametrize("name", _VALUE_TYPES)
+def test_value_type_contract(name):
+    make, expected_repr = _VALUE_TYPES[name]
+    value = make()
+    names = [f.name for f in dataclasses.fields(value)]
+    first = names[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, first, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(value, first)
+    assert value == make()
+    assert hash(value) == hash(make())
+    assert repr(value) == expected_repr
+    assert names == list(type(value).__match_args__)
+    assert dataclasses.astuple(value) == tuple(getattr(value, n) for n in names)
+    changed = dataclasses.replace(value, **{first: 7.0})
+    assert getattr(changed, first) == 7.0 and changed != value
+    assert all(getattr(changed, n) == getattr(value, n) for n in names[1:])
+    for twin in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and type(twin) is type(value)
+    assert type(value)(**dataclasses.asdict(value)) == value
+
+
+def test_value_types_store_their_values_as_given():
+    assert StretchFactors(a=1.0, b=2.0, c=3.0) == StretchFactors(1.0, 2.0, 3.0, 4.0)
+    assert StretchFactors(1.0, 2.0, 3.0).r_squared == 4.0
+    assert [f.name for f in dataclasses.fields(StretchFactors)] == ["a", "b", "c", "r_squared"]
+    m = MetricCoeffs(np.float64(0.5), 2, w=np.float64(3.0))
+    assert (type(m.u), type(m.v), type(m.w)) == (np.float64, int, np.float64)
+    f = StretchFactors(1, np.float64(2.0), 3, r_squared=8)
+    assert (type(f.a), type(f.b), type(f.c), type(f.r_squared)) == (int, np.float64, int, int)
+    c = CurvatureSummary(1, 2.0, np.float64(-3.0), 4, 5, 6, 7)
+    assert [type(x) for x in dataclasses.astuple(c)] == [int, float, np.float64, int, int, int, int]
 
 
 def test_round_trip_property():
