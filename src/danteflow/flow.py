@@ -44,21 +44,20 @@ collapsing at T = t(0) = (Z/2)(1/(1+eps) + F(eps)).  F is the one series
 summed to three terms where |z| < SERIES_SWITCH^2: the snake's atan and
 the turtle's log continued through the round sphere eps = 0.
 
-Closed-form times are expressed in the R^2 = 4 normalization in which the
-reductions are derived; rescale by r_squared/4 for other radii.
+R^2 only rescales time: the stepper steps R^2 = 4 (k = 2, -2 backward) and
+_time_panels scales by w0 R^2/4; closed-form times, at 4, scale by R^2/4.
 
 The numeric integrator is one Dormand-Prince 5(4) stepper on plain floats
 whose stages carry the field's one scalar y (L is advanced once per step),
 with RK45's error estimate and controller: the RMS error norm over
 atol + rtol max(|old|, |new|) per component, safety factor 0.9 with step factors bounded
 to [0.2, 10], the Hairer-Norsett-Wanner initial step, and failure once a
-step falls below ten units in the last place of sigma or sigma overflows
-(at an R^2 above about 1e307).  Every accepted step
-keeps its 4th-order (Shampine) quartic in sigma, built from the 1 - y and
-1 + y its stages formed.  A run returns one _Run, ended by its stop margin
-(a start past it takes no step), max_steps or that failure, which a
-Trajectory and a traced branch hold.  Flow time is Gauss-Legendre
-quadrature of dt/dsigma over panels of that dense output.
+step falls below ten units in the last place of sigma or sigma overflows.
+Every accepted step keeps its 4th-order (Shampine) quartic in sigma, built
+from the 1 - y and 1 + y its stages formed.  A run returns one _Run, ended
+by its stop margin (a start past it takes no step), max_steps or that
+failure, which a Trajectory and a traced branch hold.  Flow time is
+Gauss-Legendre quadrature of dt/dsigma over panels of that dense output.
 The stop events (collapse here; in shapespace a vertex, and the apex of a
 flow line where 1 - p^2 - q^2 changes sign) and the closed-form inversions
 are located by one bracketed root-finder, _bracket_crossing.
@@ -157,7 +156,7 @@ class Trajectory:
     terminated: Termination
     collapse_time: float | None
     #: For sample_at: the stepper's _Run over the sorted coefficients, its
-    #: time panels, w0 and each sorted coefficient's column.
+    #: time panels, the time scale, w0 and each sorted coefficient's column.
     _dense: tuple | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
@@ -176,19 +175,19 @@ class Trajectory:
             raise DomainError("requested time outside the integrated span")
         row = np.searchsorted(times, t)
         stored = (times[row] == t)[..., None]
-        (sigma, states, quartic, _, _), (step, lo, width, ends), w0, columns = self._dense
-        # Times in units of 2^e, the least power of two above w0, so that w0
-        # times a step's sigma span neither underflows nor overflows; scaling
-        # by a power of two is exact.
-        e = math.frexp(w0)[1]
+        run, (step, lo, width, ends), time_scale, w0, columns = self._dense
+        # Times in units of 2^e, the least power of two above the time scale,
+        # so that it times a step's sigma span neither underflows nor
+        # overflows; scaling by a power of two is exact.
+        e = math.frexp(time_scale)[1]
         t, ends = np.ldexp(t, -e), np.ldexp(ends, -e)
         # A time on a panel boundary belongs to the panel that starts there.
         j = np.minimum(np.searchsorted(ends, t, side="right"), len(ends) - 1)
         step, lo, width, t_lo = step[j], lo[j], width[j], np.where(j > 0, ends[j - 1], 0.0)
         share = (t - t_lo) / np.maximum(ends[j] - t_lo, sys.float_info.min)
         x = lo + width * np.clip(share, 0.0, 1.0)  # the fraction of the step
-        scale = math.ldexp(w0, -e) * np.diff(sigma)[step]  # dt/dx = scale _rate
-        start, quartic = states[step], quartic[step]
+        scale = math.ldexp(time_scale, -e) * np.diff(run.sigma)[step]  # dt/dx = scale _rate
+        start, quartic = run.states[step], run.quartic[step]
         nodes = np.append(_GL_NODES, 1.0)
         for _ in range(3):
             part = x - lo
@@ -226,7 +225,7 @@ def rhs(m: MetricCoeffs, r_squared: float = DEFAULT_R_SQUARED) -> tuple[float, f
 def _field(P: float, Q: float, L: float, r_squared: float) -> tuple[float, float, float]:
     """The scale-free field d(P, Q, L)/dsigma of the module docstring.
 
-    An oracle: _dormand_prince takes its initial step from it, and the
+    An oracle: _initial_step takes the first step size from it, and the
     tests check the stepper's one-scalar stages and scipy's RK45 against
     it; the stages themselves carry only y."""
     k = 8.0 / r_squared
@@ -287,8 +286,8 @@ _POWERS = np.array((1.0, 2.0, 3.0, 4.0))
 PANEL_LOG_RATE = 0.5
 
 
-def _time_panels(sigma: np.ndarray, states: np.ndarray, quartic: np.ndarray, w0: float):
-    """The integral of w0 e^g, e^g = _rate, over the dense output: the
+def _time_panels(sigma: np.ndarray, states: np.ndarray, quartic: np.ndarray, time_scale: float):
+    """The integral of time_scale e^g, e^g = _rate, over the dense output: the
     quadrature panels (each one's step, its start and width as fractions of
     that step, and the time at its end), and the time of every row.
 
@@ -301,6 +300,8 @@ def _time_panels(sigma: np.ndarray, states: np.ndarray, quartic: np.ndarray, w0:
     finer move the times by at most 2e-14 relative, the rounding of their
     longer sums.
     """
+    if not sys.float_info.min <= abs(time_scale) <= sys.float_info.max:  # NaN fails too
+        raise DomainError(f"flow time scale w0 R^2/4 = {time_scale!r} is not a normal float")
     n = len(quartic)
     tail = _logistic(-states[:, :2])
     start_rate, end_rate = np.abs(quartic[:, 0, :]), np.abs(_POWERS @ quartic)
@@ -311,7 +312,7 @@ def _time_panels(sigma: np.ndarray, states: np.ndarray, quartic: np.ndarray, w0:
     width = 1.0 / m[step]
     start = (np.arange(len(step)) - np.repeat(np.cumsum(m) - m, m)) * width
     rate = _rate(states[step], quartic[step], start[:, None] + width[:, None] * _GL_NODES)
-    ends = w0 * np.cumsum(np.diff(sigma)[step] * width * (rate @ _GL_WEIGHTS))
+    ends = time_scale * np.cumsum(np.diff(sigma)[step] * width * (rate @ _GL_WEIGHTS))
     return (step, start, width, ends), np.concatenate([[0.0], ends[np.cumsum(m) - 1]])
 
 
@@ -434,16 +435,17 @@ def _scaled_rms(values, scales) -> float:
     return norm if norm < math.inf else math.hypot(a, b, c) / math.sqrt(3.0)
 
 
-def _initial_step(y, f, r_squared, rel_tol, abs_tol) -> float:
+def _initial_step(y, direction, rel_tol, abs_tol) -> float:
     # Hairer, Norsett and Wanner, Solving ODEs I, II.4, for an error
-    # estimator of order 4 on an unbounded interval.
+    # estimator of order 4 on an unbounded interval, on the R^2 = 4 field.
     scales = [abs_tol + abs(yi) * rel_tol for yi in y]
+    f = _field(*y, 4.0 * direction)
     d0 = _scaled_rms(y, scales)
     d1 = _scaled_rms(f, scales)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     if not 0.0 < h0 < math.inf:  # d1 overflowed even through hypot
         h0 = 1e-6
-    f1 = _field(y[0] + h0 * f[0], y[1] + h0 * f[1], y[2] + h0 * f[2], r_squared)
+    f1 = _field(y[0] + h0 * f[0], y[1] + h0 * f[1], y[2] + h0 * f[2], 4.0 * direction)
     d2 = _scaled_rms([a - b for a, b in zip(f1, f)], scales) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -472,12 +474,13 @@ class _Run(NamedTuple):
     message: str | None
 
 
-def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: float,
+def _dormand_prince(y0: tuple[float, float, float], direction: float, rel_tol: float,
                     abs_tol: float, max_steps: int,
                     margin: Callable[[float, float, float], float]) -> _Run:
-    """Step the field of the module docstring from y0 = (P, Q, L) at sigma = 0
-    until margin(P, Q, L) is no longer positive; a start where it is not
-    takes no step and gives one row, an empty quartic and end None.
+    """Step the field of the module docstring at R^2 = 4, k = 2 direction,
+    from y0 = (P, Q, L) at sigma = 0 until margin(P, Q, L) is no longer
+    positive; a start where it is not takes no step and gives one row, an
+    empty quartic and end None.  direction is 1.0, or -1.0 for backward.
 
     Each stage carries only y = q - p: with S_i = sum_j a_ij y_j and the
     node c_i = sum_j a_ij, stage i sits at (P + hk (c_i - S_i),
@@ -487,20 +490,18 @@ def _dormand_prince(y0: tuple[float, float, float], r_squared: float, rel_tol: f
     of _field, formed once per stage as m_j = 1 - y_j and p_j = 1 + y_j, so
     the steps are RK45's to rounding.
 
-    The field is proportional to 1/R^2, so a negative r_squared runs it
-    backward.  The run fails (end FAILED) once a rejected step falls below
-    ten units in the last place of sigma, or once a step would take sigma
-    past the largest float, as it does before collapse where |R^2| is above
-    about 1e307.  The crossing is localized on the crossing step's quartic to
-    a few units in the last place of sigma, and the last row is taken on
-    the nonpositive side.
+    The run fails (end FAILED) once a rejected step falls below ten units
+    in the last place of sigma, or would take sigma past the largest float
+    (a guard against an endless retry).  The crossing is localized on the
+    crossing step's quartic to a few units in the last place of sigma, and
+    the last row is taken on the nonpositive side.
     """
     g_new = margin(*y0)
     P, Q, L = y0
     aP, aQ, aL = abs(P), abs(Q), abs(L)
-    k = 8.0 / r_squared
+    k = 2.0 * direction
     tanh, sqrt, ulp = math.tanh, math.sqrt, math.ulp
-    h_abs = _initial_step(y0, _field(P, Q, L, r_squared), r_squared, rel_tol, abs_tol)
+    h_abs = _initial_step(y0, direction, rel_tol, abs_tol)
     y1 = 0.5 * (tanh(0.5 * Q) - tanh(0.5 * P))
     t = 0.0
     times = [t]
@@ -649,15 +650,16 @@ def integrate(m0: MetricCoeffs, params: FlowParams | None = None) -> Trajectory:
     u, v, w0 = (y0[i] for i in columns)
     log_share = math.log(params.collapse_eps)
     run = _dormand_prince(
-        (_logit(u, w0), _logit(v, w0), 0.0), params.r_squared,
+        (_logit(u, w0), _logit(v, w0), 0.0), 1.0,
         INTEGRATE_TOL_FACTOR * params.rel_tol, INTEGRATE_TOL_FACTOR * params.abs_tol,
         params.max_steps, lambda P, Q, L: max(L - log_share, _round_corner_margin(P, Q, L)))
     coeffs = _coeffs(run.states, w0, columns)
-    panels, times = _time_panels(run.sigma, run.states, run.quartic, w0)
+    time_scale = w0 * (0.25 * params.r_squared)
+    panels, times = _time_panels(run.sigma, run.states, run.quartic, time_scale)
     collapse_time = None if run.end else float(times[-1]) + (
         0.25 * params.r_squared * sum(coeffs[-1, list(columns)].tolist()) / 3.0)
     trajectory = Trajectory(times, coeffs, run.end or Termination.COLLAPSED, collapse_time,
-                            (run, panels, w0, columns) if len(run.quartic) else None)
+                            (run, panels, time_scale, w0, columns) if len(run.quartic) else None)
     if run.end is Termination.FAILED:
         raise IntegrationFailureError(f"integration failed: {run.message}", trajectory=trajectory)
     return trajectory

@@ -17,7 +17,7 @@ x = p + q, y = q - p), lines are traced on the scale-free field of flow,
 the one integrate steps, in the logits P = ln(p/(1 - p)), Q = ln(q/(1 - q))
 and L = ln(w/w0); p = l(P) for l the logistic function.  There the
 vertices lie at infinity, the field stays bounded instead of stiffening,
-and dP + dQ = 2k dsigma (k = 8/R^2) makes P + Q an exact clock.  The edges
+and dP + dQ = 2k dsigma (k = 2, R^2 = 4) makes P + Q an exact clock.  The edges
 stay invariant: P = Q on the snakes, Q = +inf (stepped as it is) on the
 turtles, P = -inf on the degenerate line.  The forward branch stops within
 VERTEX_DELTA of the round corner (2, 0), the backward one within
@@ -171,16 +171,16 @@ class _Branch(NamedTuple):
     apex: ShapePoint | None
 
 
-def _trace_branch(start: ShapePoint, w0: float, r_squared: float,
+def _trace_branch(start: ShapePoint, w0: float, direction: float,
                   params: FlowParams) -> _Branch:
     """One branch of a flow line, from start to within VERTEX_DELTA of a
-    vertex ((2, 0) forward); a negative r_squared traces it backward.
+    vertex ((2, 0) forward) for a direction of 1.0, backward for -1.0.
 
     The rows run in the branch's own order; a start past the branch's own
     stop (forward only near (2, 0)) gives one row and no steps.  Raises
     IntegrationFailureError when the branch stops short of a vertex.
 
-    y rises along the branch while sign(R^2) m > 0 (m of _row; the sign
+    y rises along the branch while direction m > 0 (m of _row; direction
     turns the backward branch around) and y > 0, so a line crosses the
     circle once, on at most one of its branches.  The step over which that
     margin falls from > 0 to <= 0, from a row with y >= 0, is stepped again
@@ -190,28 +190,28 @@ def _trace_branch(start: ShapePoint, w0: float, r_squared: float,
     snake edge, where y = 0 throughout, the re-step stops at (sqrt 2, 0).
     """
     y0 = (_logit((start.x - start.y) / 2.0), _logit((start.x + start.y) / 2.0), 0.0)
-    run = _dormand_prince(y0, r_squared, params.rel_tol, params.abs_tol, params.max_steps,
-                          _round_corner_margin if r_squared > 0.0 else _vertex_margin)
-    times = _time_panels(run.sigma, run.states, run.quartic, w0 if r_squared > 0.0 else -w0)[1]
+    run = _dormand_prince(y0, direction, params.rel_tol, params.abs_tol, params.max_steps,
+                          _round_corner_margin if direction > 0.0 else _vertex_margin)
+    time_scale = direction * w0 * (0.25 * params.r_squared)
+    times = _time_panels(run.sigma, run.states, run.quartic, time_scale)[1]
     if run.end is not None:
         coeffs = _coeffs(run.states, w0)
-        if r_squared < 0.0:  # a Trajectory runs forward in time
+        if direction < 0.0:  # a Trajectory runs forward in time
             times, coeffs = times[::-1], coeffs[::-1]
         raise IntegrationFailureError(
-            f"{'forward' if r_squared > 0.0 else 'backward'} branch from "
+            f"{'forward' if direction > 0.0 else 'backward'} branch from "
             f"({start.x}, {start.y}) stopped short of a vertex after "
             f"{len(run.sigma) - 1} steps: {run.message or run.end.value}",
             trajectory=Trajectory(times, coeffs, run.end, None))
     rows = np.array([_row(P, Q) for P, Q, _ in run.states.tolist()])
-    sign = 1.0 if r_squared > 0.0 else -1.0
-    y, margin = rows[:, 1], sign * rows[:, 2]
+    y, margin = rows[:, 1], direction * rows[:, 2]
     crossing = np.flatnonzero((margin[:-1] > 0.0) & (margin[1:] <= 0.0) & (y[:-1] >= 0.0))
     if not len(crossing):
         return _Branch(run, times, rows, None)
     fine = _dormand_prince(
-        tuple(run.states[crossing[0]].tolist()), r_squared, APEX_TOL_FACTOR * params.rel_tol,
+        tuple(run.states[crossing[0]].tolist()), direction, APEX_TOL_FACTOR * params.rel_tol,
         APEX_TOL_FACTOR * params.abs_tol, params.max_steps,
-        lambda P, Q, L: sign * _row(P, Q)[2])
+        lambda P, Q, L: direction * _row(P, Q)[2])
     if fine.end is not None:
         raise IntegrationFailureError(
             f"apex re-step stopped short after {len(fine.sigma) - 1} steps: "
@@ -226,7 +226,7 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
 
     The logit field of the module docstring is stepped from
     (P, Q, L) = (logit((x - y)/2), logit((x + y)/2), 0) forward, and backward
-    with R^2 negated, each until the line is within VERTEX_DELTA of a
+    with the field negated, each until the line is within VERTEX_DELTA of a
     vertex: the forward branch only at the round corner (2, 0), even where
     it passes close by (1, 1) from a start near the degenerate edge; the
     backward one at the origin (or at (1, 1) along the turtle edge, where
@@ -235,8 +235,8 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
     branch that stops short (params.max_steps, step-size underflow) raises
     IntegrationFailureError carrying the branch as a Trajectory of
     (u, v, w) = w0 e^L (p, q, 1).  c0 lifts the start to a metric with
-    largest coefficient w0 = w(0); it scales the times by 1/c0^2
-    and leaves xs, ys and the apex unchanged.  The t = 0 sample is the start
+    largest coefficient w0 = w(0); times scale by w0 R^2/4 (by 1/c0^2 in c0),
+    leaving xs, ys and the apex unchanged.  The t = 0 sample is the start
     exactly; times come from quadrature of dt/dsigma (see flow._time_panels).
 
     The apex is the one that _trace_branch re-steps on whichever branch
@@ -247,10 +247,10 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
     if params is None:
         params = FlowParams()
     w0 = metric_coeffs(from_xy(start, c0)).w
-    forward = _trace_branch(start, w0, params.r_squared, params)
+    forward = _trace_branch(start, w0, 1.0, params)
     rows, times, apex = forward.rows, forward.times, forward.apex
     if include_backward:
-        backward = _trace_branch(start, w0, -params.r_squared, params)
+        backward = _trace_branch(start, w0, -1.0, params)
         rows = np.vstack([backward.rows[:0:-1], rows])
         times = np.concatenate([backward.times[:0:-1], times])
         apex = apex or backward.apex

@@ -515,10 +515,11 @@ def test_repeats_in_separate_processes_are_byte_identical(tmp_path):
 def _python(*args: str, timeout: float | None = None, **env: str) -> subprocess.CompletedProcess:
     """Run the interpreter on this checkout's package, output captured; env
     sets further environment variables, and a run past timeout seconds
-    raises subprocess.TimeoutExpired."""
+    raises subprocess.TimeoutExpired.  A RuntimeWarning is an error, as
+    pyproject makes it in-process, unless env sets PYTHONWARNINGS."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning", **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=timeout)
 
@@ -583,19 +584,59 @@ def test_underflow_past_the_float_range_is_a_domain_error(run_cli, args):
     assert json.loads(err)["error"] == "domain"
 
 
-@pytest.mark.parametrize("args", [
-    ("simulate", "--a", "0.5", "--b", "1", "--c", "1.5", "--r2", "1.7e308"),
-    ("flowlines", "--grid", "1x1", "--r2", "1e308"),
+def _times(command: str, out: str) -> np.ndarray:
+    # The collapse time of simulate (its summary) or the t column of flowlines.
+    if command == "simulate":
+        return np.array([json.loads(out)["collapse_time"]])
+    header, rows = parse_csv(out)
+    return np.array([float(row[header.index("t")]) for row in rows])
+
+
+@pytest.mark.parametrize("args, r2", [
+    (("simulate", "--a", "0.5", "--b", "1", "--c", "1.5", "--output", os.devnull), 1.7e308),
+    (("flowlines", "--grid", "1x1"), 1e308),
 ], ids=["simulate", "flowlines"])
-def test_sigma_overflow_exits_4(args):
-    # Past R^2 of about 2e307 sigma overflows before collapse, and the
-    # stepper retried its infinite step forever.  The timeout turns such a
-    # hang into a failure instead of a stalled suite.
+def test_the_largest_r2_scales_the_times(run_cli, args, r2):
+    # At R^2 near the largest float sigma overflowed before collapse: the
+    # stepper once retried its infinite step forever, then exited 4.  It now
+    # steps R^2 = 4 at every R^2.  The timeout turns a hang into a failure
+    # instead of a stalled suite.
+    result = _python("-m", "danteflow", *args, "--r2", repr(r2), timeout=60)
+    assert result.returncode == 0, result.stderr
+    code, out, _ = run_cli(*args)
+    assert code == 0
+    assert_allclose(_times(args[0], result.stdout), r2 / 4.0 * _times(args[0], out),
+                    rtol=4e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("args, collapse_time", [
+    (("simulate", "--a", "1", "--b", "1", "--c", "1", "--r2", "1e307"), 2.5e306),
+    (("snake", "--W", "1", "--alpha", "1", "--check", "--r2", "1e307"), 1.6067477042468103e306),
+], ids=["simulate", "snake"])
+def test_a_sigma_span_near_the_float_range_exits_0(args, collapse_time):
+    # A sigma span near 1e307 overflowed in the stop search's ldexp and
+    # ended in an OverflowError traceback.
+    result = _python("-m", "danteflow", *args, "--output", os.devnull, timeout=60)
+    assert result.returncode == 0 and result.stderr == "", result.stderr
+    summary = json.loads(result.stdout)
+    assert summary["collapse_time"] == pytest.approx(collapse_time, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("args", [
+    ("simulate", "--a", "1e-100", "--b", "1e-100", "--c", "1e-100", "--r2", "1e200"),
+    ("flowlines", "--grid", "1x1", "--c0", "1e-100", "--r2", "1e200"),
+    ("simulate", "--a", "1e150", "--b", "1e150", "--c", "1e150", "--r2", "1e-300"),
+], ids=["simulate-overflow", "flowlines-overflow", "simulate-underflow"])
+def test_flow_times_past_the_float_range_exit_3(args):
+    # w0 R^2/4 past the float range printed numpy RuntimeWarnings and a
+    # wrong message (the first two) or a ValueError traceback (the third).
     result = _python("-m", "danteflow", *args, timeout=60)
-    assert result.returncode == 4 and result.stdout == ""
-    error = json.loads(result.stderr)
-    assert error["error"] == "integration_failure"
-    assert "sigma past the largest float" in error["message"]
+    assert result.returncode == 3 and result.stdout == ""
+    assert "RuntimeWarning" not in result.stderr
+    [line] = result.stderr.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "domain"
+    assert "time scale w0 R^2/4" in error["message"]
 
 
 def test_empty_r2_variable_counts_as_unset(run_cli, monkeypatch):

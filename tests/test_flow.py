@@ -4,7 +4,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -174,28 +174,31 @@ def test_integration_failure_carries_partial_trajectory():
     assert len(partial) >= 1
 
 
-def test_sigma_overflow_is_an_integration_failure():
-    # Past R^2 of about 2e307 the field's scale 8/R^2 is so small that sigma
-    # overflows before collapse.  The step to sigma = inf gave a NaN error
-    # estimate, and its rejection left the step size inf, so the stepper
-    # never returned.
-    for r_squared in (5e307, 1e308):
-        with pytest.raises(IntegrationFailureError) as excinfo:
-            integrate(MetricCoeffs(0.3, 0.6, 1.2), FlowParams(r_squared=r_squared))
-        assert str(excinfo.value) == (
-            "integration failed: Required step takes sigma past the largest float.")
-        assert excinfo.value.trajectory.terminated is Termination.FAILED
-    with pytest.raises(IntegrationFailureError, match="sigma past the largest float"):
-        trace_flowline(ShapePoint(1.0, 0.5), params=FlowParams(r_squared=1e308))
-    # Ten times below 1e308 the shape still collapses, at R^2/4 times its
-    # R^2 = 4 time.
+def test_the_largest_r_squared_collapses_at_the_scaled_time():
+    # The stepper steps R^2 = 4 for every R^2, so sigma stays where it is at
+    # R^2 = 4.  When the stepper carried 8/R^2, sigma overflowed before
+    # collapse past R^2 of about 2e307, and these runs failed.
     base = integrate(MetricCoeffs(0.3, 0.6, 1.2)).collapse_time
-    huge = integrate(MetricCoeffs(0.3, 0.6, 1.2), FlowParams(r_squared=1e307))
-    assert huge.terminated is Termination.COLLAPSED
-    assert huge.collapse_time == pytest.approx(0.25e307 * base, rel=1e-9)
+    for r_squared in (1e307, 5e307, 1e308):
+        huge = integrate(MetricCoeffs(0.3, 0.6, 1.2), FlowParams(r_squared=r_squared))
+        assert huge.terminated is Termination.COLLAPSED
+        assert huge.collapse_time == pytest.approx(r_squared / 4.0 * base, rel=4e-15, abs=0.0)
+    line = trace_flowline(ShapePoint(1.0, 0.5))
+    huge = trace_flowline(ShapePoint(1.0, 0.5), params=FlowParams(r_squared=1e308))
+    assert_array_equal(huge.xs, line.xs)
+    assert_allclose(huge.times, 0.25e308 * line.times, rtol=4e-15, atol=0.0)
 
 
-def _lift(edge: str, share: float, log_height: float, r_squared: float) -> StretchFactors:
+def test_flow_times_past_the_float_range_are_domain_errors():
+    # The time scale w0 R^2/4 overflowed to inf (a collapse time of inf) or
+    # underflowed to 0 (a collapse time of 0).
+    for m0, r_squared in ((MetricCoeffs(1e200, 2e200, 3e200), 1e200),
+                          (MetricCoeffs(1e-300, 2e-300, 3e-300), 1e-300)):
+        with pytest.raises(DomainError, match=r"time scale w0 R\^2/4 = .* is not a normal float"):
+            integrate(m0, FlowParams(r_squared=r_squared))
+
+
+def _point(edge: str, share: float, log_height: float) -> ShapePoint:
     # A start at a height of 10^log_height times the triangle's toward an
     # edge: the snake edge y = 0 (any x), the turtle edge y = 2 - x (x > 1)
     # or the degenerate edge y = x (x < 1).  Heights up to 1/2 from each
@@ -203,7 +206,11 @@ def _lift(edge: str, share: float, log_height: float, r_squared: float) -> Stret
     x = {"snake": 2.0 * share, "turtle": 1.0 + share, "degenerate": share}[edge]
     height = min(x, 2.0 - x)
     y = 10.0 ** log_height * height if edge == "snake" else (1.0 - 10.0 ** log_height) * height
-    return from_xy(ShapePoint(x, y), r_squared=r_squared)
+    return ShapePoint(x, y)
+
+
+def _lift(edge: str, share: float, log_height: float, r_squared: float) -> StretchFactors:
+    return from_xy(_point(edge, share, log_height), r_squared=r_squared)
 
 
 #: Starts over the whole triangle, down to heights of 1e-3 times the
@@ -212,6 +219,41 @@ triangle_starts = st.builds(
     _lift, st.sampled_from(["snake", "turtle", "degenerate"]),
     st.floats(min_value=0.01, max_value=0.99), st.floats(min_value=-3.0, max_value=math.log10(0.5)),
     st.sampled_from([0.5, 4.0, 8.0]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.builds(_point, st.sampled_from(["snake", "turtle", "degenerate"]),
+                 st.floats(min_value=0.01, max_value=0.99),
+                 st.floats(min_value=-3.0, max_value=math.log10(0.5))),
+       st.integers(min_value=-200, max_value=200),
+       st.sampled_from([1e16, 1e100, 1e300]) | st.floats(min_value=1e-3, max_value=1e300))
+@example(ShapePoint(1.0, 0.5), 1, 1e16)
+@example(ShapePoint(1.0, 0.5), -1, 1e100)
+@example(ShapePoint(1.0, 0.5), 2, 1e300)
+def test_r_squared_only_rescales_time(start, j, r_squared):
+    # The field is proportional to 1/R^2, so R^2 only rescales time (the
+    # parabolic scaling of Ricci flow).  At R^2 = 4 2^j the steps, rows and
+    # flow lines are those of R^2 = 4 bit for bit and every time is exactly
+    # 2^j times; at any other R^2 the times agree to rounding.
+    m0 = metric_coeffs(from_xy(start))
+    traj, line = integrate(m0), trace_flowline(start)
+    doubled = FlowParams(r_squared=math.ldexp(4.0, j))
+    scaled, scaled_line = integrate(m0, doubled), trace_flowline(start, params=doubled)
+    assert_array_equal(scaled._dense[0].states, traj._dense[0].states)
+    assert_array_equal(scaled.coeffs, traj.coeffs)
+    assert_array_equal(scaled.times, np.ldexp(traj.times, j))
+    assert scaled.collapse_time == math.ldexp(traj.collapse_time, j)
+    assert_array_equal(scaled_line.xs, line.xs)
+    assert_array_equal(scaled_line.ys, line.ys)
+    assert_array_equal(scaled_line.times, np.ldexp(line.times, j))
+    assert scaled_line.apex == line.apex
+    ratio = r_squared / 4.0
+    other = integrate(m0, FlowParams(r_squared=r_squared))
+    assert_array_equal(other._dense[0].states, traj._dense[0].states)
+    assert_allclose(other.times, ratio * traj.times, rtol=4e-15, atol=0.0)
+    assert other.collapse_time == pytest.approx(ratio * traj.collapse_time, rel=4e-15, abs=0.0)
+    other_line = trace_flowline(start, params=FlowParams(r_squared=r_squared))
+    assert_allclose(other_line.times, ratio * line.times, rtol=4e-15, atol=0.0)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -492,7 +534,7 @@ def test_stages_match_a_textbook_dormand_prince_step(p, q, r_squared):
 
     y0 = np.array([flow_mod._logit(p), flow_mod._logit(q), 0.0])
     sigma, states, quartic, _, _ = flow_mod._dormand_prince(
-        tuple(y0), r_squared, 1e-3, 1e-3, 1, lambda P, Q, L: 1.0)
+        tuple(y0), r_squared / 4.0, 1e-3, 1e-3, 1, lambda P, Q, L: 1.0)
     h = sigma[1]
     assert 0.05 < h < 0.2
     K = np.zeros((7, 3))
@@ -507,7 +549,7 @@ def test_stages_match_a_textbook_dormand_prince_step(p, q, r_squared):
 
 def test_a_start_past_its_margin_takes_no_step():
     for margin in (0.0, -1.0):
-        run = flow_mod._dormand_prince((0.5, 1.0, 0.0), 4.0, 1e-10, 1e-12, 10,
+        run = flow_mod._dormand_prince((0.5, 1.0, 0.0), 1.0, 1e-10, 1e-12, 10,
                                        lambda P, Q, L: margin)
         assert run.sigma.tolist() == [0.0] and run.states.tolist() == [[0.5, 1.0, 0.0]]
         assert run.quartic.shape == (0, 4, 3)
@@ -570,7 +612,7 @@ def test_initial_step_is_positive_and_finite():
     # infinite scale; neither may give a zero, infinite or NaN first step.
     for y, abs_tol in (((0.3, 1.2, 0.0), 1e-160), ((0.3, 1.2, 0.0), 1e-310),
                        ((0.3, math.inf, 0.0), 1e-12), ((0.0, 0.0, 0.0), 1e-300)):
-        h = flow_mod._initial_step(y, flow_mod._field(*y, 4.0), 4.0, 1e-10, abs_tol)
+        h = flow_mod._initial_step(y, 1.0, 1e-10, abs_tol)
         assert 0.0 < h < math.inf
 
 

@@ -377,7 +377,7 @@ def test_vertex_stops_take_few_root_finder_evaluations(monkeypatch):
     for start in GRID_5X5:
         for r_squared in (4.0, -4.0):
             counts.clear()
-            _trace_branch(start, 1.0, r_squared, FlowParams())
+            _trace_branch(start, 1.0, r_squared / 4.0, FlowParams())
             assert 1 <= counts[0] <= 8, (start, r_squared, counts)
 
 
@@ -458,7 +458,7 @@ def test_flowline_branches_match_dop853():
 
     for start in GRID_5X5:
         for r_squared in (4.0, -4.0):
-            branch = _trace_branch(start, 1.0, r_squared, FlowParams())
+            branch = _trace_branch(start, 1.0, r_squared / 4.0, FlowParams())
             p0, q0 = (start.x - start.y) / 2.0, (start.x + start.y) / 2.0
             ref = solve_ivp(polynomial_field, (0.0, branch.run.sigma[-1]), [p0, q0, 0.0],
                             method="DOP853", rtol=1e-13, atol=1e-16,
@@ -484,7 +484,7 @@ def test_flowline_apexes_match_dop853():
     y_rate.terminal, y_rate.direction = True, -1.0
     for start in GRID_5X5:
         for r_squared in (4.0, -4.0):
-            branch = _trace_branch(start, 1.0, r_squared, FlowParams())
+            branch = _trace_branch(start, 1.0, r_squared / 4.0, FlowParams())
             apexes = [] if branch.apex is None else [branch.apex]
             p0, q0 = (start.x - start.y) / 2.0, (start.x + start.y) / 2.0
             ref = solve_ivp(polynomial_field, (0.0, branch.run.sigma[-1]), [p0, q0, 0.0],
@@ -511,7 +511,7 @@ def test_flowline_apexes_near_the_snake_edge_match_dop853():
                     return (1.0 - p * p - q * q) / r_squared  # dy/dsigma over 8y
 
                 inside.terminal, inside.direction = True, -1.0
-                branch = _trace_branch(start, 1.0, r_squared, FlowParams())
+                branch = _trace_branch(start, 1.0, r_squared / 4.0, FlowParams())
                 apexes = [] if branch.apex is None else [branch.apex]
                 p0, q0 = (start.x - start.y) / 2.0, (start.x + start.y) / 2.0
                 ref = solve_ivp(polynomial_field, (0.0, branch.run.sigma[-1]), [p0, q0, 0.0],
@@ -536,11 +536,11 @@ def test_flowline_apex_law_property(x, log_share):
 @settings(max_examples=40, deadline=None)
 @given(interior_starts, st.floats(min_value=0.5, max_value=10.0), st.sampled_from([1.0, -1.0]))
 def test_flowline_exact_clock_property(start, r_squared, direction):
-    # dP/dsigma + dQ/dsigma = 2k exactly, so P + Q is a clock for sigma.
-    r_squared *= direction
-    branch = _trace_branch(start, 1.0, r_squared, FlowParams(r_squared=abs(r_squared)))
+    # dP/dsigma + dQ/dsigma = 2k exactly, so P + Q is a clock for sigma, the
+    # R^2 = 4 clock (k = 2 direction) at every R^2.
+    branch = _trace_branch(start, 1.0, direction, FlowParams(r_squared=r_squared))
     P, Q, _ = branch.run.states.T
-    drift = P + Q - 2.0 * (8.0 / r_squared) * branch.run.sigma - (P[0] + Q[0])
+    drift = P + Q - 2.0 * (2.0 * direction) * branch.run.sigma - (P[0] + Q[0])
     assert np.max(np.abs(drift)) <= 1e-9
 
 
