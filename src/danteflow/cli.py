@@ -40,7 +40,7 @@ from pathlib import Path
 from . import flow, shapespace
 from .errors import DomainError, IntegrationFailureError, SingularMapError
 from .geometry import (DEFAULT_EQ_TOL, DEFAULT_R_SQUARED, MetricCoeffs, ShapePoint,
-                       StretchFactors, classify as classify_shape,
+                       StretchFactors, _require_positive, classify as classify_shape,
                        connection_coefficients, curvature_summary,
                        metric_coeffs, stretch_from_metric, to_rho_tau, to_xy)
 
@@ -102,8 +102,7 @@ def _emit_with_summary(table: str, output: str | None, summary: dict) -> None:
 
 def _resolve_r2(r2: float | None) -> float:
     value = DEFAULT_R_SQUARED if r2 is None else r2
-    if value <= 0.0 or not math.isfinite(value):
-        raise DomainError(f"r_squared must be positive, got {value!r}")
+    _require_positive("r_squared", value)
     return value
 
 

@@ -199,7 +199,8 @@ class Trajectory:
         return np.where(stored, self.coeffs[row], solved)
 
     def uniform_grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """n equispaced samples spanning the trajectory."""
+        """n equispaced samples spanning the trajectory.  Scaling R^2 by 2^k
+        scales them by exactly 2^k only while they stay normal floats."""
         if n < 2:
             raise DomainError(f"grid needs at least 2 points, got {n}")
         ts = np.linspace(self.times[0], self.times[-1], n)
@@ -365,14 +366,6 @@ def _bracket_crossing(f: Callable[[float], float], lo: float, hi: float,
     span = hi - lo
     if span <= width:
         return lo, hi
-    # An end value on the wrong side (by rounding) takes no part in
-    # interpolation: as NaN, like a NaN value of f, it fails every test
-    # below and the step takes the midpoint.  A zero at lo interpolates to
-    # lo.
-    if not g_lo >= 0.0:
-        g_lo = math.nan
-    if not g_hi <= 0.0:
-        g_hi = math.nan
     # cap = reach * 2**(evaluations left - 1).  A point within cap of both
     # ends leaves a bracket the later evaluations can halve down to reach.
     # reach falls short of width by two units in the last place of the
@@ -638,10 +631,11 @@ def integrate(m0: MetricCoeffs, params: FlowParams | None = None) -> Trajectory:
     (ln(u/(w0 - u)), ln(v/(w0 - v)), 0), at INTEGRATE_TOL_FACTOR times the
     params' tolerances until w0 e^L has fallen to collapse_eps w0 and the
     shape is round, P >= ROUND_LOGIT (the tracer's round-corner stop); the
-    collapse time adds the round sphere's remaining
-    (R^2/4) mean(u, v, w).  So integrate(2^k m0) is exactly 2^k integrate(m0).
-    Rows keep the input's column order.  Raises IntegrationFailureError
-    (carrying the partial trajectory) on step-size underflow.
+    collapse time adds the round sphere's remaining (R^2/4) mean(u, v, w).
+    Scaling m0 by 2^k scales the rows and times by exactly 2^k, and scaling
+    R^2 by 2^k the times, only while they stay normal floats.  Rows keep
+    the input's column order.  Raises IntegrationFailureError (carrying
+    the partial trajectory) on step-size underflow.
     """
     if params is None:
         params = FlowParams()

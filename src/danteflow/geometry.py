@@ -249,8 +249,9 @@ def metric_coeffs(f: StretchFactors) -> MetricCoeffs:
             v=1.0 / (f.a * f.c),
             w=1.0 / (f.a * f.b),
         )
-    except ZeroDivisionError:  # a product underflows to 0
-        raise DomainError(f"metric coefficients of ({f.a!r}, {f.b!r}, {f.c!r}) overflow") from None
+    except (ZeroDivisionError, DomainError):  # a product of 0, or a coefficient of inf or 0
+        raise DomainError(f"metric coefficients of ({f.a!r}, {f.b!r}, {f.c!r}) "
+                          "lie outside the float range") from None
 
 
 def stretch_from_metric(m: MetricCoeffs) -> tuple[float, float, float]:

@@ -47,18 +47,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (DegenerateShapeError, DomainError, IntegrationFailureError,
                      SingularSlopeError)
 from .flow import (ROUND_LOGIT, VERTEX_DELTA, FlowParams, Trajectory, _coeffs, _dormand_prince,
-                   _logistic_pair, _logit, _round_corner_margin, _Run, _time_panels)
+                   _logistic_pair, _logit, _round_corner_margin, _time_panels)
 # The chart itself (ShapePoint, to_xy, RicciRatios, to_rho_tau) lives in
 # geometry, so that classify needs no tracer; it is re-exported here.
 from .geometry import (DEFAULT_R_SQUARED, RicciRatios, ShapePoint, StretchFactors,
-                       metric_coeffs, to_rho_tau, to_xy)
+                       _require_positive, metric_coeffs, to_rho_tau, to_xy)
 
 #: Labels for the classification boundaries emitted by region_boundaries().
 SCALAR_ZERO = "scalar_zero"
@@ -105,8 +104,7 @@ def from_xy(p: ShapePoint, c: float = 1.0,
     a = c(x - y)/2 and b = c(x + y)/2; round-trips with to_xy to 1e-12.
     Points on the degenerate edge y >= x have no positive lift.
     """
-    if not math.isfinite(c) or c <= 0.0:
-        raise DomainError(f"c must be positive, got {c!r}")
+    _require_positive("c", c)
     if not (math.isfinite(p.x) and math.isfinite(p.y)):  # NaN passes every test below
         raise DomainError(f"point ({p.x}, {p.y}) is not finite")
     if p.y >= p.x:
@@ -160,25 +158,17 @@ def _vertex_margin(P: float, Q: float, L: float) -> float:
 APEX_TOL_FACTOR = 1e-3
 
 
-class _Branch(NamedTuple):
-    """One traced branch: the stepper's _Run, the flow time of each of its
-    rows from the start, their _row (x, y, m) (n+1, 3), and the apex where
-    the branch crosses the circle x^2 + y^2 = 2 (None if it never does)."""
-
-    run: _Run
-    times: np.ndarray
-    rows: np.ndarray
-    apex: ShapePoint | None
-
-
-def _trace_branch(start: ShapePoint, w0: float, direction: float,
-                  params: FlowParams) -> _Branch:
+def _trace_branch(start: ShapePoint, w0: float, direction: float, params: FlowParams):
     """One branch of a flow line, from start to within VERTEX_DELTA of a
     vertex ((2, 0) forward) for a direction of 1.0, backward for -1.0.
 
-    The rows run in the branch's own order; a start past the branch's own
-    stop (forward only near (2, 0)) gives one row and no steps.  Raises
-    IntegrationFailureError when the branch stops short of a vertex.
+    Returns (run, times, rows, apex): the stepper's _Run, the flow time of
+    each of its rows from the start, their _row (x, y, m) (n+1, 3), and the
+    apex where the branch crosses the circle x^2 + y^2 = 2 (None if it
+    never does).  The rows run in the branch's own order; a start past the
+    branch's own stop (forward only near (2, 0)) gives one row and no
+    steps.  Raises IntegrationFailureError when the branch stops short of a
+    vertex.
 
     y rises along the branch while direction m > 0 (m of _row; direction
     turns the backward branch around) and y > 0, so a line crosses the
@@ -207,7 +197,7 @@ def _trace_branch(start: ShapePoint, w0: float, direction: float,
     y, margin = rows[:, 1], direction * rows[:, 2]
     crossing = np.flatnonzero((margin[:-1] > 0.0) & (margin[1:] <= 0.0) & (y[:-1] >= 0.0))
     if not len(crossing):
-        return _Branch(run, times, rows, None)
+        return run, times, rows, None
     fine = _dormand_prince(
         tuple(run.states[crossing[0]].tolist()), direction, APEX_TOL_FACTOR * params.rel_tol,
         APEX_TOL_FACTOR * params.abs_tol, params.max_steps,
@@ -216,7 +206,7 @@ def _trace_branch(start: ShapePoint, w0: float, direction: float,
         raise IntegrationFailureError(
             f"apex re-step stopped short after {len(fine.sigma) - 1} steps: "
             f"{fine.message or fine.end.value}")
-    return _Branch(run, times, rows, ShapePoint(*_row(*fine.states[-1, :2].tolist())[:2]))
+    return run, times, rows, ShapePoint(*_row(*fine.states[-1, :2].tolist())[:2])
 
 
 def trace_flowline(start: ShapePoint, c0: float = 1.0,
@@ -247,15 +237,15 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
     if params is None:
         params = FlowParams()
     w0 = metric_coeffs(from_xy(start, c0)).w
-    forward = _trace_branch(start, w0, 1.0, params)
-    rows, times, apex = forward.rows, forward.times, forward.apex
+    _, times, rows, apex = _trace_branch(start, w0, 1.0, params)
+    at_start = 0
     if include_backward:
-        backward = _trace_branch(start, w0, -1.0, params)
-        rows = np.vstack([backward.rows[:0:-1], rows])
-        times = np.concatenate([backward.times[:0:-1], times])
-        apex = apex or backward.apex
+        _, back_times, back_rows, back_apex = _trace_branch(start, w0, -1.0, params)
+        at_start = len(back_rows) - 1
+        rows = np.vstack([back_rows[:0:-1], rows])
+        times = np.concatenate([back_times[:0:-1], times])
+        apex = apex or back_apex
     xs, ys, _ = rows.T.copy()
-    at_start = len(rows) - len(forward.rows)
     xs[at_start], ys[at_start] = start.x, start.y
     if apex is None:
         i = int(np.argmax(ys))

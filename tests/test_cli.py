@@ -639,6 +639,27 @@ def test_flow_times_past_the_float_range_exit_3(args):
     assert "time scale w0 R^2/4" in error["message"]
 
 
+@pytest.mark.parametrize("args, message", [
+    (("flowlines", "--grid", "1x1", "--c0", "1e300"),
+     "metric coefficients of (2.5e+299, 7.5e+299, 1e+300) lie outside the float range"),
+    (("simulate", "--a", "1e-160", "--b", "1e-160", "--c", "1e160"),
+     "metric coefficients of (1e-160, 1e-160, 1e+160) lie outside the float range"),
+    (("curvature", "--a", "1", "--b", "2", "--c", "3", "--r2", "0"),
+     "r_squared must be a positive finite number, got 0.0"),
+    (("flowlines", "--grid", "1x1", "--c0", "-1"),
+     "c must be a positive finite number, got -1.0"),
+], ids=["products-overflow", "products-subnormal", "r2", "c0"])
+def test_domain_errors_name_the_numbers_typed(args, message):
+    # A product of two stretch factors past the float range gave a
+    # coefficient of 0 or inf, and the message named that coefficient (u or
+    # w), a number never typed.  --r2 and --c0 share geometry's positivity
+    # message.
+    result = _python("-m", "danteflow", *args, timeout=60)
+    assert result.returncode == 3 and result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert json.loads(line) == {"error": "domain", "message": message}
+
+
 def test_empty_r2_variable_counts_as_unset(run_cli, monkeypatch):
     quick = ("curvature", "--a", "1", "--b", "2", "--c", "3")
     monkeypatch.setenv("DANTE_FLOW_R2", "")

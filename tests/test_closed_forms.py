@@ -183,6 +183,8 @@ def test_snake_inversion_round_trip():
     # A tol below the spacing of floats ends the search at adjacent floats.
     t = snake_time_of_lambda(s, 0.3)
     assert snake_lambda_of_time(s, t, tol=1e-320) == pytest.approx(0.3, abs=1e-15)
+    # A tol as wide as [0, 1] returns its midpoint without a search.
+    assert snake_lambda_of_time(s, 0.3, tol=2.0) == 0.5
     with pytest.raises(DomainError):
         snake_lambda_of_time(s, s.collapse_T + 1e-6)
     with pytest.raises(DomainError):

@@ -556,6 +556,21 @@ def test_a_start_past_its_margin_takes_no_step():
         assert run.end is None and run.message is None
 
 
+@pytest.mark.parametrize("y0", [(0.3, 0.9, 0.0), (math.inf, math.inf, 0.0)],
+                         ids=["interior", "round"])
+def test_a_step_past_the_largest_sigma_fails(y0):
+    # A margin that never falls lets sigma grow until a step would reach
+    # inf.  That step's error estimate is NaN, so it is rejected, and the
+    # retry would stay at an infinite step forever: the run fails instead.
+    # How many steps it takes moves with libm's tanh, so only a bound is
+    # pinned.
+    run = flow_mod._dormand_prince(y0, 1.0, 1e-10, 1e-12, 10_000, lambda P, Q, L: 1.0)
+    assert run.end is Termination.FAILED
+    assert run.message == "Required step takes sigma past the largest float."
+    assert 1e307 < run.sigma[-1] < math.inf
+    assert len(run.sigma) - 1 < 1000
+
+
 def test_ratios_past_the_float_range_are_domain_errors():
     # A product of two stretch factors, or u/(w0 - u), that underflows to 0
     # raised ZeroDivisionError or ValueError.
@@ -610,10 +625,23 @@ def test_initial_step_is_positive_and_finite():
     # A zero component with a tiny abs_tol overflows the derivative norm, and
     # a component at infinity (the turtle edge in logit coordinates) has an
     # infinite scale; neither may give a zero, infinite or NaN first step.
+    # A thin turtle, where every scaled derivative is below 1e-15, takes
+    # the flat-field step 1e-6.
+    thin_turtle = (flow_mod._logit(1e-300), math.inf, 0.0)
     for y, abs_tol in (((0.3, 1.2, 0.0), 1e-160), ((0.3, 1.2, 0.0), 1e-310),
-                       ((0.3, math.inf, 0.0), 1e-12), ((0.0, 0.0, 0.0), 1e-300)):
+                       ((0.3, math.inf, 0.0), 1e-12), ((0.0, 0.0, 0.0), 1e-300),
+                       (thin_turtle, 1e-12)):
         h = flow_mod._initial_step(y, 1.0, 1e-10, abs_tol)
         assert 0.0 < h < math.inf
+    assert flow_mod._initial_step(thin_turtle, 1.0, 1e-10, 1e-12) == 1e-6
+
+
+def test_bracket_crossing_at_most_width_wide_calls_no_f():
+    def never(x):
+        raise AssertionError(f"f called at {x}")
+
+    for width in (1.0, 2.0):
+        assert flow_mod._bracket_crossing(never, 0.0, 1.0, 1.0, -1.0, width) == (0.0, 1.0)
 
 
 def _check_crossing(f, level, lo, hi, width):

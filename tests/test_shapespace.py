@@ -458,13 +458,13 @@ def test_flowline_branches_match_dop853():
 
     for start in GRID_5X5:
         for r_squared in (4.0, -4.0):
-            branch = _trace_branch(start, 1.0, r_squared / 4.0, FlowParams())
+            run, _, _, _ = _trace_branch(start, 1.0, r_squared / 4.0, FlowParams())
             p0, q0 = (start.x - start.y) / 2.0, (start.x + start.y) / 2.0
-            ref = solve_ivp(polynomial_field, (0.0, branch.run.sigma[-1]), [p0, q0, 0.0],
+            ref = solve_ivp(polynomial_field, (0.0, run.sigma[-1]), [p0, q0, 0.0],
                             method="DOP853", rtol=1e-13, atol=1e-16,
                             dense_output=True, args=(r_squared,))
-            p, q, L = ref.sol(branch.run.sigma)
-            P, Q, logit_L = branch.run.states.T
+            p, q, L = ref.sol(run.sigma)
+            P, Q, logit_L = run.states.T
             lp, lq = 1.0 / (1.0 + np.exp(-P)), 1.0 / (1.0 + np.exp(-Q))
             assert np.max(np.abs(lp + lq - (p + q))) <= 1e-9
             assert np.max(np.abs(lq - lp - (q - p))) <= 1e-9
@@ -484,10 +484,10 @@ def test_flowline_apexes_match_dop853():
     y_rate.terminal, y_rate.direction = True, -1.0
     for start in GRID_5X5:
         for r_squared in (4.0, -4.0):
-            branch = _trace_branch(start, 1.0, r_squared / 4.0, FlowParams())
-            apexes = [] if branch.apex is None else [branch.apex]
+            run, _, _, apex = _trace_branch(start, 1.0, r_squared / 4.0, FlowParams())
+            apexes = [] if apex is None else [apex]
             p0, q0 = (start.x - start.y) / 2.0, (start.x + start.y) / 2.0
-            ref = solve_ivp(polynomial_field, (0.0, branch.run.sigma[-1]), [p0, q0, 0.0],
+            ref = solve_ivp(polynomial_field, (0.0, run.sigma[-1]), [p0, q0, 0.0],
                             method="DOP853", rtol=1e-13, atol=1e-16,
                             events=y_rate, args=(r_squared,))
             maxima = ref.y_events[0]
@@ -511,10 +511,10 @@ def test_flowline_apexes_near_the_snake_edge_match_dop853():
                     return (1.0 - p * p - q * q) / r_squared  # dy/dsigma over 8y
 
                 inside.terminal, inside.direction = True, -1.0
-                branch = _trace_branch(start, 1.0, r_squared / 4.0, FlowParams())
-                apexes = [] if branch.apex is None else [branch.apex]
+                run, _, _, apex = _trace_branch(start, 1.0, r_squared / 4.0, FlowParams())
+                apexes = [] if apex is None else [apex]
                 p0, q0 = (start.x - start.y) / 2.0, (start.x + start.y) / 2.0
-                ref = solve_ivp(polynomial_field, (0.0, branch.run.sigma[-1]), [p0, q0, 0.0],
+                ref = solve_ivp(polynomial_field, (0.0, run.sigma[-1]), [p0, q0, 0.0],
                                 method="DOP853", rtol=1e-13, atol=1e-16,
                                 events=inside, args=(r_squared,))
                 maxima = ref.y_events[0]
@@ -538,9 +538,9 @@ def test_flowline_apex_law_property(x, log_share):
 def test_flowline_exact_clock_property(start, r_squared, direction):
     # dP/dsigma + dQ/dsigma = 2k exactly, so P + Q is a clock for sigma, the
     # R^2 = 4 clock (k = 2 direction) at every R^2.
-    branch = _trace_branch(start, 1.0, direction, FlowParams(r_squared=r_squared))
-    P, Q, _ = branch.run.states.T
-    drift = P + Q - 2.0 * (2.0 * direction) * branch.run.sigma - (P[0] + Q[0])
+    run, _, _, _ = _trace_branch(start, 1.0, direction, FlowParams(r_squared=r_squared))
+    P, Q, _ = run.states.T
+    drift = P + Q - 2.0 * (2.0 * direction) * run.sigma - (P[0] + Q[0])
     assert np.max(np.abs(drift)) <= 1e-9
 
 
