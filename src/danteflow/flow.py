@@ -10,17 +10,19 @@ and cyclically.  Every solution collapses (all coefficients reach zero) in
 finite time.  The right-hand side is homogeneous of degree 0, so the shape
 evolves on its own and the scale only carries the clock.  For u <= v <= w,
 integrate (and shapespace's tracer) steps the bounded field of the logits
-P, Q of p = u/w, q = v/w and L = ln(w/w0) in dsigma = dt w/(u v):
+P, Q of p = u/w, q = v/w and L = ln(w/w0) in dsigma = dt w/(u v), at R^2 = 4:
 
-    dP/dsigma = k (1 - y),   dQ/dsigma = k (1 + y),   k = 8/R^2,
+    dP/dsigma = k (1 - y),   dQ/dsigma = k (1 + y),   k = 2 direction,
     dL/dsigma = -(k/2)(1 - y^2),   dt/dsigma = w0 e^L l(P) l(Q),
 
-with l the logistic function and y = q - p = l(Q) - l(P): the whole field
-is the one scalar y, and L never feeds back.  A coefficient
-equal to w0 sits at +inf and stays there (Q on the turtle edge, P and Q on
-the round sphere).  integrate stops once w = w0 e^L has fallen to
-collapse_eps w0 and the shape is round, on (P, Q, L) alone, and adds the
-round sphere's remaining time (R^2/4) mean(u, v, w).
+with direction 1 (-1 backward), l the logistic function and y = q - p =
+l(Q) - l(P): the whole field is the one scalar y, and L never feeds back.
+R^2 enters only through the time scale: _time_panels scales flow times by
+w0 R^2/4, and the closed-form times below, at R^2 = 4, by R^2/4.  A
+coefficient equal to w0 sits at +inf and stays there (Q on the turtle edge,
+P and Q on the round sphere).  integrate stops once w = w0 e^L has fallen
+to collapse_eps w0 and the shape is round, on (P, Q, L) alone, and adds
+the round sphere's remaining time (R^2/4) mean(u, v, w).
 
 Two symmetric reductions integrate in closed form and are implemented
 here alongside the numeric integrator so each can check the other: the
@@ -43,9 +45,6 @@ collapsing at T = t(0) = (Z/2)(1/(1+eps) + F(eps)).  F is the one series
 
 summed to three terms where |z| < SERIES_SWITCH^2: the snake's atan and
 the turtle's log continued through the round sphere eps = 0.
-
-R^2 only rescales time: the stepper steps R^2 = 4 (k = 2, -2 backward) and
-_time_panels scales by w0 R^2/4; closed-form times, at 4, scale by R^2/4.
 
 The numeric integrator is one Dormand-Prince 5(4) stepper on plain floats
 whose stages carry the field's one scalar y (L is advanced once per step),
@@ -223,13 +222,13 @@ def rhs(m: MetricCoeffs, r_squared: float = DEFAULT_R_SQUARED) -> tuple[float, f
     return k * (qv * qw) / (v * w), k * (qu * qw) / (u * w), k * (qu * qv) / (u * v)
 
 
-def _field(P: float, Q: float, L: float, r_squared: float) -> tuple[float, float, float]:
-    """The scale-free field d(P, Q, L)/dsigma of the module docstring.
-
-    An oracle: _initial_step takes the first step size from it, and the
-    tests check the stepper's one-scalar stages and scipy's RK45 against
-    it; the stages themselves carry only y."""
-    k = 8.0 / r_squared
+def _field(P: float, Q: float, L: float, direction: float) -> tuple[float, float, float]:
+    """The stepper's scale-free field d(P, Q, L)/dsigma of the module
+    docstring, at R^2 = 4 with k = 2 direction: R^2 enters only through the
+    time scale w0 R^2/4.  An oracle: _initial_step takes the first step size
+    from it, and the tests check the stepper's one-scalar stages and scipy's
+    RK45 against it; the stages themselves carry only y."""
+    k = 2.0 * direction
     y = 0.5 * (math.tanh(0.5 * Q) - math.tanh(0.5 * P))
     return k * (1.0 - y), k * (1.0 + y), -0.5 * k * (1.0 - y) * (1.0 + y)
 
@@ -364,8 +363,6 @@ def _bracket_crossing(f: Callable[[float], float], lo: float, hi: float,
     two adjacent floats.
     """
     span = hi - lo
-    if span <= width:
-        return lo, hi
     # cap = reach * 2**(evaluations left - 1).  A point within cap of both
     # ends leaves a bracket the later evaluations can halve down to reach.
     # reach falls short of width by two units in the last place of the
@@ -432,13 +429,13 @@ def _initial_step(y, direction, rel_tol, abs_tol) -> float:
     # Hairer, Norsett and Wanner, Solving ODEs I, II.4, for an error
     # estimator of order 4 on an unbounded interval, on the R^2 = 4 field.
     scales = [abs_tol + abs(yi) * rel_tol for yi in y]
-    f = _field(*y, 4.0 * direction)
+    f = _field(*y, direction)
     d0 = _scaled_rms(y, scales)
     d1 = _scaled_rms(f, scales)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     if not 0.0 < h0 < math.inf:  # d1 overflowed even through hypot
         h0 = 1e-6
-    f1 = _field(y[0] + h0 * f[0], y[1] + h0 * f[1], y[2] + h0 * f[2], 4.0 * direction)
+    f1 = _field(y[0] + h0 * f[0], y[1] + h0 * f[1], y[2] + h0 * f[2], direction)
     d2 = _scaled_rms([a - b for a, b in zip(f1, f)], scales) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)

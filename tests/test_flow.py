@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import astuple
 from itertools import permutations
 
@@ -510,7 +511,7 @@ def test_steps_follow_the_rk45_controller():
 
     traj = integrate(MetricCoeffs(1.0, 0.1, 0.5))
     tol = flow_mod.INTEGRATE_TOL_FACTOR
-    solver = RK45(lambda sigma, y: np.array(flow_mod._field(*y, 4.0)), 0.0,
+    solver = RK45(lambda sigma, y: np.array(flow_mod._field(*y, 1.0)), 0.0,
                   np.array([math.log(0.1 / 0.9), 0.0, 0.0]), np.inf,
                   rtol=tol * 1e-10, atol=tol * 1e-12)
     ref = [0.0]
@@ -538,11 +539,11 @@ def test_stages_match_a_textbook_dormand_prince_step(p, q, r_squared):
     h = sigma[1]
     assert 0.05 < h < 0.2
     K = np.zeros((7, 3))
-    K[0] = flow_mod._field(*y0, r_squared)
+    K[0] = flow_mod._field(*y0, r_squared / 4.0)
     for i in range(1, 6):
-        K[i] = flow_mod._field(*(y0 + h * (RK45.A[i, :i] @ K[:i])), r_squared)
+        K[i] = flow_mod._field(*(y0 + h * (RK45.A[i, :i] @ K[:i])), r_squared / 4.0)
     row = y0 + h * (RK45.B @ K[:6])
-    K[6] = flow_mod._field(*row, r_squared)
+    K[6] = flow_mod._field(*row, r_squared / 4.0)
     assert_allclose(states[1], row, rtol=0.0, atol=1e-14)
     assert_allclose(quartic[0], h * (RK45.P.T @ K), rtol=0.0, atol=1e-14)
 
@@ -640,7 +641,7 @@ def test_bracket_crossing_at_most_width_wide_calls_no_f():
     def never(x):
         raise AssertionError(f"f called at {x}")
 
-    for width in (1.0, 2.0):
+    for width in (1.0, 2.0, 1e308, sys.float_info.max):
         assert flow_mod._bracket_crossing(never, 0.0, 1.0, 1.0, -1.0, width) == (0.0, 1.0)
 
 

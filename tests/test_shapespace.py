@@ -122,7 +122,7 @@ def test_slope_matches_projected_flow():
         # The tracer's logit field, mapped back through dp = p(1 - p) dP:
         # dy/dx = (dq - dp)/(dq + dp).
         a, b = (p.x - p.y) / 2.0, (p.x + p.y) / 2.0
-        dP, dQ, _ = _field(math.log(a / (1.0 - a)), math.log(b / (1.0 - b)), 0.0, 4.0)
+        dP, dQ, _ = _field(math.log(a / (1.0 - a)), math.log(b / (1.0 - b)), 0.0, 1.0)
         dp, dq = a * (1.0 - a) * dP, b * (1.0 - b) * dQ
         assert abs(s - (dq - dp) / (dq + dp)) <= 1e-10 * max(abs(s), 1e-12)
         checked += 1
