@@ -46,6 +46,9 @@ from .geometry import (DEFAULT_EQ_TOL, DEFAULT_R_SQUARED, MetricCoeffs, ShapePoi
 
 SIMULATE_HEADER = ("t,u,v,w,a,b,c,x,y,"
                    "kappa1,kappa2,kappa3,ricci11,ricci22,ricci33,scalar")
+#: The first --grid too large for a table: numpy sizes a float64 array of at
+#: most sys.maxsize // 8 values, and a table of n samples holds more than n.
+GRID_LIMIT = sys.maxsize // 8
 
 
 class UsageError(Exception):
@@ -340,12 +343,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _at_least(low: int):
-    """The type of an integer option whose values start at low."""
+def _at_least(low: int, below: float = math.inf):
+    """The type of an integer option whose values start at low and stay
+    below `below`."""
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
+        if value >= below:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x<{below}")
         return value
     return integer
 
@@ -386,7 +392,7 @@ def _parser() -> _Parser:
 
     sub = command(simulate, shape=True)
     number(sub, "--grid", "Uniform time samples merged with the adaptive steps "
-           "(0 disables).", 200, _at_least(0))
+           "(0 disables).", 200, _at_least(0, GRID_LIMIT))
     # The bound is flow.MAX_REL_TOL, written out so that no quick query loads flow.
     number(sub, "--rel-tol", "Relative tolerance, at most 0.001.", 1e-10)
     number(sub, "--abs-tol", "Absolute tolerance, at most 0.001.", 1e-12)
@@ -401,7 +407,7 @@ def _parser() -> _Parser:
         number(sub, coeff, f"Initial {coeff[2:].lower()} coefficient.", required=True)
         number(sub, ratio, f"Non-sphericity, {law}.", required=True)
         number(sub, "--grid", f"Number of {param} intervals in the table.", 200,
-               _at_least(2))
+               _at_least(2, GRID_LIMIT))
         sub.add_argument("--check", action="store_true",
                          help="Also integrate numerically and report the max time deviation.")
 

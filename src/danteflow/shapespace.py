@@ -274,8 +274,9 @@ def region_boundaries(resolution: int = 64) -> dict[str, np.ndarray]:
     open end at the top corner left out, so the x-axis intercepts are
     exactly 1/2 and 3/2.
     """
-    if resolution < 16:
-        raise DomainError(f"resolution must be at least 16, got {resolution}")
+    # A float64 array holds at most intp's max // 8 values; a boundary takes resolution + 1.
+    if resolution >= (limit := np.iinfo(np.intp).max // 8) or resolution < 16:
+        raise DomainError(f"resolution must be at least 16 and below {limit}, got {resolution}")
 
     x_scalar = np.linspace(0.5, 1.0, resolution + 1)[:-1]
     x_kappa = np.linspace(1.0, 1.5, resolution + 1)[1:]

@@ -69,23 +69,6 @@ def test_classify_csv_format(run_cli):
     assert rows[0][header.index("ricci_sign1")] == "0"
 
 
-def test_simulate_isotropic(run_cli, tmp_path):
-    csv_path = tmp_path / "traj.csv"
-    code, out, err = run_cli("simulate", "--a", "1", "--b", "1", "--c", "1",
-                             "--output", str(csv_path))
-    assert code == 0
-    summary = json.loads(out)
-    assert summary["collapse_time"] == pytest.approx(1.0, abs=1e-6)
-    assert summary["terminated"] == "collapsed"
-
-    text = csv_path.read_text(encoding="utf-8")
-    header, rows = parse_csv(text)
-    assert ",".join(header) == SIMULATE_HEADER
-    for row in rows:
-        t, u = float(row[0]), float(row[1])
-        assert abs(u - (1.0 - t)) < 1e-9
-
-
 def test_simulate_streams_without_output(run_cli):
     code, out, err = run_cli("simulate", "--a", "1", "--b", "1", "--c", "1",
                              "--grid", "0")
@@ -239,9 +222,13 @@ def test_regions_command(run_cli, tmp_path):
     assert labels == {"scalar_zero", "kappa_min_zero", "ricci_degenerate"}
 
 
-def test_regions_resolution_floor(run_cli):
-    code, _, err = run_cli("regions", "--resolution", "8")
-    assert code == 3
+def test_regions_resolution_bounds(run_cli):
+    # Past the largest float64 array numpy sizes, sys.maxsize // 8 values, a
+    # resolution ended in numpy's ValueError, exit 1.
+    for resolution in (8, 10**21, sys.maxsize // 8):
+        code, out, err = run_cli("regions", "--resolution", str(resolution))
+        assert code == 3 and out == "", resolution
+        assert json.loads(err)["error"] == "domain"
 
 
 def test_env_var_overrides_default_r2(run_cli, monkeypatch):
@@ -387,7 +374,7 @@ def test_rel_tol_help_states_the_flow_bound(run_cli):
     # The help text spells the bound out, so that building it loads no flow.
     code, out, _ = run_cli("simulate", "--help")
     assert code == 0
-    text = " ".join(out.split())  # undo click's line wrapping
+    text = " ".join(out.split())  # undo argparse's line wrapping
     assert f"--rel-tol FLOAT Relative tolerance, at most {flow.MAX_REL_TOL}." in text
 
 
@@ -418,52 +405,6 @@ def test_float_formatting_round_trips():
         _fmt(float("inf"))
     with pytest.raises(DomainError):
         _fmt(float("nan"))
-
-
-def test_cli_import_leaves_scipy_unloaded():
-    # The package integrates without scipy, and the quick queries run only
-    # geometry: importing the CLI and running curvature, classify and a
-    # domain error must load neither numpy (which alone costs most of the
-    # start-up time of a quick command) nor scipy, and must not run the
-    # bodies of flow and shapespace.  Both are registered in sys.modules
-    # all the same, since the benchmark's tracer finds them there after the
-    # import and wraps their functions.  simulate then runs flow alone, and
-    # regions runs shapespace.
-    code = (
-        "import json, sys\n"
-        "from danteflow.cli import main\n"
-        "def state():\n"
-        "    ran = {name: name in sys.modules and marker in\n"
-        "           object.__getattribute__(sys.modules[name], '__dict__')\n"
-        "           for name, marker in (('danteflow.flow', 'integrate'),\n"
-        "                                ('danteflow.shapespace', 'trace_flowline'))}\n"
-        "    return {'modules': sorted(sys.modules), 'ran': ran}\n"
-        "quick = ['--a', '1', '--b', '2', '--c', '3']\n"
-        "codes = [main(['curvature', *quick]), main(['classify', *quick]),\n"
-        "         main(['classify', *quick, '--eq-tol', 'nan'])]\n"
-        "after_quick = state()\n"
-        "codes.append(main(['simulate', *quick, '--grid', '0']))\n"
-        "after_simulate = state()\n"
-        "codes.append(main(['regions', '--resolution', '16']))\n"
-        "print(json.dumps({'codes': codes, 'quick': after_quick,\n"
-        "                  'simulate': after_simulate, 'regions': state()}))\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True)
-    report = json.loads(result.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0, 3, 0, 0]
-    quick = report["quick"]
-    modules = set(quick["modules"])
-    for heavy in ("numpy", "scipy"):
-        assert not {m for m in modules if m == heavy or m.startswith(heavy + ".")}
-    assert {"danteflow.flow", "danteflow.shapespace"} <= modules
-    assert quick["ran"] == {"danteflow.flow": False, "danteflow.shapespace": False}
-    assert report["simulate"]["ran"] == {"danteflow.flow": True,
-                                         "danteflow.shapespace": False}
-    assert report["regions"]["ran"] == {"danteflow.flow": True,
-                                        "danteflow.shapespace": True}
 
 
 def test_simulate_tables_are_scale_free(run_cli, tmp_path):
@@ -671,18 +612,31 @@ def test_empty_r2_variable_counts_as_unset(run_cli, monkeypatch):
     assert json.loads(err)["error"] == "usage"
 
 
-def test_malformed_command_lines_exit_2(run_cli, tmp_path):
-    shape = ("--a", "1", "--b", "1", "--c", "1")
-    for args in ((), ("curv",), ("curvature", *shape, "--format", "xml"),
-                 ("flowlines", "--starts", str(tmp_path / "missing.csv")),
-                 ("curvature", *shape, "extra"), ("curvature", *shape, "--output", "."),
-                 ("curvature", *shape, "--output", ""), ("flowlines", "--starts", ""),
-                 ("flowlines", "--grid", "1x1", "--apex-output", ""),
-                 ("flowlines", "--grid", "0x5"),
-                 ("simulate", *shape, "--grid", "-1")):
-        code, out, err = run_cli(*args)
-        assert code == 2 and out == "", args
-        assert json.loads(err)["error"] == "usage", args
+SHAPE = ("--a", "1", "--b", "1", "--c", "1")
+
+
+@pytest.mark.parametrize("args", [
+    (), ("curv",), ("curvature", *SHAPE, "--format", "xml"),
+    ("flowlines", "--starts", "{missing}"),
+    ("curvature", *SHAPE, "extra"), ("curvature", *SHAPE, "--output", "."),
+    ("curvature", *SHAPE, "--output", ""), ("flowlines", "--starts", ""),
+    ("flowlines", "--grid", "1x1", "--apex-output", ""),
+    ("flowlines", "--grid", "0x5"),
+    ("simulate", *SHAPE, "--grid", "-1"),
+    # Counts past the largest table numpy sizes (sys.maxsize // 8 values)
+    # ended in numpy's ValueError, exit 1.
+    ("simulate", *SHAPE, "--grid", str(10**23)),
+    ("snake", "--W", "1", "--alpha", "1", "--grid", str(10**20)),
+    ("turtle", "--U", "1", "--beta", "0.5", "--grid", str(sys.maxsize // 8)),
+], ids=["no-command", "unknown-command", "unknown-format", "missing-starts-file",
+        "extra-argument", "output-is-a-directory", "empty-output", "empty-starts",
+        "empty-apex-output", "empty-grid-axis", "negative-simulate-grid",
+        "simulate-grid-past-numpy", "snake-grid-past-numpy", "turtle-grid-past-numpy"])
+def test_malformed_command_lines_exit_2(run_cli, tmp_path, args):
+    args = [arg.format(missing=tmp_path / "missing.csv") for arg in args]
+    code, out, err = run_cli(*args)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "usage"
 
 
 def test_help_and_version_return_0(run_cli):
@@ -693,22 +647,51 @@ def test_help_and_version_return_0(run_cli):
     assert run_cli("--version") == (0, "danteflow, version 0.1.0\n", "")
 
 
-def test_quick_queries_load_no_third_party_module():
-    # The parser is the standard library's, so a quick query adds only
+def test_commands_load_only_the_modules_they_need():
+    # The package integrates without scipy, the parser is the standard
+    # library's, and the quick queries run only geometry: importing the CLI
+    # and running curvature, classify and a domain error adds only
     # standard-library and danteflow modules to whatever start-up loaded.
+    # So neither numpy (which alone costs most of the start-up time of a
+    # quick command) nor scipy loads, and the bodies of flow and shapespace
+    # do not run.  Both are registered in sys.modules all the same, since
+    # the benchmark's tracer finds them there after the import and wraps
+    # their functions.  simulate then runs flow alone, and regions runs
+    # shapespace.
     result = _python("-c", (
         "import json, sys\n"
-        "before = set(sys.modules)\n"
+        "before = sorted(sys.modules)\n"
         "from danteflow.cli import main\n"
+        "def state():\n"
+        "    ran = {name: name in sys.modules and marker in\n"
+        "           object.__getattribute__(sys.modules[name], '__dict__')\n"
+        "           for name, marker in (('danteflow.flow', 'integrate'),\n"
+        "                                ('danteflow.shapespace', 'trace_flowline'))}\n"
+        "    return {'modules': sorted(sys.modules), 'ran': ran}\n"
         "quick = ['--a', '1', '--b', '2', '--c', '3']\n"
-        "codes = [main(['curvature', *quick]), main(['classify', *quick])]\n"
-        "print(json.dumps({'codes': codes, 'added': sorted(set(sys.modules) - before)}))\n"))
+        "codes = [main(['curvature', *quick]), main(['classify', *quick]),\n"
+        "         main(['classify', *quick, '--eq-tol', 'nan'])]\n"
+        "after_quick = state()\n"
+        "codes.append(main(['simulate', *quick, '--grid', '0']))\n"
+        "after_simulate = state()\n"
+        "codes.append(main(['regions', '--resolution', '16']))\n"
+        "print(json.dumps({'codes': codes, 'before': before, 'quick': after_quick,\n"
+        "                  'simulate': after_simulate, 'regions': state()}))\n"))
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0]
-    roots = {name.split(".")[0] for name in report["added"]}
-    assert "danteflow" in roots
-    assert roots - {"danteflow"} <= set(sys.stdlib_module_names)
+    assert report["codes"] == [0, 0, 3, 0, 0]
+    quick = report["quick"]
+    modules = set(quick["modules"])
+    for heavy in ("numpy", "scipy"):
+        assert not {m for m in modules if m == heavy or m.startswith(heavy + ".")}
+    assert {"danteflow.flow", "danteflow.shapespace"} <= modules
+    roots = {name.split(".")[0] for name in modules - set(report["before"])}
+    assert "danteflow" in roots and roots - {"danteflow"} <= set(sys.stdlib_module_names)
+    assert quick["ran"] == {"danteflow.flow": False, "danteflow.shapespace": False}
+    assert report["simulate"]["ran"] == {"danteflow.flow": True,
+                                         "danteflow.shapespace": False}
+    assert report["regions"]["ran"] == {"danteflow.flow": True,
+                                        "danteflow.shapespace": True}
 
 
 def test_simulate_at_a_huge_metric_scale_exits_0():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import danteflow.flow as flow_mod
 from danteflow.errors import DomainError
-from danteflow.flow import (SERIES_SWITCH, SnakeSolution, TurtleSolution, integrate,
+from danteflow.flow import (SERIES_SWITCH, SnakeSolution, TurtleSolution,
                             snake_lambda_of_time, snake_profile,
                             snake_time_of_lambda, turtle_mu_of_time,
                             turtle_profile, turtle_time_of_mu)
@@ -306,11 +306,3 @@ def test_parameter_validation():
         TurtleSolution(1.0, 1.0)  # beta capped strictly below 1
     with pytest.raises(DomainError):
         TurtleSolution(-1.0, 0.5)
-
-
-def test_closed_form_tracks_numeric_snake():
-    sol = SnakeSolution(1.0, 1.0)
-    traj = integrate(sol.initial_coeffs)
-    worst = max(abs(snake_time_of_lambda(sol, min(float(c[2]) / sol.W, 1.0)) - float(t))
-                for t, c in zip(traj.times, traj.coeffs))
-    assert worst < 1e-6
