@@ -187,10 +187,9 @@ class Trajectory:
         x = lo + width * np.clip(share, 0.0, 1.0)  # the fraction of the step
         scale = math.ldexp(time_scale, -e) * np.diff(run.sigma)[step]  # dt/dx = scale _rate
         start, quartic = run.states[step], run.quartic[step]
-        nodes = np.append(_GL_NODES, 1.0)
         for _ in range(3):
             part = x - lo
-            rate = _rate(start, quartic, lo[..., None] + part[..., None] * nodes)
+            rate = _rate(start, quartic, lo[..., None] + part[..., None] * _GL_NODES_AND_END)
             error = t_lo + scale * part * (rate[..., :-1] @ _GL_WEIGHTS) - t
             x = np.clip(x - error / np.maximum(scale * rate[..., -1], sys.float_info.min),
                         lo, lo + width)
@@ -277,6 +276,8 @@ _GL_OUTER, _GL_INNER = (math.sqrt(5.0 + s * math.sqrt(40.0 / 7.0)) / 6.0 for s i
 _GL_NODES = np.array((0.5 - _GL_OUTER, 0.5 - _GL_INNER, 0.5, 0.5 + _GL_INNER, 0.5 + _GL_OUTER))
 _GL_WEIGHTS = np.array([(322.0 + s * 13.0 * math.sqrt(70.0)) / 1800.0 if s else 64.0 / 225.0
                         for s in (-1.0, 1.0, 0.0, 1.0, -1.0)])
+#: The nodes and the panel's end, where sample_at's Newton steps take the rate.
+_GL_NODES_AND_END = np.append(_GL_NODES, 1.0)
 #: Powers of the step fraction in a dense-output quartic, which are also
 #: the weights that give its derivative at the step's end.
 _POWERS = np.array((1.0, 2.0, 3.0, 4.0))
@@ -304,13 +305,14 @@ def _time_panels(sigma: np.ndarray, states: np.ndarray, quartic: np.ndarray, tim
         raise DomainError(f"flow time scale w0 R^2/4 = {time_scale!r} is not a normal float")
     n = len(quartic)
     tail = _logistic(-states[:, :2])
-    start_rate, end_rate = np.abs(quartic[:, 0, :]), np.abs(_POWERS @ quartic)
-    change = np.maximum(start_rate[:, 2] + (tail[:-1] * start_rate[:, :2]).sum(axis=1),
-                        end_rate[:, 2] + (tail[1:] * end_rate[:, :2]).sum(axis=1))
+    # The steps' start and end derivatives, and the tails there, stacked.
+    rates = np.abs(np.stack((quartic[:, 0, :], _POWERS @ quartic)))
+    tails = np.stack((tail[:-1], tail[1:]))
+    change = (rates[..., 2] + (tails * rates[..., :2]).sum(axis=-1)).max(axis=0)
     m = np.ceil(change / PANEL_LOG_RATE).clip(1).astype(int)
     step = np.repeat(np.arange(n), m)
     width = 1.0 / m[step]
-    start = (np.arange(len(step)) - np.repeat(np.cumsum(m) - m, m)) * width
+    start = (np.arange(len(step)) - (np.cumsum(m) - m)[step]) * width
     rate = _rate(states[step], quartic[step], start[:, None] + width[:, None] * _GL_NODES)
     ends = time_scale * np.cumsum(np.diff(sigma)[step] * width * (rate @ _GL_WEIGHTS))
     return (step, start, width, ends), np.concatenate([[0.0], ends[np.cumsum(m) - 1]])

@@ -23,8 +23,10 @@ All operations here are pure functions of value types and can be called
 concurrently without coordination.  The value types on the per-sample path
 (MetricCoeffs, StretchFactors, CurvatureSummary) have a hand-written
 constructor: one chained range test covers every field, the per-field
-check runs only to name the first bad one, and the fields are stored as
-given, with no coercion.  stretch_from_metric is where numbers become
+check runs only to name the first bad one, and each field is stored as
+given, with no coercion, one key at a time into the instance dict (cheaper
+than a dict update with keywords).  curvature_summary, principal_curvatures
+and classify share one formula, _curvatures.  stretch_from_metric is where numbers become
 Python floats: it returns them for any real input, numpy scalars
 included, so that the curvatures of its result run on Python floats.
 """
@@ -87,7 +89,11 @@ class StretchFactors:
             _require_positive("b", b)
             _require_positive("c", c)
             _require_positive("r_squared", r_squared)
-        self.__dict__.update(a=a, b=b, c=c, r_squared=r_squared)
+        d = self.__dict__
+        d["a"] = a
+        d["b"] = b
+        d["c"] = c
+        d["r_squared"] = r_squared
 
     @classmethod
     def ordered(cls, a: float, b: float, c: float,
@@ -124,7 +130,10 @@ class MetricCoeffs:
             _require_positive("u", u)
             _require_positive("v", v)
             _require_positive("w", w)
-        self.__dict__.update(u=u, v=v, w=w)
+        d = self.__dict__
+        d["u"] = u
+        d["v"] = v
+        d["w"] = w
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.u, self.v, self.w)
@@ -154,8 +163,14 @@ class CurvatureSummary:
 
     def __init__(self, kappa1: float, kappa2: float, kappa3: float, ricci11: float,
                  ricci22: float, ricci33: float, scalar: float) -> None:
-        self.__dict__.update(kappa1=kappa1, kappa2=kappa2, kappa3=kappa3, ricci11=ricci11,
-                             ricci22=ricci22, ricci33=ricci33, scalar=scalar)
+        d = self.__dict__
+        d["kappa1"] = kappa1
+        d["kappa2"] = kappa2
+        d["kappa3"] = kappa3
+        d["ricci11"] = ricci11
+        d["ricci22"] = ricci22
+        d["ricci33"] = ricci33
+        d["scalar"] = scalar
 
 
 class ShapeKind(Enum):
@@ -181,12 +196,18 @@ def semiperimeter(f: StretchFactors) -> float:
     return _half_sum(f.a, f.b, f.c)
 
 
-def _principal(a: float, b: float, c: float, scale: float) -> tuple[float, float, float]:
-    s = _half_sum(a, b, c)
-    k1 = scale * (a * (s - a) - (s - b) * (s - c))
-    k2 = scale * (b * (s - b) - (s - a) * (s - c))
-    k3 = scale * (c * (s - c) - (s - a) * (s - b))
-    return (k1, k2, k3)
+def _curvatures(a: float, b: float, c: float, scale: float) -> CurvatureSummary:
+    """The curvatures of (a, b, c) with scale = 4/R^2, unchecked: classify
+    passes factors that may have underflowed to 0."""
+    try:  # _half_sum, inline: this runs once per sample of a sweep
+        s = math.fsum((a, b, c)) / 2.0
+    except OverflowError:
+        s = a / 2.0 + b / 2.0 + c / 2.0
+    sa, sb, sc = s - a, s - b, s - c
+    k1 = scale * (a * sa - sb * sc)
+    k2 = scale * (b * sb - sa * sc)
+    k3 = scale * (c * sc - sa * sb)
+    return CurvatureSummary(k1, k2, k3, k2 + k3, k1 + k3, k1 + k2, 2.0 * (k1 + k2 + k3))
 
 
 def principal_curvatures(f: StretchFactors) -> tuple[float, float, float]:
@@ -196,7 +217,8 @@ def principal_curvatures(f: StretchFactors) -> tuple[float, float, float]:
     (a, b, c) permutes the result identically; scaling (a, b, c) by l
     scales each kappa by l^2.
     """
-    return _principal(f.a, f.b, f.c, 4.0 / f.r_squared)
+    cs = _curvatures(f.a, f.b, f.c, 4.0 / f.r_squared)
+    return (cs.kappa1, cs.kappa2, cs.kappa3)
 
 
 def ricci_eigenvalues(f: StretchFactors) -> tuple[float, float, float]:
@@ -218,8 +240,7 @@ def ricci_eigenvalues(f: StretchFactors) -> tuple[float, float, float]:
 
 def scalar_curvature(f: StretchFactors) -> float:
     """Ricci scalar, twice the sum of the principal curvatures."""
-    k1, k2, k3 = principal_curvatures(f)
-    return 2.0 * (k1 + k2 + k3)
+    return curvature_summary(f).scalar
 
 
 def connection_coefficients(f: StretchFactors) -> tuple[float, float, float]:
@@ -237,8 +258,7 @@ def connection_coefficients(f: StretchFactors) -> tuple[float, float, float]:
 
 def curvature_summary(f: StretchFactors) -> CurvatureSummary:
     """Bundle curvatures with the trace relations applied exactly."""
-    k1, k2, k3 = _principal(f.a, f.b, f.c, 4.0 / f.r_squared)
-    return CurvatureSummary(k1, k2, k3, k2 + k3, k1 + k3, k1 + k2, 2.0 * (k1 + k2 + k3))
+    return _curvatures(f.a, f.b, f.c, 4.0 / f.r_squared)
 
 
 def metric_coeffs(f: StretchFactors) -> MetricCoeffs:
@@ -314,14 +334,15 @@ def classify(f: StretchFactors, eq_tol: float = DEFAULT_EQ_TOL) -> Classificatio
 
     exponent = math.frexp(hi)[1]
     a, b, c = (math.ldexp(v, -exponent) for v in (f.a, f.b, f.c))
-    kappas = k1, k2, k3 = _principal(a, b, c, 1.0)
+    cs = _curvatures(a, b, c, 1.0)
+    kappas = (cs.kappa1, cs.kappa2, cs.kappa3)
     deadband = eq_tol * max(abs(k) for k in kappas)
     return Classification(
         shape=shape,
         curvature_signs=tuple(_sign(k, deadband) for k in kappas),
         # Within the deadband, the signs of the Ricci entries that `curvature`
-        # prints: the pairwise sums of the principal curvatures.
-        ricci_signs=tuple(_sign(r, deadband) for r in (k2 + k3, k1 + k3, k1 + k2)),
+        # prints.
+        ricci_signs=tuple(_sign(r, deadband) for r in (cs.ricci11, cs.ricci22, cs.ricci33)),
         # fsum: the scalar's sign must not depend on the order of (a, b, c).
         scalar_sign=_sign(2.0 * math.fsum(kappas), deadband),
     )
