@@ -25,7 +25,12 @@ Output contract:
 radius-squared wherever ``--r2`` is accepted and not given.  The parser is
 argparse, so a launch loads no third-party module until a command needs
 numpy.  Every command imports this module, so it imports numpy only inside
-simulate and _closed_form, the two functions that use it.
+simulate and _closed_form, the two functions that use it, and it calls no
+numpy function that loads numpy.ma (np.unique does, at 12-15 ms of a
+launch).  main sets ``OPENBLAS_NUM_THREADS`` to 1 unless the caller set
+it: the commands do no linear algebra, and OpenBLAS's thread pool, which
+numpy starts as it loads, cost 70-80 ms of a 250-340 ms simulate launch
+on 2 cores.  ``import danteflow`` leaves numpy's configuration to its user.
 """
 from __future__ import annotations
 
@@ -48,6 +53,7 @@ SIMULATE_HEADER = ("t,u,v,w,a,b,c,x,y,"
                    "kappa1,kappa2,kappa3,ricci11,ricci22,ricci33,scalar")
 #: The first --grid too large for a table: numpy sizes a float64 array of at
 #: most sys.maxsize // 8 values, and a table of n samples holds more than n.
+#: flow.GRID_LIMIT, written out so that no quick query loads flow.
 GRID_LIMIT = sys.maxsize // 8
 
 
@@ -172,8 +178,9 @@ def simulate(a, b, c, r2, grid, rel_tol, abs_tol, collapse_eps, max_steps, outpu
 
     times = traj.times
     if grid:
-        times = np.unique(np.concatenate(
-            [times, np.linspace(times[0], times[-1], grid)]))
+        # Sorted, each value once; np.unique would load numpy.ma.
+        times = np.sort(np.concatenate([times, np.linspace(times[0], times[-1], grid)]))
+        times = times[np.concatenate([[True], times[1:] != times[:-1]])]
     coeffs = traj.sample_at(times)
 
     rows = []
@@ -430,6 +437,9 @@ def _parser() -> _Parser:
 
 def main(argv=None) -> int:
     """Run the CLI; returns the exit code instead of raising SystemExit."""
+    # One OpenBLAS thread unless the caller chose: the CLI does no linear
+    # algebra, and starting the pool costs most of numpy's import.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = vars(_parser().parse_args(argv))
         args.pop("run")(**args)

@@ -90,6 +90,10 @@ _SERIES_Z = SERIES_SWITCH * SERIES_SWITCH
 BETA_CAP = 1.0 - 1e-12
 
 
+#: The first uniform_grid count too large: numpy sizes a float64 array of at
+#: most sys.maxsize // 8 values.
+GRID_LIMIT = sys.maxsize // 8
+
 #: Largest accepted rel_tol and abs_tol.  Looser settings let the step
 #: controller take steps that no longer approximate the flow: the thin dragon
 #: (0.01, 0.5, 1) collapses 54% early at rel_tol = 1 and 1.4% early at 1e-2,
@@ -197,10 +201,13 @@ class Trajectory:
         return np.where(stored, self.coeffs[row], solved)
 
     def uniform_grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """n equispaced samples spanning the trajectory.  Scaling R^2 by 2^k
-        scales them by exactly 2^k only while they stay normal floats."""
+        """n equispaced samples spanning the trajectory, 2 <= n < GRID_LIMIT.
+        Scaling R^2 by 2^k scales them by exactly 2^k only while they stay
+        normal floats."""
         if n < 2:
             raise DomainError(f"grid needs at least 2 points, got {n}")
+        if n >= GRID_LIMIT:
+            raise DomainError(f"grid needs at most {GRID_LIMIT - 1} points, got {n}")
         ts = np.linspace(self.times[0], self.times[-1], n)
         return ts, self.sample_at(ts)
 
@@ -261,14 +268,30 @@ def _coeffs(states: np.ndarray, w0: float, columns=(0, 1, 2)) -> np.ndarray:
 
 def _dense_at(start: np.ndarray, quartic: np.ndarray, frac: np.ndarray) -> np.ndarray:
     """Rows (P, Q, L) of the dense output at fractions frac[..., i] of a step,
-    from its start row states[step] and quartic[step], which the caller gathers."""
-    return start[..., None, :] + (frac[..., None] ** _POWERS) @ quartic
+    from its start row states[step] and quartic[step], which the caller gathers.
+    The powers x, x^2, x^2 x and x^2 x^2 are products: np.power calls pow
+    for each element, which took a third to a half of this function's time
+    on a 200 x 6 grid."""
+    x2 = frac * frac
+    return start[..., None, :] + np.stack((frac, x2, x2 * frac, x2 * x2), axis=-1) @ quartic
 
 
 def _rate(start: np.ndarray, quartic: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """(dt/dsigma)/w0 = e^L l(P) l(Q) on the dense output, as in _dense_at."""
+    """(dt/dsigma)/w0 = e^L l(P) l(Q) on the dense output, as in _dense_at.
+
+    l(z) = e^min(z, 0)/(1 + e^-|z|), so the rate is
+    e^(L + min(P, 0) + min(Q, 0)) / ((1 + e^-|P|)(1 + e^-|Q|)): one exp over
+    the (P, Q) block and one over the sum, with no log.  P or Q at +inf (the
+    turtle edge, the round sphere) has the factor 1.  The sum can exceed the
+    log of the rate by at most 2 ln 2, so the exp overflows only for L above
+    about 708, far past any L the stepper reaches: L <= 0 forward, and a few
+    tens at most backward (32 over 1,530 backward branches).
+    """
     at = _dense_at(start, quartic, frac)
-    return np.exp(at[..., 2] - np.logaddexp(0.0, -at[..., 0]) - np.logaddexp(0.0, -at[..., 1]))
+    pq = at[..., :2]
+    tails = 1.0 + np.exp(-np.abs(pq))
+    low = np.minimum(pq, 0.0)
+    return np.exp(at[..., 2] + low[..., 0] + low[..., 1]) / (tails[..., 0] * tails[..., 1])
 
 
 #: Five-point Gauss-Legendre rule on [0, 1]: nodes and weights.

@@ -26,8 +26,8 @@ constructor: one chained range test covers every field, the per-field
 check runs only to name the first bad one, and each field is stored as
 given, with no coercion, one key at a time into the instance dict (cheaper
 than a dict update with keywords).  curvature_summary, principal_curvatures
-and classify share one formula, _curvatures.  stretch_from_metric is where numbers become
-Python floats: it returns them for any real input, numpy scalars
+and classify share one formula, _curvatures.  stretch_from_metric is where
+numbers become Python floats: it returns them for any real input, numpy scalars
 included, so that the curvatures of its result run on Python floats.
 """
 from __future__ import annotations

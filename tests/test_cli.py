@@ -647,6 +647,26 @@ def test_help_and_version_return_0(run_cli):
     assert run_cli("--version") == (0, "danteflow, version 0.1.0\n", "")
 
 
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")], ids=["unset", "set"])
+def test_the_cli_asks_for_one_blas_thread_unless_told(given, expected):
+    # numpy starts OpenBLAS's thread pool as it loads, which costs most of
+    # its import on a machine with several cores; the CLI does no linear
+    # algebra.  main sets OPENBLAS_NUM_THREADS before a command loads numpy,
+    # and keeps a value the caller set.
+    env = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
+    result = _python("-c", (
+        "import os, sys\n"
+        f"if {given is None}:\n"
+        "    os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+        "from danteflow.cli import main\n"
+        "before = 'numpy' in sys.modules\n"
+        "code = main(['simulate', '--a', '1', '--b', '2', '--c', '3', '--grid', '0',\n"
+        "             '--output', os.devnull])\n"
+        "print(before, 'numpy' in sys.modules, code, os.environ['OPENBLAS_NUM_THREADS'])\n"), **env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1].split() == ["False", "True", "0", expected]
+
+
 def test_commands_load_only_the_modules_they_need():
     # The package integrates without scipy, the parser is the standard
     # library's, and the quick queries run only geometry: importing the CLI

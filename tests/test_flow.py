@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from dataclasses import astuple
 from itertools import permutations
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import danteflow.flow as flow_mod
+from danteflow.cli import GRID_LIMIT
 from danteflow.errors import (CollapseReachedError, DomainError,
                               IntegrationFailureError)
 from danteflow.flow import (FlowParams, Termination, Trajectory, integrate,
@@ -100,6 +102,39 @@ def test_trajectory_dense_output():
         traj.sample_at(traj.times[-1] + 1.0)
     with pytest.raises(DomainError):
         traj.uniform_grid(1)
+    # A count past the largest array numpy sizes raised numpy's ValueError;
+    # the bound is the CLI's.
+    for n in (GRID_LIMIT, 10**21):
+        with pytest.raises(DomainError, match="at most"):
+            traj.uniform_grid(n)
+
+
+def _rate_by_logaddexp(P, Q, L):
+    # The earlier form of the rate e^L l(P) l(Q), with l(z) = e^-log(1 + e^-z).
+    return np.exp(L - np.logaddexp(0.0, -P) - np.logaddexp(0.0, -Q))
+
+
+# L ranges over what the stepper reaches: from the log of the smallest
+# collapse_eps (about -745) up to 0 forward, and a few tens on a backward
+# branch.  Past L = 708 _rate's exp overflows before its division.
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-745.0, 745.0), st.one_of(st.floats(-745.0, 745.0), st.just(math.inf)),
+       st.floats(-745.0, 100.0))
+@example(0.5, math.inf, 0.0)  # the turtle edge
+@example(math.inf, math.inf, -20.0)  # the round sphere
+def test_rate_matches_its_logaddexp_form(P, Q, L):
+    # Where the logaddexp form raises no RuntimeWarning, _rate raises none
+    # either, and the two differ by the rounding of an exponent of at most
+    # 3 x 745 (ulp 4.5e-13) plus a few units in the last place.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            expected = _rate_by_logaddexp(P, Q, L)
+        except RuntimeWarning:
+            assume(False)
+        rate = flow_mod._rate(np.array([[P, Q, L]]), np.zeros((1, 4, 3)), np.array([[0.5]]))
+    assert rate.shape == (1, 1)
+    assert rate[0, 0] == pytest.approx(expected, rel=2e-12, abs=1e-300)
 
 
 def test_sample_at_rejects_nan_times():
