@@ -44,17 +44,13 @@ from pathlib import Path
 
 from . import flow, shapespace
 from .errors import DomainError, IntegrationFailureError, SingularMapError
-from .geometry import (DEFAULT_EQ_TOL, DEFAULT_R_SQUARED, MetricCoeffs, ShapePoint,
-                       StretchFactors, _require_positive, classify as classify_shape,
+from .geometry import (DEFAULT_EQ_TOL, DEFAULT_R_SQUARED, GRID_LIMIT, MetricCoeffs,
+                       ShapePoint, StretchFactors, _require_positive, classify as classify_shape,
                        connection_coefficients, curvature_summary,
                        metric_coeffs, stretch_from_metric, to_rho_tau, to_xy)
 
 SIMULATE_HEADER = ("t,u,v,w,a,b,c,x,y,"
                    "kappa1,kappa2,kappa3,ricci11,ricci22,ricci33,scalar")
-#: The first --grid too large for a table: numpy sizes a float64 array of at
-#: most sys.maxsize // 8 values, and a table of n samples holds more than n.
-#: flow.GRID_LIMIT, written out so that no quick query loads flow.
-GRID_LIMIT = sys.maxsize // 8
 
 
 class UsageError(Exception):

@@ -80,7 +80,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import CollapseReachedError, DomainError, IntegrationFailureError
-from .geometry import DEFAULT_R_SQUARED, MetricCoeffs, _require_positive
+from .geometry import DEFAULT_R_SQUARED, GRID_LIMIT, MetricCoeffs, _excesses, _require_positive
 
 #: Below this sqrt|z|, the closed forms' F(z) switches to its series.
 SERIES_SWITCH = 1e-6
@@ -88,11 +88,6 @@ _SERIES_Z = SERIES_SWITCH * SERIES_SWITCH
 
 #: Turtle non-sphericity cap; precision degrades noticeably beyond 0.999.
 BETA_CAP = 1.0 - 1e-12
-
-
-#: The first uniform_grid count too large: numpy sizes a float64 array of at
-#: most sys.maxsize // 8 values.
-GRID_LIMIT = sys.maxsize // 8
 
 #: Largest accepted rel_tol and abs_tol.  Looser settings let the step
 #: controller take steps that no longer approximate the flow: the thin dragon
@@ -219,11 +214,10 @@ def rhs(m: MetricCoeffs, r_squared: float = DEFAULT_R_SQUARED) -> tuple[float, f
     to 1e-12 relative."""
     _require_positive("r_squared", r_squared)
     u, v, w = m.u, m.v, m.w
-    # Each half-difference sums the other two components first, which keeps
-    # the slot map exactly equivariant under input permutations.
-    qu = ((v + w) - u) / 2.0
-    qv = ((u + w) - v) / 2.0
-    qw = ((u + v) - w) / 2.0
+    # m - u, m - v, m - w as geometry forms s - a, s - b, s - c: exactly
+    # equivariant under input permutations, and without a rounded m, which
+    # loses the digits of m - v at u = v >> w.
+    qu, qv, qw = _excesses(u, v, w)
     k = -16.0 / r_squared
     return k * (qv * qw) / (v * w), k * (qu * qw) / (u * w), k * (qu * qv) / (u * v)
 

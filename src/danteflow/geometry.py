@@ -7,12 +7,16 @@ coefficients
 
     u = 1/(bc),   v = 1/(ac),   w = 1/(ab),
 
-and its curvature is governed by Heron-like combinations of ``(a, b, c)``
-with the semiperimeter ``s = (a + b + c)/2``:
+and its curvature is governed by the half-excesses s - a, s - b, s - c of
+``(a, b, c)`` over the semiperimeter ``s = (a + b + c)/2``.  With the
+products P_ab = (4/R^2)(s-a)(s-b) (and P_ac, P_bc alike),
 
-    kappa_1 = (4/R^2) * [a(s-a) - (s-b)(s-c)]          (cyclically)
-    R_11    = kappa_2 + kappa_3 = (8/R^2) (s-b)(s-c)   (cyclically)
-    scalar  = 2 (kappa_1 + kappa_2 + kappa_3)
+    R_11    = 2 P_bc = (8/R^2)(s-b)(s-c)                      (cyclically)
+    kappa_1 = P_ab + P_ac - P_bc = (4/R^2)[a(s-a) - (s-b)(s-c)]
+    scalar  = 2 (P_ab + P_ac + P_bc) = R_11 + R_22 + R_33
+    Gamma_1 = -2 (s-a)/R                                      (cyclically)
+
+so R_11 = kappa_2 + kappa_3 and scalar = 2 (kappa_1 + kappa_2 + kappa_3).
 
 The shape alone, with the scale divided out, is charted by the triangle
 coordinates x = (a + b)/c, y = (b - a)/c of an ordered shape (to_xy) and
@@ -25,14 +29,17 @@ concurrently without coordination.  The value types on the per-sample path
 constructor: one chained range test covers every field, the per-field
 check runs only to name the first bad one, and each field is stored as
 given, with no coercion, one key at a time into the instance dict (cheaper
-than a dict update with keywords).  curvature_summary, principal_curvatures
-and classify share one formula, _curvatures.  stretch_from_metric is where
-numbers become Python floats: it returns them for any real input, numpy scalars
+than a dict update with keywords).  curvature_summary, principal_curvatures,
+ricci_eigenvalues, scalar_curvature and classify share one formula,
+_curvatures; it, connection_coefficients and flow.rhs share one primitive,
+the half-excesses of _excesses.  stretch_from_metric is where numbers
+become Python floats: it returns them for any real input, numpy scalars
 included, so that the curvatures of its result run on Python floats.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,6 +50,11 @@ DEFAULT_R_SQUARED = 4.0
 
 #: Default relative tolerance for equality / sign decisions in classify().
 DEFAULT_EQ_TOL = 1e-9
+
+#: The first count too large for a table: numpy sizes a float64 array of at
+#: most sys.maxsize // 8 values.  flow's uniform_grid, shapespace's
+#: region_boundaries and the CLI's --grid all stop below it.
+GRID_LIMIT = sys.maxsize // 8
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -57,9 +69,13 @@ def _half_sum(a: float, b: float, c: float) -> float:
         return a / 2.0 + b / 2.0 + c / 2.0
 
 
-def _half_excess(x: float, y: float, z: float) -> float:
-    """s - x = (y + z - x)/2 without forming s."""
-    return 0.5 * min(y, z) + 0.5 * (max(y, z) - x)
+def _excesses(a: float, b: float, c: float) -> tuple[float, float, float]:
+    """The half-excesses (s - a, s - b, s - c), each s - x formed from the
+    other two factors y, z as min(y, z)/2 + (max(y, z) - x)/2 with no rounded
+    s: it cannot overflow, and s - b of (a, 1, 1) is a/2 for every a > 0."""
+    return (0.5 * b + 0.5 * (c - a) if b < c else 0.5 * c + 0.5 * (b - a),
+            0.5 * a + 0.5 * (c - b) if a < c else 0.5 * c + 0.5 * (a - b),
+            0.5 * a + 0.5 * (b - c) if a < b else 0.5 * b + 0.5 * (a - c))
 
 
 @dataclass(frozen=True, init=False)
@@ -148,9 +164,10 @@ class MetricCoeffs:
 class CurvatureSummary:
     """Principal curvatures, Ricci eigenvalues, and the Ricci scalar.
 
-    By construction ricci11 = kappa2 + kappa3 (cyclically) and
-    scalar = 2 (kappa1 + kappa2 + kappa3), exactly.  The constructor
-    stores the values as given, unchecked: curvatures take any sign.
+    All seven come from the products P_xy of the module docstring, so the
+    scalar is ricci11 + ricci22 + ricci33 exactly and ricci11 = kappa2 +
+    kappa3 to rounding.  The constructor stores the values as given,
+    unchecked: curvatures take any sign.
     """
 
     kappa1: float
@@ -197,67 +214,55 @@ def semiperimeter(f: StretchFactors) -> float:
 
 
 def _curvatures(a: float, b: float, c: float, scale: float) -> CurvatureSummary:
-    """The curvatures of (a, b, c) with scale = 4/R^2, unchecked: classify
-    passes factors that may have underflowed to 0."""
-    try:  # _half_sum, inline: this runs once per sample of a sweep
-        s = math.fsum((a, b, c)) / 2.0
-    except OverflowError:
-        s = a / 2.0 + b / 2.0 + c / 2.0
-    sa, sb, sc = s - a, s - b, s - c
-    k1 = scale * (a * sa - sb * sc)
-    k2 = scale * (b * sb - sa * sc)
-    k3 = scale * (c * sc - sa * sb)
-    return CurvatureSummary(k1, k2, k3, k2 + k3, k1 + k3, k1 + k2, 2.0 * (k1 + k2 + k3))
+    """The curvatures of (a, b, c) with scale = 4/R^2, from the products
+    P_xy = scale (s - x)(s - y), unchecked: classify passes factors that
+    may have underflowed to 0."""
+    sa, sb, sc = _excesses(a, b, c)
+    pab = scale * (sa * sb)
+    pac = scale * (sa * sc)
+    pbc = scale * (sb * sc)
+    return CurvatureSummary(pab + pac - pbc, pab + pbc - pac, pac + pbc - pab,
+                            2.0 * pbc, 2.0 * pac, 2.0 * pab, 2.0 * (pbc + pac + pab))
 
 
 def principal_curvatures(f: StretchFactors) -> tuple[float, float, float]:
     """Eigenvalues (kappa1, kappa2, kappa3) of the Riemann tensor.
 
-    kappa_1 = (4/R^2) [a(s-a) - (s-b)(s-c)], and cyclically.  Permuting
-    (a, b, c) permutes the result identically; scaling (a, b, c) by l
-    scales each kappa by l^2.
+    kappa_1 = P_ab + P_ac - P_bc = (4/R^2) [a(s-a) - (s-b)(s-c)], and
+    cyclically, from _curvatures.  Permuting (a, b, c) permutes the result
+    identically; scaling (a, b, c) by l scales each kappa by l^2.
     """
     cs = _curvatures(f.a, f.b, f.c, 4.0 / f.r_squared)
     return (cs.kappa1, cs.kappa2, cs.kappa3)
 
 
 def ricci_eigenvalues(f: StretchFactors) -> tuple[float, float, float]:
-    """Diagonal Ricci entries via the product form (8/R^2)(s-b)(s-c), cyclically.
-
-    Each factor s - x is formed from the other two, y and z, as
-    min(y, z)/2 + (max(y, z) - x)/2, with no rounded s, so it cannot
-    overflow near the largest float and keeps its digits near the
-    degenerate edge: the entries of (a, 1, 1) are within a few units in the
-    last place for every a > 0.  The pairwise sums of the principal
-    curvatures (curvature_summary) cancel there, so the two agree to
-    machine precision only away from that edge.
+    """Diagonal Ricci entries 2 P_bc = (8/R^2)(s-b)(s-c), cyclically, from
+    _curvatures: the entries of (a, 1, 1) are within a few units in the
+    last place for every a > 0.
     """
-    a, b, c = f.a, f.b, f.c
-    sa, sb, sc = _half_excess(a, b, c), _half_excess(b, a, c), _half_excess(c, a, b)
-    scale = 8.0 / f.r_squared
-    return (scale * (sb * sc), scale * (sa * sc), scale * (sa * sb))
+    cs = _curvatures(f.a, f.b, f.c, 4.0 / f.r_squared)
+    return (cs.ricci11, cs.ricci22, cs.ricci33)
 
 
 def scalar_curvature(f: StretchFactors) -> float:
-    """Ricci scalar, twice the sum of the principal curvatures."""
+    """Ricci scalar 2 (P_ab + P_ac + P_bc), the trace of the Ricci tensor."""
     return curvature_summary(f).scalar
 
 
 def connection_coefficients(f: StretchFactors) -> tuple[float, float, float]:
     """Diagonal coefficients of the vectorial connection form.
 
-    ((a - b - c)/R, (b - a - c)/R, (c - a - b)/R) with R = sqrt(r_squared).
+    -2 (s - x)/R = (x - y - z)/R for each factor x, with R = sqrt(r_squared),
+    from the half-excesses that _curvatures uses; a zero is +0.0.
     """
     r = math.sqrt(f.r_squared)
-    return (
-        (f.a - f.b - f.c) / r,
-        (f.b - f.a - f.c) / r,
-        (f.c - f.a - f.b) / r,
-    )
+    # 0.0 - x is x negated, except that it turns 0.0 into 0.0, not -0.0.
+    return tuple((0.0 - 2.0 * x) / r for x in _excesses(f.a, f.b, f.c))
 
 
 def curvature_summary(f: StretchFactors) -> CurvatureSummary:
-    """Bundle curvatures with the trace relations applied exactly."""
+    """The principal curvatures, Ricci entries and scalar of _curvatures."""
     return _curvatures(f.a, f.b, f.c, 4.0 / f.r_squared)
 
 

@@ -56,7 +56,7 @@ from .flow import (ROUND_LOGIT, VERTEX_DELTA, FlowParams, Trajectory, _coeffs, _
                    _logistic_pair, _logit, _round_corner_margin, _time_panels)
 # The chart itself (ShapePoint, to_xy, RicciRatios, to_rho_tau) lives in
 # geometry, so that classify needs no tracer; it is re-exported here.
-from .geometry import (DEFAULT_R_SQUARED, RicciRatios, ShapePoint, StretchFactors,
+from .geometry import (DEFAULT_R_SQUARED, GRID_LIMIT, RicciRatios, ShapePoint, StretchFactors,
                        _require_positive, metric_coeffs, to_rho_tau, to_xy)
 
 #: Labels for the classification boundaries emitted by region_boundaries().
@@ -274,9 +274,10 @@ def region_boundaries(resolution: int = 64) -> dict[str, np.ndarray]:
     open end at the top corner left out, so the x-axis intercepts are
     exactly 1/2 and 3/2.
     """
-    # A float64 array holds at most intp's max // 8 values; a boundary takes resolution + 1.
-    if resolution >= (limit := np.iinfo(np.intp).max // 8) or resolution < 16:
-        raise DomainError(f"resolution must be at least 16 and below {limit}, got {resolution}")
+    # A boundary takes resolution + 1 values.
+    if resolution >= GRID_LIMIT or resolution < 16:
+        raise DomainError(f"resolution must be at least 16 and below {GRID_LIMIT}, "
+                          f"got {resolution}")
 
     x_scalar = np.linspace(0.5, 1.0, resolution + 1)[:-1]
     x_kappa = np.linspace(1.0, 1.5, resolution + 1)[1:]

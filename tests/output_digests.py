@@ -63,6 +63,9 @@ COMMANDS = (
     "regions",
     "curvature --a 1 --b 2 --c 3",
     "classify --a 1 --b 2 --c 3",
+    # Half-excesses near the degenerate edge, and a zero connection coefficient.
+    "curvature --a 1e-10 --b 1 --c 1",
+    "curvature --a 1 --b 1 --c 2 --format csv",
     # Past R^2 of about 2e307 the stepper's clock once overflowed.
     "simulate --a 0.5 --b 1 --c 1.5 --r2 1e307",
     "simulate --a 0.5 --b 1 --c 1.5 --r2 2e307",

@@ -29,7 +29,8 @@ def test_curvature_json(run_cli):
     assert record["kappa1"] == 1.0 and record["kappa3"] == -1.0
     assert record["ricci11"] == 0.0 and record["ricci33"] == 2.0
     assert record["scalar"] == 2.0
-    assert record["connection1"] == -1.0 and record["connection3"] == 0.0
+    # A zero coefficient prints as 0.0, not -0.0.
+    assert record["connection1"] == -1.0 and '"connection3": 0.0}' in out
     assert all(key == key.lower() for key in record)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from danteflow.errors import DomainError
-from danteflow.flow import MAX_REL_TOL, FlowParams
+from danteflow.flow import MAX_REL_TOL, FlowParams, rhs
 from danteflow.geometry import (Classification, CurvatureSummary, MetricCoeffs,
                                 ShapeKind, StretchFactors, classify,
                                 connection_coefficients, curvature_summary,
@@ -273,12 +273,12 @@ def test_trace_identity_property():
 
 
 def test_curvature_summary_is_exact_by_construction():
+    # One formula: the summary's Ricci entries are ricci_eigenvalues' bits,
+    # and its scalar is their trace, summed in the order the code sums.
     f = StretchFactors(0.3, 1.1, 1.7)
     cs = curvature_summary(f)
-    assert cs.ricci11 == cs.kappa2 + cs.kappa3
-    assert cs.ricci22 == cs.kappa1 + cs.kappa3
-    assert cs.ricci33 == cs.kappa1 + cs.kappa2
-    assert cs.scalar == 2.0 * (cs.kappa1 + cs.kappa2 + cs.kappa3)
+    assert (cs.ricci11, cs.ricci22, cs.ricci33) == ricci_eigenvalues(f)
+    assert cs.scalar == cs.ricci11 + cs.ricci22 + cs.ricci33
     assert isinstance(cs, CurvatureSummary)
 
 
@@ -328,12 +328,69 @@ def test_degenerate_line_values():
 
 
 def test_ricci_eigenvalues_keep_their_digits_near_the_degenerate_edge():
-    # At R^2 = 4 the entries of (a, 1, 1) are (a^2/2, a - a^2/2, a - a^2/2).
-    # A rounded s = (a + 1 + 1)/2 makes s - b lose them all at a = 1e-20.
+    # At R^2 = 4 the entries of (a, 1, 1) are (a^2/2, a - a^2/2, a - a^2/2)
+    # and the connection coefficients ((a - 2)/2, -a/2, -a/2).  A rounded
+    # s = (a + 1 + 1)/2 makes s - b lose them all at a = 1e-20.
     for a in (1e-20, 1e-10):
+        f = StretchFactors(a, 1.0, 1.0, 4.0)
         expected = (a * a / 2.0, a - a * a / 2.0, a - a * a / 2.0)
-        assert_allclose(ricci_eigenvalues(StretchFactors(a, 1.0, 1.0, 4.0)), expected,
+        cs = curvature_summary(f)
+        for ricci in (ricci_eigenvalues(f), (cs.ricci11, cs.ricci22, cs.ricci33)):
+            assert_allclose(ricci, expected, rtol=1e-15, atol=0)
+        assert_allclose(connection_coefficients(f), ((a - 2.0) / 2.0, -a / 2.0, -a / 2.0),
                         rtol=1e-15, atol=0)
+
+
+def _koszul_curvatures(coeffs, r_squared: float) -> tuple[np.ndarray, np.ndarray]:
+    """The mixed Ricci tensor and the sectional curvatures K(X2, X3),
+    K(X1, X3), K(X1, X2) of the left-invariant metric g = R^2 diag(coeffs)
+    on S^3, derived from the metric alone (Milnor, Adv. Math. 21, 1976).
+    The frame X_i(q) = q e_i of the unit quaternions has brackets
+    [X_i, X_j] = 2 eps_ijk X_k = bracket[i, j, k] X_k.  In doubles the sums
+    cancel to 2e-14 relative near the degenerate edge, so they run in long
+    double, where the platform has a wider one."""
+    g = np.longdouble(r_squared) * np.diag(np.array(coeffs, np.longdouble))
+    bracket = np.zeros((3, 3, 3), np.longdouble)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        bracket[i, j, k], bracket[j, i, k] = 2, -2
+    # Koszul, for fields whose inner products are constant:
+    # 2 g(D_i X_j, X_k) = g([X_i, X_j], X_k) - g([X_j, X_k], X_i) + g([X_k, X_i], X_j).
+    low = bracket @ g
+    low = (low - np.einsum("jki->ijk", low) + np.einsum("kij->ijk", low)) / 2
+    inverse = np.diag(1 / np.diag(g))
+    conn = low @ inverse  # D_i X_j = conn[i, j, m] X_m
+    # R(X_i, X_j) X_k = D_i D_j X_k - D_j D_i X_k - D_[X_i, X_j] X_k = riemann[i, j, k, m] X_m.
+    riemann = (np.einsum("jkl,ilm->ijkm", conn, conn) - np.einsum("ikl,jlm->ijkm", conn, conn)
+               - np.einsum("ijl,lkm->ijkm", bracket, conn))
+    ricci = np.einsum("ijki->jk", riemann)  # Ric(X_j, X_k), the trace over X_i
+    sectional = [riemann[i, j, j] @ g[:, i] / (g[i, i] * g[j, j])
+                 for i, j in ((1, 2), (0, 2), (0, 1))]
+    return inverse @ ricci, np.array(sectional)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(*[st.floats(min_value=-6.0, max_value=6.0).map(math.exp)] * 3,
+       st.floats(min_value=-3.0, max_value=3.0).map(math.exp))
+def test_curvatures_match_the_koszul_connection(u, v, w, r_squared):
+    # The paper's Ricci tensor, curvatures and flow against the metric
+    # g = R^2 diag(u, v, w) itself: Ric^i_i = -(du_i/dt)/(2 u_i) under
+    # dg/dt = -2 Ric, and (a, b, c) = (u, v, w)/sqrt(uvw) for u = 1/(bc).
+    # Near the degenerate edge the curvatures magnify the rounding of
+    # (a, b, c) a few hundred times, so the factors are checked against
+    # the metric of the rounded factors, u = a/(abc).
+    root = math.sqrt(u * v * w)
+    f = StretchFactors(u / root, v / root, w / root, r_squared)
+    abc = np.array([f.a, f.b, f.c], np.longdouble)
+    rates = rhs(MetricCoeffs(u, v, w), r_squared)
+    for coeffs, entries in (((u, v, w), [-d / (2.0 * x) for d, x in zip(rates, (u, v, w))]),
+                            (abc / abc.prod(), ricci_eigenvalues(f))):
+        ricci, sectional = _koszul_curvatures(coeffs, r_squared)
+        assert np.all(ricci[~np.eye(3, dtype=bool)] == 0.0)
+        diagonal = np.diag(ricci)
+        assert np.abs(np.array(entries) - diagonal).max() <= 1e-13 * np.abs(diagonal).max()
+    # sectional is the rounded factors' from the last pass.
+    assert (np.abs(np.array(principal_curvatures(f)) - sectional).max()
+            <= 1e-14 * np.abs(sectional).max())
 
 
 def test_classify_examples():
