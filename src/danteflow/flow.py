@@ -53,10 +53,11 @@ atol + rtol max(|old|, |new|) per component, safety factor 0.9 with step factors
 to [0.2, 10], the Hairer-Norsett-Wanner initial step, and failure once a
 step falls below ten units in the last place of sigma or sigma overflows.
 Every accepted step keeps its 4th-order (Shampine) quartic in sigma, built
-from the 1 - y and 1 + y its stages formed.  A run returns one _Run, ended
-by its stop margin (a start past it takes no step), max_steps or that
-failure, which a Trajectory and a traced branch hold.  Flow time is
-Gauss-Legendre quadrature of dt/dsigma over panels of that dense output.
+from the y of its stages.  A run returns one _Run, ended by its stop
+margin (a start past it takes no step), max_steps or that failure, which a
+Trajectory and a traced branch hold.  Flow time is Gauss-Legendre
+quadrature of dt/dsigma over panels of that dense output, one quadrature
+for the runs of a call (both branches of a flow line).
 The stop events (collapse here; in shapespace a vertex, and the apex of a
 flow line where 1 - p^2 - q^2 changes sign) and the closed-form inversions
 are located by one bracketed root-finder, _bracket_crossing.
@@ -304,10 +305,19 @@ _POWERS = np.array((1.0, 2.0, 3.0, 4.0))
 PANEL_LOG_RATE = 0.5
 
 
-def _time_panels(sigma: np.ndarray, states: np.ndarray, quartic: np.ndarray, time_scale: float):
-    """The integral of time_scale e^g, e^g = _rate, over the dense output: the
-    quadrature panels (each one's step, its start and width as fractions of
-    that step, and the time at its end), and the time of every row.
+def _time_scale(w0: float, r_squared: float) -> float:
+    """w0 R^2/4 for _time_panels, checked where it is formed."""
+    time_scale = w0 * (0.25 * r_squared)
+    if not sys.float_info.min <= time_scale <= sys.float_info.max:  # NaN fails too
+        raise DomainError(f"flow time scale w0 R^2/4 = {time_scale!r} is not a normal float")
+    return time_scale
+
+
+def _time_panels(runs):
+    """The integral of time_scale e^g, e^g = _rate, over the dense output of
+    each (run, time_scale) of runs: per run, the quadrature panels (each
+    one's step, its start and width as fractions of that step, and the time
+    at its end) and the time of every row.
 
     Steps span up to 10 in sigma where the field is nearly constant (along
     the snake edge, say), and e^g changes by up to e^9 within one.  So each
@@ -317,22 +327,37 @@ def _time_panels(sigma: np.ndarray, states: np.ndarray, quartic: np.ndarray, tim
     signed sum can vanish where its terms do not).  Panels a hundred times
     finer move the times by at most 2e-14 relative, the rounding of their
     longer sums.
+
+    The rates of all runs' panels come from one _rate call, and each run
+    sums its own from 0, so its panels and times are a call's on it alone.
     """
-    if not sys.float_info.min <= abs(time_scale) <= sys.float_info.max:  # NaN fails too
-        raise DomainError(f"flow time scale w0 R^2/4 = {time_scale!r} is not a normal float")
-    n = len(quartic)
+    # A dummy step of zero dense output joins each run's last row to the
+    # next run's first; no run sums its one panel.
+    states = np.concatenate([run.states for run, _ in runs])
+    gap = np.zeros((1, 4, 3))
+    quartic = np.concatenate([q for run, _ in runs for q in (gap, run.quartic)][1:])
     tail = _logistic(-states[:, :2])
     # The steps' start and end derivatives, and the tails there, stacked.
     rates = np.abs(np.stack((quartic[:, 0, :], _POWERS @ quartic)))
     tails = np.stack((tail[:-1], tail[1:]))
     change = (rates[..., 2] + (tails * rates[..., :2]).sum(axis=-1)).max(axis=0)
     m = np.ceil(change / PANEL_LOG_RATE).clip(1).astype(int)
-    step = np.repeat(np.arange(n), m)
+    step = np.repeat(np.arange(len(m)), m)
     width = 1.0 / m[step]
-    start = (np.arange(len(step)) - (np.cumsum(m) - m)[step]) * width
+    last = np.cumsum(m)  # one past each step's last panel
+    start = (np.arange(len(step)) - (last - m)[step]) * width
     rate = _rate(states[step], quartic[step], start[:, None] + width[:, None] * _GL_NODES)
-    ends = time_scale * np.cumsum(np.diff(sigma)[step] * width * (rate @ _GL_WEIGHTS))
-    return (step, start, width, ends), np.concatenate([[0.0], ends[np.cumsum(m) - 1]])
+    spans = np.diff(np.concatenate([run.sigma for run, _ in runs]))[step]
+    parts = spans * width * (rate @ _GL_WEIGHTS)
+    bounds, timed, first = [0, *last.tolist()], [], 0
+    for run, time_scale in runs:
+        end = first + len(run.quartic)
+        lo, hi = bounds[first], bounds[end]
+        ends = time_scale * np.cumsum(parts[lo:hi])
+        timed.append(((step[lo:hi] - first, start[lo:hi], width[lo:hi], ends),
+                      np.concatenate([[0.0], ends[last[first:end] - (lo + 1)]])))
+        first = end + 1
+    return timed
 
 
 #: Shampine's dense output for the Dormand-Prince pair: row s weights stage
@@ -497,7 +522,8 @@ def _dormand_prince(y0: tuple[float, float, float], direction: float, rel_tol: f
     step.  The error estimate and the dense output are RK45's, h sum_j e_j
     k_j over the stage derivatives k (1 - y), k (1 + y), -(k/2)(1 - y)(1 + y)
     of _field, formed once per stage as m_j = 1 - y_j and p_j = 1 + y_j, so
-    the steps are RK45's to rounding.
+    the steps are RK45's to rounding.  A step stores only its y_j, and the
+    dense output forms 1 - y and 1 + y from them in numpy, just as rounded.
 
     The run fails (end FAILED) once a rejected step falls below ten units
     in the last place of sigma, or would take sigma past the largest float
@@ -581,7 +607,7 @@ def _dormand_prince(y0: tuple[float, float, float], direction: float, rel_tol: f
             message = ("Required step takes sigma past the largest float." if t_new == math.inf
                        else "Required step size is less than spacing between numbers.")
             break
-        stages += (m1, m3, m4, m5, m6, m7, p1, p3, p4, p5, p6, p7)
+        stages += (y1, y3, y4, y5, y6, y7)
         t, y1 = t_new, y7
         P, Q, L = Pn, Qn, Ln
         aP, aQ, aL = aPn, aQn, aLn
@@ -594,9 +620,11 @@ def _dormand_prince(y0: tuple[float, float, float], direction: float, rel_tol: f
 
     sigma = np.fromiter(times, float, len(times))
     rows = np.fromiter(states, float, len(states)).reshape(-1, 3)
-    m, p = np.fromiter(stages, float, len(stages)).reshape(-1, 2, 6).transpose(1, 0, 2)
-    derivatives = np.stack([k * m, k * p, -0.5 * k * m * p], axis=-1)
-    quartic = np.matmul(_DENSE.T, derivatives) * np.diff(sigma)[:, None, None]
+    y = np.fromiter(stages, float, len(stages)).reshape(-1, 6)
+    m, p = 1.0 - y, 1.0 + y
+    # k = 2 direction, a power of two, scales the spans once: that is exact.
+    derivatives = np.stack([m, p, -0.5 * m * p], axis=-1)
+    quartic = np.matmul(_DENSE.T, derivatives) * (k * np.diff(sigma))[:, None, None]
     if end is None and len(stages):
         t_old, t_new = times[-2], times[-1]
         h = t_new - t_old
@@ -664,8 +692,8 @@ def integrate(m0: MetricCoeffs, params: FlowParams | None = None) -> Trajectory:
         INTEGRATE_TOL_FACTOR * params.rel_tol, INTEGRATE_TOL_FACTOR * params.abs_tol,
         params.max_steps, lambda P, Q, L: max(L - log_share, _round_corner_margin(P, Q, L)))
     coeffs = _coeffs(run.states, w0, columns)
-    time_scale = w0 * (0.25 * params.r_squared)
-    panels, times = _time_panels(run.sigma, run.states, run.quartic, time_scale)
+    time_scale = _time_scale(w0, params.r_squared)
+    [(panels, times)] = _time_panels([(run, time_scale)])
     collapse_time = None if run.end else float(times[-1]) + (
         0.25 * params.r_squared * sum(coeffs[-1, list(columns)].tolist()) / 3.0)
     trajectory = Trajectory(times, coeffs, run.end or Termination.COLLAPSED, collapse_time,

@@ -47,13 +47,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import (DegenerateShapeError, DomainError, IntegrationFailureError,
                      SingularSlopeError)
 from .flow import (ROUND_LOGIT, VERTEX_DELTA, FlowParams, Trajectory, _coeffs, _dormand_prince,
-                   _logistic_pair, _logit, _round_corner_margin, _time_panels)
+                   _logistic_pair, _logit, _round_corner_margin, _time_panels, _time_scale)
 # The chart itself (ShapePoint, to_xy, RicciRatios, to_rho_tau) lives in
 # geometry, so that classify needs no tracer; it is re-exported here.
 from .geometry import (DEFAULT_R_SQUARED, GRID_LIMIT, RicciRatios, ShapePoint, StretchFactors,
@@ -158,55 +159,60 @@ def _vertex_margin(P: float, Q: float, L: float) -> float:
 APEX_TOL_FACTOR = 1e-3
 
 
-def _trace_branch(start: ShapePoint, w0: float, direction: float, params: FlowParams):
-    """One branch of a flow line, from start to within VERTEX_DELTA of a
-    vertex ((2, 0) forward) for a direction of 1.0, backward for -1.0.
+def _trace_branches(start: ShapePoint, w0: float, directions, params: FlowParams) -> list:
+    """The branches of a flow line, one per direction (1.0 forward, -1.0
+    backward), each from start to within VERTEX_DELTA of a vertex ((2, 0)
+    forward), stepped in turn and then timed in one _time_panels call.
 
-    Returns (run, times, rows, apex): the stepper's _Run, the flow time of
-    each of its rows from the start, their _row (x, y, m) (n+1, 3), and the
-    apex where the branch crosses the circle x^2 + y^2 = 2 (None if it
-    never does).  The rows run in the branch's own order; a start past the
-    branch's own stop (forward only near (2, 0)) gives one row and no
-    steps.  Raises IntegrationFailureError when the branch stops short of a
-    vertex.
+    Returns per branch (run, times, rows, apex): the stepper's _Run, the
+    flow time of each of its rows from the start, their _row (x, y, m)
+    (n+1, 3), and the apex where the branch crosses the circle
+    x^2 + y^2 = 2 (None if it never does).  The rows run in the branch's own
+    order; a start past the branch's own stop (forward only near (2, 0))
+    gives one row and no steps.  Raises IntegrationFailureError for the
+    first branch, or its apex re-step, that stops short.
 
-    y rises along the branch while direction m > 0 (m of _row; direction
-    turns the backward branch around) and y > 0, so a line crosses the
-    circle once, on at most one of its branches.  The step over which that
-    margin falls from > 0 to <= 0, from a row with y >= 0, is stepped again
-    from its start at APEX_TOL_FACTOR times the tolerances with the margin
-    as the stop margin, so the re-step ends on the apex.  The rows and the
-    re-step share one arithmetic, so its start margin is positive.  On the
-    snake edge, where y = 0 throughout, the re-step stops at (sqrt 2, 0).
+    The apex (see the module docstring): the step over which direction m
+    (m of _row) falls from > 0 to <= 0, from a row with y >= 0, is stepped
+    again from its start at APEX_TOL_FACTOR times the tolerances with that
+    margin as the stop margin.  The rows and the re-step share one
+    arithmetic, _row, so its start margin is positive.
     """
     y0 = (_logit((start.x - start.y) / 2.0), _logit((start.x + start.y) / 2.0), 0.0)
-    run = _dormand_prince(y0, direction, params.rel_tol, params.abs_tol, params.max_steps,
-                          _round_corner_margin if direction > 0.0 else _vertex_margin)
-    time_scale = direction * w0 * (0.25 * params.r_squared)
-    times = _time_panels(run.sigma, run.states, run.quartic, time_scale)[1]
-    if run.end is not None:
-        coeffs = _coeffs(run.states, w0)
-        if direction < 0.0:  # a Trajectory runs forward in time
-            times, coeffs = times[::-1], coeffs[::-1]
-        raise IntegrationFailureError(
-            f"{'forward' if direction > 0.0 else 'backward'} branch from "
-            f"({start.x}, {start.y}) stopped short of a vertex after "
-            f"{len(run.sigma) - 1} steps: {run.message or run.end.value}",
-            trajectory=Trajectory(times, coeffs, run.end, None))
-    rows = np.array([_row(P, Q) for P, Q, _ in run.states.tolist()])
-    y, margin = rows[:, 1], direction * rows[:, 2]
-    crossing = np.flatnonzero((margin[:-1] > 0.0) & (margin[1:] <= 0.0) & (y[:-1] >= 0.0))
-    if not len(crossing):
-        return run, times, rows, None
-    fine = _dormand_prince(
-        tuple(run.states[crossing[0]].tolist()), direction, APEX_TOL_FACTOR * params.rel_tol,
-        APEX_TOL_FACTOR * params.abs_tol, params.max_steps,
-        lambda P, Q, L: direction * _row(P, Q)[2])
-    if fine.end is not None:
-        raise IntegrationFailureError(
-            f"apex re-step stopped short after {len(fine.sigma) - 1} steps: "
-            f"{fine.message or fine.end.value}")
-    return run, times, rows, ShapePoint(*_row(*fine.states[-1, :2].tolist())[:2])
+    time_scale = _time_scale(w0, params.r_squared)
+    branches = []
+    for direction in directions:
+        run = _dormand_prince(y0, direction, params.rel_tol, params.abs_tol, params.max_steps,
+                              _round_corner_margin if direction > 0.0 else _vertex_margin)
+        if run.end is not None:
+            [(_, times)] = _time_panels([(run, direction * time_scale)])
+            coeffs = _coeffs(run.states, w0)
+            if direction < 0.0:  # a Trajectory runs forward in time
+                times, coeffs = times[::-1], coeffs[::-1]
+            raise IntegrationFailureError(
+                f"{'forward' if direction > 0.0 else 'backward'} branch from "
+                f"({start.x}, {start.y}) stopped short of a vertex after "
+                f"{len(run.sigma) - 1} steps: {run.message or run.end.value}",
+                trajectory=Trajectory(times, coeffs, run.end, None))
+        P, Q, _ = run.states.T.tolist()
+        rows = np.fromiter(chain.from_iterable(map(_row, P, Q)), float, 3 * len(P)).reshape(-1, 3)
+        y, margin = rows[:, 1], direction * rows[:, 2]
+        crossing = np.flatnonzero((margin[:-1] > 0.0) & (margin[1:] <= 0.0) & (y[:-1] >= 0.0))
+        apex = None
+        if len(crossing):
+            fine = _dormand_prince(
+                tuple(run.states[crossing[0]].tolist()), direction,
+                APEX_TOL_FACTOR * params.rel_tol, APEX_TOL_FACTOR * params.abs_tol,
+                params.max_steps, lambda P, Q, L: direction * _row(P, Q)[2])
+            if fine.end is not None:
+                raise IntegrationFailureError(
+                    f"apex re-step stopped short after {len(fine.sigma) - 1} steps: "
+                    f"{fine.message or fine.end.value}")
+            apex = ShapePoint(*_row(*fine.states[-1, :2].tolist())[:2])
+        branches.append((run, rows, apex))
+    timed = _time_panels([(run, direction * time_scale)
+                          for (run, _, _), direction in zip(branches, directions)])
+    return [(run, times, rows, apex) for (run, rows, apex), (_, times) in zip(branches, timed)]
 
 
 def trace_flowline(start: ShapePoint, c0: float = 1.0,
@@ -229,7 +235,7 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
     leaving xs, ys and the apex unchanged.  The t = 0 sample is the start
     exactly; times come from quadrature of dt/dsigma (see flow._time_panels).
 
-    The apex is the one that _trace_branch re-steps on whichever branch
+    The apex is the one that _trace_branches re-steps on whichever branch
     crosses the circle (IntegrationFailureError if the re-step stops
     short); on the snake edge it is (sqrt 2, 0).  A turtle-edge line, which
     never reaches the circle, reports its highest sample.
@@ -237,10 +243,11 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
     if params is None:
         params = FlowParams()
     w0 = metric_coeffs(from_xy(start, c0)).w
-    _, times, rows, apex = _trace_branch(start, w0, 1.0, params)
+    (_, times, rows, apex), *backward = _trace_branches(
+        start, w0, (1.0, -1.0) if include_backward else (1.0,), params)
     at_start = 0
-    if include_backward:
-        _, back_times, back_rows, back_apex = _trace_branch(start, w0, -1.0, params)
+    if backward:
+        [(_, back_times, back_rows, back_apex)] = backward
         at_start = len(back_rows) - 1
         rows = np.vstack([back_rows[:0:-1], rows])
         times = np.concatenate([back_times[:0:-1], times])

@@ -545,6 +545,25 @@ def test_a_start_past_its_margin_takes_no_step():
         assert run.end is None and run.message is None
 
 
+def test_time_panels_of_several_runs_are_each_runs_own():
+    # One quadrature over several runs, as a flow line times both branches:
+    # each run's panels and times are those of a call on it alone, bit for
+    # bit, with runs of no steps before, between and after the others.
+    y0 = (flow_mod._logit(0.4), flow_mod._logit(0.7), 0.0)
+    forward, backward, empty = (
+        flow_mod._dormand_prince(y0, direction, 1e-10, 1e-12, 10_000, margin)
+        for direction, margin in ((1.0, flow_mod._round_corner_margin),
+                                  (-1.0, lambda P, Q, L: Q + 10.0), (1.0, lambda P, Q, L: 0.0)))
+    assert len(forward.quartic) > 10 and len(backward.quartic) > 10 and not len(empty.quartic)
+    runs = [(empty, 3.0), (forward, 0.75), (empty, -3.0), (backward, -0.75), (empty, 1.0)]
+    for run, together in zip(runs, flow_mod._time_panels(runs)):
+        [alone] = flow_mod._time_panels([run])
+        (*panels, ends), times = together
+        (*alone_panels, alone_ends), alone_times = alone
+        for got, want in zip([*panels, ends, times], [*alone_panels, alone_ends, alone_times]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("y0", [(0.3, 0.9, 0.0), (math.inf, math.inf, 0.0)],
                          ids=["interior", "round"])
 def test_a_step_past_the_largest_sigma_fails(y0):

@@ -15,7 +15,7 @@ from danteflow.flow import FlowParams, Termination, Trajectory, _field, integrat
 from danteflow.geometry import (StretchFactors, metric_coeffs, principal_curvatures,
                                 ricci_eigenvalues)
 from danteflow.shapespace import (KAPPA_MIN_ZERO, RICCI_DEGENERATE,
-                                  SCALAR_ZERO, VERTEX_DELTA, ShapePoint, _trace_branch,
+                                  SCALAR_ZERO, VERTEX_DELTA, ShapePoint, _trace_branches,
                                   from_xy, region_boundaries, slope, to_rho_tau, to_xy,
                                   trace_flowline)
 
@@ -353,21 +353,24 @@ def test_vertex_stops_take_few_root_finder_evaluations(monkeypatch):
     for start in GRID_5X5:
         for direction in (1.0, -1.0):
             counts.clear()
-            _trace_branch(start, 1.0, direction, FlowParams())
+            _trace_branches(start, 1.0, (direction,), FlowParams())
             assert 1 <= counts[0] <= 8, (start, direction, counts)
 
 
-def test_flowline_truncated_forward_branch_raises():
+@pytest.mark.parametrize("max_steps", [40, 30])
+def test_flowline_truncated_forward_branch_raises(max_steps):
     # 40 steps stop the forward branch near x = 1.05, far from collapse at
-    # (2, 0); the tracer must not report the last sample as an apex.
+    # (2, 0); the tracer must not report the last sample as an apex.  At 30
+    # the backward branch, which needs 40, stops short too: the forward
+    # branch is stepped and fails first.
     with pytest.raises(IntegrationFailureError) as excinfo:
-        trace_flowline(ShapePoint(0.5, 0.25), params=FlowParams(max_steps=40))
-    assert str(excinfo.value) == (
-        "forward branch from (0.5, 0.25) stopped short of a vertex after 40 steps: max_steps")
+        trace_flowline(ShapePoint(0.5, 0.25), params=FlowParams(max_steps=max_steps))
+    assert str(excinfo.value) == ("forward branch from (0.5, 0.25) stopped short of a vertex "
+                                  f"after {max_steps} steps: max_steps")
     forward = excinfo.value.trajectory
     assert isinstance(forward, Trajectory)
     assert forward.terminated is Termination.MAX_STEPS
-    assert len(forward) == 41
+    assert len(forward) == max_steps + 1
     with pytest.raises(DomainError, match="no dense output"):
         forward.sample_at(0.0)
 
@@ -444,7 +447,7 @@ def test_flowline_branches_and_apexes_match_dop853():
     y_rate.direction = -1.0
     for start in GRID_5X5:
         for direction in (1.0, -1.0):
-            run, _, _, apex = _trace_branch(start, 1.0, direction, FlowParams())
+            [(run, _, _, apex)] = _trace_branches(start, 1.0, (direction,), FlowParams())
             p0, q0 = (start.x - start.y) / 2.0, (start.x + start.y) / 2.0
             ref = solve_ivp(polynomial_field, (0.0, run.sigma[-1]), [p0, q0, 0.0],
                             method="DOP853", rtol=1e-13, atol=1e-16, dense_output=True,
@@ -477,7 +480,7 @@ def test_flowline_apexes_near_the_snake_edge_match_dop853():
                     return direction * (1.0 - p * p - q * q)  # dy/dsigma over 2y
 
                 inside.terminal, inside.direction = True, -1.0
-                run, _, _, apex = _trace_branch(start, 1.0, direction, FlowParams())
+                [(run, _, _, apex)] = _trace_branches(start, 1.0, (direction,), FlowParams())
                 apexes = [] if apex is None else [apex]
                 p0, q0 = (start.x - start.y) / 2.0, (start.x + start.y) / 2.0
                 ref = solve_ivp(polynomial_field, (0.0, run.sigma[-1]), [p0, q0, 0.0],
@@ -504,7 +507,8 @@ def test_flowline_apex_law_property(x, log_share):
 def test_flowline_exact_clock_property(start, r_squared, direction):
     # dP/dsigma + dQ/dsigma = 2k exactly, so P + Q is a clock for sigma, the
     # R^2 = 4 clock (k = 2 direction) at every R^2.
-    run, _, _, _ = _trace_branch(start, 1.0, direction, FlowParams(r_squared=r_squared))
+    [(run, _, _, _)] = _trace_branches(start, 1.0, (direction,),
+                                       FlowParams(r_squared=r_squared))
     P, Q, _ = run.states.T
     drift = P + Q - 2.0 * (2.0 * direction) * run.sigma - (P[0] + Q[0])
     assert np.max(np.abs(drift)) <= 1e-9
