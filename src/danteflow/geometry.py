@@ -17,6 +17,10 @@ products P_ab = (4/R^2)(s-a)(s-b) (and P_ac, P_bc alike),
     Gamma_1 = -2 (s-a)/R                                      (cyclically)
 
 so R_11 = kappa_2 + kappa_3 and scalar = 2 (kappa_1 + kappa_2 + kappa_3).
+Each kappa takes its negative term from the larger of its positive ones
+first: kappa_1 = (P_ab - P_bc) + P_ac where P_ab >= P_ac, a form symmetric
+in b and c.  Summed first, kappa_2 = a^2/4 of (a, 1, 1) at R^2 = 4 would be
+lost to the rounding of P_ab + P_bc, about a/2.
 
 The shape alone, with the scale divided out, is charted by the triangle
 coordinates x = (a + b)/c, y = (b - a)/c of an ordered shape (to_xy) and
@@ -216,12 +220,14 @@ def semiperimeter(f: StretchFactors) -> float:
 def _curvatures(a: float, b: float, c: float, scale: float) -> CurvatureSummary:
     """The curvatures of (a, b, c) with scale = 4/R^2, from the products
     P_xy = scale (s - x)(s - y), unchecked: classify passes factors that
-    may have underflowed to 0."""
+    may have underflowed to 0.  Each kappa subtracts first (module docstring)."""
     sa, sb, sc = _excesses(a, b, c)
     pab = scale * (sa * sb)
     pac = scale * (sa * sc)
     pbc = scale * (sb * sc)
-    return CurvatureSummary(pab + pac - pbc, pab + pbc - pac, pac + pbc - pab,
+    return CurvatureSummary((pab - pbc) + pac if pab >= pac else (pac - pbc) + pab,
+                            (pab - pac) + pbc if pab >= pbc else (pbc - pac) + pab,
+                            (pac - pab) + pbc if pac >= pbc else (pbc - pab) + pac,
                             2.0 * pbc, 2.0 * pac, 2.0 * pab, 2.0 * (pbc + pac + pab))
 
 

@@ -328,15 +328,20 @@ def test_degenerate_line_values():
 
 
 def test_ricci_eigenvalues_keep_their_digits_near_the_degenerate_edge():
-    # At R^2 = 4 the entries of (a, 1, 1) are (a^2/2, a - a^2/2, a - a^2/2)
-    # and the connection coefficients ((a - 2)/2, -a/2, -a/2).  A rounded
-    # s = (a + 1 + 1)/2 makes s - b lose them all at a = 1e-20.
+    # At R^2 = 4 the entries of (a, 1, 1) are (a^2/2, a - a^2/2, a - a^2/2),
+    # the principal curvatures (a - 3a^2/4, a^2/4, a^2/4) and the connection
+    # coefficients ((a - 2)/2, -a/2, -a/2).  A rounded s = (a + 1 + 1)/2
+    # makes s - b lose them all at a = 1e-20, and kappa_2 summed before it
+    # subtracts keeps 7 digits at a = 1e-10 and none at 1e-20.
     for a in (1e-20, 1e-10):
         f = StretchFactors(a, 1.0, 1.0, 4.0)
         expected = (a * a / 2.0, a - a * a / 2.0, a - a * a / 2.0)
         cs = curvature_summary(f)
         for ricci in (ricci_eigenvalues(f), (cs.ricci11, cs.ricci22, cs.ricci33)):
             assert_allclose(ricci, expected, rtol=1e-15, atol=0)
+        for kappas in (principal_curvatures(f), (cs.kappa1, cs.kappa2, cs.kappa3)):
+            assert_allclose(kappas, (a - 0.75 * a * a, a * a / 4.0, a * a / 4.0),
+                            rtol=1e-15, atol=0)
         assert_allclose(connection_coefficients(f), ((a - 2.0) / 2.0, -a / 2.0, -a / 2.0),
                         rtol=1e-15, atol=0)
 
