@@ -49,22 +49,21 @@ the turtle's log continued through the round sphere eps = 0.
 The numeric integrator is one Dormand-Prince 5(4) stepper on plain floats
 whose stages carry the field's one scalar y (L is advanced once per step),
 with RK45's error estimate and controller: the RMS error norm over
-atol + rtol max(|old|, |new|) per component, safety factor 0.9 with step factors bounded
-to [0.2, 10], the Hairer-Norsett-Wanner initial step, and failure once a
-step falls below ten units in the last place of sigma or sigma overflows.
-Every accepted step keeps its 4th-order (Shampine) quartic in sigma, built
-from the y of its stages.  A run returns one _Run, ended by its stop
-margin (a start past it takes no step), max_steps or that failure, which a
-Trajectory and a traced branch hold.  Flow time is Gauss-Legendre
-quadrature of dt/dsigma over panels of that dense output, one quadrature
-for the runs of a call (both branches of a flow line).
+atol + rtol max(|old|, |new|) per component, safety factor 0.9 with step
+factors bounded to [0.2, 10], the Hairer-Norsett-Wanner initial step, and
+failure once a step falls below ten units in the last place of sigma or
+sigma overflows.  Every accepted step keeps its 4th-order (Shampine)
+quartic in sigma, built from the y of its stages.  A run returns one _Run,
+ended by its stop margin (a start past it takes no step), max_steps or
+that failure, which a Trajectory and a traced branch hold.  Flow time is
+Gauss-Legendre quadrature of dt/dsigma over panels of that dense output,
+one quadrature for all the runs of a call (both branches of a flow line).
 The stop events (collapse here; in shapespace a vertex, and the apex of a
 flow line where 1 - p^2 - q^2 changes sign) and the closed-form inversions
 are located by one bracketed root-finder, _bracket_crossing.
 
 numpy is imported once, at the top: the package registers this module
-lazily, so numpy loads only once flow first runs (see the package
-docstring).
+lazily, so numpy loads only once flow first runs (package docstring).
 
 Integrations are single-threaded per trajectory; trajectories are
 independent values, so sweeps may run many integrations concurrently.
@@ -145,9 +144,8 @@ class Trajectory:
     Every row of ``coeffs`` is positive while collapse_eps w0 is a normal
     float (below it the last rows can underflow to 0).  ``times`` rises
     strictly unless a step's time span rounds to zero (at a collapse_eps of
-    1e-300, say).
-    When terminated == COLLAPSED, collapse_time is at or past the final
-    sample time.
+    1e-300, say).  When terminated == COLLAPSED, collapse_time is at or past
+    the final sample time.
     """
 
     times: np.ndarray
@@ -306,8 +304,7 @@ PANEL_LOG_RATE = 0.5
 
 
 def _time_scale(w0: float, r_squared: float) -> float:
-    """w0 R^2/4 for _time_panels, checked where it is formed."""
-    time_scale = w0 * (0.25 * r_squared)
+    time_scale = w0 * (0.25 * r_squared)  # for _time_panels, checked where it is formed
     if not sys.float_info.min <= time_scale <= sys.float_info.max:  # NaN fails too
         raise DomainError(f"flow time scale w0 R^2/4 = {time_scale!r} is not a normal float")
     return time_scale
@@ -328,14 +325,12 @@ def _time_panels(runs):
     finer move the times by at most 2e-14 relative, the rounding of their
     longer sums.
 
-    The rates of all runs' panels come from one _rate call, and each run
+    One _rate call takes the panels of all runs, their rows joined by a
+    dummy step of zero dense output (one panel, which no run sums); each run
     sums its own from 0, so its panels and times are a call's on it alone.
     """
-    # A dummy step of zero dense output joins each run's last row to the
-    # next run's first; no run sums its one panel.
     states = np.concatenate([run.states for run, _ in runs])
-    gap = np.zeros((1, 4, 3))
-    quartic = np.concatenate([q for run, _ in runs for q in (gap, run.quartic)][1:])
+    quartic = np.concatenate([q for r, _ in runs for q in (np.zeros((1, 4, 3)), r.quartic)][1:])
     tail = _logistic(-states[:, :2])
     # The steps' start and end derivatives, and the tails there, stacked.
     rates = np.abs(np.stack((quartic[:, 0, :], _POWERS @ quartic)))
@@ -522,8 +517,9 @@ def _dormand_prince(y0: tuple[float, float, float], direction: float, rel_tol: f
     step.  The error estimate and the dense output are RK45's, h sum_j e_j
     k_j over the stage derivatives k (1 - y), k (1 + y), -(k/2)(1 - y)(1 + y)
     of _field, formed once per stage as m_j = 1 - y_j and p_j = 1 + y_j, so
-    the steps are RK45's to rounding.  A step stores only its y_j, and the
-    dense output forms 1 - y and 1 + y from them in numpy, just as rounded.
+    the steps are RK45's to rounding.  A step stores only its y_j: the
+    dense output forms 1 - y and 1 + y from them in numpy, just as rounded,
+    and scales the step spans by k once, which is exact (a power of two).
 
     The run fails (end FAILED) once a rejected step falls below ten units
     in the last place of sigma, or would take sigma past the largest float
@@ -622,7 +618,6 @@ def _dormand_prince(y0: tuple[float, float, float], direction: float, rel_tol: f
     rows = np.fromiter(states, float, len(states)).reshape(-1, 3)
     y = np.fromiter(stages, float, len(stages)).reshape(-1, 6)
     m, p = 1.0 - y, 1.0 + y
-    # k = 2 direction, a power of two, scales the spans once: that is exact.
     derivatives = np.stack([m, p, -0.5 * m * p], axis=-1)
     quartic = np.matmul(_DENSE.T, derivatives) * (k * np.diff(sigma))[:, None, None]
     if end is None and len(stages):

@@ -17,10 +17,8 @@ products P_ab = (4/R^2)(s-a)(s-b) (and P_ac, P_bc alike),
     Gamma_1 = -2 (s-a)/R                                      (cyclically)
 
 so R_11 = kappa_2 + kappa_3 and scalar = 2 (kappa_1 + kappa_2 + kappa_3).
-Each kappa takes its negative term from the larger of its positive ones
-first: kappa_1 = (P_ab - P_bc) + P_ac where P_ab >= P_ac, a form symmetric
-in b and c.  Summed first, kappa_2 = a^2/4 of (a, 1, 1) at R^2 = 4 would be
-lost to the rounding of P_ab + P_bc, about a/2.
+Each kappa subtracts first, kappa_1 = (P_ab - P_bc) + P_ac where P_ab >= P_ac
+(symmetric in b and c): summed first, kappa_2 of (a, 1, 1) rounds away.
 
 The shape alone, with the scale divided out, is charted by the triangle
 coordinates x = (a + b)/c, y = (b - a)/c of an ordered shape (to_xy) and

@@ -32,8 +32,7 @@ its two branches, and has one apex: that branch's step over which m falls
 through zero is stepped again at tighter tolerances with m as the stop
 margin, so the re-step stops on the apex as a branch stops on a vertex.
 On the snake edge (y = 0) that gives (sqrt 2, 0), the limit of the apexes
-of the lines above it.  The slope formula, which equals
-(dq - dp)/(dq + dp), is kept as a cross-validation oracle.
+of the lines above it.  slope is a cross-validation oracle.
 
 The Ricci-eigenvalue ratio chart (to_rho_tau) uses
 
@@ -161,22 +160,17 @@ APEX_TOL_FACTOR = 1e-3
 
 def _trace_branches(start: ShapePoint, w0: float, directions, params: FlowParams) -> list:
     """The branches of a flow line, one per direction (1.0 forward, -1.0
-    backward), each from start to within VERTEX_DELTA of a vertex ((2, 0)
-    forward), stepped in turn and then timed in one _time_panels call.
+    backward), each stepped in turn from start to its vertex stop ((2, 0)
+    forward), then all timed in one _time_panels call.
 
     Returns per branch (run, times, rows, apex): the stepper's _Run, the
     flow time of each of its rows from the start, their _row (x, y, m)
-    (n+1, 3), and the apex where the branch crosses the circle
-    x^2 + y^2 = 2 (None if it never does).  The rows run in the branch's own
-    order; a start past the branch's own stop (forward only near (2, 0))
-    gives one row and no steps.  Raises IntegrationFailureError for the
-    first branch, or its apex re-step, that stops short.
-
-    The apex (see the module docstring): the step over which direction m
-    (m of _row) falls from > 0 to <= 0, from a row with y >= 0, is stepped
-    again from its start at APEX_TOL_FACTOR times the tolerances with that
-    margin as the stop margin.  The rows and the re-step share one
-    arithmetic, _row, so its start margin is positive.
+    (n+1, 3) in the branch's own order, and the apex where the branch
+    crosses the circle x^2 + y^2 = 2, else None.  A start past the branch's
+    stop gives one row and no steps.  Raises IntegrationFailureError for the
+    first branch, or apex re-step, that stops short.  The re-step (module
+    docstring) runs at APEX_TOL_FACTOR times the tolerances and shares _row
+    with the rows, so its start margin is positive.
     """
     y0 = (_logit((start.x - start.y) / 2.0), _logit((start.x + start.y) / 2.0), 0.0)
     time_scale = _time_scale(w0, params.r_squared)
@@ -218,27 +212,20 @@ def _trace_branches(start: ShapePoint, w0: float, directions, params: FlowParams
 def trace_flowline(start: ShapePoint, c0: float = 1.0,
                    params: FlowParams | None = None,
                    include_backward: bool = True) -> FlowLine:
-    """Trace the flow line through a triangle point.
+    """Trace the flow line through a triangle point (see FlowLine).
 
     The logit field of the module docstring is stepped from
     (P, Q, L) = (logit((x - y)/2), logit((x + y)/2), 0) forward, and backward
-    with the field negated, each until the line is within VERTEX_DELTA of a
-    vertex: the forward branch only at the round corner (2, 0), even where
-    it passes close by (1, 1) from a start near the degenerate edge; the
-    backward one at the origin (or at (1, 1) along the turtle edge, where
-    Q = +inf throughout).  Only a start within VERTEX_DELTA of (2, 0), past
-    both branches' stops, gives a one-point line.  A
-    branch that stops short (params.max_steps, step-size underflow) raises
-    IntegrationFailureError carrying the branch as a Trajectory of
-    (u, v, w) = w0 e^L (p, q, 1).  c0 lifts the start to a metric with
-    largest coefficient w0 = w(0); times scale by w0 R^2/4 (by 1/c0^2 in c0),
-    leaving xs, ys and the apex unchanged.  The t = 0 sample is the start
-    exactly; times come from quadrature of dt/dsigma (see flow._time_panels).
-
-    The apex is the one that _trace_branches re-steps on whichever branch
-    crosses the circle (IntegrationFailureError if the re-step stops
-    short); on the snake edge it is (sqrt 2, 0).  A turtle-edge line, which
-    never reaches the circle, reports its highest sample.
+    with the field negated, to the stops of the module docstring: forward
+    only at (2, 0), even where the line passes close by (1, 1) from a start
+    near the degenerate edge; backward at the origin, or at (1, 1) along the
+    turtle edge (Q = +inf).  Only a start within VERTEX_DELTA of (2, 0) gives
+    a one-point line.  A branch that stops short (params.max_steps,
+    step-size underflow) raises IntegrationFailureError carrying it as a
+    Trajectory of (u, v, w) = w0 e^L (p, q, 1); an apex re-step, without one.
+    c0 lifts the start to a metric with largest coefficient w0 = w(0); times
+    scale by w0 R^2/4 (by 1/c0^2 in c0), leaving xs, ys and the apex
+    unchanged.  Both branches are timed in one quadrature of dt/dsigma.
     """
     if params is None:
         params = FlowParams()
@@ -246,8 +233,7 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
     (_, times, rows, apex), *backward = _trace_branches(
         start, w0, (1.0, -1.0) if include_backward else (1.0,), params)
     at_start = 0
-    if backward:
-        [(_, back_times, back_rows, back_apex)] = backward
+    for _, back_times, back_rows, back_apex in backward:  # reversed, start row dropped
         at_start = len(back_rows) - 1
         rows = np.vstack([back_rows[:0:-1], rows])
         times = np.concatenate([back_times[:0:-1], times])
