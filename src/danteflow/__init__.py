@@ -29,6 +29,9 @@ Which modules load when:
   shapespace); their laziness alone keeps it off ``import danteflow`` and
   the quick queries.  cli, which every command imports, imports numpy
   inside the two functions that use it, ``simulate`` and ``_closed_form``.
+* Threads: two threads that make the first access to ``danteflow.flow`` or
+  ``danteflow.shapespace`` together can see it half-built (AttributeError),
+  so make that access in one thread before the others start.
 """
 import importlib.util
 import sys

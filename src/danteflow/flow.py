@@ -66,7 +66,9 @@ numpy is imported once, at the top: the package registers this module
 lazily, so numpy loads only once flow first runs (package docstring).
 
 Integrations are single-threaded per trajectory; trajectories are
-independent values, so sweeps may run many integrations concurrently.
+independent values, so sweeps may run many integrations concurrently, but
+only once one thread has made the first access to this module (package
+docstring): two threads that load it together can see it half-built.
 """
 from __future__ import annotations
 
@@ -182,15 +184,16 @@ class Trajectory:
         j = np.minimum(np.searchsorted(ends, t, side="right"), len(ends) - 1)
         step, lo, width, t_lo = step[j], lo[j], width[j], np.where(j > 0, ends[j - 1], 0.0)
         share = (t - t_lo) / np.maximum(ends[j] - t_lo, sys.float_info.min)
-        x = lo + width * np.clip(share, 0.0, 1.0)  # the fraction of the step
-        scale = math.ldexp(time_scale, -e) * np.diff(run.sigma)[step]  # dt/dx = scale _rate
+        x = lo + width * np.minimum(np.maximum(share, 0.0), 1.0)  # the fraction of the step
+        sigma = run.sigma
+        scale = math.ldexp(time_scale, -e) * (sigma[1:] - sigma[:-1])[step]  # dt/dx = scale _rate
         start, quartic = run.states[step], run.quartic[step]
         for _ in range(3):
             part = x - lo
             rate = _rate(start, quartic, lo[..., None] + part[..., None] * _GL_NODES_AND_END)
             error = t_lo + scale * part * (rate[..., :-1] @ _GL_WEIGHTS) - t
-            x = np.clip(x - error / np.maximum(scale * rate[..., -1], sys.float_info.min),
-                        lo, lo + width)
+            x = np.minimum(np.maximum(
+                x - error / np.maximum(scale * rate[..., -1], sys.float_info.min), lo), lo + width)
         solved = _coeffs(_dense_at(start, quartic, x[..., None])[..., 0, :], w0, columns)
         return np.where(stored, self.coeffs[row], solved)
 
@@ -232,14 +235,6 @@ def _field(P: float, Q: float, L: float, direction: float) -> tuple[float, float
     return k * (1.0 - y), k * (1.0 + y), -0.5 * k * (1.0 - y) * (1.0 + y)
 
 
-def _logistic_pair(z: float) -> tuple[float, float]:
-    """(l(z), l(-z)) = (p, 1 - p) for z = logit(p), each to full relative
-    accuracy and without overflow; z = +inf gives (1, 0)."""
-    e = math.exp(-abs(z))
-    near_one, near_zero = 1.0 / (1.0 + e), e / (1.0 + e)
-    return (near_one, near_zero) if z >= 0.0 else (near_zero, near_one)
-
-
 def _logit(p: float, one: float = 1.0) -> float:
     try:
         return math.inf if p == one else math.log(p / (one - p))
@@ -264,9 +259,13 @@ def _dense_at(start: np.ndarray, quartic: np.ndarray, frac: np.ndarray) -> np.nd
     from its start row states[step] and quartic[step], which the caller gathers.
     The powers x, x^2, x^2 x and x^2 x^2 are products: np.power calls pow
     for each element, which took a third to a half of this function's time
-    on a 200 x 6 grid."""
-    x2 = frac * frac
-    return start[..., None, :] + np.stack((frac, x2, x2 * frac, x2 * x2), axis=-1) @ quartic
+    on a 200 x 6 grid.  They are written in place: np.stack costs more per call."""
+    powers = np.empty(frac.shape + (4,))
+    powers[..., 0] = frac
+    x2 = np.multiply(frac, frac, out=powers[..., 1])
+    np.multiply(x2, frac, out=powers[..., 2])
+    np.multiply(x2, x2, out=powers[..., 3])
+    return start[..., None, :] + powers @ quartic
 
 
 def _rate(start: np.ndarray, quartic: np.ndarray, frac: np.ndarray) -> np.ndarray:
@@ -332,17 +331,19 @@ def _time_panels(runs):
     states = np.concatenate([run.states for run, _ in runs])
     quartic = np.concatenate([q for r, _ in runs for q in (np.zeros((1, 4, 3)), r.quartic)][1:])
     tail = _logistic(-states[:, :2])
-    # The steps' start and end derivatives, and the tails there, stacked.
-    rates = np.abs(np.stack((quartic[:, 0, :], _POWERS @ quartic)))
-    tails = np.stack((tail[:-1], tail[1:]))
-    change = (rates[..., 2] + (tails * rates[..., :2]).sum(axis=-1)).max(axis=0)
-    m = np.ceil(change / PANEL_LOG_RATE).clip(1).astype(int)
+    # The bound at the steps' starts and at their ends.
+    start_rate, end_rate = np.abs(quartic[:, 0, :]), np.abs(_POWERS @ quartic)
+    change = np.maximum(
+        start_rate[:, 2] + (tail[:-1, 0] * start_rate[:, 0] + tail[:-1, 1] * start_rate[:, 1]),
+        end_rate[:, 2] + (tail[1:, 0] * end_rate[:, 0] + tail[1:, 1] * end_rate[:, 1]))
+    m = np.maximum(np.ceil(change / PANEL_LOG_RATE), 1.0).astype(int)
     step = np.repeat(np.arange(len(m)), m)
     width = 1.0 / m[step]
     last = np.cumsum(m)  # one past each step's last panel
     start = (np.arange(len(step)) - (last - m)[step]) * width
     rate = _rate(states[step], quartic[step], start[:, None] + width[:, None] * _GL_NODES)
-    spans = np.diff(np.concatenate([run.sigma for run, _ in runs]))[step]
+    sigma = np.concatenate([run.sigma for run, _ in runs])
+    spans = (sigma[1:] - sigma[:-1])[step]
     parts = spans * width * (rate @ _GL_WEIGHTS)
     bounds, timed, first = [0, *last.tolist()], [], 0
     for run, time_scale in runs:
@@ -617,9 +618,11 @@ def _dormand_prince(y0: tuple[float, float, float], direction: float, rel_tol: f
     sigma = np.fromiter(times, float, len(times))
     rows = np.fromiter(states, float, len(states)).reshape(-1, 3)
     y = np.fromiter(stages, float, len(stages)).reshape(-1, 6)
-    m, p = 1.0 - y, 1.0 + y
-    derivatives = np.stack([m, p, -0.5 * m * p], axis=-1)
-    quartic = np.matmul(_DENSE.T, derivatives) * (k * np.diff(sigma))[:, None, None]
+    derivatives = np.empty(y.shape + (3,))  # the stage derivatives over k
+    m = np.subtract(1.0, y, out=derivatives[..., 0])
+    p = np.add(1.0, y, out=derivatives[..., 1])
+    np.multiply(np.multiply(-0.5, m, out=derivatives[..., 2]), p, out=derivatives[..., 2])
+    quartic = np.matmul(_DENSE.T, derivatives) * (k * (sigma[1:] - sigma[:-1]))[:, None, None]
     if end is None and len(stages):
         t_old, t_new = times[-2], times[-1]
         h = t_new - t_old

@@ -53,7 +53,7 @@ import numpy as np
 from .errors import (DegenerateShapeError, DomainError, IntegrationFailureError,
                      SingularSlopeError)
 from .flow import (ROUND_LOGIT, VERTEX_DELTA, FlowParams, Trajectory, _coeffs, _dormand_prince,
-                   _logistic_pair, _logit, _round_corner_margin, _time_panels, _time_scale)
+                   _logit, _round_corner_margin, _time_panels, _time_scale)
 # The chart itself (ShapePoint, to_xy, RicciRatios, to_rho_tau) lives in
 # geometry, so that classify needs no tracer; it is re-exported here.
 from .geometry import (DEFAULT_R_SQUARED, GRID_LIMIT, RicciRatios, ShapePoint, StretchFactors,
@@ -142,8 +142,17 @@ def _row(P: float, Q: float) -> tuple[float, float, float]:
     accuracy (2 - x^2 - y^2 from x and y cancels near (1, 1)).  p is read
     from min(P, Q): the flow keeps p <= q, so a row on which P rounds above
     Q (near the snake edge) lies on the edge, not below it."""
-    p, p1 = _logistic_pair(min(P, Q))
-    q, q1 = _logistic_pair(Q)
+    z = Q if Q < P else P  # min(P, Q) without the call
+    e = math.exp(-abs(z))  # the logistic pairs (l(z), l(-z)), overflow-safe
+    if z >= 0.0:
+        p, p1 = 1.0 / (1.0 + e), e / (1.0 + e)
+    else:
+        p, p1 = e / (1.0 + e), 1.0 / (1.0 + e)
+    e = math.exp(-abs(Q))
+    if Q >= 0.0:
+        q, q1 = 1.0 / (1.0 + e), e / (1.0 + e)
+    else:
+        q, q1 = e / (1.0 + e), 1.0 / (1.0 + e)
     return p + q, (q - p if q < 0.5 else p1 - q1), q1 * (1.0 + q) - p * p
 
 
@@ -235,7 +244,7 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
     at_start = 0
     for _, back_times, back_rows, back_apex in backward:  # reversed, start row dropped
         at_start = len(back_rows) - 1
-        rows = np.vstack([back_rows[:0:-1], rows])
+        rows = np.concatenate([back_rows[:0:-1], rows])
         times = np.concatenate([back_times[:0:-1], times])
         apex = apex or back_apex
     xs, ys, _ = rows.T.copy()

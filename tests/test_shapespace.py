@@ -336,6 +336,30 @@ def test_points_on_the_vertex_thresholds_report_rows_within_vertex_delta():
     assert flow._round_corner_margin(-r, r, 0.0) > 0.0
 
 
+def _row_reference(P, Q):
+    # _row as two calls of the overflow-safe logistic pair (l(z), l(-z)).
+    def pair(z):
+        e = math.exp(-abs(z))
+        return (1.0 / (1.0 + e), e / (1.0 + e)) if z >= 0.0 else (e / (1.0 + e), 1.0 / (1.0 + e))
+    (p, p1), (q, q1) = pair(min(P, Q)), pair(Q)
+    return p + q, (q - p if q < 0.5 else p1 - q1), q1 * (1.0 + q) - p * p
+
+
+#: Logits at and past the ends of exp's range, at the vertex thresholds and
+#: around zero, signed zeros included.
+EXTREME_LOGITS = [-math.inf, -800.0, -745.0, -flow.ROUND_LOGIT, -0.5, -1e-300, -0.0, 0.0,
+                  1e-300, 0.5, flow.ROUND_LOGIT, 745.0, 800.0, math.inf]
+
+
+@pytest.mark.parametrize("P", EXTREME_LOGITS)
+def test_row_is_the_logistic_pair_form_bit_for_bit(P):
+    # Rows are output bytes: the inlined pairs must round as the calls did.
+    # P > Q too, as on a row where P rounds above Q near the snake edge.
+    for Q in EXTREME_LOGITS:
+        row = shapespace._row(P, Q)
+        assert np.array(row).tobytes() == np.array(_row_reference(P, Q)).tobytes(), (P, Q, row)
+
+
 def test_vertex_stops_take_few_root_finder_evaluations(monkeypatch):
     # Each branch stops on its vertex through _bracket_crossing; an apex
     # re-step, if any, comes after.  The stops are thresholds on logistic
