@@ -15,11 +15,12 @@ The package splits into four layers:
 Which modules load when:
 
 * ``import danteflow`` runs errors and geometry.  It registers flow and
-  shapespace in ``sys.modules`` through ``importlib.util.LazyLoader``
-  without running them: each runs on its first attribute access, an
-  ``import`` of it, or the first access to one of its names re-exported
-  here (served by the module ``__getattr__``, which then binds the name in
-  this namespace).
+  shapespace in ``sys.modules`` without running them: each runs on its
+  first attribute access, an ``import`` of it, or the first access to one
+  of its names re-exported here (served by the module ``__getattr__``,
+  which then binds the name in this namespace).  That run holds a lock, and
+  a thread that touches the module meanwhile waits for it to end, so
+  threads may make their first access together.
 * ``import danteflow.cli`` adds cli and the standard library's argparse;
   cli binds the lazy flow and shapespace modules once and calls their
   names.  So ``curvature`` and ``classify`` run only geometry, while
@@ -29,12 +30,11 @@ Which modules load when:
   shapespace); their laziness alone keeps it off ``import danteflow`` and
   the quick queries.  cli, which every command imports, imports numpy
   inside the two functions that use it, ``simulate`` and ``_closed_form``.
-* Threads: two threads that make the first access to ``danteflow.flow`` or
-  ``danteflow.shapespace`` together can see it half-built (AttributeError),
-  so make that access in one thread before the others start.
 """
 import importlib.util
 import sys
+import threading
+import types
 
 from .errors import (CollapseReachedError, DanteFlowError, DegenerateShapeError,
                      DomainError, IntegrationFailureError, SingularMapError,
@@ -48,13 +48,30 @@ from .geometry import (DEFAULT_EQ_TOL, DEFAULT_R_SQUARED, Classification,
                        to_rho_tau, to_xy)
 
 
+_RUN_LOCK = threading.RLock()  # reentrant: shapespace's run also runs flow
+_RUNNING = set()  # ids of the _Unrun modules whose runs have started
+
+
+class _Unrun(types.ModuleType):
+    """A registered submodule whose body has not run.  The first attribute
+    access runs it under _RUN_LOCK, and only then does the module become a
+    plain one: another thread's access waits for the whole run, while the
+    running thread reads the module as it fills."""
+
+    def __getattribute__(self, name):
+        with _RUN_LOCK:
+            if id(self) not in _RUNNING:
+                _RUNNING.add(id(self))
+                types.ModuleType.__getattribute__(self, "__spec__").loader.exec_module(self)
+                self.__class__ = types.ModuleType
+        return types.ModuleType.__getattribute__(self, name)
+
+
 def _lazy(name: str):
     """Register the submodule `name` in sys.modules, to run on first use."""
     spec = importlib.util.find_spec(f"{__name__}.{name}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    module.__class__ = _Unrun
     return module
 
 

@@ -1,6 +1,7 @@
 """Command-line front end emitting CSV tables and JSON summaries.
 
-Output contract:
+A command function returns a record (``curvature``, ``classify``) or
+``(header, rows, summary)``, and main writes every artifact and summary:
 
 * The primary artifact (a CSV table, or a single JSON object for
   ``curvature``/``classify``) goes to ``--output`` when given, else stdout.
@@ -42,7 +43,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import flow, shapespace
+from . import __version__, flow, shapespace
 from .errors import DomainError, IntegrationFailureError, SingularMapError
 from .geometry import (DEFAULT_EQ_TOL, DEFAULT_R_SQUARED, GRID_LIMIT, MetricCoeffs,
                        ShapePoint, StretchFactors, _require_positive, classify as classify_shape,
@@ -99,10 +100,16 @@ def _write(output: str | None, text: str) -> None:
         raise _named(exc, output)
 
 
-def _emit_with_summary(table: str, output: str | None, summary: dict) -> None:
-    # Summary shares stdout only when the table went to a file.
-    _write(output, table)
-    print(_json_line(summary), file=sys.stdout if output else sys.stderr)
+def _flat(record: dict) -> tuple[str, list]:
+    """A record's CSV header and one-row table: a list field such as
+    curvature_signs becomes the columns curvature_sign1, curvature_sign2, ..."""
+    cells = {}
+    for key, value in record.items():
+        if isinstance(value, list):
+            cells.update((f"{key[:-1]}{i}", item) for i, item in enumerate(value, 1))
+        else:
+            cells[key] = value
+    return ",".join(cells), [list(cells.values())]
 
 
 def _resolve_r2(r2: float | None) -> float:
@@ -111,26 +118,22 @@ def _resolve_r2(r2: float | None) -> float:
     return value
 
 
-def curvature(a, b, c, r2, output_format, output):
+def curvature(a, b, c, r2):
     """Principal curvatures, Ricci eigenvalues, scalar, and connection
     coefficients of one shape."""
     f = StretchFactors(a, b, c, _resolve_r2(r2))
     cs = curvature_summary(f)
     conn = connection_coefficients(f)
-    record = {
+    return {
         "a": f.a, "b": f.b, "c": f.c, "r_squared": f.r_squared,
         "kappa1": cs.kappa1, "kappa2": cs.kappa2, "kappa3": cs.kappa3,
         "ricci11": cs.ricci11, "ricci22": cs.ricci22, "ricci33": cs.ricci33,
         "scalar": cs.scalar,
         "connection1": conn[0], "connection2": conn[1], "connection3": conn[2],
     }
-    if output_format == "json":
-        _write(output, _json_line(record) + "\n")
-    else:
-        _write(output, _csv_text(",".join(record), [list(record.values())]))
 
 
-def classify(a, b, c, r2, eq_tol, output_format, output):
+def classify(a, b, c, r2, eq_tol):
     """Shape kind, curvature signs, triangle coordinates, and eigenvalue
     ratios of one shape."""
     f = StretchFactors(a, b, c, _resolve_r2(r2))
@@ -141,25 +144,16 @@ def classify(a, b, c, r2, eq_tol, output_format, output):
         rho, tau = ratios.rho, ratios.tau
     except SingularMapError:
         rho = tau = None
-    record = {
+    return {
         "shape": result.shape.value,
         "curvature_signs": list(result.curvature_signs),
         "ricci_signs": list(result.ricci_signs),
         "scalar_sign": result.scalar_sign,
         "x": point.x, "y": point.y, "rho": rho, "tau": tau,
     }
-    if output_format == "json":
-        _write(output, _json_line(record) + "\n")
-    else:
-        header = ("shape,curvature_sign1,curvature_sign2,curvature_sign3,"
-                  "ricci_sign1,ricci_sign2,ricci_sign3,scalar_sign,x,y,rho,tau")
-        row = ([result.shape.value] + list(result.curvature_signs)
-               + list(result.ricci_signs)
-               + [result.scalar_sign, point.x, point.y, rho, tau])
-        _write(output, _csv_text(header, [row]))
 
 
-def simulate(a, b, c, r2, grid, rel_tol, abs_tol, collapse_eps, max_steps, output):
+def simulate(a, b, c, r2, grid, rel_tol, abs_tol, collapse_eps, max_steps):
     """Integrate the flow from ordered stretch factors a <= b <= c and emit
     the trajectory table plus a JSON summary with the collapse time."""
     if grid == 1:  # a grid spans the trajectory, so it needs both ends
@@ -189,18 +183,16 @@ def simulate(a, b, c, r2, grid, rel_tol, abs_tol, collapse_eps, max_steps, outpu
                      cs.kappa1, cs.kappa2, cs.kappa3,
                      cs.ricci11, cs.ricci22, cs.ricci33, cs.scalar])
 
-    summary = {
+    return SIMULATE_HEADER, rows, {
         "collapse_time": traj.collapse_time,
         "terminated": traj.terminated.value,
         "num_samples": len(rows),
         "r_squared": r2v,
     }
-    _emit_with_summary(_csv_text(SIMULATE_HEADER, rows), output, summary)
 
 
-def _closed_form(sol, r2v, grid, check, output, header, time_of, profile, column,
-                 initial) -> None:
-    """Emit the closed-form table of a snake or turtle, its parameter running
+def _closed_form(sol, r2v, grid, check, header, time_of, profile, column, initial):
+    """The closed-form table of a snake or turtle, its parameter running
     from 1 down to 0 at collapse, and the summary.  With check, also
     integrate the flow and report the largest gap between a step's time and
     the closed-form time at that step's coefficient `column`, taken relative
@@ -225,27 +217,27 @@ def _closed_form(sol, r2v, grid, check, output, header, time_of, profile, column
             deviation = max(deviation, abs(scale * time_of(sol, s) - t))
         summary["numeric_collapse_time"] = traj.collapse_time
         summary["max_time_deviation"] = deviation
-    _emit_with_summary(_csv_text(header, rows), output, summary)
+    return header, rows, summary
 
 
-def snake(W, alpha, grid, check, r2, output):
+def snake(W, alpha, grid, check, r2):
     """Closed-form snake flow (a = b): table of lambda, t, w, v plus the
     collapse time."""
     r2v = _resolve_r2(r2)
     sol = flow.SnakeSolution(W=W, alpha=alpha)
-    _closed_form(sol, r2v, grid, check, output, "lambda,t,w,v", flow.snake_time_of_lambda,
-                 flow.snake_profile, 2,
-                 {"w_initial": sol.W, "v_initial": sol.V, "alpha": sol.alpha})
+    return _closed_form(sol, r2v, grid, check, "lambda,t,w,v", flow.snake_time_of_lambda,
+                        flow.snake_profile, 2,
+                        {"w_initial": sol.W, "v_initial": sol.V, "alpha": sol.alpha})
 
 
-def turtle(U, beta, grid, check, r2, output):
+def turtle(U, beta, grid, check, r2):
     """Closed-form turtle flow (b = c): table of mu, t, u, v plus the
     collapse time."""
     r2v = _resolve_r2(r2)
     sol = flow.TurtleSolution(U=U, beta=beta)
-    _closed_form(sol, r2v, grid, check, output, "mu,t,u,v", flow.turtle_time_of_mu,
-                 flow.turtle_profile, 0,
-                 {"u_initial": sol.U, "v_initial": sol.V, "beta": sol.beta})
+    return _closed_form(sol, r2v, grid, check, "mu,t,u,v", flow.turtle_time_of_mu,
+                        flow.turtle_profile, 0,
+                        {"u_initial": sol.U, "v_initial": sol.V, "beta": sol.beta})
 
 
 def _parse_starts_file(path: str) -> list[ShapePoint]:
@@ -291,7 +283,7 @@ def _interior_grid(spec: str) -> list[ShapePoint]:
     return points
 
 
-def flowlines(starts, grid_spec, c0, forward_only, r2, apex_output, output):
+def flowlines(starts, grid_spec, c0, forward_only, r2):
     """Trace flow lines through the shape triangle and report their apexes."""
     if (starts is None) == (grid_spec is None):
         raise UsageError("exactly one of --starts or --grid is required")
@@ -299,36 +291,28 @@ def flowlines(starts, grid_spec, c0, forward_only, r2, apex_output, output):
     params = flow.FlowParams(r_squared=_resolve_r2(r2))
 
     rows = []
-    apex_rows = []
+    apexes = []
     for line_id, start in enumerate(points):
         line = shapespace.trace_flowline(start, c0, params,
                                          include_backward=not forward_only)
         for x, y, t in zip(line.xs.tolist(), line.ys.tolist(), line.times.tolist()):
             rows.append([line_id, x, y, t])
-        apex_rows.append([line_id, line.apex.x, line.apex.y])
-
-    if apex_output is not None:
-        _write(apex_output, _csv_text("line_id,x,y", apex_rows))
-    summary = {
-        "num_lines": len(points),
-        "apexes": [{"line_id": i, "x": x, "y": y} for i, x, y in apex_rows],
-    }
-    _emit_with_summary(_csv_text("line_id,x,y,t", rows), output, summary)
+        apexes.append({"line_id": line_id, "x": line.apex.x, "y": line.apex.y})
+    return "line_id,x,y,t", rows, {"num_lines": len(points), "apexes": apexes}
 
 
-def regions(resolution, output):
+def regions(resolution):
     """Extract the classification boundaries (scalar zero, smallest
     principal curvature zero, degenerate-Ricci line) as labeled polylines."""
     labels = (shapespace.SCALAR_ZERO, shapespace.KAPPA_MIN_ZERO, shapespace.RICCI_DEGENERATE)
     bounds = {label: points.tolist()
               for label, points in shapespace.region_boundaries(resolution).items()}
     rows = [[label, x, y] for label in labels for x, y in bounds[label]]
-    summary = {
+    return "label,x,y", rows, {
         "scalar_zero_x_intercept": bounds[shapespace.SCALAR_ZERO][0][0],
         "kappa_min_zero_x_intercept": bounds[shapespace.KAPPA_MIN_ZERO][-1][0],
         "points_per_boundary": {label: len(bounds[label]) for label in labels},
     }
-    _emit_with_summary(_csv_text("label,x,y", rows), output, summary)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -363,8 +347,8 @@ def _parser() -> _Parser:
     """One subcommand per command function; each option's dest names a parameter."""
     parser = _Parser(prog="danteflow", description="Curvature, Ricci-flow collapse, and "
                      "shape-space portraits of homogeneously deformed 3-spheres.")
-    parser.add_argument("--version", action="version", version="danteflow, version 0.1.0",
-                        help="Show the version and exit.")
+    parser.add_argument("--version", action="version", help="Show the version and exit.",
+                        version=f"danteflow, version {__version__}")
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
 
     def number(sub, flag, help="", default=None, type=float, **kwargs):
@@ -438,7 +422,22 @@ def main(argv=None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = vars(_parser().parse_args(argv))
-        args.pop("run")(**args)
+        run, output = args.pop("run"), args.pop("output")
+        output_format = args.pop("output_format", None)  # only records have one
+        apex_output = args.pop("apex_output", None)
+        result = run(**args)
+        if output_format == "json":
+            _write(output, _json_line(result) + "\n")
+        elif output_format == "csv":
+            _write(output, _csv_text(*_flat(result)))
+        else:
+            header, rows, summary = result
+            if apex_output is not None:  # flowlines writes its apexes first
+                _write(apex_output, _csv_text("line_id,x,y",
+                                              [list(apex.values()) for apex in summary["apexes"]]))
+            _write(output, _csv_text(header, rows))
+            # The summary shares stdout only when the table went to a file.
+            print(_json_line(summary), file=sys.stdout if output else sys.stderr)
         sys.stdout.flush()  # so that a failed write to stdout fails here
         return 0
     except SystemExit:  # --help and --version; argparse's errors raise UsageError

@@ -66,9 +66,7 @@ numpy is imported once, at the top: the package registers this module
 lazily, so numpy loads only once flow first runs (package docstring).
 
 Integrations are single-threaded per trajectory; trajectories are
-independent values, so sweeps may run many integrations concurrently, but
-only once one thread has made the first access to this module (package
-docstring): two threads that load it together can see it half-built.
+independent values, so sweeps may run many integrations concurrently.
 """
 from __future__ import annotations
 

@@ -63,6 +63,8 @@ COMMANDS = (
     "regions",
     "curvature --a 1 --b 2 --c 3",
     "classify --a 1 --b 2 --c 3",
+    "classify --a 1 --b 2 --c 3 --format csv",
+    "classify --a 1e-20 --b 1 --c 1 --format csv",  # empty rho and tau cells
     # Half-excesses near the degenerate edge, and a zero connection coefficient.
     "curvature --a 1e-10 --b 1 --c 1",
     "curvature --a 1 --b 1 --c 2 --format csv",

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -79,13 +80,6 @@ def test_simulate_streams_without_output(run_cli):
     assert summary["collapse_time"] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_simulate_rejects_unordered(run_cli):
-    code, out, err = run_cli("simulate", "--a", "2", "--b", "1", "--c", "1")
-    assert code == 3
-    detail = json.loads(err)
-    assert detail["error"] == "domain"
-
-
 def test_snake_command_golden(run_cli):
     code, out, err = run_cli("snake", "--W", "1", "--alpha", "1", "--grid", "4")
     assert code == 0
@@ -119,12 +113,6 @@ def test_turtle_command_golden(run_cli):
     # mu = 1 profile row carries (u, v) = (0.75, 1).
     assert float(rows[0][2]) == 0.75
     assert float(rows[0][3]) == pytest.approx(1.0, rel=1e-15, abs=0.0)
-
-
-def test_turtle_rejects_beta_at_one(run_cli):
-    code, _, err = run_cli("turtle", "--U", "1", "--beta", "1")
-    assert code == 3
-    assert json.loads(err)["error"] == "domain"
 
 
 def test_flowlines_grid(run_cli, tmp_path):
@@ -168,47 +156,6 @@ def test_flowlines_c0_leaves_the_lines_unchanged(run_cli, tmp_path):
     assert columns["1000"] == columns["1"] == columns["0.001"]
 
 
-def test_flowlines_requires_exactly_one_source(run_cli, tmp_path):
-    code, _, err = run_cli("flowlines")
-    assert code == 2
-    assert json.loads(err)["error"] == "usage"
-    starts = tmp_path / "s.csv"
-    starts.write_text("0.5,0.25\n", encoding="utf-8")
-    code, _, err = run_cli("flowlines", "--starts", str(starts), "--grid", "2x2")
-    assert code == 2
-
-
-def test_flowlines_bad_grid_spec(run_cli):
-    code, _, err = run_cli("flowlines", "--grid", "5by5")
-    assert code == 2
-    assert json.loads(err)["error"] == "usage"
-
-
-def test_flowlines_empty_starts_file(run_cli, tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("# nothing here\n", encoding="utf-8")
-    code, _, err = run_cli("flowlines", "--starts", str(empty))
-    assert code == 2
-    assert json.loads(err)["error"] == "usage"
-
-
-def test_flowlines_malformed_starts_line(run_cli, tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("0.5,0.25\noops\n", encoding="utf-8")
-    code, _, err = run_cli("flowlines", "--starts", str(bad))
-    assert code == 2
-
-
-def test_flowlines_starts_line_with_extra_fields(run_cli, tmp_path):
-    # A flowlines table fed back as starts: its rows carry line_id before x.
-    table = tmp_path / "lines.csv"
-    table.write_text("line_id,x,y,t\n1,0.5,0.2,0.0\n", encoding="utf-8")
-    code, _, err = run_cli("flowlines", "--starts", str(table))
-    assert code == 2
-    assert json.loads(err)["error"] == "usage"
-    assert ":2: expected two numbers" in json.loads(err)["message"]
-
-
 def test_regions_command(run_cli, tmp_path):
     path = tmp_path / "regions.csv"
     code, out, _ = run_cli("regions", "--resolution", "16",
@@ -221,15 +168,6 @@ def test_regions_command(run_cli, tmp_path):
     assert header == ["label", "x", "y"]
     labels = {row[0] for row in rows}
     assert labels == {"scalar_zero", "kappa_min_zero", "ricci_degenerate"}
-
-
-def test_regions_resolution_bounds(run_cli):
-    # Past the largest float64 array numpy sizes, sys.maxsize // 8 values, a
-    # resolution ended in numpy's ValueError, exit 1.
-    for resolution in (8, 10**21, sys.maxsize // 8):
-        code, out, err = run_cli("regions", "--resolution", str(resolution))
-        assert code == 3 and out == "", resolution
-        assert json.loads(err)["error"] == "domain"
 
 
 def test_env_var_overrides_default_r2(run_cli, monkeypatch):
@@ -257,27 +195,6 @@ def test_byte_determinism(run_cli, tmp_path):
     assert b"\r" not in p1.read_bytes()
 
 
-def test_usage_errors(run_cli):
-    code, _, err = run_cli("simulate", "--a", "1", "--b", "1")
-    assert code == 2
-    assert json.loads(err)["error"] == "usage"
-    code, _, err = run_cli("nonsense")
-    assert code == 2
-    code, _, err = run_cli("simulate", "--a", "x", "--b", "1", "--c", "1")
-    assert code == 2
-
-
-def test_negative_inputs_are_domain_errors(run_cli):
-    code, _, err = run_cli("curvature", "--a", "-1", "--b", "1", "--c", "1")
-    assert code == 3
-    assert json.loads(err)["error"] == "domain"
-    for bad in ("nan", "inf"):
-        code, _, err = run_cli("classify", "--a", "1", "--b", "1", "--c", "1",
-                               "--eq-tol", bad)
-        assert code == 3
-        assert json.loads(err)["error"] == "domain"
-
-
 def test_quick_queries_at_extreme_scales(run_cli):
     # Curvature signs do not depend on scale: (1, 2, 3) at 1e160, where the
     # curvatures themselves overflow, has the signs it has at scale 1.
@@ -298,15 +215,6 @@ def test_quick_queries_at_extreme_scales(run_cli):
     assert json.loads(err)["error"] == "domain"
 
 
-def test_simulate_rejects_rel_tol_past_bound(run_cli):
-    # At rel_tol = 1e300 the controller took one step and reported a collapse
-    # time of 0.086 with exit code 0.
-    code, out, err = run_cli("simulate", "--a", "1", "--b", "2", "--c", "3",
-                             "--rel-tol", "1e300")
-    assert code == 3 and out == ""
-    assert json.loads(err)["error"] == "domain"
-
-
 def test_simulate_max_steps_reports_null_collapse(run_cli):
     code, out, err = run_cli("simulate", "--a", "1", "--b", "1", "--c", "1",
                              "--max-steps", "2", "--grid", "0")
@@ -314,15 +222,6 @@ def test_simulate_max_steps_reports_null_collapse(run_cli):
     summary = json.loads(err)
     assert summary["collapse_time"] is None
     assert summary["terminated"] == "max_steps"
-
-
-def test_integration_failure_exit_code(run_cli):
-    # Tolerances far below rounding: steps shrink until the step size underflows.
-    code, _, err = run_cli("simulate", "--a", "1", "--b", "2", "--c", "4",
-                           "--rel-tol", "1e-300", "--abs-tol", "1e-300",
-                           "--max-steps", "100000")
-    assert code == 4
-    assert json.loads(err)["error"] == "integration_failure"
 
 
 def test_simulate_tiny_collapse_eps_exits_0(run_cli):
@@ -356,13 +255,6 @@ def test_metrics_at_any_scale_exit_0(run_cli, args):
     code, _, err = run_cli(*args)
     assert code == 0, err
     assert json.loads(err)["collapse_time"] > 0.0
-
-
-def test_simulate_grid_of_one_is_a_usage_error(run_cli):
-    # A uniform grid spans the trajectory, so it needs both ends; 0 disables it.
-    code, _, err = run_cli("simulate", "--a", "1", "--b", "1", "--c", "1", "--grid", "1")
-    assert code == 2
-    assert "--grid" in json.loads(err)["message"]
 
 
 def test_help_exits_cleanly(run_cli):
@@ -432,25 +324,19 @@ def test_repeats_in_separate_processes_are_byte_identical(tmp_path):
     # test_byte_determinism repeats within one process; these runs share
     # nothing, so they also catch output that depends on hash seeds or on
     # the state of the interpreter.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    commands = {
-        "lines": ["flowlines", "--grid", "5x5", "--apex-output", "apex.csv"],
-        "simulate": ["simulate", "--a", "0.5", "--b", "1", "--c", "1.5"],
-    }
     outputs = []
     for run in (1, 2):
         out = tmp_path / str(run)
         out.mkdir()
-        for name, args in commands.items():
-            result = subprocess.run(
-                [sys.executable, "-m", "danteflow", *args, "--output", f"{name}.csv"],
-                cwd=out, env=env, capture_output=True, check=True)
-            (out / f"{name}.json").write_bytes(result.stdout)
-        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
-    assert sorted(outputs[0]) == ["apex.csv", "lines.csv", "lines.json",
-                                  "simulate.csv", "simulate.json"]
+        summaries = {}
+        for name, args in (("lines", ["flowlines", "--grid", "5x5", "--apex-output",
+                                      str(out / "apex.csv")]),
+                           ("simulate", ["simulate", "--a", "0.5", "--b", "1", "--c", "1.5"])):
+            result = _python("-m", "danteflow", *args, "--output", str(out / f"{name}.csv"))
+            assert result.returncode == 0, result.stderr
+            summaries[name] = result.stdout
+        outputs.append([summaries, {path.name: path.read_bytes() for path in out.iterdir()}])
+    assert sorted(outputs[0][1]) == ["apex.csv", "lines.csv", "simulate.csv"]
     assert outputs[0] == outputs[1]
 
 
@@ -492,40 +378,6 @@ def test_output_off_numpys_avx512_path_agrees_to_rounding():
     assert np.array_equal(*line_ids)  # the same rows per line
 
 
-@pytest.mark.parametrize("args", [
-    ("--a", "-1e-3", "--b", "1", "--c", "1"),
-    ("--a", "-inf", "--b", "1", "--c", "1"),
-    ("--a", "-nan", "--b", "1", "--c", "1"),
-    ("--a", "1", "--b", "1", "--c", "1", "--r2", "-1e3"),
-], ids=["exponent", "inf", "nan", "r2"])
-def test_negative_values_are_values_not_options(run_cli, args):
-    # The token after an option is its value, however it starts, so each of
-    # these reaches the domain check instead of ending as a missing value.
-    code, out, err = run_cli("curvature", *args)
-    assert code == 3 and out == ""
-    assert json.loads(err)["error"] == "domain"
-
-
-@pytest.mark.parametrize("args", [
-    ("simulate", "--a", "1e-200", "--b", "1e-200", "--c", "1e-200"),
-    ("simulate", "--a", "1e-170", "--b", "1e-155", "--c", "1e100"),
-    ("flowlines", "--grid", "1x1", "--c0", "1e-320"),
-    ("flowlines", "--grid", "2x2", "--c0", "1e-170"),
-    ("simulate", "--a", "1e-100", "--b", "1", "--c", "1.7e308"),
-    ("simulate", "--a", "1e-10", "--b", "1e-10", "--c", "1e300"),
-], ids=["simulate-products", "simulate-one-product", "flowlines-subnormal-c0",
-        "flowlines-tiny-c0", "simulate-ratio", "simulate-metric-product"])
-def test_underflow_past_the_float_range_is_a_domain_error(run_cli, args):
-    # A product of two stretch factors, the ratio u/(w0 - u) integrate
-    # starts from, or the product u v w of a tabulated row (1e-290, 1e-290,
-    # 1e20 here, 0 even after stretch_from_metric's exact rescaling) that
-    # underflows to 0 ended in a traceback with exit 1.
-    # Its overflow side (simulate at 1e-160) already exited 3.
-    code, out, err = run_cli(*args)
-    assert code == 3 and out == ""
-    assert json.loads(err)["error"] == "domain"
-
-
 def _times(command: str, out: str) -> np.ndarray:
     # The collapse time of simulate (its summary) or the t column of flowlines.
     if command == "simulate":
@@ -564,42 +416,155 @@ def test_a_sigma_span_near_the_float_range_exits_0(args, collapse_time):
     assert summary["collapse_time"] == pytest.approx(collapse_time, rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("args", [
-    ("simulate", "--a", "1e-100", "--b", "1e-100", "--c", "1e-100", "--r2", "1e200"),
-    ("flowlines", "--grid", "1x1", "--c0", "1e-100", "--r2", "1e200"),
-    ("simulate", "--a", "1e150", "--b", "1e150", "--c", "1e150", "--r2", "1e-300"),
-], ids=["simulate-overflow", "flowlines-overflow", "simulate-underflow"])
-def test_flow_times_past_the_float_range_exit_3(args):
+EXIT_CODES = {"usage": 2, "domain": 3, "integration_failure": 4}
+
+#: Files a command line names as {name}; {missing} names a missing directory.
+FILES = {
+    "starts": b"0.5,0.25\n",
+    "empty": b"# nothing here\n",
+    "bad": b"0.5,0.25\noops\n",
+    "table": b"line_id,x,y,t\n1,0.5,0.2,0.0\n",
+    "nan": b"nan,0.5\n",
+    "not_utf8": b"\xff\xfe0.5,0.25\n",
+}
+
+
+def rejected(id, command, kind, message=None, **kwargs):
+    """A case of test_rejected_command_lines: the command line in shell
+    words, the error kind and, if the case checks it, the whole message."""
+    return pytest.param(command, kind, message, id=id, **kwargs)
+
+
+@pytest.mark.parametrize("command, kind, message", [
+    rejected("simulate-unordered", "simulate --a 2 --b 1 --c 1", "domain"),
+    rejected("turtle-beta-at-one", "turtle --U 1 --beta 1", "domain"),
+    rejected("flowlines-no-source", "flowlines", "usage",
+             "exactly one of --starts or --grid is required"),
+    rejected("flowlines-both-sources", "flowlines --starts {starts} --grid 2x2", "usage",
+             "exactly one of --starts or --grid is required"),
+    rejected("flowlines-bad-grid-spec", "flowlines --grid 5by5", "usage"),
+    rejected("empty-starts-file", "flowlines --starts {empty}", "usage"),
+    rejected("malformed-starts-line", "flowlines --starts {bad}", "usage"),
+    # A flowlines table fed back as starts: its rows carry line_id before x.
+    rejected("starts-line-with-extra-fields", "flowlines --starts {table}", "usage",
+             "{table}:2: expected two numbers, got '1,0.5,0.2,0.0'"),
+    rejected("flowlines-nan-start", "flowlines --starts {nan}", "domain",
+             "point (nan, 0.5) is not finite"),
+    rejected("regions-resolution-below-16", "regions --resolution 8", "domain"),
+    # Past the largest float64 array numpy sizes, sys.maxsize // 8 values, a
+    # resolution ended in numpy's ValueError, exit 1.
+    rejected("regions-resolution-1e21", f"regions --resolution {10**21}", "domain"),
+    rejected("regions-resolution-past-numpy", f"regions --resolution {sys.maxsize // 8}",
+             "domain"),
+    rejected("missing-option", "simulate --a 1 --b 1", "usage"),
+    rejected("nonsense-command", "nonsense", "usage"),
+    rejected("non-numeric-value", "simulate --a x --b 1 --c 1", "usage"),
+    rejected("negative-factor", "curvature --a -1 --b 1 --c 1", "domain"),
+    rejected("eq-tol-nan", "classify --a 1 --b 1 --c 1 --eq-tol nan", "domain"),
+    rejected("eq-tol-inf", "classify --a 1 --b 1 --c 1 --eq-tol inf", "domain"),
+    # At rel_tol = 1e300 the controller took one step and reported a collapse
+    # time of 0.086 with exit code 0.
+    rejected("rel-tol-past-bound", "simulate --a 1 --b 2 --c 3 --rel-tol 1e300", "domain"),
+    # Tolerances far below rounding: steps shrink until the step size underflows.
+    rejected("integration-failure", "simulate --a 1 --b 2 --c 4 --rel-tol 1e-300 "
+             "--abs-tol 1e-300 --max-steps 100000", "integration_failure"),
+    # A uniform grid spans the trajectory, so it needs both ends; 0 disables it.
+    rejected("simulate-grid-of-one", "simulate --a 1 --b 1 --c 1 --grid 1", "usage",
+             "argument --grid: must be 0 (no grid) or at least 2"),
+    # The token after an option is its value, however it starts, so each of
+    # these reaches the domain check instead of ending as a missing value.
+    rejected("negative-value-exponent", "curvature --a -1e-3 --b 1 --c 1", "domain"),
+    rejected("negative-value-inf", "curvature --a -inf --b 1 --c 1", "domain"),
+    rejected("negative-value-nan", "curvature --a -nan --b 1 --c 1", "domain"),
+    rejected("negative-value-r2", "curvature --a 1 --b 1 --c 1 --r2 -1e3", "domain"),
+    # A product of two stretch factors, the ratio u/(w0 - u) integrate
+    # starts from, or the product u v w of a tabulated row (1e-290, 1e-290,
+    # 1e20 here, 0 even after stretch_from_metric's exact rescaling) that
+    # underflows to 0 ended in a traceback with exit 1.
+    # Its overflow side (simulate at 1e-160) already exited 3.
+    rejected("simulate-products", "simulate --a 1e-200 --b 1e-200 --c 1e-200", "domain"),
+    rejected("simulate-one-product", "simulate --a 1e-170 --b 1e-155 --c 1e100", "domain"),
+    rejected("flowlines-subnormal-c0", "flowlines --grid 1x1 --c0 1e-320", "domain"),
+    rejected("flowlines-tiny-c0", "flowlines --grid 2x2 --c0 1e-170", "domain"),
+    rejected("simulate-ratio", "simulate --a 1e-100 --b 1 --c 1.7e308", "domain"),
+    rejected("simulate-metric-product", "simulate --a 1e-10 --b 1e-10 --c 1e300", "domain"),
     # w0 R^2/4 past the float range printed numpy RuntimeWarnings and a
     # wrong message (the first two) or a ValueError traceback (the third).
-    result = _python("-m", "danteflow", *args, timeout=60)
-    assert result.returncode == 3 and result.stdout == ""
-    assert "RuntimeWarning" not in result.stderr
-    [line] = result.stderr.splitlines()
-    error = json.loads(line)
-    assert error["error"] == "domain"
-    assert "time scale w0 R^2/4" in error["message"]
-
-
-@pytest.mark.parametrize("args, message", [
-    (("flowlines", "--grid", "1x1", "--c0", "1e300"),
-     "metric coefficients of (2.5e+299, 7.5e+299, 1e+300) lie outside the float range"),
-    (("simulate", "--a", "1e-160", "--b", "1e-160", "--c", "1e160"),
-     "metric coefficients of (1e-160, 1e-160, 1e+160) lie outside the float range"),
-    (("curvature", "--a", "1", "--b", "2", "--c", "3", "--r2", "0"),
-     "r_squared must be a positive finite number, got 0.0"),
-    (("flowlines", "--grid", "1x1", "--c0", "-1"),
-     "c must be a positive finite number, got -1.0"),
-], ids=["products-overflow", "products-subnormal", "r2", "c0"])
-def test_domain_errors_name_the_numbers_typed(args, message):
+    rejected("time-scale-simulate-overflow",
+             "simulate --a 1e-100 --b 1e-100 --c 1e-100 --r2 1e200", "domain",
+             "flow time scale w0 R^2/4 = inf is not a normal float"),
+    rejected("time-scale-flowlines-overflow",
+             "flowlines --grid 1x1 --c0 1e-100 --r2 1e200", "domain",
+             "flow time scale w0 R^2/4 = inf is not a normal float"),
+    rejected("time-scale-simulate-underflow",
+             "simulate --a 1e150 --b 1e150 --c 1e150 --r2 1e-300", "domain",
+             "flow time scale w0 R^2/4 = 0.0 is not a normal float"),
     # A product of two stretch factors past the float range gave a
     # coefficient of 0 or inf, and the message named that coefficient (u or
     # w), a number never typed.  --r2 and --c0 share geometry's positivity
     # message.
-    result = _python("-m", "danteflow", *args, timeout=60)
-    assert result.returncode == 3 and result.stdout == ""
-    [line] = result.stderr.splitlines()
-    assert json.loads(line) == {"error": "domain", "message": message}
+    rejected("named-products-overflow", "flowlines --grid 1x1 --c0 1e300", "domain",
+             "metric coefficients of (2.5e+299, 7.5e+299, 1e+300) lie outside the float range"),
+    rejected("named-products-subnormal", "simulate --a 1e-160 --b 1e-160 --c 1e160", "domain",
+             "metric coefficients of (1e-160, 1e-160, 1e+160) lie outside the float range"),
+    # Launched, for what main's return value does not show: the process's
+    # exit status through sys.exit, and its own stdout and stderr.
+    rejected("named-r2", "python -m danteflow curvature --a 1 --b 2 --c 3 --r2 0", "domain",
+             "r_squared must be a positive finite number, got 0.0"),
+    rejected("named-c0", "flowlines --grid 1x1 --c0 -1", "domain",
+             "c must be a positive finite number, got -1.0"),
+    rejected("no-command", "", "usage"),
+    rejected("unknown-command", "curv", "usage"),
+    rejected("unknown-format", "curvature --a 1 --b 1 --c 1 --format xml", "usage"),
+    rejected("missing-starts-file", "flowlines --starts {missing}/starts.csv", "usage"),
+    rejected("extra-argument", "curvature --a 1 --b 1 --c 1 extra", "usage"),
+    rejected("output-is-a-directory", "curvature --a 1 --b 1 --c 1 --output .", "usage"),
+    rejected("empty-output", "curvature --a 1 --b 1 --c 1 --output ''", "usage"),
+    rejected("empty-starts", "flowlines --starts ''", "usage"),
+    rejected("empty-apex-output", "flowlines --grid 1x1 --apex-output ''", "usage"),
+    rejected("empty-grid-axis", "flowlines --grid 0x5", "usage"),
+    rejected("negative-simulate-grid", "simulate --a 1 --b 1 --c 1 --grid -1", "usage"),
+    # Counts past the largest table numpy sizes (sys.maxsize // 8 values)
+    # ended in numpy's ValueError, exit 1.
+    rejected("simulate-grid-past-numpy", f"simulate --a 1 --b 1 --c 1 --grid {10**23}", "usage"),
+    rejected("snake-grid-past-numpy", f"snake --W 1 --alpha 1 --grid {10**20}", "usage"),
+    rejected("turtle-grid-past-numpy", f"turtle --U 1 --beta 0.5 --grid {sys.maxsize // 8}",
+             "usage"),
+    # A named file that cannot be written or read fails where it is used,
+    # and ends like any usage error instead of in a traceback.
+    rejected("output-in-missing-dir", "curvature --a 1 --b 2 --c 3 --output {missing}/x.json",
+             "usage", "[Errno 2] No such file or directory: '{missing}/x.json'"),
+    rejected("apex-output-in-missing-dir", "flowlines --grid 1x1 --apex-output "
+             "{missing}/apex.csv", "usage",
+             "[Errno 2] No such file or directory: '{missing}/apex.csv'"),
+    rejected("output-device-full", "curvature --a 1 --b 2 --c 3 --output /dev/full", "usage",
+             "[Errno 28] No space left on device: '/dev/full'",
+             marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")),
+    rejected("starts-not-utf8", "flowlines --starts {not_utf8}", "usage",
+             "{not_utf8}: 'utf-8' codec can't decode byte 0xff in position 0: "
+             "invalid start byte"),
+])
+def test_rejected_command_lines(run_cli, tmp_path, command, kind, message):
+    # The whole failure contract: the kind's exit code, nothing on stdout,
+    # and on stderr one line, the JSON object {"error": kind, "message": ...}.
+    # pyproject makes a RuntimeWarning an exception here, so a case that
+    # warns fails as it would in a launched interpreter.
+    paths = {"missing": tmp_path / "missing"}
+    for name, content in FILES.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_bytes(content)
+    args = [arg.format(**paths) for arg in shlex.split(command)]
+    if args[:1] == ["python"]:  # a launched case
+        result = _python(*args[1:], timeout=60)
+        code, out, err = result.returncode, result.stdout, result.stderr
+    else:
+        code, out, err = run_cli(*args)
+    assert (code, out) == (EXIT_CODES[kind], ""), err
+    [line] = err.splitlines()
+    error = json.loads(line)
+    assert sorted(error) == ["error", "message"] and error["error"] == kind
+    if message is not None:
+        assert error["message"] == message.format(**paths)
 
 
 def test_empty_r2_variable_counts_as_unset(run_cli, monkeypatch):
@@ -609,33 +574,6 @@ def test_empty_r2_variable_counts_as_unset(run_cli, monkeypatch):
     assert code == 0 and json.loads(out)["r_squared"] == 4.0
     monkeypatch.setenv("DANTE_FLOW_R2", "abc")
     code, out, err = run_cli(*quick)
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "usage"
-
-
-SHAPE = ("--a", "1", "--b", "1", "--c", "1")
-
-
-@pytest.mark.parametrize("args", [
-    (), ("curv",), ("curvature", *SHAPE, "--format", "xml"),
-    ("flowlines", "--starts", "{missing}"),
-    ("curvature", *SHAPE, "extra"), ("curvature", *SHAPE, "--output", "."),
-    ("curvature", *SHAPE, "--output", ""), ("flowlines", "--starts", ""),
-    ("flowlines", "--grid", "1x1", "--apex-output", ""),
-    ("flowlines", "--grid", "0x5"),
-    ("simulate", *SHAPE, "--grid", "-1"),
-    # Counts past the largest table numpy sizes (sys.maxsize // 8 values)
-    # ended in numpy's ValueError, exit 1.
-    ("simulate", *SHAPE, "--grid", str(10**23)),
-    ("snake", "--W", "1", "--alpha", "1", "--grid", str(10**20)),
-    ("turtle", "--U", "1", "--beta", "0.5", "--grid", str(sys.maxsize // 8)),
-], ids=["no-command", "unknown-command", "unknown-format", "missing-starts-file",
-        "extra-argument", "output-is-a-directory", "empty-output", "empty-starts",
-        "empty-apex-output", "empty-grid-axis", "negative-simulate-grid",
-        "simulate-grid-past-numpy", "snake-grid-past-numpy", "turtle-grid-past-numpy"])
-def test_malformed_command_lines_exit_2(run_cli, tmp_path, args):
-    args = [arg.format(missing=tmp_path / "missing.csv") for arg in args]
-    code, out, err = run_cli(*args)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "usage"
 
@@ -715,6 +653,42 @@ def test_commands_load_only_the_modules_they_need():
                                         "danteflow.shapespace": True}
 
 
+def test_first_use_from_several_threads_at_once():
+    # The first access to flow or shapespace runs it.  Under importlib's
+    # LazyLoader, threads that made that access together saw the module
+    # half-run: AttributeError on integrate or trace_flowline, or
+    # shapespace's ImportError on flow's ROUND_LOGIT.  A fresh interpreter,
+    # since only a first use races, switching threads as often as it can.
+    result = _python("-c", (
+        "import sys, threading\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "import danteflow\n"
+        "def trajectory(integrate):\n"
+        "    traj = integrate(danteflow.MetricCoeffs(0.3, 0.6, 1.2))\n"
+        "    return [traj.times.tobytes(), traj.coeffs.tobytes()]\n"
+        "def line(trace):\n"
+        "    line = trace(danteflow.ShapePoint(0.9, 0.3))\n"
+        "    return [line.xs.tobytes(), line.ys.tobytes(), line.times.tobytes()]\n"
+        "calls = [lambda: trajectory(danteflow.integrate),\n"
+        "         lambda: trajectory(danteflow.flow.integrate),\n"
+        "         lambda: line(danteflow.trace_flowline), lambda: line(danteflow.trace_flowline)]\n"
+        "barrier, results = threading.Barrier(len(calls)), {}\n"
+        "def run(call):\n"
+        "    barrier.wait()\n"
+        "    try:\n"
+        "        results[call] = call()\n"
+        "    except Exception as exc:\n"
+        "        results[call] = repr(exc)\n"
+        "threads = [threading.Thread(target=run, args=(call,)) for call in calls]\n"
+        "for thread in threads:\n"
+        "    thread.start()\n"
+        "for thread in threads:\n"
+        "    thread.join()\n"
+        "print([results[call] == call() or results[call] for call in calls])\n"), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[True, True, True, True]"
+
+
 def test_simulate_at_a_huge_metric_scale_exits_0():
     # w0 = 5e307: w0 times a step's sigma span overflowed in sample_at, and
     # the run exited 3 on a NaN row after five RuntimeWarnings, even with no
@@ -727,39 +701,6 @@ def test_simulate_at_a_huge_metric_scale_exits_0():
         summary = json.loads(result.stdout)
         assert summary["terminated"] == "collapsed"
         assert summary["collapse_time"] == pytest.approx(3.157761542733084e+307, rel=1e-12)
-
-
-def test_flowlines_names_a_nan_start(run_cli, tmp_path):
-    starts = tmp_path / "nan.csv"
-    starts.write_text("nan,0.5\n", encoding="utf-8")
-    code, out, err = run_cli("flowlines", "--starts", str(starts))
-    assert code == 3 and out == ""
-    detail = json.loads(err)
-    assert detail["error"] == "domain"
-    assert detail["message"] == "point (nan, 0.5) is not finite"
-
-
-@pytest.mark.parametrize("args", [
-    ("curvature", "--a", "1", "--b", "2", "--c", "3", "--output", "{missing}/x.json"),
-    ("flowlines", "--grid", "1x1", "--apex-output", "{missing}/apex.csv"),
-    pytest.param(("curvature", "--a", "1", "--b", "2", "--c", "3", "--output", "/dev/full"),
-                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
-                                          reason="no /dev/full")),
-    ("flowlines", "--starts", "{not_utf8}"),
-], ids=["output-in-missing-dir", "apex-output-in-missing-dir", "output-device-full",
-        "starts-not-utf8"])
-def test_unusable_files_are_usage_errors(run_cli, tmp_path, args):
-    # A named file that cannot be written or read fails where it is used,
-    # and ends like any usage error instead of in a traceback.
-    not_utf8 = tmp_path / "starts.csv"
-    not_utf8.write_bytes(b"\xff\xfe0.5,0.25\n")
-    paths = {"missing": tmp_path / "missing", "not_utf8": not_utf8}
-    args = [arg.format(**paths) for arg in args]
-    code, out, err = run_cli(*args)
-    assert code == 2 and out == ""
-    detail = json.loads(err)
-    assert detail["error"] == "usage"
-    assert args[-1] in detail["message"]  # the message names the file
 
 
 class FullDevice:
