@@ -71,7 +71,6 @@ independent values, so sweeps may run many integrations concurrently.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -80,7 +79,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import CollapseReachedError, DomainError, IntegrationFailureError
-from .geometry import DEFAULT_R_SQUARED, GRID_LIMIT, MetricCoeffs, _excesses, _require_positive
+from .geometry import (DEFAULT_R_SQUARED, GRID_LIMIT, MetricCoeffs, _excesses, _require_count,
+                       _require_positive)
 
 #: Below this sqrt|z|, the closed forms' F(z) switches to its series.
 SERIES_SWITCH = 1e-6
@@ -102,7 +102,7 @@ class FlowParams:
     """Integration controls.  collapse_eps, in (0, 1), is a share of max(u0, v0, w0).
 
     max_steps must be a positive integer (a Python or numpy int; a float,
-    even 3.0, is rejected).  rel_tol and abs_tol must lie in
+    even 3.0, is a DomainError).  rel_tol and abs_tol must lie in
     (0, MAX_REL_TOL].  abs_tol is an absolute error floor on the scale-free
     (P, Q, L) that integrate and trace_flowline step, so it does not scale
     with the metric.  trace_flowline steps at rel_tol and abs_tol, integrate
@@ -123,11 +123,7 @@ class FlowParams:
                 raise DomainError(f"{name} must be at most {MAX_REL_TOL}, got {tol!r}")
         if not 0.0 < self.collapse_eps < 1.0:  # NaN fails too
             raise DomainError(f"collapse_eps must lie in (0, 1), got {self.collapse_eps!r}")
-        try:
-            max_steps = operator.index(self.max_steps)
-        except TypeError:
-            raise DomainError(f"max_steps must be an integer, got {self.max_steps!r}") from None
-        if max_steps < 1:
+        if _require_count("max_steps", self.max_steps) < 1:
             raise DomainError(f"max_steps must be positive, got {self.max_steps}")
 
 
@@ -196,9 +192,10 @@ class Trajectory:
         return np.where(stored, self.coeffs[row], solved)
 
     def uniform_grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """n equispaced samples spanning the trajectory, 2 <= n < GRID_LIMIT.
-        Scaling R^2 by 2^k scales them by exactly 2^k only while they stay
-        normal floats."""
+        """n equispaced samples spanning the trajectory, for an integer
+        2 <= n < GRID_LIMIT (a float, even 3.0, is a DomainError).  Scaling R^2
+        by 2^k scales them by exactly 2^k only while they stay normal floats."""
+        n = _require_count("n", n)
         if n < 2:
             raise DomainError(f"grid needs at least 2 points, got {n}")
         if n >= GRID_LIMIT:
@@ -759,7 +756,7 @@ class SnakeSolution:
 
     def __post_init__(self) -> None:
         _require_positive("W", self.W)
-        if not math.isfinite(self.alpha) or self.alpha < 0.0:
+        if not 0.0 <= self.alpha <= 1.7976931348623157e308:  # NaN fails too
             raise DomainError(f"alpha must be nonnegative, got {self.alpha!r}")
 
     @classmethod
@@ -798,9 +795,8 @@ class TurtleSolution:
 
     def __post_init__(self) -> None:
         _require_positive("U", self.U)
-        if not math.isfinite(self.beta) or not (0.0 <= self.beta <= BETA_CAP):
-            raise DomainError(
-                f"beta must lie in [0, {BETA_CAP}], got {self.beta!r}")
+        if not 0.0 <= self.beta <= BETA_CAP:  # NaN fails too
+            raise DomainError(f"beta must lie in [0, {BETA_CAP}], got {self.beta!r}")
 
     @classmethod
     def from_initial(cls, m0: MetricCoeffs) -> "TurtleSolution":

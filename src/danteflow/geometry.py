@@ -26,21 +26,25 @@ the Ricci-eigenvalue ratios rho = R22/R33, tau = R11/R33 of such a point
 (to_rho_tau); shapespace traces the flow through that triangle.
 
 All operations here are pure functions of value types and can be called
-concurrently without coordination.  The value types on the per-sample path
-(MetricCoeffs, StretchFactors, CurvatureSummary) have a hand-written
-constructor: one chained range test covers every field, the per-field
+concurrently without coordination.  An input's range is tested by comparing
+it with the largest float, as in _require_positive: NaN and +-inf fail such
+a test, and an int past the float range compares exactly where its
+conversion to float would raise OverflowError.  The value types on the
+per-sample path (MetricCoeffs, StretchFactors, CurvatureSummary) have a
+hand-written constructor: one chained test covers every field, the per-field
 check runs only to name the first bad one, and each field is stored as
 given, with no coercion, one key at a time into the instance dict (cheaper
 than a dict update with keywords).  curvature_summary, principal_curvatures,
 ricci_eigenvalues, scalar_curvature and classify share one formula,
 _curvatures; it, connection_coefficients and flow.rhs share one primitive,
-the half-excesses of _excesses.  stretch_from_metric is where numbers
-become Python floats: it returns them for any real input, numpy scalars
-included, so that the curvatures of its result run on Python floats.
+the half-excesses of _excesses.  stretch_from_metric is where numbers become
+Python floats: it returns them for any real input, numpy scalars included,
+so that the curvatures of its result run on Python floats.
 """
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -62,6 +66,13 @@ GRID_LIMIT = sys.maxsize // 8
 def _require_positive(name: str, value: float) -> None:
     if not 0.0 < value <= 1.7976931348623157e308:  # NaN fails too
         raise DomainError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def _require_count(name: str, value) -> int:
+    try:  # a Python or numpy integer; a float, even 3.0, is no count
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _half_sum(a: float, b: float, c: float) -> float:
@@ -323,7 +334,7 @@ def classify(f: StretchFactors, eq_tol: float = DEFAULT_EQ_TOL) -> Classificatio
     the division is exact, and the curvatures can neither overflow nor
     underflow at any scale of (a, b, c) or R^2.
     """
-    if not math.isfinite(eq_tol) or eq_tol < 0.0:
+    if not 0.0 <= eq_tol <= 1.7976931348623157e308:  # NaN fails too
         raise DomainError(f"eq_tol must be a nonnegative finite number, got {eq_tol!r}")
     lo, mid, hi = sorted((f.a, f.b, f.c))
 
@@ -372,10 +383,9 @@ class RicciRatios:
 def to_xy(f: StretchFactors) -> ShapePoint:
     """Triangle coordinates ((a+b)/c, (b-a)/c) of an ordered shape."""
     if not (f.a <= f.b <= f.c):
-        raise DomainError(
-            f"triangle coordinates need a <= b <= c, got ({f.a}, {f.b}, {f.c})")
+        raise DomainError(f"triangle coordinates need a <= b <= c, got ({f.a}, {f.b}, {f.c})")
     a, b, c = f.a, f.b, f.c
-    if not math.isfinite(a + b):
+    if not a + b <= 1.7976931348623157e308:
         # a + b overflows for factors near the largest float; halving all
         # three is exact and leaves every finite case as it was.
         a, b, c = 0.5 * a, 0.5 * b, 0.5 * c

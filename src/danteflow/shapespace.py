@@ -57,7 +57,7 @@ from .flow import (ROUND_LOGIT, VERTEX_DELTA, FlowParams, Trajectory, _coeffs, _
 # The chart itself (ShapePoint, to_xy, RicciRatios, to_rho_tau) lives in
 # geometry, so that classify needs no tracer; it is re-exported here.
 from .geometry import (DEFAULT_R_SQUARED, GRID_LIMIT, RicciRatios, ShapePoint, StretchFactors,
-                       _require_positive, metric_coeffs, to_rho_tau, to_xy)
+                       _require_count, _require_positive, metric_coeffs, to_rho_tau, to_xy)
 
 #: Labels for the classification boundaries emitted by region_boundaries().
 SCALAR_ZERO = "scalar_zero"
@@ -105,7 +105,8 @@ def from_xy(p: ShapePoint, c: float = 1.0,
     Points on the degenerate edge y >= x have no positive lift.
     """
     _require_positive("c", c)
-    if not (math.isfinite(p.x) and math.isfinite(p.y)):  # NaN passes every test below
+    # NaN passes every test below but fails this one; an int past floats compares exactly.
+    if not (abs(p.x) <= 1.7976931348623157e308 and abs(p.y) <= 1.7976931348623157e308):
         raise DomainError(f"point ({p.x}, {p.y}) is not finite")
     if p.y >= p.x:
         raise DegenerateShapeError(
@@ -274,10 +275,11 @@ def region_boundaries(resolution: int = 64) -> dict[str, np.ndarray]:
     the smallest principal curvature kappa3 on y^2 = 3 - 2x, from (1, 1)
     down to (3/2, 0).  Each is sampled at resolution equispaced x, the
     open end at the top corner left out, so the x-axis intercepts are
-    exactly 1/2 and 3/2.
+    exactly 1/2 and 3/2.  resolution is an integer, 16 <= resolution <
+    GRID_LIMIT: a float, even 64.0, is a DomainError.
     """
     # A boundary takes resolution + 1 values.
-    if resolution >= GRID_LIMIT or resolution < 16:
+    if not 16 <= _require_count("resolution", resolution) < GRID_LIMIT:
         raise DomainError(f"resolution must be at least 16 and below {GRID_LIMIT}, "
                           f"got {resolution}")
 

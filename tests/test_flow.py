@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import danteflow.flow as flow_mod
-from danteflow.cli import GRID_LIMIT
-from danteflow.errors import (CollapseReachedError, DomainError,
-                              IntegrationFailureError)
+from conftest import edge_start
+from danteflow.errors import IntegrationFailureError
 from danteflow.flow import (FlowParams, Termination, Trajectory, integrate,
                             isotropic_lambda, rhs, x_rate)
 from danteflow.geometry import (MetricCoeffs, StretchFactors, curvature_summary,
@@ -65,11 +64,6 @@ def test_rhs_permutation_equivariance_exact():
             assert permuted == tuple(base[i] for i in perm)
 
 
-def test_rhs_rejects_bad_r_squared():
-    with pytest.raises(DomainError):
-        rhs(MetricCoeffs(1, 1, 1), 0.0)
-
-
 def test_integrate_isotropic():
     traj = integrate(MetricCoeffs(1, 1, 1))
     assert traj.terminated is Termination.COLLAPSED
@@ -98,15 +92,6 @@ def test_trajectory_dense_output():
     assert_allclose(grid[:, 0], 1.0 - ts, atol=1e-9)
     mid = traj.sample_at(0.5 * traj.times[-1])
     assert mid.shape == (3,)
-    with pytest.raises(DomainError):
-        traj.sample_at(traj.times[-1] + 1.0)
-    with pytest.raises(DomainError):
-        traj.uniform_grid(1)
-    # A count past the largest array numpy sizes raised numpy's ValueError;
-    # the bound is the CLI's.
-    for n in (GRID_LIMIT, 10**21):
-        with pytest.raises(DomainError, match="at most"):
-            traj.uniform_grid(n)
 
 
 def _rate_by_logaddexp(P, Q, L):
@@ -137,15 +122,6 @@ def test_rate_matches_its_logaddexp_form(P, Q, L):
     assert rate[0, 0] == pytest.approx(expected, rel=2e-12, abs=1e-300)
 
 
-def test_sample_at_rejects_nan_times():
-    # A NaN time lies in no span; it used to come back as a NaN row.
-    traj = integrate(MetricCoeffs(1, 2, 3))
-    with pytest.raises(DomainError):
-        traj.sample_at(math.nan)
-    with pytest.raises(DomainError):
-        traj.sample_at([0.0, math.nan])
-
-
 def test_sample_at_returns_the_rows():
     # A row's own time reads the stored row back, the collapse row included:
     # Newton's solution there was up to 5.3e-8 relative off on (0.1, 0.6, 1.2).
@@ -170,19 +146,12 @@ def test_sample_at_scales_with_a_tiny_metric():
                     np.ldexp(base.sample_at(ts), -1000), rtol=1e-12, atol=0.0)
 
 
-def test_integrate_validates_collapse_eps():
-    # collapse_eps is a share of the largest initial coefficient.
-    with pytest.raises(DomainError):
-        FlowParams(collapse_eps=1.0)
-    with pytest.raises(DomainError):
-        integrate(MetricCoeffs(1, 1, 1), FlowParams(collapse_eps=2.0))
-
-
 def test_integrate_max_steps():
-    traj = integrate(MetricCoeffs(1, 1, 1), FlowParams(max_steps=2))
-    assert traj.terminated is Termination.MAX_STEPS
-    assert traj.collapse_time is None
-    assert len(traj) == 3  # initial sample plus two steps
+    for max_steps in (2, np.int64(2)):  # a numpy integer is a count too
+        traj = integrate(MetricCoeffs(1, 1, 1), FlowParams(max_steps=max_steps))
+        assert traj.terminated is Termination.MAX_STEPS
+        assert traj.collapse_time is None
+        assert len(traj) == 3  # initial sample plus two steps
 
 
 def test_integration_failure_carries_partial_trajectory():
@@ -214,32 +183,13 @@ def test_the_largest_r_squared_collapses_at_the_scaled_time():
     assert_allclose(huge.times, 0.25e308 * line.times, rtol=4e-15, atol=0.0)
 
 
-def test_flow_times_past_the_float_range_are_domain_errors():
-    # The time scale w0 R^2/4 overflowed to inf (a collapse time of inf) or
-    # underflowed to 0 (a collapse time of 0).
-    for m0, r_squared in ((MetricCoeffs(1e200, 2e200, 3e200), 1e200),
-                          (MetricCoeffs(1e-300, 2e-300, 3e-300), 1e-300)):
-        with pytest.raises(DomainError, match=r"time scale w0 R\^2/4 = .* is not a normal float"):
-            integrate(m0, FlowParams(r_squared=r_squared))
-
-
-def _point(edge: str, share: float, log_height: float) -> ShapePoint:
-    # A start at a height of 10^log_height times the triangle's toward an
-    # edge: the snake edge y = 0 (any x), the turtle edge y = 2 - x (x > 1)
-    # or the degenerate edge y = x (x < 1).  Heights up to 1/2 from each
-    # edge cover the whole triangle.
-    x = {"snake": 2.0 * share, "turtle": 1.0 + share, "degenerate": share}[edge]
-    height = min(x, 2.0 - x)
-    y = 10.0 ** log_height * height if edge == "snake" else (1.0 - 10.0 ** log_height) * height
-    return ShapePoint(x, y)
-
-
 def _lift(edge: str, share: float, log_height: float, r_squared: float) -> StretchFactors:
-    return from_xy(_point(edge, share, log_height), r_squared=r_squared)
+    return from_xy(edge_start(edge, share, log_height), r_squared=r_squared)
 
 
 #: Starts over the whole triangle, down to heights of 1e-3 times the
-#: triangle's toward each edge, at R^2 in {0.5, 4, 8}.
+#: triangle's toward each edge, at R^2 in {0.5, 4, 8}: heights up to 1/2
+#: from each edge cover the whole triangle.
 triangle_starts = st.builds(
     _lift, st.sampled_from(["snake", "turtle", "degenerate"]),
     st.floats(min_value=0.01, max_value=0.99), st.floats(min_value=-3.0, max_value=math.log10(0.5)),
@@ -247,7 +197,7 @@ triangle_starts = st.builds(
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(st.builds(_point, st.sampled_from(["snake", "turtle", "degenerate"]),
+@given(st.builds(edge_start, st.sampled_from(["snake", "turtle", "degenerate"]),
                  st.floats(min_value=0.01, max_value=0.99),
                  st.floats(min_value=-3.0, max_value=math.log10(0.5))),
        st.integers(min_value=-200, max_value=200),
@@ -441,15 +391,6 @@ def test_x_monotonicity_along_trajectory():
 def test_isotropic_lambda():
     assert isotropic_lambda(0.0, 4.0) == 1.0
     assert isotropic_lambda(0.75, 4.0) == 0.5
-    with pytest.raises(CollapseReachedError):
-        isotropic_lambda(1.0, 4.0)
-    with pytest.raises(DomainError):
-        isotropic_lambda(-0.1, 4.0)
-
-
-def test_isotropic_lambda_rejects_nan():
-    with pytest.raises(DomainError):
-        isotropic_lambda(math.nan, 4.0)
 
 
 def test_x_rate_examples():
@@ -458,8 +399,6 @@ def test_x_rate_examples():
     assert x_rate(MetricCoeffs(0.5, 0.75, 1.0)) > 0.0
     # The rate scales like the flow itself, by 4/R^2.
     assert x_rate(MetricCoeffs(0.5, 0.5, 1.0), 8.0) == pytest.approx(2.0, rel=1e-15, abs=0.0)
-    with pytest.raises(DomainError):
-        x_rate(MetricCoeffs(1.0, 0.5, 0.75))
 
 
 def test_x_rate_matches_projected_derivative():
@@ -579,54 +518,12 @@ def test_a_step_past_the_largest_sigma_fails(y0):
     assert len(run.sigma) - 1 < 1000
 
 
-def test_ratios_past_the_float_range_are_domain_errors():
-    # A product of two stretch factors, or u/(w0 - u), that underflows to 0
-    # raised ZeroDivisionError or ValueError.
-    with pytest.raises(DomainError):
-        metric_coeffs(StretchFactors(1e-200, 1e-200, 1e-200))
-    with pytest.raises(DomainError):
-        metric_coeffs(StretchFactors(1e-170, 1e-155, 1e100))
-    with pytest.raises(DomainError):
-        integrate(MetricCoeffs(5e-324, 1.0, 1e10))
-
-
-def test_flow_params_validation():
-    with pytest.raises(DomainError):
-        FlowParams(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        FlowParams(abs_tol=-1.0)
-    with pytest.raises(DomainError):
-        FlowParams(collapse_eps=0.0)
-    with pytest.raises(DomainError):
-        FlowParams(max_steps=0)
-    with pytest.raises(DomainError):
-        FlowParams(r_squared=0.0)
-
-
-def test_max_steps_must_be_an_integer():
-    # integrate counts steps with range(max_steps), which takes only integers.
-    for bad in (math.nan, math.inf, 2.5, 3.0, np.float64(3.0), "5"):
-        with pytest.raises(DomainError, match="max_steps must be an integer"):
-            FlowParams(max_steps=bad)
-    with pytest.raises(DomainError, match="max_steps must be positive"):
-        FlowParams(max_steps=np.int64(0))
-    traj = integrate(MetricCoeffs(1, 1, 1), FlowParams(max_steps=np.int64(2)))
-    assert traj.terminated is Termination.MAX_STEPS and len(traj) == 3
-
-
 def test_rel_tol_bound():
-    # Past MAX_REL_TOL the controller no longer approximates: at rel_tol = 1
-    # the thin dragon (0.01, 0.5, 1) collapses 54% early.
-    with pytest.raises(DomainError):
-        FlowParams(rel_tol=1.0)
-    with pytest.raises(DomainError):
-        FlowParams(rel_tol=math.nextafter(flow_mod.MAX_REL_TOL, 1.0))
+    # At MAX_REL_TOL itself the controller still approximates; past it,
+    # FlowParams rejects the tolerance (test_rejected_library_inputs).
     m0 = MetricCoeffs(0.3, 0.6, 1.2)
     loose = integrate(m0, FlowParams(rel_tol=flow_mod.MAX_REL_TOL)).collapse_time
     assert loose == pytest.approx(integrate(m0).collapse_time, rel=2e-3)
-    # abs_tol shares the bound: at abs_tol = 1 that dragon collapses 27% early.
-    with pytest.raises(DomainError, match="abs_tol must be at most"):
-        FlowParams(abs_tol=math.nextafter(flow_mod.MAX_REL_TOL, 1.0))
 
 
 def test_initial_step_is_positive_and_finite():

@@ -10,14 +10,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from danteflow.errors import DomainError
-from danteflow.flow import MAX_REL_TOL, FlowParams, rhs
-from danteflow.geometry import (Classification, CurvatureSummary, MetricCoeffs,
+from danteflow.errors import (CollapseReachedError, DegenerateShapeError, DomainError,
+                              SingularMapError, SingularSlopeError)
+from danteflow.flow import (MAX_REL_TOL, FlowParams, SnakeSolution, TurtleSolution, integrate,
+                            isotropic_lambda, rhs, snake_lambda_of_time, snake_profile,
+                            snake_time_of_lambda, turtle_profile, turtle_time_of_mu, x_rate)
+from danteflow.geometry import (GRID_LIMIT, Classification, CurvatureSummary, MetricCoeffs,
                                 ShapeKind, StretchFactors, classify,
                                 connection_coefficients, curvature_summary,
                                 metric_coeffs, principal_curvatures,
                                 ricci_eigenvalues, scalar_curvature,
                                 semiperimeter, stretch_from_metric)
+from danteflow.shapespace import (ShapePoint, from_xy, region_boundaries, slope, to_rho_tau,
+                                  to_xy, trace_flowline)
 from conftest import random_ordered_stretch
 
 
@@ -75,8 +80,6 @@ def test_connection_coefficients_examples():
                     (-0.5, -0.5, -0.5), rtol=0, atol=0)
     assert_allclose(connection_coefficients(StretchFactors(1, 1, 2, 4.0)),
                     (-1.0, -1.0, 0.0), rtol=0, atol=0)
-    with pytest.raises(DomainError):
-        StretchFactors(0.0, 0.0, 0.0)
 
 
 def test_metric_coeffs_examples():
@@ -89,10 +92,6 @@ def test_stretch_from_metric_examples():
     assert_allclose(stretch_from_metric(MetricCoeffs(1, 1, 1)), (1, 1, 1), rtol=1e-15)
     assert_allclose(stretch_from_metric(MetricCoeffs(0.5, 0.5, 1)), (1, 1, 2), rtol=1e-15)
     assert_allclose(stretch_from_metric(MetricCoeffs(0.25, 0.25, 0.25)), (2, 2, 2), rtol=1e-15)
-    with pytest.raises(DomainError):
-        MetricCoeffs(-1.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        MetricCoeffs(0.0, 1.0, 1.0)
 
 
 def test_stretch_from_metric_returns_python_floats():
@@ -102,13 +101,6 @@ def test_stretch_from_metric_returns_python_floats():
         got = stretch_from_metric(MetricCoeffs(*np.array(uvw)))
         assert all(type(x) is float for x in got)
         assert [x.hex() for x in got] == [x.hex() for x in stretch_from_metric(MetricCoeffs(*uvw))]
-
-
-def test_stretch_from_metric_underflow_is_a_domain_error():
-    # After dividing by 4^j for the largest exponent, u and v are subnormal
-    # and u v w is 0.
-    with pytest.raises(DomainError, match="underflow"):
-        stretch_from_metric(MetricCoeffs(1e-290, 1e-290, 1e20))
 
 
 _POSITIVE_CHECKS = {
@@ -144,7 +136,7 @@ def test_positive_check_accepts_positive_reals_and_rejects_strings(name):
     if largest >= 1:
         check(1)
         check(np.int64(2))
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="'<' not supported between instances of 'float' and 'str'"):
         check("1.0")
 
 
@@ -162,6 +154,157 @@ def test_the_first_bad_field_in_field_order_is_named():
     with pytest.raises(TypeError) as raised:
         StretchFactors(1.0, "1.0", -1.0)
     assert str(raised.value) == "'<' not supported between instances of 'float' and 'str'"
+
+
+#: A run of the round sphere for the cases of its dense output.
+ROUND = integrate(MetricCoeffs(1, 1, 1))
+
+#: Every rejected library call that is not a check of _POSITIVE_CHECKS: the
+#: call as Python source in this module's namespace, which is also the
+#: case's id, its whole message and, where it is not DomainError, the exact
+#: type of its exception.  An int past the float range, 10**400, raised
+#: OverflowError from math.isfinite in each call that takes it here.
+REJECTED_CALLS = [
+    # geometry
+    ("StretchFactors(0.0, 0.0, 0.0)", "a must be a positive finite number, got 0.0"),
+    ("StretchFactors.ordered(2.0, 1.0, 3.0)",
+     "stretch factors must satisfy a <= b <= c, got (2.0, 1.0, 3.0)"),
+    ("StretchFactors.ordered(1.0, 3.0, 2.0)",
+     "stretch factors must satisfy a <= b <= c, got (1.0, 3.0, 2.0)"),
+    # After dividing by 4^j for the largest exponent, u and v are subnormal
+    # and u v w is 0.
+    ("stretch_from_metric(MetricCoeffs(1e-290, 1e-290, 1e20))",
+     "stretch factors of (1e-290, 1e-290, 1e+20) underflow"),
+    # A product of two stretch factors that underflows to 0 raised
+    # ZeroDivisionError.
+    ("metric_coeffs(StretchFactors(1e-200, 1e-200, 1e-200))",
+     "metric coefficients of (1e-200, 1e-200, 1e-200) lie outside the float range"),
+    ("metric_coeffs(StretchFactors(1e-170, 1e-155, 1e100))",
+     "metric coefficients of (1e-170, 1e-155, 1e+100) lie outside the float range"),
+    ("classify(StretchFactors(1, 1, 1), -1.0)",
+     "eq_tol must be a nonnegative finite number, got -1.0"),
+    ("classify(StretchFactors(1, 1, 1), math.nan)",
+     "eq_tol must be a nonnegative finite number, got nan"),
+    ("classify(StretchFactors(1, 1, 1), math.inf)",
+     "eq_tol must be a nonnegative finite number, got inf"),
+    ("classify(StretchFactors(1, 2, 3), 10**400)",
+     f"eq_tol must be a nonnegative finite number, got {10**400}"),
+    ("to_xy(StretchFactors(2, 1, 1))", "triangle coordinates need a <= b <= c, got (2, 1, 1)"),
+    ("to_rho_tau(ShapePoint(1.0, 1.0))",
+     "eigenvalue-ratio map is singular at y = 1.0", SingularMapError),
+    # flow: the controls.  collapse_eps is a share of the largest initial coefficient.
+    ("FlowParams(collapse_eps=0.0)", "collapse_eps must lie in (0, 1), got 0.0"),
+    ("FlowParams(collapse_eps=1.0)", "collapse_eps must lie in (0, 1), got 1.0"),
+    ("integrate(MetricCoeffs(1, 1, 1), FlowParams(collapse_eps=2.0))",
+     "collapse_eps must lie in (0, 1), got 2.0"),
+    # Past MAX_REL_TOL the controller no longer approximates: at rel_tol = 1
+    # the thin dragon (0.01, 0.5, 1) collapses 54% early, at abs_tol = 1 27%.
+    ("FlowParams(rel_tol=1.0)", "rel_tol must be at most 0.001, got 1.0"),
+    ("FlowParams(rel_tol=math.nextafter(MAX_REL_TOL, 1.0))",
+     "rel_tol must be at most 0.001, got 0.0010000000000000002"),
+    ("FlowParams(abs_tol=math.nextafter(MAX_REL_TOL, 1.0))",
+     "abs_tol must be at most 0.001, got 0.0010000000000000002"),
+    # integrate counts steps with range(max_steps), which takes only integers.
+    ("FlowParams(max_steps=0)", "max_steps must be positive, got 0"),
+    ("FlowParams(max_steps=np.int64(0))", "max_steps must be positive, got 0"),
+    ("FlowParams(max_steps=math.nan)", "max_steps must be an integer, got nan"),
+    ("FlowParams(max_steps=math.inf)", "max_steps must be an integer, got inf"),
+    ("FlowParams(max_steps=2.5)", "max_steps must be an integer, got 2.5"),
+    ("FlowParams(max_steps=3.0)", "max_steps must be an integer, got 3.0"),
+    ("FlowParams(max_steps=np.float64(3.0))", "max_steps must be an integer, got np.float64(3.0)"),
+    ('FlowParams(max_steps="5")', "max_steps must be an integer, got '5'"),
+    # flow: integrate and its trajectory.  w0 R^2/4 overflowed to inf (a
+    # collapse time of inf) or underflowed to 0 (a collapse time of 0).
+    ("integrate(MetricCoeffs(1e200, 2e200, 3e200), FlowParams(r_squared=1e200))",
+     "flow time scale w0 R^2/4 = inf is not a normal float"),
+    ("integrate(MetricCoeffs(1e-300, 2e-300, 3e-300), FlowParams(r_squared=1e-300))",
+     "flow time scale w0 R^2/4 = 0.0 is not a normal float"),
+    # u/(w0 - u) underflowing to 0 raised ValueError.
+    ("integrate(MetricCoeffs(5e-324, 1.0, 1e10))", "ratio 5e-324/10000000000.0 underflows to 0"),
+    ("ROUND.sample_at(ROUND.times[-1] + 1.0)", "requested time outside the integrated span"),
+    # A NaN time lies in no span; it used to come back as a NaN row.
+    ("ROUND.sample_at(math.nan)", "requested time outside the integrated span"),
+    ("ROUND.sample_at([0.0, math.nan])", "requested time outside the integrated span"),
+    ("ROUND.uniform_grid(1)", "grid needs at least 2 points, got 1"),
+    # A count past the largest array numpy sizes raised numpy's ValueError;
+    # the CLI's --grid stops at the same GRID_LIMIT.
+    ("ROUND.uniform_grid(GRID_LIMIT)",
+     f"grid needs at most {GRID_LIMIT - 1} points, got {GRID_LIMIT}"),
+    ("ROUND.uniform_grid(10**21)", f"grid needs at most {GRID_LIMIT - 1} points, got {10**21}"),
+    # A float count raised numpy's TypeError, and a string one a TypeError
+    # from <, where FlowParams' max_steps was already a DomainError.
+    ("ROUND.uniform_grid(math.nan)", "n must be an integer, got nan"),
+    ("ROUND.uniform_grid(3.0)", "n must be an integer, got 3.0"),
+    ("ROUND.uniform_grid(np.float64(3.0))", "n must be an integer, got np.float64(3.0)"),
+    ('ROUND.uniform_grid("5")', "n must be an integer, got '5'"),
+    ("isotropic_lambda(1.0, 4.0)",
+     "t = 1.0 is at or past the collapse time 1.0", CollapseReachedError),
+    ("isotropic_lambda(-0.1, 4.0)", "time must be nonnegative, got -0.1"),
+    ("isotropic_lambda(math.nan, 4.0)", "time must be nonnegative, got nan"),
+    ("rhs(MetricCoeffs(1, 1, 1), 0.0)", "r_squared must be a positive finite number, got 0.0"),
+    ("x_rate(MetricCoeffs(1.0, 0.5, 0.75))", "x_rate needs u <= v <= w, got (1.0, 0.5, 0.75)"),
+    # flow: the closed forms
+    ("SnakeSolution(0.0, 1.0)", "W must be a positive finite number, got 0.0"),
+    ("SnakeSolution(1.0, -0.5)", "alpha must be nonnegative, got -0.5"),
+    ("SnakeSolution(1.0, math.nan)", "alpha must be nonnegative, got nan"),
+    ("SnakeSolution(1.0, math.inf)", "alpha must be nonnegative, got inf"),
+    ("SnakeSolution(1.0, 10**400)", f"alpha must be nonnegative, got {10**400}"),
+    ("SnakeSolution.from_initial(MetricCoeffs(0.5, 0.6, 1.0))",
+     "snake initial data needs u = v, got (0.5, 0.6)"),
+    ("SnakeSolution.from_initial(MetricCoeffs(1.0, 1.0, 0.5))",
+     "snake initial data needs w >= v, got (1.0, 0.5)"),
+    ("snake_time_of_lambda(SnakeSolution(1.0, 0.25), -0.01)",
+     "lambda must lie in [0, 1], got -0.01"),
+    ("snake_time_of_lambda(SnakeSolution(1.0, 0.25), 1.01)", "lambda must lie in [0, 1], got 1.01"),
+    ("snake_profile(SnakeSolution(1.0, 1.0), 0.0)", "lambda must lie in (0, 1], got 0.0"),
+    ("snake_lambda_of_time(s := SnakeSolution(1.0, 1.0), s.collapse_T + 1e-6)",
+     "time must lie in [0, 0.6426990816987241], got 0.6427000816987242"),
+    ("snake_lambda_of_time(SnakeSolution(1.0, 1.0), -1e-6)",
+     "time must lie in [0, 0.6426990816987241], got -1e-06"),
+    ("TurtleSolution(-1.0, 0.5)", "U must be a positive finite number, got -1.0"),
+    # beta is capped strictly below 1.
+    ("TurtleSolution(1.0, 1.0)", "beta must lie in [0, 0.999999999999], got 1.0"),
+    ("TurtleSolution(1.0, math.nan)", "beta must lie in [0, 0.999999999999], got nan"),
+    ("TurtleSolution(1.0, 10**400)", f"beta must lie in [0, 0.999999999999], got {10**400}"),
+    ("TurtleSolution.from_initial(MetricCoeffs(0.75, 1.0, 1.1))",
+     "turtle initial data needs v = w, got (1.0, 1.1)"),
+    ("TurtleSolution.from_initial(MetricCoeffs(1.5, 1.0, 1.0))",
+     "turtle initial data needs u <= v, got (1.5, 1.0)"),
+    # Thinner than BETA_CAP, not clamped to it.
+    ("TurtleSolution.from_initial(MetricCoeffs(1e-14, 1.0, 1.0))",
+     "beta must lie in [0, 0.999999999999], got 0.999999999999995"),
+    ("turtle_time_of_mu(TurtleSolution(1.0, 0.9), 2.0)", "mu must lie in [0, 1], got 2.0"),
+    ("turtle_profile(TurtleSolution(0.75, 0.5), 0.0)", "mu must lie in (0, 1], got 0.0"),
+    # shapespace
+    ("from_xy(ShapePoint(1.0, 0.5), 0.0)", "c must be a positive finite number, got 0.0"),
+    # Every comparison with NaN is false, so a NaN point used to pass the
+    # triangle tests and fail later as "a must be a positive finite number".
+    ("from_xy(ShapePoint(math.nan, 0.5), 1.0)", "point (nan, 0.5) is not finite"),
+    ("from_xy(ShapePoint(1.0, math.nan), 1.0)", "point (1.0, nan) is not finite"),
+    ("from_xy(ShapePoint(math.inf, 0.5), 1.0)", "point (inf, 0.5) is not finite"),
+    ("from_xy(ShapePoint(10**400, 0.5))", f"point ({10**400}, 0.5) is not finite"),
+    ("from_xy(ShapePoint(1.0, 1.0), 1.0)",
+     "point (1.0, 1.0) lies on or past the degenerate edge y = x", DegenerateShapeError),
+    ("from_xy(ShapePoint(1.0, -0.1), 1.0)", "y must be nonnegative, got -0.1"),
+    ("from_xy(ShapePoint(1.9, 0.2), 1.0)", "point (1.9, 0.2) lies outside the triangle"),
+    ("trace_flowline(ShapePoint(0.5, 0.5))",
+     "point (0.5, 0.5) lies on or past the degenerate edge y = x", DegenerateShapeError),
+    ("trace_flowline(ShapePoint(10**400, 0.5))", f"point ({10**400}, 0.5) is not finite"),
+    ("slope(ShapePoint(1.0, 1.0))", "slope denominator vanishes at (1.0, 1.0)", SingularSlopeError),
+    ("slope(ShapePoint(2.0, 0.0))", "slope denominator vanishes at (2.0, 0.0)", SingularSlopeError),
+    ("region_boundaries(8)", f"resolution must be at least 16 and below {GRID_LIMIT}, got 8"),
+    ("region_boundaries(64.0)", "resolution must be an integer, got 64.0"),
+    ("region_boundaries(math.nan)", "resolution must be an integer, got nan"),
+]
+
+
+@pytest.mark.parametrize("call, message, error", [
+    pytest.param(call, message, *(error or [DomainError]), id=call)
+    for call, message, *error in REJECTED_CALLS])
+def test_rejected_library_inputs(call, message, error):
+    with pytest.raises(error) as raised:
+        eval(call, globals())
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 _FIELD_CHECKS = {
@@ -214,9 +357,9 @@ def test_value_type_contract(name):
     value = make()
     names = [f.name for f in dataclasses.fields(value)]
     first = names[0]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{first}'"):
         setattr(value, first, 1.0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{first}'"):
         delattr(value, first)
     assert value == make()
     assert hash(value) == hash(make())
@@ -432,9 +575,6 @@ def test_classify_tolerance_behavior():
     assert classify(StretchFactors(1.0, 1.0 + 4e-9, 2.0)).shape is ShapeKind.DRAGON
     assert classify(StretchFactors(1e-12, 1.0, 2.0)).shape is ShapeKind.DEGENERATE
     assert classify(StretchFactors(0.9, 1.0, 1.1)).shape is ShapeKind.DRAGON
-    for bad in (-1.0, math.nan, math.inf):
-        with pytest.raises(DomainError):
-            classify(StretchFactors(1, 1, 1), eq_tol=bad)
 
 
 def test_classification_is_value_type():
@@ -486,10 +626,6 @@ def test_classify_signs_at_extreme_scales():
 def test_ordered_constructor():
     f = StretchFactors.ordered(1.0, 2.0, 3.0)
     assert (f.a, f.b, f.c) == (1.0, 2.0, 3.0)
-    with pytest.raises(DomainError):
-        StretchFactors.ordered(2.0, 1.0, 3.0)
-    with pytest.raises(DomainError):
-        StretchFactors.ordered(1.0, 3.0, 2.0)
 
 
 def test_sorted_helper():

