@@ -162,7 +162,10 @@ class Trajectory:
         the integrator's 4th-order dense output."""
         if self._dense is None:
             raise DomainError("trajectory carries no dense output")
-        t = np.asarray(t, dtype=float)
+        try:
+            t = np.asarray(t, dtype=float)
+        except OverflowError:  # an int past the float range
+            raise DomainError(f"requested time {t} outside the integrated span") from None
         times = self.times
         if not (np.all(t >= times[0]) and np.all(t <= times[-1])):  # NaN fails too
             raise DomainError("requested time outside the integrated span")
@@ -232,7 +235,7 @@ def _field(P: float, Q: float, L: float, direction: float) -> tuple[float, float
 
 def _logit(p: float, one: float = 1.0) -> float:
     try:
-        return math.inf if p == one else math.log(p / (one - p))
+        return math.inf if p >= one else math.log(p / (one - p))
     except ValueError:  # the ratio underflows to 0
         raise DomainError(f"ratio {p!r}/{one!r} underflows to 0") from None
 
@@ -513,9 +516,13 @@ def _dormand_prince(y0: tuple[float, float, float], direction: float, rel_tol: f
     step.  The error estimate and the dense output are RK45's, h sum_j e_j
     k_j over the stage derivatives k (1 - y), k (1 + y), -(k/2)(1 - y)(1 + y)
     of _field, formed once per stage as m_j = 1 - y_j and p_j = 1 + y_j, so
-    the steps are RK45's to rounding.  A step stores only its y_j: the
-    dense output forms 1 - y and 1 + y from them in numpy, just as rounded,
-    and scales the step spans by k once, which is exact (a power of two).
+    the steps are RK45's to rounding.  A stage takes tanh of P/2 + (hk/2)
+    (c_i - S_i), which is 0.5 (P + hk (c_i - S_i)) bit for bit: the stage
+    arguments are normal floats or +-inf, on which halving is exact.  An
+    accepted step's m_7, p_7 and m_7 p_7 are the next step's m_1, p_1 and
+    m_1 p_1 (FSAL).  A step stores only its y_j: the dense output forms
+    1 - y and 1 + y from them in numpy, just as rounded, and scales the step
+    spans by k once, which is exact (a power of two).
 
     The run fails (end FAILED) once a rejected step falls below ten units
     in the last place of sigma, or would take sigma past the largest float
@@ -530,6 +537,7 @@ def _dormand_prince(y0: tuple[float, float, float], direction: float, rel_tol: f
     tanh, sqrt, ulp = math.tanh, math.sqrt, math.ulp
     h_abs = _initial_step(y0, direction, rel_tol, abs_tol)
     y1 = 0.5 * (tanh(0.5 * Q) - tanh(0.5 * P))
+    m1, p1, mp1 = 1.0 - y1, 1.0 + y1, (1.0 - y1) * (1.0 + y1)
     t = 0.0
     times = [t]
     states = [P, Q, L]
@@ -538,48 +546,50 @@ def _dormand_prince(y0: tuple[float, float, float], direction: float, rel_tol: f
     for _ in range(max_steps if g_new > 0.0 else 0):
         min_step = 10.0 * ulp(t)
         h_abs = min_step if h_abs < min_step else h_abs
+        hP, hQ = 0.5 * P, 0.5 * Q
         rejected = False
         while True:
             t_new = t + h_abs
             h = t_new - t
             hk = h * k
+            hh = 0.5 * hk
             s = 1 / 5 * y1
-            y2 = 0.5 * (tanh(0.5 * (Q + hk * (1 / 5 + s))) - tanh(0.5 * (P + hk * (1 / 5 - s))))
+            y2 = 0.5 * (tanh(hQ + hh * (1 / 5 + s)) - tanh(hP + hh * (1 / 5 - s)))
             s = 3 / 40 * y1 + 9 / 40 * y2
-            y3 = 0.5 * (tanh(0.5 * (Q + hk * (3 / 10 + s))) - tanh(0.5 * (P + hk * (3 / 10 - s))))
+            y3 = 0.5 * (tanh(hQ + hh * (3 / 10 + s)) - tanh(hP + hh * (3 / 10 - s)))
             s = 44 / 45 * y1 - 56 / 15 * y2 + 32 / 9 * y3
-            y4 = 0.5 * (tanh(0.5 * (Q + hk * (4 / 5 + s))) - tanh(0.5 * (P + hk * (4 / 5 - s))))
+            y4 = 0.5 * (tanh(hQ + hh * (4 / 5 + s)) - tanh(hP + hh * (4 / 5 - s)))
             s = (19372 / 6561 * y1 - 25360 / 2187 * y2 + 64448 / 6561 * y3
                  - 212 / 729 * y4)
-            y5 = 0.5 * (tanh(0.5 * (Q + hk * (8 / 9 + s))) - tanh(0.5 * (P + hk * (8 / 9 - s))))
+            y5 = 0.5 * (tanh(hQ + hh * (8 / 9 + s)) - tanh(hP + hh * (8 / 9 - s)))
             s = (9017 / 3168 * y1 - 355 / 33 * y2 + 46732 / 5247 * y3 + 49 / 176 * y4
                  - 5103 / 18656 * y5)
-            y6 = 0.5 * (tanh(0.5 * (Q + hk * (1.0 + s))) - tanh(0.5 * (P + hk * (1.0 - s))))
+            y6 = 0.5 * (tanh(hQ + hh * (1.0 + s)) - tanh(hP + hh * (1.0 - s)))
             s = (35 / 384 * y1 + 500 / 1113 * y3 + 125 / 192 * y4 - 2187 / 6784 * y5
                  + 11 / 84 * y6)
             Pn = P + hk * (1.0 - s)
             Qn = Q + hk * (1.0 + s)
             y7 = 0.5 * (tanh(0.5 * Qn) - tanh(0.5 * Pn))
             # Three names at most: CPython builds a tuple for a longer assignment.
-            m1, m3, m4 = 1.0 - y1, 1.0 - y3, 1.0 - y4
-            m5, m6, m7 = 1.0 - y5, 1.0 - y6, 1.0 - y7
-            p1, p3, p4 = 1.0 + y1, 1.0 + y3, 1.0 + y4
-            p5, p6, p7 = 1.0 + y5, 1.0 + y6, 1.0 + y7
-            mp1, mp3, mp4 = m1 * p1, m3 * p3, m4 * p4
-            mp5, mp6, mp7 = m5 * p5, m6 * p6, m7 * p7
-            Ln = L - 0.5 * hk * (35 / 384 * mp1 + 500 / 1113 * mp3 + 125 / 192 * mp4
-                                 - 2187 / 6784 * mp5 + 11 / 84 * mp6)
+            m3, m4, m5 = 1.0 - y3, 1.0 - y4, 1.0 - y5
+            m6, m7 = 1.0 - y6, 1.0 - y7
+            p3, p4, p5 = 1.0 + y3, 1.0 + y4, 1.0 + y5
+            p6, p7 = 1.0 + y6, 1.0 + y7
+            mp3, mp4, mp5 = m3 * p3, m4 * p4, m5 * p5
+            mp6, mp7 = m6 * p6, m7 * p7
+            Ln = L - hh * (35 / 384 * mp1 + 500 / 1113 * mp3 + 125 / 192 * mp4
+                           - 2187 / 6784 * mp5 + 11 / 84 * mp6)
             # Difference of the embedded 4th- and 5th-order solutions, over
             # the stage derivatives as RK45 forms it.  For P and Q it equals
             # -+hk sum e_j y_j, but where the estimate is rounding noise (the
             # first steps) that form rounds differently and the steps drift
-            # off RK45's.
+            # off RK45's.  eL is negated: only its square enters the norm.
             eP = hk * (-71 / 57600 * m1 + 71 / 16695 * m3 - 71 / 1920 * m4
                        + 17253 / 339200 * m5 - 22 / 525 * m6 + 1 / 40 * m7)
             eQ = hk * (-71 / 57600 * p1 + 71 / 16695 * p3 - 71 / 1920 * p4
                        + 17253 / 339200 * p5 - 22 / 525 * p6 + 1 / 40 * p7)
-            eL = -0.5 * hk * (-71 / 57600 * mp1 + 71 / 16695 * mp3 - 71 / 1920 * mp4
-                              + 17253 / 339200 * mp5 - 22 / 525 * mp6 + 1 / 40 * mp7)
+            eL = hh * (-71 / 57600 * mp1 + 71 / 16695 * mp3 - 71 / 1920 * mp4
+                       + 17253 / 339200 * mp5 - 22 / 525 * mp6 + 1 / 40 * mp7)
             aPn, aQn, aLn = abs(Pn), abs(Qn), abs(Ln)
             eP /= abs_tol + (aPn if aPn > aP else aP) * rel_tol
             eQ /= abs_tol + (aQn if aQn > aQ else aQ) * rel_tol
@@ -601,6 +611,7 @@ def _dormand_prince(y0: tuple[float, float, float], direction: float, rel_tol: f
             break
         stages += (y1, y3, y4, y5, y6, y7)
         t, y1 = t_new, y7
+        m1, p1, mp1 = m7, p7, mp7
         P, Q, L = Pn, Qn, Ln
         aP, aQ, aL = aPn, aQn, aLn
         times.append(t)
@@ -729,8 +740,11 @@ def _pair_fraction(Z: float, eps: float, t: float, tol: float) -> float:
     """Invert _pair_time(Z, eps, s) = t for s to within tol; t is strictly
     decreasing in s, so the bracket [0, 1] holds exactly one root."""
     _require_positive("tol", tol)
-    t = float(t)
     T = _pair_time(Z, eps, 0.0)
+    try:
+        t = float(t)
+    except OverflowError:  # an int past the float range, which compares exactly below
+        pass
     if not 0.0 <= t <= T:
         raise DomainError(f"time must lie in [0, {T}], got {t}")
     # t(0) = T >= t and t(1) = 0 <= t.

@@ -380,6 +380,11 @@ class RicciRatios:
     tau: float
 
 
+def _require_finite_point(p: ShapePoint) -> None:
+    if not abs(p.x) <= 1.7976931348623157e308 >= abs(p.y):  # both finite; NaN fails too
+        raise DomainError(f"point ({p.x}, {p.y}) is not finite")
+
+
 def to_xy(f: StretchFactors) -> ShapePoint:
     """Triangle coordinates ((a+b)/c, (b-a)/c) of an ordered shape."""
     if not (f.a <= f.b <= f.c):
@@ -394,6 +399,7 @@ def to_xy(f: StretchFactors) -> ShapePoint:
 
 def to_rho_tau(p: ShapePoint) -> RicciRatios:
     """Ricci-eigenvalue ratio coordinates (rho, tau) of a triangle point."""
+    _require_finite_point(p)
     one_minus = 1.0 - p.y
     one_plus = 1.0 + p.y
     if one_minus == 0.0 or one_plus == 0.0:

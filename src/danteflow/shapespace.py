@@ -57,7 +57,8 @@ from .flow import (ROUND_LOGIT, VERTEX_DELTA, FlowParams, Trajectory, _coeffs, _
 # The chart itself (ShapePoint, to_xy, RicciRatios, to_rho_tau) lives in
 # geometry, so that classify needs no tracer; it is re-exported here.
 from .geometry import (DEFAULT_R_SQUARED, GRID_LIMIT, RicciRatios, ShapePoint, StretchFactors,
-                       _require_count, _require_positive, metric_coeffs, to_rho_tau, to_xy)
+                       _require_count, _require_finite_point, _require_positive, metric_coeffs,
+                       to_rho_tau, to_xy)
 
 #: Labels for the classification boundaries emitted by region_boundaries().
 SCALAR_ZERO = "scalar_zero"
@@ -102,20 +103,20 @@ def from_xy(p: ShapePoint, c: float = 1.0,
     """Lift a triangle point to stretch factors with the given largest factor.
 
     a = c(x - y)/2 and b = c(x + y)/2; round-trips with to_xy to 1e-12.
-    Points on the degenerate edge y >= x have no positive lift.
+    Points on the degenerate edge y >= x have no positive lift.  x + y may
+    exceed 2 by ulp(2), as to_xy of a turtle can round: such a point lies
+    on the turtle edge, b = c.
     """
     _require_positive("c", c)
-    # NaN passes every test below but fails this one; an int past floats compares exactly.
-    if not (abs(p.x) <= 1.7976931348623157e308 and abs(p.y) <= 1.7976931348623157e308):
-        raise DomainError(f"point ({p.x}, {p.y}) is not finite")
+    _require_finite_point(p)  # NaN passes every test below
     if p.y >= p.x:
         raise DegenerateShapeError(
             f"point ({p.x}, {p.y}) lies on or past the degenerate edge y = x")
     if p.y < 0.0:
         raise DomainError(f"y must be nonnegative, got {p.y}")
-    if p.x + p.y > 2.0:
+    if p.x + p.y > 2.0000000000000004:  # 2 + ulp(2)
         raise DomainError(f"point ({p.x}, {p.y}) lies outside the triangle")
-    return StretchFactors(a=c * (p.x - p.y) / 2.0, b=c * (p.x + p.y) / 2.0,
+    return StretchFactors(a=c * (p.x - p.y) / 2.0, b=c * min(p.x + p.y, 2.0) / 2.0,
                           c=c, r_squared=r_squared)
 
 
@@ -127,6 +128,7 @@ def slope(p: ShapePoint) -> float:
     SingularSlopeError when the denominator is below 1e-14 in magnitude
     (corner C and the fixed point B).
     """
+    _require_finite_point(p)
     numerator = p.y * (p.x * p.x + p.y * p.y - 2.0)
     denominator = p.y * p.y * (2.0 * p.x - 1.0) + p.x * (p.x - 2.0)
     if abs(denominator) < 1e-14:
@@ -144,24 +146,28 @@ def _row(P: float, Q: float) -> tuple[float, float, float]:
     from min(P, Q): the flow keeps p <= q, so a row on which P rounds above
     Q (near the snake edge) lies on the edge, not below it."""
     z = Q if Q < P else P  # min(P, Q) without the call
-    e = math.exp(-abs(z))  # the logistic pairs (l(z), l(-z)), overflow-safe
+    d = 1.0 + (e := math.exp(-abs(z)))  # the logistic pairs (l(z), l(-z)), overflow-safe
     if z >= 0.0:
-        p, p1 = 1.0 / (1.0 + e), e / (1.0 + e)
+        p, p1 = 1.0 / d, e / d
     else:
-        p, p1 = e / (1.0 + e), 1.0 / (1.0 + e)
-    e = math.exp(-abs(Q))
+        p, p1 = e / d, 1.0 / d
+    d = 1.0 + (e := math.exp(-abs(Q)))
     if Q >= 0.0:
-        q, q1 = 1.0 / (1.0 + e), e / (1.0 + e)
+        q, q1 = 1.0 / d, e / d
     else:
-        q, q1 = e / (1.0 + e), 1.0 / (1.0 + e)
+        q, q1 = e / d, 1.0 / d
     return p + q, (q - p if q < 0.5 else p1 - q1), q1 * (1.0 + q) - p * p
 
 
 def _vertex_margin(P: float, Q: float, L: float) -> float:
-    # At most the tail l(-ROUND_LOGIT) (flow): 1 - p and 1 - q at (2, 0),
-    # q at the origin, p and 1 - q at (1, 1).
-    return min(_round_corner_margin(P, Q, L), Q + ROUND_LOGIT,
-               max(P + ROUND_LOGIT, ROUND_LOGIT - Q))
+    # At most the tail l(-ROUND_LOGIT) (flow): 1 - p and 1 - q at (2, 0), q at the
+    # origin, p and 1 - q at (1, 1).  min(_round_corner_margin, Q + ROUND_LOGIT,
+    # max(P + ROUND_LOGIT, ROUND_LOGIT - Q)) by the same comparisons in the same order.
+    m, origin = ROUND_LOGIT - (Q if Q < P else P), Q + ROUND_LOGIT
+    m = origin if origin < m else m
+    top, top_q = P + ROUND_LOGIT, ROUND_LOGIT - Q
+    top = top_q if top_q > top else top
+    return top if top < m else m
 
 
 #: The apex re-step runs at the branch's tolerances times this.
@@ -198,21 +204,24 @@ def _trace_branches(start: ShapePoint, w0: float, directions, params: FlowParams
                 f"({start.x}, {start.y}) stopped short of a vertex after "
                 f"{len(run.sigma) - 1} steps: {run.message or run.end.value}",
                 trajectory=Trajectory(times, coeffs, run.end, None))
-        P, Q, _ = run.states.T.tolist()
-        rows = np.fromiter(chain.from_iterable(map(_row, P, Q)), float, 3 * len(P)).reshape(-1, 3)
-        y, margin = rows[:, 1], direction * rows[:, 2]
-        crossing = np.flatnonzero((margin[:-1] > 0.0) & (margin[1:] <= 0.0) & (y[:-1] >= 0.0))
-        apex = None
-        if len(crossing):
-            fine = _dormand_prince(
-                tuple(run.states[crossing[0]].tolist()), direction,
-                APEX_TOL_FACTOR * params.rel_tol, APEX_TOL_FACTOR * params.abs_tol,
-                params.max_steps, lambda P, Q, L: direction * _row(P, Q)[2])
-            if fine.end is not None:
-                raise IntegrationFailureError(
-                    f"apex re-step stopped short after {len(fine.sigma) - 1} steps: "
-                    f"{fine.message or fine.end.value}")
-            apex = ShapePoint(*_row(*fine.states[-1, :2].tolist())[:2])
+        P, Q, L = run.states.T.tolist()
+        xym = list(map(_row, P, Q))
+        rows = np.fromiter(chain.from_iterable(xym), float, 3 * len(P)).reshape(-1, 3)
+        apex, inside = None, False
+        for i, (_, y, m) in enumerate(xym):  # cheaper than numpy's calls on a branch's rows
+            m *= direction
+            if inside and m <= 0.0:  # the first step from direction m > 0, y >= 0 crosses
+                fine = _dormand_prince(
+                    (P[i - 1], Q[i - 1], L[i - 1]), direction,
+                    APEX_TOL_FACTOR * params.rel_tol, APEX_TOL_FACTOR * params.abs_tol,
+                    params.max_steps, lambda P, Q, L: direction * _row(P, Q)[2])
+                if fine.end is not None:
+                    raise IntegrationFailureError(
+                        f"apex re-step stopped short after {len(fine.sigma) - 1} steps: "
+                        f"{fine.message or fine.end.value}")
+                apex = ShapePoint(*_row(*fine.states[-1, :2].tolist())[:2])
+                break
+            inside = m > 0.0 and y >= 0.0
         branches.append((run, rows, apex))
     timed = _time_panels([(run, direction * time_scale)
                           for (run, _, _), direction in zip(branches, directions)])

@@ -14,7 +14,8 @@ from danteflow.errors import (CollapseReachedError, DegenerateShapeError, Domain
                               SingularMapError, SingularSlopeError)
 from danteflow.flow import (MAX_REL_TOL, FlowParams, SnakeSolution, TurtleSolution, integrate,
                             isotropic_lambda, rhs, snake_lambda_of_time, snake_profile,
-                            snake_time_of_lambda, turtle_profile, turtle_time_of_mu, x_rate)
+                            snake_time_of_lambda, turtle_mu_of_time, turtle_profile,
+                            turtle_time_of_mu, x_rate)
 from danteflow.geometry import (GRID_LIMIT, Classification, CurvatureSummary, MetricCoeffs,
                                 ShapeKind, StretchFactors, classify,
                                 connection_coefficients, curvature_summary,
@@ -192,6 +193,9 @@ REJECTED_CALLS = [
     ("to_xy(StretchFactors(2, 1, 1))", "triangle coordinates need a <= b <= c, got (2, 1, 1)"),
     ("to_rho_tau(ShapePoint(1.0, 1.0))",
      "eigenvalue-ratio map is singular at y = 1.0", SingularMapError),
+    # A NaN point gave RicciRatios(nan, nan), an int past floats OverflowError.
+    ("to_rho_tau(ShapePoint(math.nan, 0.5))", "point (nan, 0.5) is not finite"),
+    ("to_rho_tau(ShapePoint(10**400, 0.5))", f"point ({10**400}, 0.5) is not finite"),
     # flow: the controls.  collapse_eps is a share of the largest initial coefficient.
     ("FlowParams(collapse_eps=0.0)", "collapse_eps must lie in (0, 1), got 0.0"),
     ("FlowParams(collapse_eps=1.0)", "collapse_eps must lie in (0, 1), got 1.0"),
@@ -225,6 +229,9 @@ REJECTED_CALLS = [
     # A NaN time lies in no span; it used to come back as a NaN row.
     ("ROUND.sample_at(math.nan)", "requested time outside the integrated span"),
     ("ROUND.sample_at([0.0, math.nan])", "requested time outside the integrated span"),
+    # Times past the float range raised OverflowError in the conversion to float.
+    ("integrate(MetricCoeffs(0.3, 0.6, 1.2)).sample_at(10**400)",
+     f"requested time {10**400} outside the integrated span"),
     ("ROUND.uniform_grid(1)", "grid needs at least 2 points, got 1"),
     # A count past the largest array numpy sizes raised numpy's ValueError;
     # the CLI's --grid stops at the same GRID_LIMIT.
@@ -261,6 +268,11 @@ REJECTED_CALLS = [
      "time must lie in [0, 0.6426990816987241], got 0.6427000816987242"),
     ("snake_lambda_of_time(SnakeSolution(1.0, 1.0), -1e-6)",
      "time must lie in [0, 0.6426990816987241], got -1e-06"),
+    # An int time is tested as a float, except past the float range.
+    ("snake_lambda_of_time(SnakeSolution(1.0, 1.0), -1)",
+     "time must lie in [0, 0.6426990816987241], got -1.0"),
+    ("snake_lambda_of_time(SnakeSolution(1.0, 1.0), 10**400)",
+     f"time must lie in [0, 0.6426990816987241], got {10**400}"),
     ("TurtleSolution(-1.0, 0.5)", "U must be a positive finite number, got -1.0"),
     # beta is capped strictly below 1.
     ("TurtleSolution(1.0, 1.0)", "beta must lie in [0, 0.999999999999], got 1.0"),
@@ -275,6 +287,8 @@ REJECTED_CALLS = [
      "beta must lie in [0, 0.999999999999], got 0.999999999999995"),
     ("turtle_time_of_mu(TurtleSolution(1.0, 0.9), 2.0)", "mu must lie in [0, 1], got 2.0"),
     ("turtle_profile(TurtleSolution(0.75, 0.5), 0.0)", "mu must lie in (0, 1], got 0.0"),
+    ("turtle_mu_of_time(TurtleSolution(1.0, 0.5), 10**400)",
+     f"time must lie in [0, 1.2159728110007215], got {10**400}"),
     # shapespace
     ("from_xy(ShapePoint(1.0, 0.5), 0.0)", "c must be a positive finite number, got 0.0"),
     # Every comparison with NaN is false, so a NaN point used to pass the
@@ -287,11 +301,17 @@ REJECTED_CALLS = [
      "point (1.0, 1.0) lies on or past the degenerate edge y = x", DegenerateShapeError),
     ("from_xy(ShapePoint(1.0, -0.1), 1.0)", "y must be nonnegative, got -0.1"),
     ("from_xy(ShapePoint(1.9, 0.2), 1.0)", "point (1.9, 0.2) lies outside the triangle"),
+    # x + y = 2 + 2 ulp(2): one ulp(2) past the turtle edge still lifts, two do not.
+    ("from_xy(ShapePoint(2.0, 2.0 * math.ulp(2.0)))",
+     "point (2.0, 8.881784197001252e-16) lies outside the triangle"),
     ("trace_flowline(ShapePoint(0.5, 0.5))",
      "point (0.5, 0.5) lies on or past the degenerate edge y = x", DegenerateShapeError),
     ("trace_flowline(ShapePoint(10**400, 0.5))", f"point ({10**400}, 0.5) is not finite"),
     ("slope(ShapePoint(1.0, 1.0))", "slope denominator vanishes at (1.0, 1.0)", SingularSlopeError),
     ("slope(ShapePoint(2.0, 0.0))", "slope denominator vanishes at (2.0, 0.0)", SingularSlopeError),
+    # A NaN point gave a NaN slope, an int past floats OverflowError.
+    ("slope(ShapePoint(math.nan, 0.5))", "point (nan, 0.5) is not finite"),
+    ("slope(ShapePoint(10**400, 0.5))", f"point ({10**400}, 0.5) is not finite"),
     ("region_boundaries(8)", f"resolution must be at least 16 and below {GRID_LIMIT}, got 8"),
     ("region_boundaries(64.0)", "resolution must be an integer, got 64.0"),
     ("region_boundaries(math.nan)", "resolution must be an integer, got nan"),

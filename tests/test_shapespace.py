@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import danteflow.flow as flow
@@ -53,6 +53,31 @@ def test_round_trip_property():
         q = to_xy(from_xy(p, c))
         assert q.x == pytest.approx(p.x, rel=1e-12)
         assert q.y == pytest.approx(p.y, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(min_value=-100.0, max_value=100.0), st.floats(min_value=1e-3, max_value=1.0),
+       st.floats(min_value=0.0, max_value=1.0), st.booleans())
+def test_from_xy_lifts_every_ordered_shape(log_c, a_share, b_share, turtle):
+    # to_xy of a turtle (b = c) can round x + y up to 2 + ulp(2), which
+    # from_xy rejected as outside the triangle.
+    c = 10.0 ** log_c
+    a = a_share * c
+    b = c if turtle else min(a + b_share * (c - a), c)
+    lifted = from_xy(to_xy(StretchFactors(a, b, c)))
+    assert lifted.c == 1.0 and lifted.a <= lifted.b <= 1.0
+    assert lifted.a == pytest.approx(a / c, rel=1e-12)
+    assert lifted.b == pytest.approx(b / c, rel=1e-12)
+
+
+def test_flowline_from_a_turtle_point_past_the_edge_by_one_ulp():
+    # A start that `classify` prints for this turtle; `flowlines --starts`
+    # exited 3 on it.  It lies on the turtle edge, so it starts at Q = +inf.
+    start = to_xy(StretchFactors(5.03829522255209, 5.088673852916151, 5.088673852916151))
+    assert start.x + start.y == 2.0 + math.ulp(2.0)
+    line = trace_flowline(start)
+    assert math.hypot(line.xs[-1] - 2.0, line.ys[-1]) <= VERTEX_DELTA
+    assert (line.xs[0], line.ys[0]) == pytest.approx((1.0, 1.0), abs=1e-8)  # backward to (1, 1)
 
 
 def test_to_xy_is_scale_invariant():
@@ -328,6 +353,26 @@ def test_row_is_the_logistic_pair_form_bit_for_bit(P):
     for Q in EXTREME_LOGITS:
         row = shapespace._row(P, Q)
         assert np.array(row).tobytes() == np.array(_row_reference(P, Q)).tobytes(), (P, Q, row)
+
+
+#: Floats where _vertex_margin's terms cancel or tie: a few ulp around
+#: +-ROUND_LOGIT, signed zeros, the infinities and NaN.
+MARGIN_FLOATS = st.one_of(st.sampled_from(
+    [sign * (flow.ROUND_LOGIT + k * math.ulp(flow.ROUND_LOGIT))
+     for sign in (1.0, -1.0) for k in range(-3, 4)] + [0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(MARGIN_FLOATS, MARGIN_FLOATS, MARGIN_FLOATS)
+@example(-1.0, math.nan, 0.0)  # max keeps its first term against a NaN second
+@example(math.nan, -1.0, 0.0)
+def test_vertex_margin_is_the_min_max_form_bit_for_bit(P, Q, L):
+    # The stop margin of every backward branch: comparisons in place of min
+    # and max must keep each value, NaN and the sign of zero included.
+    R = flow.ROUND_LOGIT
+    reference = min(flow._round_corner_margin(P, Q, L), Q + R, max(P + R, R - Q))
+    assert shapespace._vertex_margin(P, Q, L).hex() == reference.hex(), (P, Q, L)
 
 
 def test_vertex_stops_take_few_root_finder_evaluations(monkeypatch):
