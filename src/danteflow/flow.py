@@ -62,6 +62,15 @@ The stop events (collapse here; in shapespace a vertex, and the apex of a
 flow line where 1 - p^2 - q^2 changes sign) and the closed-form inversions
 are located by one bracketed root-finder, _bracket_crossing.
 
+The dense output runs in numpy on planes: _dense_at returns one contiguous
+array per component P, Q, L, and the elementwise passes of _rate, _coeffs
+and _time_panels' step bound run on such planes, in place where a value is
+read once (a ufunc over a stride-3 column of rows costs several times more
+per element, and each element rounds alike in any layout).  A matmul's
+operands keep the layout they have: its rounding depends on the layout (a
+column-major copy of one operand moves the last bit of about a third of
+the dot products).
+
 numpy is imported once, at the top: the package registers this module
 lazily, so numpy loads only once flow first runs (package docstring).
 
@@ -185,13 +194,22 @@ class Trajectory:
         sigma = run.sigma
         scale = math.ldexp(time_scale, -e) * (sigma[1:] - sigma[:-1])[step]  # dt/dx = scale _rate
         start, quartic = run.states[step], run.quartic[step]
+        lo_column, hi, tiny = lo[..., None], lo + width, sys.float_info.min
         for _ in range(3):
             part = x - lo
-            rate = _rate(start, quartic, lo[..., None] + part[..., None] * _GL_NODES_AND_END)
-            error = t_lo + scale * part * (rate[..., :-1] @ _GL_WEIGHTS) - t
-            x = np.minimum(np.maximum(
-                x - error / np.maximum(scale * rate[..., -1], sys.float_info.min), lo), lo + width)
-        solved = _coeffs(_dense_at(start, quartic, x[..., None])[..., 0, :], w0, columns)
+            frac = part[..., None] * _GL_NODES_AND_END
+            frac += lo_column
+            rate = _rate(start, quartic, frac)
+            # The Newton step on t_lo + scale part (rate's nodes @ weights) - t,
+            # in place where t is an array (a scalar t rebinds).
+            error = scale * part
+            error *= rate[..., :-1] @ _GL_WEIGHTS
+            error += t_lo
+            error -= t
+            error /= np.maximum(scale * rate[..., -1], tiny)
+            x -= error
+            x = np.minimum(np.maximum(x, lo), hi)
+        solved = _coeffs(_dense_at(start, quartic, x[..., None])[..., 0], w0, columns)
         return np.where(stored, self.coeffs[row], solved)
 
     def uniform_grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -241,29 +259,43 @@ def _logit(p: float, one: float = 1.0) -> float:
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
-    return np.exp(-np.logaddexp(0.0, -z))
+    out = np.negative(z)
+    np.logaddexp(0.0, out, out=out)
+    return np.exp(np.negative(out, out=out), out=out)
 
 
-def _coeffs(states: np.ndarray, w0: float, columns=(0, 1, 2)) -> np.ndarray:
-    """Rows (u, v, w) = w0 e^L (l(P), l(Q), 1) of rows (P, Q, L), the sorted
-    coefficient i put back in column columns[i]."""
-    ordered = w0 * np.exp(states[..., 2:]) * np.concatenate(
-        [_logistic(states[..., :2]), np.ones_like(states[..., 2:])], axis=-1)
-    return ordered[..., np.argsort(columns)]
+def _coeffs(planes: np.ndarray, w0: float, columns=(0, 1, 2)) -> np.ndarray:
+    """Rows (u, v, w) = w0 e^L (l(P), l(Q), 1) of the contiguous planes
+    (P, Q, L) = planes[0], planes[1], planes[2], the sorted coefficient i
+    put back in column columns[i] by three column writes.  The exp and the
+    logistic pair run elementwise on the planes (module docstring)."""
+    rows = np.empty(planes.shape[1:] + (3,))
+    scale = np.multiply(np.exp(planes[2]), w0, out=rows[..., columns[2]])
+    tails = _logistic(planes[:2])
+    np.multiply(scale, tails[0], out=rows[..., columns[0]])
+    np.multiply(scale, tails[1], out=rows[..., columns[1]])
+    return rows
 
 
 def _dense_at(start: np.ndarray, quartic: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """Rows (P, Q, L) of the dense output at fractions frac[..., i] of a step,
-    from its start row states[step] and quartic[step], which the caller gathers.
-    The powers x, x^2, x^2 x and x^2 x^2 are products: np.power calls pow
-    for each element, which took a third to a half of this function's time
-    on a 200 x 6 grid.  They are written in place: np.stack costs more per call."""
+    """Planes (P, Q, L), shape (3,) + frac.shape, of the dense output at
+    fractions frac[..., i] of a step, from its start row states[step] and
+    quartic[step], which the caller gathers.  The powers x, x^2, x^2 x and
+    x^2 x^2 are products: np.power calls pow for each element, which took a
+    third to a half of this function's time on a 200 x 6 grid.  They are
+    written in place: np.stack costs more per call.  The matmul's rows are
+    copied into contiguous planes before the start is added, so that every
+    later elementwise pass runs on whole planes (a transpose with its axes
+    spelled out: np.moveaxis costs more per call than the copy)."""
     powers = np.empty(frac.shape + (4,))
     powers[..., 0] = frac
     x2 = np.multiply(frac, frac, out=powers[..., 1])
     np.multiply(x2, frac, out=powers[..., 2])
     np.multiply(x2, x2, out=powers[..., 3])
-    return start[..., None, :] + powers @ quartic
+    axes = (frac.ndim, *range(frac.ndim))  # the component axis first
+    at = (powers @ quartic).transpose(axes).copy()
+    at += start[..., None, :].transpose(axes)
+    return at
 
 
 def _rate(start: np.ndarray, quartic: np.ndarray, frac: np.ndarray) -> np.ndarray:
@@ -275,13 +307,23 @@ def _rate(start: np.ndarray, quartic: np.ndarray, frac: np.ndarray) -> np.ndarra
     turtle edge, the round sphere) has the factor 1.  The sum can exceed the
     log of the rate by at most 2 ln 2, so the exp overflows only for L above
     about 708, far past any L the stepper reaches: L <= 0 forward, and a few
-    tens at most backward (32 over 1,530 backward branches).
+    tens at most backward (32 over 1,530 backward branches).  Every pass is
+    elementwise on _dense_at's contiguous planes, in place where a value is
+    read once; the result is the L plane, a contiguous frac-shaped array,
+    the layout of the matmul operand that the callers' quadrature takes.
     """
     at = _dense_at(start, quartic, frac)
-    pq = at[..., :2]
-    tails = 1.0 + np.exp(-np.abs(pq))
-    low = np.minimum(pq, 0.0)
-    return np.exp(at[..., 2] + low[..., 0] + low[..., 1]) / (tails[..., 0] * tails[..., 1])
+    pq, rate = at[:2], at[2]
+    tails = np.abs(pq)
+    np.exp(np.negative(tails, out=tails), out=tails)
+    tails += 1.0
+    np.minimum(pq, 0.0, out=pq)
+    rate += pq[0]
+    rate += pq[1]
+    np.exp(rate, out=rate)
+    tails[0] *= tails[1]
+    rate /= tails[0]
+    return rate
 
 
 #: Five-point Gauss-Legendre rule on [0, 1]: nodes and weights.
@@ -325,21 +367,31 @@ def _time_panels(runs):
     One _rate call takes the panels of all runs, their rows joined by a
     dummy step of zero dense output (one panel, which no run sums); each run
     sums its own from 0, so its panels and times are a call's on it alone.
+    The bound's elementwise passes run on contiguous planes of |dP|, |dQ|,
+    |dL| (module docstring); the matmuls take their operands as they come.
     """
     states = np.concatenate([run.states for run, _ in runs])
     quartic = np.concatenate([q for r, _ in runs for q in (np.zeros((1, 4, 3)), r.quartic)][1:])
-    tail = _logistic(-states[:, :2])
-    # The bound at the steps' starts and at their ends.
-    start_rate, end_rate = np.abs(quartic[:, 0, :]), np.abs(_POWERS @ quartic)
-    change = np.maximum(
-        start_rate[:, 2] + (tail[:-1, 0] * start_rate[:, 0] + tail[:-1, 1] * start_rate[:, 1]),
-        end_rate[:, 2] + (tail[1:, 0] * end_rate[:, 0] + tail[1:, 1] * end_rate[:, 1]))
-    m = np.maximum(np.ceil(change / PANEL_LOG_RATE), 1.0).astype(int)
+    tail = _logistic(np.negative(states[:, :2].T, order="C"))
+    # The bound at the steps' starts and at their ends, over the planes of
+    # |dP|, |dQ|, |dL|: rates[0] at the starts, rates[1] at the ends.
+    rates = np.empty((2, 3, len(quartic)))
+    np.abs(quartic[:, 0, :].T, out=rates[0])
+    np.abs((_POWERS @ quartic).T, out=rates[1])
+    rates[0, :2] *= tail[:, :-1]
+    rates[1, :2] *= tail[:, 1:]
+    rates[:, 0] += rates[:, 1]
+    rates[:, 0] += rates[:, 2]
+    change = np.maximum(rates[0, 0], rates[1, 0], out=rates[0, 0])
+    change /= PANEL_LOG_RATE
+    m = np.maximum(np.ceil(change, out=change), 1.0, out=change).astype(int)
     step = np.repeat(np.arange(len(m)), m)
     width = 1.0 / m[step]
     last = np.cumsum(m)  # one past each step's last panel
     start = (np.arange(len(step)) - (last - m)[step]) * width
-    rate = _rate(states[step], quartic[step], start[:, None] + width[:, None] * _GL_NODES)
+    frac = width[:, None] * _GL_NODES
+    frac += start[:, None]
+    rate = _rate(states[step], quartic[step], frac)
     sigma = np.concatenate([run.sigma for run, _ in runs])
     spans = (sigma[1:] - sigma[:-1])[step]
     parts = spans * width * (rate @ _GL_WEIGHTS)
@@ -691,11 +743,17 @@ def integrate(m0: MetricCoeffs, params: FlowParams | None = None) -> Trajectory:
     columns = tuple(sorted(range(3), key=y0.__getitem__))
     u, v, w0 = (y0[i] for i in columns)
     log_share = math.log(params.collapse_eps)
+
+    def margin(P: float, Q: float, L: float) -> float:
+        # max(L - log_share, _round_corner_margin(P, Q, L)) by the comparison max makes.
+        share, corner = L - log_share, ROUND_LOGIT - (Q if Q < P else P)
+        return corner if corner > share else share
+
     run = _dormand_prince(
         (_logit(u, w0), _logit(v, w0), 0.0), 1.0,
         INTEGRATE_TOL_FACTOR * params.rel_tol, INTEGRATE_TOL_FACTOR * params.abs_tol,
-        params.max_steps, lambda P, Q, L: max(L - log_share, _round_corner_margin(P, Q, L)))
-    coeffs = _coeffs(run.states, w0, columns)
+        params.max_steps, margin)
+    coeffs = _coeffs(run.states.T.copy(), w0, columns)
     time_scale = _time_scale(w0, params.r_squared)
     [(panels, times)] = _time_panels([(run, time_scale)])
     collapse_time = None if run.end else float(times[-1]) + (

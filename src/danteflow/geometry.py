@@ -34,10 +34,13 @@ per-sample path (MetricCoeffs, StretchFactors, CurvatureSummary) have a
 hand-written constructor: one chained test covers every field, the per-field
 check runs only to name the first bad one, and each field is stored as
 given, with no coercion, one key at a time into the instance dict (cheaper
-than a dict update with keywords).  curvature_summary, principal_curvatures,
-ricci_eigenvalues, scalar_curvature and classify share one formula,
-_curvatures; it, connection_coefficients and flow.rhs share one primitive,
-the half-excesses of _excesses.  stretch_from_metric is where numbers become
+than a dict update with keywords).  _curvatures, once per sample, builds its
+CurvatureSummary by object.__new__ and the same per-key stores, without the
+__init__ frame; the constructor still stores its values as given.
+curvature_summary, principal_curvatures, ricci_eigenvalues,
+scalar_curvature and classify share one formula, _curvatures; it,
+connection_coefficients and flow.rhs share one primitive, the
+half-excesses of _excesses.  stretch_from_metric is where numbers become
 Python floats: it returns them for any real input, numpy scalars included,
 so that the curvatures of its result run on Python floats.
 """
@@ -234,10 +237,16 @@ def _curvatures(a: float, b: float, c: float, scale: float) -> CurvatureSummary:
     pab = scale * (sa * sb)
     pac = scale * (sa * sc)
     pbc = scale * (sb * sc)
-    return CurvatureSummary((pab - pbc) + pac if pab >= pac else (pac - pbc) + pab,
-                            (pab - pac) + pbc if pab >= pbc else (pbc - pac) + pab,
-                            (pac - pab) + pbc if pac >= pbc else (pbc - pab) + pac,
-                            2.0 * pbc, 2.0 * pac, 2.0 * pab, 2.0 * (pbc + pac + pab))
+    summary = object.__new__(CurvatureSummary)  # the stores of its __init__, without the frame
+    d = summary.__dict__
+    d["kappa1"] = (pab - pbc) + pac if pab >= pac else (pac - pbc) + pab
+    d["kappa2"] = (pab - pac) + pbc if pab >= pbc else (pbc - pac) + pab
+    d["kappa3"] = (pac - pab) + pbc if pac >= pbc else (pbc - pab) + pac
+    d["ricci11"] = 2.0 * pbc
+    d["ricci22"] = 2.0 * pac
+    d["ricci33"] = 2.0 * pab
+    d["scalar"] = 2.0 * (pbc + pac + pab)
+    return summary
 
 
 def principal_curvatures(f: StretchFactors) -> tuple[float, float, float]:

@@ -105,7 +105,7 @@ def from_xy(p: ShapePoint, c: float = 1.0,
     a = c(x - y)/2 and b = c(x + y)/2; round-trips with to_xy to 1e-12.
     Points on the degenerate edge y >= x have no positive lift.  x + y may
     exceed 2 by ulp(2), as to_xy of a turtle can round: such a point lies
-    on the turtle edge, b = c.
+    on the turtle edge, b = c.  A c above half the largest float lifts too.
     """
     _require_positive("c", c)
     _require_finite_point(p)  # NaN passes every test below
@@ -116,8 +116,12 @@ def from_xy(p: ShapePoint, c: float = 1.0,
         raise DomainError(f"y must be nonnegative, got {p.y}")
     if p.x + p.y > 2.0000000000000004:  # 2 + ulp(2)
         raise DomainError(f"point ({p.x}, {p.y}) lies outside the triangle")
-    return StretchFactors(a=c * (p.x - p.y) / 2.0, b=c * min(p.x + p.y, 2.0) / 2.0,
-                          c=c, r_squared=r_squared)
+    low, high = p.x - p.y, min(p.x + p.y, 2.0)
+    if c * high <= 1.7976931348623157e308:
+        a, b = c * low / 2.0, c * high / 2.0
+    else:  # c (x + y) overflows: halving c first is exact, and only this case needs it
+        a, b = 0.5 * c * low, 0.5 * c * high
+    return StretchFactors(a=a, b=b, c=c, r_squared=r_squared)
 
 
 def slope(p: ShapePoint) -> float:
@@ -196,7 +200,7 @@ def _trace_branches(start: ShapePoint, w0: float, directions, params: FlowParams
                               _round_corner_margin if direction > 0.0 else _vertex_margin)
         if run.end is not None:
             [(_, times)] = _time_panels([(run, direction * time_scale)])
-            coeffs = _coeffs(run.states, w0)
+            coeffs = _coeffs(run.states.T.copy(), w0)
             if direction < 0.0:  # a Trajectory runs forward in time
                 times, coeffs = times[::-1], coeffs[::-1]
             raise IntegrationFailureError(

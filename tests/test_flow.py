@@ -323,17 +323,24 @@ coefficient = st.floats(min_value=1e-3, max_value=1.0)
 
 @settings(max_examples=40, deadline=None)
 @given(coefficient, coefficient, coefficient)
+@example(0.5, 1.0, 1.0)  # a turtle: Q = +inf
+@example(1.0, 1.0, 1.0)  # the round sphere: P = Q = +inf
 def test_permutation_invariance(u, v, w):
     # integrate sorts the coefficients and steps the same field whatever
     # their order, so a permuted input gives the same collapse time and
-    # the same rows, permuted.
+    # the same rows, permuted; so does its dense output, which puts each
+    # sorted coefficient back in its own column.
     base = integrate(MetricCoeffs(u, v, w))
+    base_ts, base_rows = base.uniform_grid(50)
     for perm in permutations(range(3)):
         uvw = (u, v, w)
         traj = integrate(MetricCoeffs(*(uvw[i] for i in perm)))
         assert traj.collapse_time == base.collapse_time
         assert np.array_equal(traj.times, base.times)
         assert np.array_equal(traj.coeffs, base.coeffs[:, list(perm)])
+        ts, rows = traj.uniform_grid(50)
+        assert np.array_equal(ts, base_ts)
+        assert np.array_equal(rows, base_rows[:, list(perm)])
 
 
 @settings(max_examples=40, deadline=None)

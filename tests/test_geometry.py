@@ -307,6 +307,9 @@ REJECTED_CALLS = [
     ("trace_flowline(ShapePoint(0.5, 0.5))",
      "point (0.5, 0.5) lies on or past the degenerate edge y = x", DegenerateShapeError),
     ("trace_flowline(ShapePoint(10**400, 0.5))", f"point ({10**400}, 0.5) is not finite"),
+    # from_xy lifts it since c (x + y) no longer overflows; its metric does not fit.
+    ("trace_flowline(ShapePoint(1.5, 0.5), 1e308)",
+     "metric coefficients of (5e+307, 1e+308, 1e+308) lie outside the float range"),
     ("slope(ShapePoint(1.0, 1.0))", "slope denominator vanishes at (1.0, 1.0)", SingularSlopeError),
     ("slope(ShapePoint(2.0, 0.0))", "slope denominator vanishes at (2.0, 0.0)", SingularSlopeError),
     # A NaN point gave a NaN slope, an int past floats OverflowError.

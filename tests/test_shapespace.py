@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -43,6 +44,12 @@ def test_from_xy_examples():
     assert (f.a, f.b, f.c) == (1.0, 1.0, 1.0)
     f = from_xy(ShapePoint(1.0, 0.0), 2.0)
     assert (f.a, f.b, f.c) == (1.0, 1.0, 2.0)
+    # c (x + y) past the largest float: b, and at (2, 0) a too, overflowed to inf.
+    f = from_xy(ShapePoint(1.5, 0.5), 1e308)
+    assert (f.a, f.b, f.c) == (5e307, 1e308, 1e308)
+    big = sys.float_info.max
+    f = from_xy(ShapePoint(2.0, 0.0), big)
+    assert (f.a, f.b, f.c) == (big, big, big)
 
 
 def test_round_trip_property():
