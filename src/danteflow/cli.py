@@ -45,10 +45,11 @@ from pathlib import Path
 
 from . import __version__, flow, shapespace
 from .errors import DomainError, IntegrationFailureError, SingularMapError
-from .geometry import (DEFAULT_EQ_TOL, DEFAULT_R_SQUARED, GRID_LIMIT, MetricCoeffs,
-                       ShapePoint, StretchFactors, _require_positive, classify as classify_shape,
-                       connection_coefficients, curvature_summary,
-                       metric_coeffs, stretch_from_metric, to_rho_tau, to_xy)
+from .geometry import (DEFAULT_ABS_TOL, DEFAULT_COLLAPSE_EPS, DEFAULT_EQ_TOL, DEFAULT_MAX_STEPS,
+                       DEFAULT_R_SQUARED, DEFAULT_REGION_RESOLUTION, DEFAULT_REL_TOL, GRID_LIMIT,
+                       MAX_REL_TOL, MIN_REGION_RESOLUTION, MetricCoeffs, ShapePoint, StretchFactors,
+                       _require_positive, classify as classify_shape, connection_coefficients,
+                       curvature_summary, metric_coeffs, stretch_from_metric, to_rho_tau, to_xy)
 
 SIMULATE_HEADER = ("t,u,v,w,a,b,c,x,y,"
                    "kappa1,kappa2,kappa3,ricci11,ricci22,ricci33,scalar")
@@ -365,7 +366,8 @@ def _parser() -> _Parser:
         if r2:  # an empty DANTE_FLOW_R2 is unset; type=float parses a set one
             sub.add_argument("--r2", type=float, metavar="FLOAT",
                              default=os.environ.get("DANTE_FLOW_R2") or None,
-                             help="Radius squared R^2 (default 4; DANTE_FLOW_R2 overrides).")
+                             help=f"Radius squared R^2 (default {DEFAULT_R_SQUARED:g}; "
+                             "DANTE_FLOW_R2 overrides).")
         if formats:
             sub.add_argument("--format", dest="output_format", choices=("json", "csv"),
                              default="json", help="Primary artifact format.")
@@ -380,12 +382,11 @@ def _parser() -> _Parser:
     sub = command(simulate, shape=True)
     number(sub, "--grid", "Uniform time samples merged with the adaptive steps "
            "(0 disables).", 200, _at_least(0, GRID_LIMIT))
-    # The bound is flow.MAX_REL_TOL, written out so that no quick query loads flow.
-    number(sub, "--rel-tol", "Relative tolerance, at most 0.001.", 1e-10)
-    number(sub, "--abs-tol", "Absolute tolerance, at most 0.001.", 1e-12)
+    number(sub, "--rel-tol", f"Relative tolerance, at most {MAX_REL_TOL}.", DEFAULT_REL_TOL)
+    number(sub, "--abs-tol", f"Absolute tolerance, at most {MAX_REL_TOL}.", DEFAULT_ABS_TOL)
     number(sub, "--collapse-eps", "Share of the largest initial coefficient at which "
-           "to stop.", 1e-9)
-    number(sub, "--max-steps", "", 10_000, _at_least(1))
+           "to stop.", DEFAULT_COLLAPSE_EPS)
+    number(sub, "--max-steps", "", DEFAULT_MAX_STEPS, _at_least(1))
 
     for run, coeff, ratio, law, param in (
             (snake, "--W", "--alpha", "alpha^2 = W/V - 1", "lambda"),
@@ -410,8 +411,8 @@ def _parser() -> _Parser:
     sub.add_argument("--apex-output", metavar="FILE",
                      help="Also write the apex table (line_id,x,y) to this file.")
 
-    number(command(regions, r2=False), "--resolution",
-           "Grid subdivisions per boundary (minimum 16).", 64, int)
+    number(command(regions, r2=False), "--resolution", "Grid subdivisions per boundary "
+           f"(minimum {MIN_REGION_RESOLUTION}).", DEFAULT_REGION_RESOLUTION, int)
     return parser
 
 

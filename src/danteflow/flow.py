@@ -88,8 +88,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import CollapseReachedError, DomainError, IntegrationFailureError
-from .geometry import (DEFAULT_R_SQUARED, GRID_LIMIT, MetricCoeffs, _excesses, _require_count,
-                       _require_positive)
+from .geometry import (DEFAULT_ABS_TOL, DEFAULT_COLLAPSE_EPS, DEFAULT_MAX_STEPS, DEFAULT_R_SQUARED,
+                       DEFAULT_REL_TOL, GRID_LIMIT, MAX_REL_TOL, MetricCoeffs, _excesses,
+                       _require_count, _require_positive)
 
 #: Below this sqrt|z|, the closed forms' F(z) switches to its series.
 SERIES_SWITCH = 1e-6
@@ -98,12 +99,8 @@ _SERIES_Z = SERIES_SWITCH * SERIES_SWITCH
 #: Turtle non-sphericity cap; precision degrades noticeably beyond 0.999.
 BETA_CAP = 1.0 - 1e-12
 
-#: Largest accepted rel_tol and abs_tol.  Looser settings let the step
-#: controller take steps that no longer approximate the flow: the thin dragon
-#: (0.01, 0.5, 1) collapses 54% early at rel_tol = 1 and 1.4% early at 1e-2,
-#: and 27% early at abs_tol = 1.  At 1e-3 it, (0.3, 0.6, 1.2) and
-#: (0.001, 0.002, 1) are within 1e-3 of converged.
-MAX_REL_TOL = 1e-3
+#: Snake non-sphericity cap: past it, alpha^2 overflows.
+ALPHA_CAP = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -119,10 +116,10 @@ class FlowParams:
     """
 
     r_squared: float = DEFAULT_R_SQUARED
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    collapse_eps: float = 1e-9
-    max_steps: int = 10_000
+    rel_tol: float = DEFAULT_REL_TOL
+    abs_tol: float = DEFAULT_ABS_TOL
+    collapse_eps: float = DEFAULT_COLLAPSE_EPS
+    max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self) -> None:
         _require_positive("r_squared", self.r_squared)
@@ -229,9 +226,11 @@ def rhs(m: MetricCoeffs, r_squared: float = DEFAULT_R_SQUARED) -> tuple[float, f
     """Time derivatives (du, dv, dw) of the metric coefficients: the paper's
     equations, the tests' oracle for the logit field that integrate steps
     (_field).  The bracket form -(4/R^2)[2 + (u^2 - v^2 - w^2)/(vw)] agrees
-    to 1e-12 relative."""
+    to 1e-12 relative.  Degree 0 in (u, v, w): they are divided first by
+    2^e, e the exponent of the largest, which is exact for normal floats."""
     _require_positive("r_squared", r_squared)
-    u, v, w = m.u, m.v, m.w
+    e = math.frexp(max(m.u, m.v, m.w))[1]
+    u, v, w = math.ldexp(m.u, -e), math.ldexp(m.v, -e), math.ldexp(m.w, -e)
     # m - u, m - v, m - w as geometry forms s - a, s - b, s - c: exactly
     # equivariant under input permutations, and without a rounded m, which
     # loses the digits of m - v at u = v >> w.
@@ -267,8 +266,7 @@ def _logistic(z: np.ndarray) -> np.ndarray:
 def _coeffs(planes: np.ndarray, w0: float, columns=(0, 1, 2)) -> np.ndarray:
     """Rows (u, v, w) = w0 e^L (l(P), l(Q), 1) of the contiguous planes
     (P, Q, L) = planes[0], planes[1], planes[2], the sorted coefficient i
-    put back in column columns[i] by three column writes.  The exp and the
-    logistic pair run elementwise on the planes (module docstring)."""
+    put back in column columns[i] by three column writes."""
     rows = np.empty(planes.shape[1:] + (3,))
     scale = np.multiply(np.exp(planes[2]), w0, out=rows[..., columns[2]])
     tails = _logistic(planes[:2])
@@ -307,10 +305,9 @@ def _rate(start: np.ndarray, quartic: np.ndarray, frac: np.ndarray) -> np.ndarra
     turtle edge, the round sphere) has the factor 1.  The sum can exceed the
     log of the rate by at most 2 ln 2, so the exp overflows only for L above
     about 708, far past any L the stepper reaches: L <= 0 forward, and a few
-    tens at most backward (32 over 1,530 backward branches).  Every pass is
-    elementwise on _dense_at's contiguous planes, in place where a value is
-    read once; the result is the L plane, a contiguous frac-shaped array,
-    the layout of the matmul operand that the callers' quadrature takes.
+    tens at most backward (32 over 1,530 backward branches).  The result is
+    the L plane, a contiguous frac-shaped array, the layout of the matmul
+    operand that the callers' quadrature takes.
     """
     at = _dense_at(start, quartic, frac)
     pq, rate = at[:2], at[2]
@@ -367,8 +364,6 @@ def _time_panels(runs):
     One _rate call takes the panels of all runs, their rows joined by a
     dummy step of zero dense output (one panel, which no run sums); each run
     sums its own from 0, so its panels and times are a call's on it alone.
-    The bound's elementwise passes run on contiguous planes of |dP|, |dQ|,
-    |dL| (module docstring); the matmuls take their operands as they come.
     """
     states = np.concatenate([run.states for run, _ in runs])
     quartic = np.concatenate([q for r, _ in runs for q in (np.zeros((1, 4, 3)), r.quartic)][1:])
@@ -820,8 +815,8 @@ def _pair_profile(Z: float, eps: float, s: float) -> tuple[float, float]:
 @dataclass(frozen=True)
 class SnakeSolution:
     """Closed-form flow of a snake (u = v), parameterized by W = w(0) and
-    the non-sphericity alpha, alpha^2 = W/V - 1.  alpha = 0 is the round
-    sphere."""
+    the non-sphericity alpha in [0, ALPHA_CAP], alpha^2 = W/V - 1.  alpha = 0
+    is the round sphere."""
 
     W: float
     alpha: float
@@ -830,6 +825,8 @@ class SnakeSolution:
         _require_positive("W", self.W)
         if not 0.0 <= self.alpha <= 1.7976931348623157e308:  # NaN fails too
             raise DomainError(f"alpha must be nonnegative, got {self.alpha!r}")
+        if self.alpha > ALPHA_CAP:  # below it, V and collapse_T are at most W
+            raise DomainError(f"alpha must be at most {ALPHA_CAP}, got {self.alpha!r}")
 
     @classmethod
     def from_initial(cls, m0: MetricCoeffs) -> "SnakeSolution":
@@ -860,7 +857,8 @@ class SnakeSolution:
 @dataclass(frozen=True)
 class TurtleSolution:
     """Closed-form flow of a turtle (v = w), parameterized by U = u(0) and
-    the non-sphericity beta in [0, 1), beta^2 = 1 - U/V."""
+    the non-sphericity beta in [0, BETA_CAP], beta^2 = 1 - U/V.  U and beta
+    that put V or collapse_T past the largest float raise DomainError."""
 
     U: float
     beta: float
@@ -869,6 +867,9 @@ class TurtleSolution:
         _require_positive("U", self.U)
         if not 0.0 <= self.beta <= BETA_CAP:  # NaN fails too
             raise DomainError(f"beta must lie in [0, {BETA_CAP}], got {self.beta!r}")
+        if not self.V <= 1.7976931348623157e308 >= self.collapse_T:  # U near the largest float
+            raise DomainError(f"turtle (U, beta) = ({self.U!r}, {self.beta!r}) has V or "
+                              "collapse_T past the largest float")
 
     @classmethod
     def from_initial(cls, m0: MetricCoeffs) -> "TurtleSolution":
@@ -954,10 +955,18 @@ def x_rate(m: MetricCoeffs, r_squared: float = DEFAULT_R_SQUARED) -> float:
 
     Requires the ordered convention w >= v >= u.  Strictly positive unless
     u = v = w: the flow always drifts toward the isotropic corner x = 2.
+    Degree -1 in (u, v, w): it is taken on (u, v, w)/2^e, e the exponent of
+    w, and divided by 2^e, which is exact for normal floats.  A rate past
+    the largest float is inf.
     """
     _require_positive("r_squared", r_squared)
     u, v, w = m.as_tuple()
     if not (w >= v >= u):
         raise DomainError(f"x_rate needs u <= v <= w, got ({u}, {v}, {w})")
+    e = math.frexp(w)[1]
+    u, v, w = math.ldexp(u, -e), math.ldexp(v, -e), math.ldexp(w, -e)
     numerator = u * (w - v) ** 2 + u * u * (v - u) + v * (w * w - v * v)
-    return (4.0 / r_squared) * 2.0 * numerator / (u * v * w * w)
+    try:
+        return math.ldexp((4.0 / r_squared) * 2.0 * numerator / (u * v * w * w), -e)
+    except OverflowError:  # ldexp's, where the rate passes the largest float
+        return math.inf

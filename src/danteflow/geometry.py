@@ -29,20 +29,25 @@ All operations here are pure functions of value types and can be called
 concurrently without coordination.  An input's range is tested by comparing
 it with the largest float, as in _require_positive: NaN and +-inf fail such
 a test, and an int past the float range compares exactly where its
-conversion to float would raise OverflowError.  The value types on the
-per-sample path (MetricCoeffs, StretchFactors, CurvatureSummary) have a
-hand-written constructor: one chained test covers every field, the per-field
-check runs only to name the first bad one, and each field is stored as
-given, with no coercion, one key at a time into the instance dict (cheaper
-than a dict update with keywords).  _curvatures, once per sample, builds its
-CurvatureSummary by object.__new__ and the same per-key stores, without the
-__init__ frame; the constructor still stores its values as given.
+conversion to float would raise OverflowError.  The checked value types on
+the per-sample path (MetricCoeffs, StretchFactors) have a hand-written
+constructor: one chained test covers every field, the per-field check runs
+only to name the first bad one, and each field is stored as given, with no
+coercion, one key at a time into the instance dict (cheaper than a dict
+update with keywords).  CurvatureSummary keeps its generated constructor,
+which also stores its values as given; _curvatures, once per sample, builds
+it by object.__new__ and the same per-key stores, without an __init__ frame.
 curvature_summary, principal_curvatures, ricci_eigenvalues,
 scalar_curvature and classify share one formula, _curvatures; it,
 connection_coefficients and flow.rhs share one primitive, the
 half-excesses of _excesses.  stretch_from_metric is where numbers become
 Python floats: it returns them for any real input, numpy scalars included,
 so that the curvatures of its result run on Python floats.
+
+Every command loads this module, so it holds the values that the CLI shows
+and flow or shapespace apply: DEFAULT_R_SQUARED, DEFAULT_EQ_TOL, GRID_LIMIT,
+FlowParams' defaults with MAX_REL_TOL, and region_boundaries' default and
+least resolution.  The CLI reads them here without running flow.
 """
 from __future__ import annotations
 
@@ -64,6 +69,23 @@ DEFAULT_EQ_TOL = 1e-9
 #: most sys.maxsize // 8 values.  flow's uniform_grid, shapespace's
 #: region_boundaries and the CLI's --grid all stop below it.
 GRID_LIMIT = sys.maxsize // 8
+
+#: FlowParams' defaults.
+DEFAULT_REL_TOL = 1e-10
+DEFAULT_ABS_TOL = 1e-12
+DEFAULT_COLLAPSE_EPS = 1e-9
+DEFAULT_MAX_STEPS = 10_000
+
+#: Largest accepted rel_tol and abs_tol.  Looser settings let the step
+#: controller take steps that no longer approximate the flow: the thin dragon
+#: (0.01, 0.5, 1) collapses 54% early at rel_tol = 1 and 1.4% early at 1e-2,
+#: and 27% early at abs_tol = 1.  At 1e-3 it, (0.3, 0.6, 1.2) and
+#: (0.001, 0.002, 1) are within 1e-3 of converged.
+MAX_REL_TOL = 1e-3
+
+#: shapespace.region_boundaries' default resolution and the least it accepts.
+DEFAULT_REGION_RESOLUTION = 64
+MIN_REGION_RESOLUTION = 16
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -176,7 +198,7 @@ class MetricCoeffs:
         return _half_sum(self.u, self.v, self.w)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class CurvatureSummary:
     """Principal curvatures, Ricci eigenvalues, and the Ricci scalar.
 
@@ -193,17 +215,6 @@ class CurvatureSummary:
     ricci22: float
     ricci33: float
     scalar: float
-
-    def __init__(self, kappa1: float, kappa2: float, kappa3: float, ricci11: float,
-                 ricci22: float, ricci33: float, scalar: float) -> None:
-        d = self.__dict__
-        d["kappa1"] = kappa1
-        d["kappa2"] = kappa2
-        d["kappa3"] = kappa3
-        d["ricci11"] = ricci11
-        d["ricci22"] = ricci22
-        d["ricci33"] = ricci33
-        d["scalar"] = scalar
 
 
 class ShapeKind(Enum):
@@ -237,7 +248,7 @@ def _curvatures(a: float, b: float, c: float, scale: float) -> CurvatureSummary:
     pab = scale * (sa * sb)
     pac = scale * (sa * sc)
     pbc = scale * (sb * sc)
-    summary = object.__new__(CurvatureSummary)  # the stores of its __init__, without the frame
+    summary = object.__new__(CurvatureSummary)  # its fields stored without an __init__ frame
     d = summary.__dict__
     d["kappa1"] = (pab - pbc) + pac if pab >= pac else (pac - pbc) + pab
     d["kappa2"] = (pab - pac) + pbc if pab >= pbc else (pbc - pac) + pab
@@ -256,7 +267,7 @@ def principal_curvatures(f: StretchFactors) -> tuple[float, float, float]:
     cyclically, from _curvatures.  Permuting (a, b, c) permutes the result
     identically; scaling (a, b, c) by l scales each kappa by l^2.
     """
-    cs = _curvatures(f.a, f.b, f.c, 4.0 / f.r_squared)
+    cs = curvature_summary(f)
     return (cs.kappa1, cs.kappa2, cs.kappa3)
 
 
@@ -265,7 +276,7 @@ def ricci_eigenvalues(f: StretchFactors) -> tuple[float, float, float]:
     _curvatures: the entries of (a, 1, 1) are within a few units in the
     last place for every a > 0.
     """
-    cs = _curvatures(f.a, f.b, f.c, 4.0 / f.r_squared)
+    cs = curvature_summary(f)
     return (cs.ricci11, cs.ricci22, cs.ricci33)
 
 

@@ -56,7 +56,8 @@ from .flow import (ROUND_LOGIT, VERTEX_DELTA, FlowParams, Trajectory, _coeffs, _
                    _logit, _round_corner_margin, _time_panels, _time_scale)
 # The chart itself (ShapePoint, to_xy, RicciRatios, to_rho_tau) lives in
 # geometry, so that classify needs no tracer; it is re-exported here.
-from .geometry import (DEFAULT_R_SQUARED, GRID_LIMIT, RicciRatios, ShapePoint, StretchFactors,
+from .geometry import (DEFAULT_R_SQUARED, DEFAULT_REGION_RESOLUTION, GRID_LIMIT,
+                       MIN_REGION_RESOLUTION, RicciRatios, ShapePoint, StretchFactors,
                        _require_count, _require_finite_point, _require_positive, metric_coeffs,
                        to_rho_tau, to_xy)
 
@@ -269,7 +270,7 @@ def trace_flowline(start: ShapePoint, c0: float = 1.0,
     return FlowLine(xs=xs, ys=ys, times=times, apex=apex)
 
 
-def region_boundaries(resolution: int = 64) -> dict[str, np.ndarray]:
+def region_boundaries(resolution: int = DEFAULT_REGION_RESOLUTION) -> dict[str, np.ndarray]:
     """Extract the classification boundaries as polylines.
 
     Returns a mapping with keys SCALAR_ZERO (the Ricci-scalar zero locus),
@@ -288,13 +289,13 @@ def region_boundaries(resolution: int = 64) -> dict[str, np.ndarray]:
     the smallest principal curvature kappa3 on y^2 = 3 - 2x, from (1, 1)
     down to (3/2, 0).  Each is sampled at resolution equispaced x, the
     open end at the top corner left out, so the x-axis intercepts are
-    exactly 1/2 and 3/2.  resolution is an integer, 16 <= resolution <
-    GRID_LIMIT: a float, even 64.0, is a DomainError.
+    exactly 1/2 and 3/2.  resolution is an integer, MIN_REGION_RESOLUTION
+    <= resolution < GRID_LIMIT: a float, even 64.0, is a DomainError.
     """
     # A boundary takes resolution + 1 values.
-    if not 16 <= _require_count("resolution", resolution) < GRID_LIMIT:
-        raise DomainError(f"resolution must be at least 16 and below {GRID_LIMIT}, "
-                          f"got {resolution}")
+    if not MIN_REGION_RESOLUTION <= _require_count("resolution", resolution) < GRID_LIMIT:
+        raise DomainError(f"resolution must be at least {MIN_REGION_RESOLUTION} and below "
+                          f"{GRID_LIMIT}, got {resolution}")
 
     x_scalar = np.linspace(0.5, 1.0, resolution + 1)[:-1]
     x_kappa = np.linspace(1.0, 1.5, resolution + 1)[1:]

@@ -10,8 +10,8 @@ It digests, for the checkout it lies in (the package from its src/):
 * cli: the stdout, stderr and exit code of each command in COMMANDS, each
   launched as `python -B -m danteflow`, with no bytecode written and
   DANTE_FLOW_R2 unset.  The list holds the commands whose output earlier
-  changes were checked on, at the default R^2 and at its extremes, and
-  the domain errors at the edge of the float range;
+  changes were checked on (at the default R^2 and at its extremes), the
+  domain errors at the edge of the float range, and the help texts;
 * sweep: for seeds 1-3, the results of every operation of the sweep
   workload (benchmarks/workloads.py): the trajectory's times, coefficients,
   end and collapse time, its uniform grid, the curvature table with the
@@ -97,6 +97,15 @@ COMMANDS = (
     "curvature --a 1 --b 2 --c 3 --r2 0",
     "curvature --a 1 --b 2 --c 3 --r2 1e-300",
     "flowlines --grid 1x1 --c0 -1",
+    # Help texts: part of the contract, and built from the library's values.
+    "--help",
+    "curvature --help",
+    "classify --help",
+    "simulate --help",
+    "snake --help",
+    "turtle --help",
+    "flowlines --help",
+    "regions --help",
 )
 
 

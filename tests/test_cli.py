@@ -1,6 +1,9 @@
+import dataclasses
+import inspect
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -11,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import danteflow
-from danteflow import errors, flow, geometry, shapespace
+from danteflow import cli, errors, flow, geometry, shapespace
 from danteflow.cli import SIMULATE_HEADER, _fmt
 from danteflow.errors import DomainError
 
@@ -263,12 +266,49 @@ def test_help_exits_cleanly(run_cli):
     assert "simulate" in out and "flowlines" in out
 
 
-def test_rel_tol_help_states_the_flow_bound(run_cli):
-    # The help text spells the bound out, so that building it loads no flow.
-    code, out, _ = run_cli("simulate", "--help")
-    assert code == 0
-    text = " ".join(out.split())  # undo argparse's line wrapping
-    assert f"--rel-tol FLOAT Relative tolerance, at most {flow.MAX_REL_TOL}." in text
+def test_help_and_defaults_state_the_library_values(run_cli):
+    # cli reads these values from geometry, so that a quick query runs no
+    # flow; each is checked against the library function or class that
+    # applies it.
+    def help_text(command):
+        code, out, _ = run_cli(command, "--help")
+        assert code == 0
+        return " ".join(out.split())  # undo argparse's line wrapping
+
+    def defaults(*argv):
+        return vars(cli._parser().parse_args(list(argv)))
+
+    shape = ("--a", "1", "--b", "1", "--c", "1")
+    for command in ("curvature", "classify", "simulate", "snake", "turtle", "flowlines"):
+        assert (f"--r2 FLOAT Radius squared R^2 (default {geometry.DEFAULT_R_SQUARED:g}; "
+                "DANTE_FLOW_R2 overrides).") in help_text(command)
+    flow_defaults = {f.name: f.default for f in dataclasses.fields(flow.FlowParams)}
+    assert flow_defaults["r_squared"] == geometry.DEFAULT_R_SQUARED
+    text = help_text("simulate")
+    assert (f"--rel-tol FLOAT Relative tolerance, at most {flow.MAX_REL_TOL}. "
+            f"[default: {flow_defaults['rel_tol']}]") in text
+    assert (f"--abs-tol FLOAT Absolute tolerance, at most {flow.MAX_REL_TOL}. "
+            f"[default: {flow_defaults['abs_tol']}]") in text
+    assert f"to stop. [default: {flow_defaults['collapse_eps']}]" in text
+    assert f"--max-steps INTEGER [default: {flow_defaults['max_steps']}]" in text
+    parsed = defaults("simulate", *shape)
+    for name in ("rel_tol", "abs_tol", "collapse_eps", "max_steps"):
+        assert parsed[name] == flow_defaults[name], name
+
+    eq_tol = inspect.signature(geometry.classify).parameters["eq_tol"].default
+    assert f"[default: {eq_tol}]" in help_text("classify")
+    assert defaults("classify", *shape)["eq_tol"] == eq_tol
+    c0 = inspect.signature(shapespace.trace_flowline).parameters["c0"].default
+    assert f"leaves x and y unchanged. [default: {c0}]" in help_text("flowlines")
+    assert defaults("flowlines", "--grid", "1x1")["c0"] == c0
+
+    resolution = inspect.signature(shapespace.region_boundaries).parameters["resolution"].default
+    minimum = int(re.search(r"\(minimum (\d+)\)", help_text("regions")).group(1))
+    assert f"(minimum {minimum}). [default: {resolution}]" in help_text("regions")
+    assert defaults("regions")["resolution"] == resolution
+    shapespace.region_boundaries(minimum)
+    with pytest.raises(DomainError, match=f"^resolution must be at least {minimum} "):
+        shapespace.region_boundaries(minimum - 1)
 
 
 def test_package_serves_every_public_name():

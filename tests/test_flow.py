@@ -38,6 +38,11 @@ def test_rhs_examples():
     assert du == -0.25     # -u^2/v^2
     assert dv == -1.5      # u/v - 2
     assert dw == -1.5
+    # Degree 0, bit for bit: at 2^k (0.3, 0.6, 1.2) the products lost digits
+    # (k = -520), divided by zero (k = -540) or overflowed to NaN (k = 520).
+    base = rhs(MetricCoeffs(0.3, 0.6, 1.2), 4.0)
+    for k in range(-1020, 1020):
+        assert rhs(MetricCoeffs(*(math.ldexp(x, k) for x in (0.3, 0.6, 1.2))), 4.0) == base, k
 
 
 def test_rhs_dual_form_identity():
@@ -406,6 +411,14 @@ def test_x_rate_examples():
     assert x_rate(MetricCoeffs(0.5, 0.75, 1.0)) > 0.0
     # The rate scales like the flow itself, by 4/R^2.
     assert x_rate(MetricCoeffs(0.5, 0.5, 1.0), 8.0) == pytest.approx(2.0, rel=1e-15, abs=0.0)
+    # Degree -1, bit for bit: at 2^k (0.3, 0.6, 1.2) the rate divided by
+    # zero (k = -500), came out NaN (k = 500) or raised OverflowError (k = 520).
+    base = x_rate(MetricCoeffs(0.3, 0.6, 1.2))
+    for k in range(-1020, 1020):
+        scaled = MetricCoeffs(*(math.ldexp(x, k) for x in (0.3, 0.6, 1.2)))
+        assert x_rate(scaled) == math.ldexp(base, -k), k
+    # 29 times 2^1023, past the largest float.
+    assert x_rate(MetricCoeffs(2.0**-1025, 2.0**-1024, 2.0**-1023)) == math.inf
 
 
 def test_x_rate_matches_projected_derivative():

@@ -256,6 +256,9 @@ REJECTED_CALLS = [
     ("SnakeSolution(1.0, math.nan)", "alpha must be nonnegative, got nan"),
     ("SnakeSolution(1.0, math.inf)", "alpha must be nonnegative, got inf"),
     ("SnakeSolution(1.0, 10**400)", f"alpha must be nonnegative, got {10**400}"),
+    # alpha^2 overflowed, and collapse_T came out NaN and V 0.
+    ("SnakeSolution(1.0, 1.4e154)",
+     "alpha must be at most 1.3407807929942596e+154, got 1.4e+154"),
     ("SnakeSolution.from_initial(MetricCoeffs(0.5, 0.6, 1.0))",
      "snake initial data needs u = v, got (0.5, 0.6)"),
     ("SnakeSolution.from_initial(MetricCoeffs(1.0, 1.0, 0.5))",
@@ -278,6 +281,9 @@ REJECTED_CALLS = [
     ("TurtleSolution(1.0, 1.0)", "beta must lie in [0, 0.999999999999], got 1.0"),
     ("TurtleSolution(1.0, math.nan)", "beta must lie in [0, 0.999999999999], got nan"),
     ("TurtleSolution(1.0, 10**400)", f"beta must lie in [0, 0.999999999999], got {10**400}"),
+    # V and collapse_T came out inf.
+    ("TurtleSolution(1.7e308, 0.5)",
+     "turtle (U, beta) = (1.7e+308, 0.5) has V or collapse_T past the largest float"),
     ("TurtleSolution.from_initial(MetricCoeffs(0.75, 1.0, 1.1))",
      "turtle initial data needs v = w, got (1.0, 1.1)"),
     ("TurtleSolution.from_initial(MetricCoeffs(1.5, 1.0, 1.0))",
@@ -362,7 +368,10 @@ def test_constructor_rejects_exactly_what_is_not_positive_finite(name):
     check()
 
 
-#: One instance of each value type with a hand-written constructor, and its repr.
+#: One instance of each value type on the per-sample path, and its repr.
+#: MetricCoeffs and StretchFactors have a hand-written constructor;
+#: CurvatureSummary has the generated one, and _curvatures builds it by
+#: object.__new__.
 _VALUE_TYPES = {
     "MetricCoeffs": (lambda: MetricCoeffs(0.25, 0.5, 2.0),
                      "MetricCoeffs(u=0.25, v=0.5, w=2.0)"),
