@@ -64,12 +64,11 @@ are located by one bracketed root-finder, _bracket_crossing.
 
 The dense output runs in numpy on planes: _dense_at returns one contiguous
 array per component P, Q, L, and the elementwise passes of _rate, _coeffs
-and _time_panels' step bound run on such planes, in place where a value is
-read once (a ufunc over a stride-3 column of rows costs several times more
-per element, and each element rounds alike in any layout).  A matmul's
-operands keep the layout they have: its rounding depends on the layout (a
-column-major copy of one operand moves the last bit of about a third of
-the dot products).
+and _time_panels' step bound run on such planes (a ufunc over a stride-3
+column of rows costs several times more per element, and each element
+rounds alike in any layout).  A matmul's operands keep the layout they
+have: its rounding depends on the layout (a column-major copy of one
+operand moves the last bit of about a third of the dot products).
 
 numpy is imported once, at the top: the package registers this module
 lazily, so numpy loads only once flow first runs (package docstring).
@@ -191,21 +190,13 @@ class Trajectory:
         sigma = run.sigma
         scale = math.ldexp(time_scale, -e) * (sigma[1:] - sigma[:-1])[step]  # dt/dx = scale _rate
         start, quartic = run.states[step], run.quartic[step]
-        lo_column, hi, tiny = lo[..., None], lo + width, sys.float_info.min
         for _ in range(3):
             part = x - lo
-            frac = part[..., None] * _GL_NODES_AND_END
-            frac += lo_column
-            rate = _rate(start, quartic, frac)
-            # The Newton step on t_lo + scale part (rate's nodes @ weights) - t,
-            # in place where t is an array (a scalar t rebinds).
-            error = scale * part
-            error *= rate[..., :-1] @ _GL_WEIGHTS
-            error += t_lo
-            error -= t
-            error /= np.maximum(scale * rate[..., -1], tiny)
-            x -= error
-            x = np.minimum(np.maximum(x, lo), hi)
+            rate = _rate(start, quartic, lo[..., None] + part[..., None] * _GL_NODES_AND_END)
+            # The Newton step on t_lo + scale part (rate's nodes @ weights) - t.
+            error = t_lo + scale * part * (rate[..., :-1] @ _GL_WEIGHTS) - t
+            x = x - error / np.maximum(scale * rate[..., -1], sys.float_info.min)
+            x = np.minimum(np.maximum(x, lo), lo + width)
         solved = _coeffs(_dense_at(start, quartic, x[..., None])[..., 0], w0, columns)
         return np.where(stored, self.coeffs[row], solved)
 
@@ -227,7 +218,10 @@ def rhs(m: MetricCoeffs, r_squared: float = DEFAULT_R_SQUARED) -> tuple[float, f
     equations, the tests' oracle for the logit field that integrate steps
     (_field).  The bracket form -(4/R^2)[2 + (u^2 - v^2 - w^2)/(vw)] agrees
     to 1e-12 relative.  Degree 0 in (u, v, w): they are divided first by
-    2^e, e the exponent of the largest, which is exact for normal floats."""
+    2^e, e the exponent of the largest, which is exact for normal floats.
+    Each excess is divided by its own coefficient, so no product of two
+    thin coefficients underflows; a derivative past the float range is
+    +-inf."""
     _require_positive("r_squared", r_squared)
     e = math.frexp(max(m.u, m.v, m.w))[1]
     u, v, w = math.ldexp(m.u, -e), math.ldexp(m.v, -e), math.ldexp(m.w, -e)
@@ -236,7 +230,8 @@ def rhs(m: MetricCoeffs, r_squared: float = DEFAULT_R_SQUARED) -> tuple[float, f
     # loses the digits of m - v at u = v >> w.
     qu, qv, qw = _excesses(u, v, w)
     k = -16.0 / r_squared
-    return k * (qv * qw) / (v * w), k * (qu * qw) / (u * w), k * (qu * qv) / (u * v)
+    ru, rv, rw = qu / u, qv / v, qw / w
+    return k * (rv * rw), k * (ru * rw), k * (ru * rv)
 
 
 def _field(P: float, Q: float, L: float, direction: float) -> tuple[float, float, float]:
@@ -258,9 +253,7 @@ def _logit(p: float, one: float = 1.0) -> float:
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
-    out = np.negative(z)
-    np.logaddexp(0.0, out, out=out)
-    return np.exp(np.negative(out, out=out), out=out)
+    return np.exp(-np.logaddexp(0.0, -z))
 
 
 def _coeffs(planes: np.ndarray, w0: float, columns=(0, 1, 2)) -> np.ndarray:
@@ -305,22 +298,12 @@ def _rate(start: np.ndarray, quartic: np.ndarray, frac: np.ndarray) -> np.ndarra
     turtle edge, the round sphere) has the factor 1.  The sum can exceed the
     log of the rate by at most 2 ln 2, so the exp overflows only for L above
     about 708, far past any L the stepper reaches: L <= 0 forward, and a few
-    tens at most backward (32 over 1,530 backward branches).  The result is
-    the L plane, a contiguous frac-shaped array, the layout of the matmul
-    operand that the callers' quadrature takes.
+    tens at most backward (32 over 1,530 backward branches).
     """
     at = _dense_at(start, quartic, frac)
-    pq, rate = at[:2], at[2]
-    tails = np.abs(pq)
-    np.exp(np.negative(tails, out=tails), out=tails)
-    tails += 1.0
-    np.minimum(pq, 0.0, out=pq)
-    rate += pq[0]
-    rate += pq[1]
-    np.exp(rate, out=rate)
-    tails[0] *= tails[1]
-    rate /= tails[0]
-    return rate
+    tails = 1.0 + np.exp(-np.abs(at[:2]))
+    low = np.minimum(at[:2], 0.0)
+    return np.exp(at[2] + low[0] + low[1]) / (tails[0] * tails[1])
 
 
 #: Five-point Gauss-Legendre rule on [0, 1]: nodes and weights.
@@ -368,25 +351,19 @@ def _time_panels(runs):
     states = np.concatenate([run.states for run, _ in runs])
     quartic = np.concatenate([q for r, _ in runs for q in (np.zeros((1, 4, 3)), r.quartic)][1:])
     tail = _logistic(np.negative(states[:, :2].T, order="C"))
-    # The bound at the steps' starts and at their ends, over the planes of
-    # |dP|, |dQ|, |dL|: rates[0] at the starts, rates[1] at the ends.
-    rates = np.empty((2, 3, len(quartic)))
-    np.abs(quartic[:, 0, :].T, out=rates[0])
-    np.abs((_POWERS @ quartic).T, out=rates[1])
-    rates[0, :2] *= tail[:, :-1]
-    rates[1, :2] *= tail[:, 1:]
-    rates[:, 0] += rates[:, 1]
-    rates[:, 0] += rates[:, 2]
-    change = np.maximum(rates[0, 0], rates[1, 0], out=rates[0, 0])
-    change /= PANEL_LOG_RATE
-    m = np.maximum(np.ceil(change, out=change), 1.0, out=change).astype(int)
+    # The bound at the steps' starts and at their ends, over the contiguous
+    # planes of |dP|, |dQ|, |dL| there.
+    start_rate = np.abs(quartic[:, 0, :].T, order="C")
+    end_rate = np.abs((_POWERS @ quartic).T, order="C")
+    change = np.maximum(
+        start_rate[0] * tail[0, :-1] + start_rate[1] * tail[1, :-1] + start_rate[2],
+        end_rate[0] * tail[0, 1:] + end_rate[1] * tail[1, 1:] + end_rate[2])
+    m = np.maximum(np.ceil(change / PANEL_LOG_RATE), 1.0).astype(int)
     step = np.repeat(np.arange(len(m)), m)
     width = 1.0 / m[step]
     last = np.cumsum(m)  # one past each step's last panel
     start = (np.arange(len(step)) - (last - m)[step]) * width
-    frac = width[:, None] * _GL_NODES
-    frac += start[:, None]
-    rate = _rate(states[step], quartic[step], frac)
+    rate = _rate(states[step], quartic[step], start[:, None] + width[:, None] * _GL_NODES)
     sigma = np.concatenate([run.sigma for run, _ in runs])
     spans = (sigma[1:] - sigma[:-1])[step]
     parts = spans * width * (rate @ _GL_WEIGHTS)
@@ -744,12 +721,11 @@ def integrate(m0: MetricCoeffs, params: FlowParams | None = None) -> Trajectory:
         share, corner = L - log_share, ROUND_LOGIT - (Q if Q < P else P)
         return corner if corner > share else share
 
-    run = _dormand_prince(
-        (_logit(u, w0), _logit(v, w0), 0.0), 1.0,
-        INTEGRATE_TOL_FACTOR * params.rel_tol, INTEGRATE_TOL_FACTOR * params.abs_tol,
-        params.max_steps, margin)
+    start = (_logit(u, w0), _logit(v, w0), 0.0)
+    time_scale = _time_scale(w0, params.r_squared)  # before a step is taken
+    run = _dormand_prince(start, 1.0, INTEGRATE_TOL_FACTOR * params.rel_tol,
+                          INTEGRATE_TOL_FACTOR * params.abs_tol, params.max_steps, margin)
     coeffs = _coeffs(run.states.T.copy(), w0, columns)
-    time_scale = _time_scale(w0, params.r_squared)
     [(panels, times)] = _time_panels([(run, time_scale)])
     collapse_time = None if run.end else float(times[-1]) + (
         0.25 * params.r_squared * sum(coeffs[-1, list(columns)].tolist()) / 3.0)
@@ -956,8 +932,9 @@ def x_rate(m: MetricCoeffs, r_squared: float = DEFAULT_R_SQUARED) -> float:
     Requires the ordered convention w >= v >= u.  Strictly positive unless
     u = v = w: the flow always drifts toward the isotropic corner x = 2.
     Degree -1 in (u, v, w): it is taken on (u, v, w)/2^e, e the exponent of
-    w, and divided by 2^e, which is exact for normal floats.  A rate past
-    the largest float is inf.
+    w, and divided by 2^e, which is exact for normal floats.  The numerator
+    is divided by u w and v w in turn, so no product of two thin
+    coefficients underflows.  A rate past the largest float is inf.
     """
     _require_positive("r_squared", r_squared)
     u, v, w = m.as_tuple()
@@ -967,6 +944,6 @@ def x_rate(m: MetricCoeffs, r_squared: float = DEFAULT_R_SQUARED) -> float:
     u, v, w = math.ldexp(u, -e), math.ldexp(v, -e), math.ldexp(w, -e)
     numerator = u * (w - v) ** 2 + u * u * (v - u) + v * (w * w - v * v)
     try:
-        return math.ldexp((4.0 / r_squared) * 2.0 * numerator / (u * v * w * w), -e)
+        return math.ldexp((4.0 / r_squared) * 2.0 * (numerator / (u * w) / (v * w)), -e)
     except OverflowError:  # ldexp's, where the rate passes the largest float
         return math.inf

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import danteflow.flow as flow_mod
 from conftest import edge_start
-from danteflow.errors import IntegrationFailureError
+from danteflow.errors import DomainError, IntegrationFailureError
 from danteflow.flow import (FlowParams, Termination, Trajectory, integrate,
                             isotropic_lambda, rhs, x_rate)
 from danteflow.geometry import (MetricCoeffs, StretchFactors, curvature_summary,
@@ -43,6 +43,11 @@ def test_rhs_examples():
     base = rhs(MetricCoeffs(0.3, 0.6, 1.2), 4.0)
     for k in range(-1020, 1020):
         assert rhs(MetricCoeffs(*(math.ldexp(x, k) for x in (0.3, 0.6, 1.2))), 4.0) == base, k
+    # A thin shape at unit scale: v w underflowed to 0 (ZeroDivisionError).
+    # du lies past the float range.
+    du, dv, dw = rhs(MetricCoeffs(1.0, 1e-200, 1e-200), 4.0)
+    assert du == -math.inf
+    assert abs(dv - 1e200) <= 2.0 * math.ulp(1e200) and dw == dv
 
 
 def test_rhs_dual_form_identity():
@@ -173,7 +178,7 @@ def test_integration_failure_carries_partial_trajectory():
     assert len(partial) >= 1
 
 
-def test_the_largest_r_squared_collapses_at_the_scaled_time():
+def test_the_largest_r_squared_collapses_at_the_scaled_time(monkeypatch):
     # The stepper steps R^2 = 4 for every R^2, so sigma stays where it is at
     # R^2 = 4.  When the stepper carried 8/R^2, sigma overflowed before
     # collapse past R^2 of about 2e307, and these runs failed.
@@ -186,6 +191,16 @@ def test_the_largest_r_squared_collapses_at_the_scaled_time():
     huge = trace_flowline(ShapePoint(1.0, 0.5), params=FlowParams(r_squared=1e308))
     assert_array_equal(huge.xs, line.xs)
     assert_allclose(huge.times, 0.25e308 * line.times, rtol=4e-15, atol=0.0)
+    # A time scale w0 R^2/4 past the float range raises before a step is
+    # taken (the whole flow ran first), after a logit that underflows.
+    def no_step(*args):
+        raise AssertionError("integrate stepped")
+
+    monkeypatch.setattr(flow_mod, "_dormand_prince", no_step)
+    with pytest.raises(DomainError, match=r"^flow time scale w0 R\^2/4 = inf is not a normal"):
+        integrate(MetricCoeffs(0.3e200, 0.6e200, 1.2e200), FlowParams(r_squared=1e200))
+    with pytest.raises(DomainError, match=r"^ratio 5e-324/1e\+200 underflows to 0$"):
+        integrate(MetricCoeffs(5e-324, 1.0, 1e200), FlowParams(r_squared=1e200))
 
 
 def _lift(edge: str, share: float, log_height: float, r_squared: float) -> StretchFactors:
@@ -419,6 +434,10 @@ def test_x_rate_examples():
         assert x_rate(scaled) == math.ldexp(base, -k), k
     # 29 times 2^1023, past the largest float.
     assert x_rate(MetricCoeffs(2.0**-1025, 2.0**-1024, 2.0**-1023)) == math.inf
+    # Thin shapes at unit scale: u v w^2 went subnormal (4.0159e160 at
+    # 1e-160) or to 0 (ZeroDivisionError at 1e-200).
+    for thin, rate in ((1e-160, 4e160), (1e-200, 4e200)):
+        assert abs(x_rate(MetricCoeffs(thin, thin, 1.0)) - rate) <= 2.0 * math.ulp(rate), thin
 
 
 def test_x_rate_matches_projected_derivative():
